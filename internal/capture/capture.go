@@ -149,7 +149,9 @@ func (m *muxer) addUDP(ts time.Time, key layers.FlowKey, eth layers.Ethernet, pa
 }
 
 // writeTo interleaves all frames by timestamp (stable on insertion order
-// within a tie) and emits the pcap file.
+// within a tie) and emits the pcap file. A destination that can grow,
+// such as a bytes.Buffer, is grown once to the exact file size first,
+// instead of doubling its way up through the multi-megabyte capture.
 func (m *muxer) writeTo(w io.Writer) error {
 	sort.SliceStable(m.frames, func(i, j int) bool {
 		if m.frames[i].ts.Equal(m.frames[j].ts) {
@@ -157,6 +159,11 @@ func (m *muxer) writeTo(w io.Writer) error {
 		}
 		return m.frames[i].ts.Before(m.frames[j].ts)
 	})
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		// The frames tile the arena, so the file is the 24-byte pcap
+		// header, a 16-byte record header per frame and the arena.
+		g.Grow(24 + 16*len(m.frames) + m.arena.Len())
+	}
 	pw := pcapio.NewWriter(w)
 	raw := m.arena.Bytes()
 	for _, f := range m.frames {

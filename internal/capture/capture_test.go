@@ -208,6 +208,21 @@ func TestDeterministicCapture(t *testing.T) {
 	}
 }
 
+// TestWritePcapGrowsBufferToFileSize: a bytes.Buffer destination is grown
+// once to the exact file size, so the capture leaves no more slack than
+// the runtime's page rounding of a large allocation (8 KiB) — a buffer
+// doubled up from zero would leave up to half its capacity unused.
+func TestWritePcapGrowsBufferToFileSize(t *testing.T) {
+	tr, _ := captureTrace(t, 9)
+	var buf bytes.Buffer
+	if err := WritePcap(&buf, tr, Options{Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if slack := buf.Cap() - buf.Len(); slack >= 8<<10 {
+		t.Errorf("%d-byte capture left %d bytes of buffer slack", buf.Len(), slack)
+	}
+}
+
 // TestWritePcapMultiInterleavesFlows renders the interleaved scenario and
 // checks every conversation — the interactive one plus each noise flow —
 // survives the round trip as a complete, TLS-parsable TCP conversation,

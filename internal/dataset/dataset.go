@@ -208,6 +208,16 @@ func (cfg Config) wireLabel() string {
 // trace when it returns (call Trace.Release to drop the wire bytes);
 // a sink error aborts generation.
 func Stream(cfg Config, sink func(Point) error) error {
+	return streamPoints(cfg, func(p Point) (Point, error) { return p, nil }, sink)
+}
+
+// streamPoints is the generation spine Stream and GenerateTo share. It
+// simulates every point cfg's shard owns on the parallel.StreamN workers,
+// passes each through work on the same worker, and hands work's results
+// to emit in ascending index order. work runs concurrently and may touch
+// only its own point; emit is never called concurrently. An error from
+// either aborts generation, after emit has seen every lower index.
+func streamPoints[R any](cfg Config, work func(Point) (R, error), emit func(R) error) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.Shard.validate(); err != nil {
 		return err
@@ -229,7 +239,7 @@ func Stream(cfg Config, sink func(Point) error) error {
 			own = append(own, i)
 		}
 	}
-	return parallel.StreamN(cfg.Workers, len(own), func(j int) (Point, error) {
+	return parallel.StreamN(cfg.Workers, len(own), func(j int) (R, error) {
 		i := own[j]
 		cond := cfg.Conditions[order[i]]
 		tr, err := session.Run(session.Config{
@@ -246,11 +256,12 @@ func Stream(cfg Config, sink func(Point) error) error {
 			OmitServerPayload: cfg.Lean,
 		})
 		if err != nil {
-			return Point{}, fmt.Errorf("dataset: session %d: %w", i, err)
+			var zero R
+			return zero, fmt.Errorf("dataset: session %d: %w", i, err)
 		}
-		return Point{Index: i, Viewer: pop[i], Condition: cond, Trace: tr}, nil
-	}, func(_ int, p Point) error {
-		return sink(p)
+		return work(Point{Index: i, Viewer: pop[i], Condition: cond, Trace: tr})
+	}, func(_ int, r R) error {
+		return emit(r)
 	})
 }
 

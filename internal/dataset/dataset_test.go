@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,33 @@ func TestWriteAndReadBack(t *testing.T) {
 		if len(m.Segments) == 0 {
 			t.Errorf("meta %d has no segments", i)
 		}
+	}
+}
+
+// TestGenerateToFailureLeavesPrefix pins the failure contract DATASET.md
+// states: only the in-order emit writes, so a run that fails at point i
+// leaves no manifest.json and only the points below i, even though the
+// workers have already encoded points past it. A directory squatting on
+// 004.pcap makes point 3's write fail.
+func TestGenerateToFailureLeavesPrefix(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "004.pcap"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := GenerateTo(Config{N: 8, Seed: 5, Workers: 4}, dir, true); err == nil {
+		t.Fatal("GenerateTo succeeded with point 3's capture unwritable")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"001.json", "001.pcap", "002.json", "002.pcap", "003.json", "003.pcap", "004.pcap"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("failed run left %v, want %v", names, want)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 )
 
 // readTree returns name -> contents for every regular file in dir.
@@ -33,11 +35,15 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 // TestShardEquivalence_Dataset pins the shard-equivalence invariant:
 // splitting generation across 2, 4 or 8 processes and merging the shard
 // directories yields a corpus byte-identical to the single-process run —
-// pcaps, label sidecars, attributes.csv and the manifest itself.
+// pcaps, label sidecars, attributes.csv and the manifest itself. The
+// reference runs one worker and the shards four, so the same comparison
+// pins worker independence of the files the StreamN workers encode.
 func TestShardEquivalence_Dataset(t *testing.T) {
 	cfg := Config{N: 8, Seed: 21}
 	refDir := t.TempDir()
-	if _, _, err := GenerateTo(cfg, refDir, true); err != nil {
+	refCfg := cfg
+	refCfg.Workers = 1
+	if _, _, err := GenerateTo(refCfg, refDir, true); err != nil {
 		t.Fatal(err)
 	}
 	ref := readTree(t, refDir)
@@ -56,6 +62,7 @@ func TestShardEquivalence_Dataset(t *testing.T) {
 			for i := 0; i < count; i++ {
 				dirs[i] = t.TempDir()
 				shardCfg := cfg
+				shardCfg.Workers = 4
 				shardCfg.Shard = Shard{Index: i, Count: count}
 				man, _, err := GenerateTo(shardCfg, dirs[i], true)
 				if err != nil {
@@ -182,4 +189,84 @@ func TestGenerateConstantMemory(t *testing.T) {
 		}
 	}
 	t.Logf("heap checkpoints (bytes): first=%d base=%d last=%d", samples[0], base, samples[len(samples)-1])
+}
+
+// TestGenerateToConstantMemory is the persisted path's sibling of
+// TestGenerateConstantMemory: GenerateTo with full payloads at two
+// workers, where the in-flight window holds encoded captures rather than
+// lean traces. A sampler watches the corpus grow on disk and, every few
+// points written, samples HeapAlloc after a forced GC.
+func TestGenerateToConstantMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak-style memory regression; skipped in -short")
+	}
+	const (
+		n     = 48
+		every = 4
+	)
+	cfg := Config{N: n, Seed: 3, Workers: 2}.withDefaults() // warm the encoding cache
+	dir := t.TempDir()
+	// Two GCs: the second frees buffers earlier tests left in the
+	// sync.Pool victim caches, so the baseline is this test's own.
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+
+	stop := make(chan struct{})
+	sampled := make(chan []uint64)
+	go func() {
+		var samples []uint64
+		next := every
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				sampled <- samples
+				return
+			case <-tick.C:
+			}
+			pcaps, _ := filepath.Glob(filepath.Join(dir, "*.pcap"))
+			if len(pcaps) < next {
+				continue
+			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			samples = append(samples, ms.HeapAlloc)
+			next = len(pcaps) + every
+		}
+	}()
+	man, _, err := GenerateTo(cfg, dir, true)
+	close(stop)
+	samples := <-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Points) != n {
+		t.Fatalf("wrote %d of %d points", len(man.Points), n)
+	}
+	if len(samples) < 4 {
+		t.Fatalf("only %d heap checkpoints sampled over %d points", len(samples), n)
+	}
+	// The bound is the in-flight window, not the corpus: StreamN holds at
+	// most 2×workers points between claim and emit, each with up to a few
+	// captures' worth of buffers (stream writers, frame arena, capture),
+	// and the writer pool keeps recycled buffers across one GC. Sixteen of
+	// the largest captures covers that with room; retaining every point's
+	// capture or trace (~11 MiB apiece) passes it well before point 48.
+	var biggest uint64
+	for _, e := range man.Points {
+		biggest = max(biggest, uint64(e.PcapBytes))
+	}
+	limit := base + 16*biggest
+	for i, s := range samples {
+		if s > limit {
+			t.Fatalf("heap grew with corpus size: checkpoint %d retains %d MiB (before the run %d MiB, limit %d MiB)",
+				i, s>>20, base>>20, limit>>20)
+		}
+	}
+	t.Logf("heap checkpoints (bytes): before=%d max=%d last=%d limit=%d", base, slices.Max(samples), samples[len(samples)-1], limit)
 }

@@ -174,45 +174,79 @@ func NewDatasetWriter(dir string, cfg Config) (*DatasetWriter, error) {
 // manifest entry. The point's trace must still hold its wire bytes; the
 // caller remains responsible for releasing it afterwards.
 func (w *DatasetWriter) Write(p Point) error {
-	if w.closed {
-		return fmt.Errorf("dataset: write to closed writer")
+	e, err := w.encode(p)
+	if err != nil {
+		return err
 	}
+	return w.put(e)
+}
+
+// encodedPoint is one point ready to persist: both files' bytes plus the
+// manifest entry and attribute-table row that describe them.
+type encodedPoint struct {
+	point        Point
+	pcap, labels []byte
+	entry        ManifestEntry
+	row          []string
+}
+
+// encode renders p's capture, marshals its sidecar, hashes both and
+// builds the point's manifest entry and CSV row. It reads nothing of the
+// writer but its fixed filename width, so GenerateTo runs it on the
+// StreamN workers, concurrently with put.
+func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	if p.Trace == nil {
-		return fmt.Errorf("dataset: point %d has no trace", p.Index)
+		return encodedPoint{}, fmt.Errorf("dataset: point %d has no trace", p.Index)
 	}
 	if len(p.Trace.ClientToServer.Bytes) == 0 || len(p.Trace.ServerToClient.Bytes) == 0 {
-		return fmt.Errorf("dataset: point %d trace holds no payload bytes (generated with Config.Lean, or already Released)", p.Index)
+		return encodedPoint{}, fmt.Errorf("dataset: point %d trace holds no payload bytes (generated with Config.Lean, or already Released)", p.Index)
 	}
 	name := fmt.Sprintf("%0*d", w.width, p.Index+1)
 	var pcap bytes.Buffer
 	if err := capture.WritePcap(&pcap, p.Trace, capture.Options{Seed: uint64(p.Index)}); err != nil {
-		return fmt.Errorf("dataset: writing %s.pcap: %w", name, err)
-	}
-	if err := os.WriteFile(filepath.Join(w.dir, name+".pcap"), pcap.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("dataset: %w", err)
+		return encodedPoint{}, fmt.Errorf("dataset: writing %s.pcap: %w", name, err)
 	}
 	meta := metadataOf(p)
 	labels, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(w.dir, name+".json"), labels, 0o644); err != nil {
-		return fmt.Errorf("dataset: %w", err)
+		return encodedPoint{}, fmt.Errorf("dataset: %w", err)
 	}
 	pcapSum := sha256.Sum256(pcap.Bytes())
 	labelsSum := sha256.Sum256(labels)
-	w.man.Points = append(w.man.Points, ManifestEntry{
-		Index:        p.Index,
-		SessionID:    meta.SessionID,
-		Pcap:         name + ".pcap",
-		PcapSHA256:   hex.EncodeToString(pcapSum[:]),
-		PcapBytes:    int64(pcap.Len()),
-		Labels:       name + ".json",
-		LabelsSHA256: hex.EncodeToString(labelsSum[:]),
-		LabelsBytes:  int64(len(labels)),
-	})
+	return encodedPoint{
+		point:  p,
+		pcap:   pcap.Bytes(),
+		labels: labels,
+		entry: ManifestEntry{
+			Index:        p.Index,
+			SessionID:    meta.SessionID,
+			Pcap:         name + ".pcap",
+			PcapSHA256:   hex.EncodeToString(pcapSum[:]),
+			PcapBytes:    int64(pcap.Len()),
+			Labels:       name + ".json",
+			LabelsSHA256: hex.EncodeToString(labelsSum[:]),
+			LabelsBytes:  int64(len(labels)),
+		},
+		row: attributesRow(meta),
+	}, nil
+}
+
+// put writes an encoded point's two files and appends its manifest entry
+// and, when CSV is set, its attribute row. Points must arrive in
+// ascending index order.
+func (w *DatasetWriter) put(e encodedPoint) error {
+	if w.closed {
+		return fmt.Errorf("dataset: write to closed writer")
+	}
+	if err := os.WriteFile(filepath.Join(w.dir, e.entry.Pcap), e.pcap, 0o644); err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	if err := os.WriteFile(filepath.Join(w.dir, e.entry.Labels), e.labels, 0o644); err != nil {
+		return fmt.Errorf("dataset: %w", err)
+	}
+	w.man.Points = append(w.man.Points, e.entry)
 	if w.CSV {
-		if err := w.csvW.Write(attributesRow(meta)); err != nil {
+		if err := w.csvW.Write(e.row); err != nil {
 			return fmt.Errorf("dataset: %w", err)
 		}
 	}
@@ -245,13 +279,18 @@ func (w *DatasetWriter) Close() error {
 // has run.
 func (w *DatasetWriter) Manifest() *Manifest { return &w.man }
 
-// GenerateTo streams a corpus straight to disk: each point is generated,
-// persisted and its trace released before the next point lands, so
-// resident memory is constant in cfg.N (TestGenerateConstantMemory pins
-// this). The returned points carry viewer, condition and the released
-// trace — enough for TableI — and the manifest describes what was
-// written. writeCSV controls attributes.csv for full-corpus runs; shard
-// runs never write it (MergeShards rebuilds it).
+// GenerateTo streams a corpus straight to disk. The StreamN workers
+// simulate each point, encode it (render the capture, marshal the
+// sidecar, hash both) and release its trace; the in-order emit only
+// writes the two files and appends the manifest entry and CSV row. So
+// encoding uses every worker, and resident memory is bounded by the
+// in-flight window of encoded points, constant in cfg.N
+// (TestGenerateToConstantMemory pins this). Because only the emit
+// writes, a failed run leaves no manifest and no point above the
+// failing index. The returned points carry viewer, condition and the
+// released trace — enough for TableI — and the manifest describes what
+// was written. writeCSV controls attributes.csv for full-corpus runs;
+// shard runs never write it (MergeShards rebuilds it).
 func GenerateTo(cfg Config, dir string, writeCSV bool) (*Manifest, []Point, error) {
 	cfg = cfg.withDefaults()
 	w, err := NewDatasetWriter(dir, cfg)
@@ -260,12 +299,15 @@ func GenerateTo(cfg Config, dir string, writeCSV bool) (*Manifest, []Point, erro
 	}
 	w.CSV = writeCSV && !cfg.Shard.enabled()
 	var points []Point
-	err = Stream(cfg, func(p Point) error {
-		if err := w.Write(p); err != nil {
+	err = streamPoints(cfg, func(p Point) (encodedPoint, error) {
+		e, err := w.encode(p)
+		p.Trace.Release()
+		return e, err
+	}, func(e encodedPoint) error {
+		if err := w.put(e); err != nil {
 			return err
 		}
-		p.Trace.Release()
-		points = append(points, p)
+		points = append(points, e.point)
 		return nil
 	})
 	if err != nil {

@@ -344,33 +344,36 @@ func (w *Writer) SetU16(off int, v uint16) {
 
 // Checksum computes the 16-bit one's-complement Internet checksum
 // (RFC 1071) over data. An odd trailing byte is padded with zero.
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i:]))
-	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
+func Checksum(data []byte) uint16 { return FinishChecksum(AddChecksum(0, data)) }
 
 // AddChecksum folds a partial sum with additional data, for pseudo-header
 // checksums computed in pieces. Pass the running sum from a previous call
-// (0 initially) and finish with FinishChecksum.
+// (0 initially) and finish with FinishChecksum; pieces must split on
+// 16-bit boundaries.
+//
+// The loop adds 8 bytes per step, as two big-endian 32-bit words, into a
+// 64-bit accumulator, then folds the carries back into 32 bits. Because
+// 2^16 ≡ 1 (mod 0xffff), a 32-bit word is congruent to the sum of its
+// 16-bit halves (RFC 1071 §2(B)): the finished checksum equals that of a
+// 16-bit word sum, though the raw partial sums may differ.
 func AddChecksum(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i:]))
+	acc := uint64(sum)
+	for len(data) >= 8 {
+		v := binary.BigEndian.Uint64(data)
+		acc += v>>32 + v&0xffffffff
+		data = data[8:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
 	}
-	return sum
+	if len(data) == 1 {
+		acc += uint64(data[0]) << 8
+	}
+	for acc > 0xffffffff {
+		acc = acc&0xffffffff + acc>>32
+	}
+	return uint32(acc)
 }
 
 // FinishChecksum folds carries and complements a running sum started with

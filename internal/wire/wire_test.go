@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -128,6 +129,56 @@ func TestChecksumIncrementalMatchesOneShot(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// checksum16 is the plain RFC 1071 loop, one big-endian 16-bit word per
+// step into a 32-bit sum: the oracle for the 8-byte AddChecksum kernel.
+func checksum16(sum uint32, data []byte) uint32 {
+	n := len(data)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(data[i:]))
+	}
+	if n%2 == 1 {
+		sum += uint32(data[n-1]) << 8
+	}
+	return sum
+}
+
+// TestAddChecksumMatchesSixteenBitLoop differentially tests the 8-byte
+// kernel against the 16-bit loop over random lengths 0–1600 (odd ones
+// included), all-0xFF runs (maximal carries) and nonzero starting sums.
+// Only finished checksums are compared: the two loops fold carries at
+// different points, so their raw partial sums legitimately differ.
+// Starting sums stay below 2^24, the range a pseudo-header leaves, so the
+// oracle's 32-bit sum cannot wrap over 1600 bytes.
+func TestAddChecksumMatchesSixteenBitLoop(t *testing.T) {
+	check := func(start uint32, data []byte) {
+		t.Helper()
+		got := FinishChecksum(AddChecksum(start, data))
+		want := FinishChecksum(checksum16(start, data))
+		if got != want {
+			t.Fatalf("start %#x, %d bytes: checksum %#04x, 16-bit loop %#04x", start, len(data), got, want)
+		}
+	}
+	rng := NewRNG(1071)
+	buf := make([]byte, 1600)
+	for trial := 0; trial < 4000; trial++ {
+		data := buf[:rng.Intn(len(buf)+1)]
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		start := uint32(0)
+		if trial%2 == 1 {
+			start = uint32(rng.Intn(1 << 24))
+		}
+		check(start, data)
+	}
+	ones := bytes.Repeat([]byte{0xff}, len(buf))
+	for n := 0; n <= len(ones); n++ {
+		for _, start := range []uint32{0, 1, 0xffff, 0xfffe, 1<<24 - 1} {
+			check(start, ones[:n])
+		}
 	}
 }
 
