@@ -294,24 +294,20 @@ func BenchmarkPipeline_ConstrainedDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pcapBytes, err := CapturePcap(tr, 21)
-	if err != nil {
-		b.Fatal(err)
-	}
 	atk, err := TrainAttacker(TrainingOptions{Seed: 22})
 	if err != nil {
 		b.Fatal(err)
 	}
-	obs, err := attack.ExtractPcapBytes(pcapBytes)
+	recs, _, err := tlsrec.ParseStream(tr.ClientToServer.Bytes, tr.ClientToServer.TimeAt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	classified := attack.ClassifyRecords(obs.ClientRecords, atk.Classifier)
+	classified := attack.ClassifyRecords(recs, atk.Classifier)
 	table, err := attack.PathTableFor(atk.Graph, atk.MaxChoices)
 	if err != nil {
 		b.Fatal(err)
 	}
-	anchor := obs.ClientRecords[0].Time
+	anchor := recs[0].Time
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -43,6 +43,7 @@ import (
 	"repro/internal/profiles"
 	"repro/internal/script"
 	"repro/internal/statejson"
+	"repro/internal/tlsrec"
 	"repro/internal/wire"
 )
 
@@ -290,20 +291,16 @@ func decoderBenchEntries() ([]benchEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcapBytes, err := whitemirror.CapturePcap(tr, 21)
-	if err != nil {
-		return nil, err
-	}
 	atk, err := whitemirror.TrainAttacker(whitemirror.TrainingOptions{Seed: 22})
 	if err != nil {
 		return nil, err
 	}
-	obs, err := attack.ExtractPcapBytes(pcapBytes)
+	recs, _, err := tlsrec.ParseStream(tr.ClientToServer.Bytes, tr.ClientToServer.TimeAt)
 	if err != nil {
 		return nil, err
 	}
-	classified := attack.ClassifyRecords(obs.ClientRecords, atk.Classifier)
-	anchor := obs.ClientRecords[0].Time
+	classified := attack.ClassifyRecords(recs, atk.Classifier)
+	anchor := recs[0].Time
 
 	build := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

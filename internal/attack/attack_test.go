@@ -347,9 +347,39 @@ func TestScoreDecisions(t *testing.T) {
 	}
 }
 
-func TestExtractPcapErrors(t *testing.T) {
-	if _, err := ExtractPcapBytes([]byte("not a pcap")); err == nil {
-		t.Error("garbage capture accepted")
+// TestMonitorErrorsAtEveryShardCount pins the one front end's error
+// handling: a non-pcap input (refused by Feed) and a capture cut
+// mid-record (refused by Close) fail with the same error through
+// InferPcap as through Feed + Close, unsharded and sharded.
+func TestMonitorErrorsAtEveryShardCount(t *testing.T) {
+	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
+	full := capturedSession(t, runSession(t, 7, profiles.Fig2Ubuntu), 7)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"not a pcap", bytes.Repeat([]byte("not a pcap "), 4)},
+		{"cut mid-record", full[:len(full)-1]},
+	} {
+		_, want := atk.InferPcap(tc.data)
+		if want == nil {
+			t.Fatalf("%s: InferPcap accepted the capture", tc.name)
+		}
+		for _, shards := range []int{0, 2} {
+			m := NewMonitor(atk, MonitorOptions{Shards: shards})
+			feedErr := m.Feed(tc.data)
+			_, closeErr := m.Close()
+			got := closeErr
+			if feedErr != nil {
+				got = feedErr
+			}
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("%s, shards=%d: Feed + Close error %v, want %v", tc.name, shards, got, want)
+			}
+			if closeErr == nil || closeErr.Error() != want.Error() {
+				t.Errorf("%s, shards=%d: Close error %v, want %v", tc.name, shards, closeErr, want)
+			}
+		}
 	}
 }
 

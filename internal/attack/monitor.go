@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/layers"
@@ -47,81 +48,98 @@ import (
 // monitor runs indefinitely in memory bounded by the set of concurrently
 // live conversations rather than by uptime.
 //
+// A Monitor is one front end over one or more flow cores. The front end
+// parses pcap framing, copies FeedPacket frames, hands spans back to the
+// FrameRing and decodes each packet; it alone owns the capture clock,
+// the ingest sequence, the idle-sweep cadence and the timing-wheel
+// epoch. Each core owns the flows routed to it: reassembly, record
+// scanners, window state and its timing wheel. With MonitorOptions.Shards
+// 0 the single core runs inline on the caller's goroutine; with Shards N
+// the N cores run on worker goroutines (shard.go).
+//
 // A Monitor is single-session state and not safe for concurrent use.
 type Monitor struct {
 	atk     *Attacker
 	onEvent func(Event)
 	win     *Window
 	ring    *pcapio.PacketRing
-	relSpan func([]byte) // releases a UDP payload span once consumed
-	eng     *shardEngine // non-nil when MonitorOptions.Shards > 0: all calls delegate
 
 	cr    *pcapio.ChunkReader
-	asm   *tcpreasm.Assembler
-	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
-	order []layers.FlowKey            // canonical keys, first-seen order
-	arena []byte                      // FeedPacket copies frames into chained blocks
+	arena []byte // FeedPacket copies frames into chained blocks
 
-	clock       time.Time // high-water capture timestamp
-	sinceSweep  int       // packets since the last idle sweep
-	sweptAt     time.Time // capture clock of the last idle sweep
-	flowsGone   int       // m.order entries whose flow was dropped
-	finalized   int       // SessionFinalized emitted (window mode)
-	expired     int       // FlowExpired emitted (window mode)
-	rejectedNow int       // flows currently in rejected probation
+	// Ordering state every core shares. seq numbers each packet, sweep
+	// barrier and core call; wheelsStarted records that the first decoded
+	// packet's timestamp was handed to every core as its wheel epoch.
+	clock         time.Time // high-water capture timestamp
+	seq           uint64
+	wheelsStarted bool
+	sinceSweep    int       // packets since the last idle sweep
+	sweptAt       time.Time // capture clock of the last idle sweep
+	sweeps        int64     // idle sweeps run
+	finalized     int       // SessionFinalized emitted by Close itself (window mode)
 
-	wheel      *timeWheel // idle-expiry deadlines (window mode)
-	sweeps     int64      // idle sweeps run
-	sweepTouch int64      // wheel entries examined across all sweeps
+	cores []*flowCore
 
-	// Event sequencing. seqCtx is the global ingest sequence of the packet
-	// (or sweep barrier, or close phase) being processed; evKey is the
-	// flow-level sort key within that sequence step (0 for packet events —
-	// one flow per packet — and the flow's first-seen sequence for sweep
-	// and close events, so a merged multi-shard stream orders expirations
-	// exactly as the single-threaded table scan did). tagSink, when set by
-	// the shard engine, receives every event tagged for the merge instead
-	// of the user callback.
-	seqCtx  uint64
-	evKey   uint64
-	tagSink func(Event)
-
-	// Best finalized inference so far (window mode), by the same
-	// (matched, score) rule selectFlow applies at batch Close. The stamp
-	// of the first noteFinal and of the best one let the shard engine
-	// replay the "first final wins ties" chronology across shards.
-	bestFinal   *Inference
-	bestMatched int
-	bestScore   float64
-	bestStamp   evStamp
-	firstFinal  *evStamp
-
-	// Largest-flow fallback (window mode): until a session finalizes, the
-	// largest viable flow to expire keeps its inference, preserving the
-	// batch rule that a capture with no classified reports still attacks
-	// its biggest conversation. Costs one Infer per new-largest expiry and
-	// nothing once a real session has been seen. The slice is strictly
-	// increasing in bytes; single-threaded readers use only the last
-	// element, the shard engine filters the history by stamp to
-	// reconstruct the global chronology.
-	fallbacks []fallbackCand
-
-	// suppressFallback gates fallback stashing during the sharded close:
-	// a shard whose local bestFinal is nil must not stash when another
-	// shard has already finalized a session.
-	suppressFallback bool
-
-	table      *PathTable // lazily built when the attacker has a graph
-	tableTried bool       // one-shot: a failed build is not retried per record
-	prm        DecodeParams
+	// Sharded mode (shard.go): one worker per core; shards is nil at
+	// Shards 0, where the single core runs inline.
+	shards    []*monShard
+	wg        sync.WaitGroup
+	pending   []taggedEvent // merged-but-undelivered events
+	sincePump int
+	stopped   bool // worker goroutines joined; cores run inline
 
 	closed bool
 	err    error
 }
 
+// flowCore is one flow engine: the flows the front end routes to it, with
+// their reassembly, record scanners, rolling-window state and idle timing
+// wheel, and the verdicts Close reduces across cores. It runs only the
+// messages the front end hands it (handle) and never touches another
+// core's flows.
+type flowCore struct {
+	atk     *Attacker
+	win     *Window
+	live    bool         // OnEvent is set: run the live hypothesis engine
+	emit    func(Event)  // the callback inline, the shard's tagged outbox when sharded
+	relSpan func([]byte) // releases a UDP payload span once consumed
+
+	asm   *tcpreasm.Assembler
+	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
+	wheel *timeWheel                  // idle-expiry deadlines (window mode)
+
+	// The message being handled: its ingest sequence and the front end's
+	// capture clock. evKey is the flow-level order key within that step:
+	// 0 for packet events (one flow per packet) and the flow's first-seen
+	// sequence for sweep and close events, so a merged multi-core stream
+	// orders expirations exactly as a single core does.
+	seq   uint64
+	clock time.Time
+	evKey uint64
+
+	finalized   int   // SessionFinalized emitted (window mode)
+	expired     int   // FlowExpired emitted (window mode)
+	rejectedNow int   // flows currently in rejected probation
+	sweepTouch  int64 // wheel entries examined across all sweeps
+
+	// Window-mode verdicts: the best finalized session, and the
+	// largest-flow fallback — until a session finalizes, the largest
+	// viable flow to expire keeps its inference, preserving the batch rule
+	// that a capture with no classified reports still attacks its biggest
+	// conversation. It costs one Infer per new-largest expiry. settled
+	// stops fallback stashing once a session has finalized on this core
+	// or, during Close, on any core.
+	best, fallback *verdict
+	settled        bool
+
+	table      *PathTable // lazily built when the attacker has a graph
+	tableTried bool       // one-shot: a failed build is not retried per record
+	prm        DecodeParams
+}
+
 // evStamp is a point in the global ingest chronology: the packet (or
 // barrier) sequence plus the flow-level key within it. Stamps order
-// cross-shard state updates the way a single-threaded run ordered them.
+// cross-core state updates the way a single core ordered them.
 type evStamp struct {
 	seq, key uint64
 }
@@ -130,12 +148,82 @@ func (a evStamp) less(b evStamp) bool {
 	return a.seq < b.seq || (a.seq == b.seq && a.key < b.key)
 }
 
-// fallbackCand is one stashed largest-flow fallback inference.
-type fallbackCand struct {
-	inf   *Inference
-	flow  layers.FlowKey
-	bytes int64
-	at    evStamp
+// verdict is one flow's candidacy for the Close result. One pair of rules
+// ranks verdicts on a core and across cores, in both modes: beats for
+// sessions and outweighs for the largest-flow fallback. Both break ties
+// by the order key: the stamp of the verdict's event in window mode (the
+// earlier event wins), the client key in batch mode, where stamps are
+// zero.
+type verdict struct {
+	inf     *Inference
+	flow    layers.FlowKey // client→server key, as SessionFinalized carries it
+	canon   layers.FlowKey // the owning core's flow-table key
+	matched int
+	score   float64
+	bytes   int64
+	at      evStamp
+}
+
+// sessionVerdict ranks a flow's inference by its best hypothesis
+// (matched in-band observations, then score); without a graph the
+// flow's in-band count stands in for matched.
+func sessionVerdict(f *monFlow, inf *Inference, hards int) *verdict {
+	v := &verdict{inf: inf, flow: f.clientKey, matched: hards}
+	if len(inf.Hypotheses) > 0 {
+		v.matched, v.score = inf.Hypotheses[0].Matched, inf.Hypotheses[0].Score
+	}
+	return v
+}
+
+// beats ranks sessions: more matched in-band observations, then a higher
+// score, then the order key.
+func (v *verdict) beats(o *verdict) bool {
+	if v.matched != o.matched {
+		return v.matched > o.matched
+	}
+	if v.score != o.score {
+		return v.score > o.score
+	}
+	return v.precedes(o)
+}
+
+// outweighs ranks largest-flow candidates: more bytes, then the order key.
+func (v *verdict) outweighs(o *verdict) bool {
+	if v.bytes != o.bytes {
+		return v.bytes > o.bytes
+	}
+	return v.precedes(o)
+}
+
+// precedes compares order keys.
+func (v *verdict) precedes(o *verdict) bool {
+	if v.at != o.at {
+		return v.at.less(o.at)
+	}
+	return v.flow.String() < o.flow.String()
+}
+
+// weight is a fallback's byte volume; no fallback weighs 0.
+func (v *verdict) weight() int64 {
+	if v == nil {
+		return 0
+	}
+	return v.bytes
+}
+
+// pickVerdict reduces per-core verdicts (nil where a core has none) to
+// the winner under better and its core index, or (-1, nil).
+func pickVerdict(vs []*verdict, better func(v, o *verdict) bool) (int, *verdict) {
+	idx := -1
+	for i, v := range vs {
+		if v != nil && (idx < 0 || better(v, vs[idx])) {
+			idx = i
+		}
+	}
+	if idx < 0 {
+		return -1, nil
+	}
+	return idx, vs[idx]
 }
 
 // Window configures the monitor's rolling-window mode: bounded-memory
@@ -227,7 +315,7 @@ const defaultSweepInterval = 256
 
 // minSessionHards is the least in-band report count for a finalizing flow
 // to be inferred as an interactive session rather than expired as noise —
-// 1, the same admission rule the batch selectFlow applies, so a windowed
+// 1, the same admission rule the batch close applies, so a windowed
 // run never discards a flow the batch path would have attacked. (An
 // accidental band collision on a bulk flow does cost one Infer and a
 // low-matched SessionFinalized; selection by (matched, score) still
@@ -411,7 +499,7 @@ type ShardStats struct {
 	// RetainedBytes is the shard's retained buffer memory.
 	RetainedBytes int64
 	// RingPending is the byte volume of ring spans the shard has
-	// released but the dispatcher has not yet recycled.
+	// released but the front end has not yet recycled.
 	RingPending int64
 }
 
@@ -474,38 +562,22 @@ type monFlow struct {
 
 // NewMonitor returns a streaming monitor for a trained attacker.
 func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
-	if opts.Shards > 0 {
-		return &Monitor{atk: a, eng: newShardEngine(a, opts)}
-	}
-	asm := tcpreasm.NewAssembler()
-	// Every feed path hands the assembler stable memory: pcap chunks live
-	// in the ChunkReader's grow-only buffer, FeedPacket copies frames
-	// into the monitor's arena and FeedPacketOwned slots are caller-owned,
-	// so reassembly owns payloads without copying each segment again.
-	asm.SetStablePayloads(true)
-	if opts.FrameRing != nil {
-		// Unreferenced payload spans flow back to the caller's ring; spans
-		// from other feed paths are foreign to it and ignored.
-		asm.SetReleaseFunc(opts.FrameRing.Release)
-	}
-	var relSpan func([]byte)
-	if opts.FrameRing != nil {
-		relSpan = opts.FrameRing.Release
-	}
-	prm := a.Decode.withDefaults()
-	m := &Monitor{
-		atk:     a,
-		onEvent: opts.OnEvent,
-		ring:    opts.FrameRing,
-		relSpan: relSpan,
-		asm:     asm,
-		flows:   make(map[layers.FlowKey]*monFlow),
-		prm:     prm,
-	}
+	m := &Monitor{atk: a, onEvent: opts.OnEvent, ring: opts.FrameRing}
 	if opts.Window != nil {
 		w := opts.Window.withDefaults()
 		m.win = &w
 	}
+	if opts.Shards > 0 {
+		m.startShards(opts.Shards)
+		return m
+	}
+	var release func([]byte)
+	if opts.FrameRing != nil {
+		// Unreferenced payload spans flow back to the caller's ring; spans
+		// from other feed paths are foreign to it and ignored.
+		release = opts.FrameRing.Release
+	}
+	m.cores = []*flowCore{m.newCore(opts.OnEvent, release)}
 	return m
 }
 
@@ -514,15 +586,34 @@ func (a *Attacker) NewMonitor(opts MonitorOptions) *Monitor {
 	return NewMonitor(a, opts)
 }
 
-// emit delivers one event: tagged into the shard engine's merge when the
-// monitor is a shard core, straight to the callback otherwise.
-func (m *Monitor) emit(ev Event) {
-	if m.tagSink != nil {
-		m.tagSink(ev)
-		return
+// newCore builds one flow core. emit receives its events when the
+// monitor has OnEvent; release receives every payload span the core stops
+// referencing when it has a FrameRing.
+func (m *Monitor) newCore(emit func(Event), release func([]byte)) *flowCore {
+	if m.onEvent == nil {
+		emit = func(Event) {}
 	}
-	if m.onEvent != nil {
-		m.onEvent(ev)
+	if m.ring == nil {
+		release = nil
+	}
+	asm := tcpreasm.NewAssembler()
+	// Every feed path hands the assembler stable memory: pcap chunks live
+	// in the ChunkReader's grow-only buffer, FeedPacket copies frames into
+	// the monitor's arena and FeedPacketOwned slots are caller-owned, so
+	// reassembly owns payloads without copying each segment again.
+	asm.SetStablePayloads(true)
+	if release != nil {
+		asm.SetReleaseFunc(release)
+	}
+	return &flowCore{
+		atk:     m.atk,
+		win:     m.win,
+		live:    m.onEvent != nil,
+		emit:    emit,
+		relSpan: release,
+		asm:     asm,
+		flows:   make(map[layers.FlowKey]*monFlow),
+		prm:     m.atk.Decode.withDefaults(),
 	}
 }
 
@@ -531,18 +622,12 @@ func (m *Monitor) emit(ev Event) {
 // Complete packets are processed as soon as their last byte arrives. The
 // chunk is copied; the caller may reuse its buffer.
 func (m *Monitor) Feed(chunk []byte) error {
-	if m.eng != nil {
-		return m.eng.feed(chunk, false)
-	}
 	return m.feed(chunk, false)
 }
 
 // feedOwned is the whole-capture fast path: the one-shot wrapper owns its
 // bytes outright, so the reader adopts them with no copy.
 func (m *Monitor) feedOwned(chunk []byte) error {
-	if m.eng != nil {
-		return m.eng.feed(chunk, true)
-	}
 	return m.feed(chunk, true)
 }
 
@@ -568,6 +653,7 @@ func (m *Monitor) feed(chunk []byte, owned bool) error {
 			return m.err
 		}
 		if !ok {
+			m.pump()
 			return nil
 		}
 		m.ingestFrame(rec.Timestamp, rec.Data, false)
@@ -578,9 +664,6 @@ func (m *Monitor) feed(chunk []byte, owned bool) error {
 // already demultiplex packets, e.g. a live capture loop). The frame is
 // copied; the caller may reuse its buffer.
 func (m *Monitor) FeedPacket(ts time.Time, frame []byte) error {
-	if m.eng != nil {
-		return m.eng.feedPacket(ts, frame)
-	}
 	if m.closed {
 		return errors.New("attack: monitor is closed")
 	}
@@ -611,9 +694,6 @@ func (m *Monitor) FeedPacket(ts time.Time, frame []byte) error {
 // Without a ring the frames are simply garbage-collected once the rolling
 // window drops them.
 func (m *Monitor) FeedPacketOwned(ts time.Time, frame []byte) error {
-	if m.eng != nil {
-		return m.eng.feedPacketOwned(ts, frame)
-	}
 	if m.closed || m.err != nil {
 		// The frame will never be referenced; hand the slot straight back
 		// so a capture loop feeding a dead monitor cannot leak its ring.
@@ -629,9 +709,8 @@ func (m *Monitor) FeedPacketOwned(ts time.Time, frame []byte) error {
 	return nil
 }
 
-// wrapReadErr mirrors the batch path's error wrapping: file-header
-// problems surface as extraction errors, per-record problems as capture
-// read errors.
+// wrapReadErr wraps a pcap framing error: file-header problems surface
+// as attack errors, per-record problems as capture read errors.
 func wrapReadErr(headerDone bool, err error) error {
 	if !headerDone {
 		return fmt.Errorf("attack: %w", err)
@@ -639,9 +718,10 @@ func wrapReadErr(headerDone bool, err error) error {
 	return fmt.Errorf("attack: reading capture: %w", err)
 }
 
-// ingestFrame decodes one frame and advances the owning flow. ringOwned
-// marks frames fed through FeedPacketOwned, whose unreferenced spans go
-// back to the caller's ring.
+// ingestFrame decodes one frame, advances the shared clock, sequence and
+// sweep cadence, and routes the packet to its core. ringOwned marks frames
+// fed through FeedPacketOwned, whose unreferenced spans go back to the
+// caller's ring.
 func (m *Monitor) ingestFrame(ts time.Time, frame []byte, ringOwned bool) {
 	if ts.After(m.clock) {
 		m.clock = ts
@@ -654,38 +734,118 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte, ringOwned bool) {
 		return
 	}
 	if ringOwned && m.ring != nil {
-		// Only the TCP payload can be retained by reassembly; the frame's
+		// Only the transport payload can be retained by a core; the frame's
 		// link/network/transport headers go straight back to the ring.
 		m.ring.ReleaseExcept(frame, p.Payload)
 	}
-	m.seqCtx++
-	if m.win != nil && m.sweepDue() {
-		// Sweep BEFORE the packet's own events so a clock jump expires
-		// idle flows ahead of whatever this packet emits — the event
-		// stream stays monotone in capture time. The triggering packet's
-		// own flow is exempt: its arrival is the traffic that disproves
-		// idleness, even if the timestamp gap alone says otherwise.
-		canon, _ := p.Flow().Canonical()
-		m.seqCtx++ // the sweep consumed the previous sequence slot
-		m.sweepNow(canon, true)
+	canon, _ := p.Flow().Canonical()
+	if m.win != nil {
+		if !m.wheelsStarted {
+			// Every core's wheel ticks on one grid, anchored at the first
+			// decoded packet, so a flow expires on the same sweep whichever
+			// core owns it.
+			m.wheelsStarted = true
+			m.onCores(func(_ int, c *flowCore) { c.wheel = newTimeWheel(ts, c.win.IdleTimeout) })
+		}
+		if m.sweepDue() {
+			// Sweep BEFORE the packet's own events, at its own sequence
+			// step, so a clock jump expires idle flows ahead of whatever
+			// this packet emits — the event stream stays monotone in
+			// capture time. The triggering packet's own flow is exempt: its
+			// arrival is the traffic that disproves idleness, even if the
+			// timestamp gap alone says otherwise.
+			m.seq++
+			for i := range m.cores {
+				m.send(i, shardMsg{kind: msgSweep, seq: m.seq, clock: m.clock, key: canon})
+			}
+		}
 	}
-	m.ingestDecoded(p)
+	m.seq++
+	if m.shards == nil {
+		c := m.cores[0]
+		c.seq, c.clock = m.seq, m.clock
+		c.ingest(p, canon)
+		return
+	}
+	m.send(shardOf(canon, len(m.shards)), shardMsg{kind: msgPacket, seq: m.seq, clock: m.clock, pkt: p, key: canon})
+	m.sincePump++
+	if m.sincePump >= pumpEvery {
+		m.pump()
+	}
 }
 
-// ingestDecoded runs one decoded packet through reassembly, scanning and
-// window maintenance. The capture clock and the idle sweep have already
-// been handled by the caller (ingestFrame single-threaded, the shard
-// dispatcher when sharded).
-func (m *Monitor) ingestDecoded(p *layers.Packet) {
-	m.evKey = 0
+// sweepDue advances the sweep cadence by one packet and reports whether
+// an idle sweep should run now: every Window.SweepInterval packets, or
+// sooner when the capture clock has jumped a quarter of the idle timeout
+// since the last sweep, so a sparse tap (one packet after a long
+// silence) still ages flows out promptly.
+func (m *Monitor) sweepDue() bool {
+	m.sinceSweep++
+	if m.sweptAt.IsZero() {
+		m.sweptAt = m.clock
+	}
+	if m.sinceSweep < m.win.SweepInterval && m.clock.Sub(m.sweptAt) < m.win.IdleTimeout/4 {
+		return false
+	}
+	m.sinceSweep, m.sweptAt = 0, m.clock
+	m.sweeps++
+	return true
+}
+
+// send hands one message to core i: inline at Shards 0 (and once the
+// workers have stopped), over the core's ring otherwise.
+func (m *Monitor) send(i int, msg shardMsg) {
+	if m.shards == nil || m.stopped {
+		m.cores[i].handle(msg)
+		return
+	}
+	s := m.shards[i]
+	s.lastSent = msg.seq
+	s.in.Push(msg)
+}
+
+// onCores runs fn against every core at one new sequence step and waits
+// for all of them: inline at Shards 0, on the cores' own goroutines (in
+// parallel) when sharded. fn may write to core-indexed result slots
+// without locking; the wait orders those writes before the caller reads
+// them.
+func (m *Monitor) onCores(fn func(i int, c *flowCore)) {
+	m.seq++
+	var wg sync.WaitGroup
+	wg.Add(len(m.cores))
+	for i := range m.cores {
+		m.send(i, shardMsg{kind: msgCall, seq: m.seq, clock: m.clock, call: func(c *flowCore) {
+			defer wg.Done()
+			fn(i, c)
+		}})
+	}
+	wg.Wait()
+}
+
+// handle runs one front-end message on the core.
+func (c *flowCore) handle(msg shardMsg) {
+	c.seq, c.clock = msg.seq, msg.clock
+	switch msg.kind {
+	case msgPacket:
+		c.ingest(msg.pkt, msg.key)
+	case msgSweep:
+		c.sweep(msg.key)
+	case msgCall:
+		msg.call(c)
+	}
+}
+
+// ingest runs one decoded packet through reassembly, scanning and window
+// maintenance. canon is the packet's canonical conversation key.
+func (c *flowCore) ingest(p *layers.Packet, canon layers.FlowKey) {
+	c.evKey = 0
 	if p.Proto == layers.IPProtocolUDP {
-		m.ingestDatagram(p)
+		c.ingestDatagram(p, canon)
 		return
 	}
 	ts := p.Timestamp
-	st := m.asm.Feed(p)
-	canon, _ := p.Flow().Canonical()
-	f := m.flowFor(canon, ts)
+	st := c.asm.Feed(p)
+	f := c.flowFor(canon, ts)
 	f.lastSeen = ts
 	dir, isClient := f.direction(st.Key)
 	if dir.stream == nil {
@@ -697,51 +857,47 @@ func (m *Monitor) ingestDecoded(p *layers.Packet) {
 	}
 	// Drain newly delivered chunks into the record scanner. A scanner
 	// that has hit a framing error stays stuck (the direction is not
-	// TLS), exactly as the batch extraction treats that conversation.
-	for _, c := range st.DeliveredChunks(dir.consumed) {
+	// TLS), and the conversation is never a candidate.
+	for _, ch := range st.DeliveredChunks(dir.consumed) {
 		dir.consumed++
 		if dir.sc.Err() == nil {
-			dir.sc.Feed(c.Time, c.Data)
+			dir.sc.Feed(ch.Time, ch.Data)
 		}
 	}
 	if dir.sc.Err() != nil {
 		// Not TLS: the conversation can never be attacked, so stop
 		// buffering it in every mode (its data is never read again).
-		m.deadenFlow(f)
+		c.deadenFlow(f)
 	} else if !f.dead {
 		recs := dir.sc.Records()
 		if base := dir.sc.Released(); dir.taken < base+len(recs) {
 			for _, r := range recs[dir.taken-base:] {
 				if isClient {
-					m.onClientRecord(f, r)
+					c.onClientRecord(f, r)
 				}
 			}
 			dir.taken = base + len(recs)
 		}
 	}
-	if m.win != nil {
-		m.maintainFlow(f, dir, isClient)
-		m.maybeFinalize(f, ts)
+	if c.win != nil {
+		c.maintainFlow(f, dir, isClient)
+		c.maybeFinalize(f, ts)
 	}
 }
 
 // flowFor finds or creates the tracked flow for a canonical key,
 // scheduling its idle-expiry wheel entry in window mode.
-func (m *Monitor) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
-	f, ok := m.flows[canon]
+func (c *flowCore) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
+	f, ok := c.flows[canon]
 	if !ok {
-		f = &monFlow{canonical: canon, firstSeq: m.seqCtx}
+		f = &monFlow{canonical: canon, firstSeq: c.seq}
 		if canon.Proto == layers.IPProtocolUDP {
 			f.quic = &quicFlow{}
 		}
-		m.flows[canon] = f
-		m.order = append(m.order, canon)
-		if m.win != nil {
-			if m.wheel == nil {
-				m.wheel = newTimeWheel(ts, m.win.IdleTimeout)
-			}
-			f.ent = &twEntry{deadline: ts.Add(m.win.IdleTimeout), ord: f.firstSeq, flow: f}
-			m.wheel.schedule(f.ent)
+		c.flows[canon] = f
+		if c.wheel != nil {
+			f.ent = &twEntry{deadline: ts.Add(c.win.IdleTimeout), ord: f.firstSeq, flow: f}
+			c.wheel.schedule(f.ent)
 		}
 	}
 	return f
@@ -756,13 +912,12 @@ func (m *Monitor) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
 // record pipeline as a pseudo-record of the burst's summed size. Nothing
 // beyond sizes and times is retained, so the payload span goes back to
 // the caller's ring immediately.
-func (m *Monitor) ingestDatagram(p *layers.Packet) {
-	if m.relSpan != nil {
-		defer m.relSpan(p.Payload)
+func (c *flowCore) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
+	if c.relSpan != nil {
+		defer c.relSpan(p.Payload)
 	}
 	ts := p.Timestamp
-	canon, _ := p.Flow().Canonical()
-	f := m.flowFor(canon, ts)
+	f := c.flowFor(canon, ts)
 	f.lastSeen = ts
 	if f.dead {
 		return
@@ -776,7 +931,7 @@ func (m *Monitor) ingestDatagram(p *layers.Packet) {
 		if !quicrec.Sniff(p.Payload) {
 			// Not QUIC (plain DNS, WebRTC, ...): never attackable, stop
 			// tracking its bytes in every mode.
-			m.deadenFlow(f)
+			c.deadenFlow(f)
 			return
 		}
 	}
@@ -798,38 +953,38 @@ func (m *Monitor) ingestDatagram(p *layers.Packet) {
 		if !q.observed {
 			if ver, dcidLen, ok := quicrec.ParseLongHeader(p.Payload); ok {
 				q.observed = true
-				m.emit(QUICFlowObserved{Flow: f.eventKey(), At: ts, Version: ver, DCIDLen: dcidLen})
+				c.emit(QUICFlowObserved{Flow: f.eventKey(), At: ts, Version: ver, DCIDLen: dcidLen})
 			}
 		}
 		return // handshake flights never join bursts
 	}
 	if isClient {
 		if b, ok := q.seg.Feed(ts, len(p.Payload)); ok {
-			m.quicBurst(f, b)
+			c.quicBurst(f, b)
 		}
 	}
-	if m.win != nil {
-		m.noiseTick(f, func() { q.recs = q.recs[:0] })
+	if c.win != nil {
+		c.noiseTick(f, func() { q.recs = q.recs[:0] })
 	}
 }
 
 // quicBurst records one completed client burst as a pseudo-record and
 // runs it through the same classify/detect/decode step a scanned TLS
 // record takes.
-func (m *Monitor) quicBurst(f *monFlow, b Burst) {
+func (c *flowCore) quicBurst(f *monFlow, b Burst) {
 	rec := tlsrec.Record{Type: tlsrec.ContentApplicationData, Length: b.Bytes, Time: b.Start}
 	f.quic.recs = append(f.quic.recs, rec)
-	m.onClientRecord(f, rec)
+	c.onClientRecord(f, rec)
 }
 
 // flushQUIC closes a QUIC flow's open burst — the flow is ending, so the
 // silence that would have closed it will never be observed.
-func (m *Monitor) flushQUIC(f *monFlow) {
+func (c *flowCore) flushQUIC(f *monFlow) {
 	if f.quic == nil || f.dead {
 		return
 	}
 	if b, ok := f.quic.seg.Flush(); ok {
-		m.quicBurst(f, b)
+		c.quicBurst(f, b)
 	}
 }
 
@@ -854,14 +1009,14 @@ func (f *monFlow) quicDirection(k layers.FlowKey) bool {
 // deadenFlow marks a conversation as unattackable and evicts its buffers:
 // reassembly stops retaining payloads and already-scanned descriptors are
 // dropped. Candidate selection is unaffected — the flow was never viable.
-func (m *Monitor) deadenFlow(f *monFlow) {
+func (c *flowCore) deadenFlow(f *monFlow) {
 	if f.dead {
 		return
 	}
 	f.dead = true
 	if f.rejected {
 		f.rejected = false
-		m.rejectedNow--
+		c.rejectedNow--
 	}
 	for _, d := range []*monDir{&f.client, &f.server} {
 		if d.stream != nil {
@@ -880,13 +1035,13 @@ func (m *Monitor) deadenFlow(f *monFlow) {
 // touched direction's consumed chunks are released, the server side's
 // record descriptors (which the attack never reads) are dropped, and the
 // client side drives the noise-rejection state machine.
-func (m *Monitor) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
+func (c *flowCore) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
 	dir.stream.ReleaseThrough(dir.consumed)
 	if !isClient {
 		dir.sc.ReleaseRecords(dir.sc.Released() + len(dir.sc.Records()))
 		return
 	}
-	m.noiseTick(f, func() { dir.sc.ReleaseRecords(dir.taken) })
+	c.noiseTick(f, func() { dir.sc.ReleaseRecords(dir.taken) })
 }
 
 // noiseTick drives the zero-report rejection state machine for one flow's
@@ -894,7 +1049,7 @@ func (m *Monitor) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
 // client record descriptors — scanner records for TCP, burst
 // pseudo-records for QUIC — which is the only transport-specific part of
 // the machine.
-func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
+func (c *flowCore) noiseTick(f *monFlow, dropRecs func()) {
 	if f.dead {
 		return
 	}
@@ -904,11 +1059,11 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 			// earliest descriptors are gone, so a finalize sees a partial
 			// observation — the price of having looked like noise.
 			f.rejected = false
-			m.rejectedNow--
+			c.rejectedNow--
 		}
 		return
 	}
-	w := m.win
+	w := c.win
 	if !f.rejected {
 		// Two rejection triggers: the count rule (dense flows trip it in
 		// seconds) and the clock rule (a slow drip of reportless records
@@ -916,22 +1071,20 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 		// record count would).
 		quiet := w.RejectQuiet > 0 && !f.firstAppAt.IsZero() &&
 			f.classified >= w.RejectQuietMinRecords &&
-			m.clock.Sub(f.firstAppAt) >= w.RejectQuiet
+			c.clock.Sub(f.firstAppAt) >= w.RejectQuiet
 		if f.classified >= w.RejectAfterRecords || quiet {
 			// Before the descriptors go: if no session has been seen yet,
 			// this flow may still end up the batch-rule fallback target
 			// (largest conversation of a reportless capture), so its decode
 			// over the pre-rejection prefix is stashed now — rejection must
 			// never turn a zero-report capture into an error.
-			if m.bestFinal == nil && !m.suppressFallback && f.viable() && f.totalBytes() > m.fallbackHigh() {
-				m.stashFallback(f)
-			}
+			c.stashFallback(f)
 			f.rejected = true
-			m.rejectedNow++
+			c.rejectedNow++
 			f.rechecks = w.RecheckBudget
 			f.nextRecheck = f.classified + w.RecheckEvery
 			if w.RejectQuiet > 0 {
-				f.nextRecheckT = m.clock.Add(w.RejectQuiet)
+				f.nextRecheckT = c.clock.Add(w.RejectQuiet)
 			}
 			dropRecs()
 		}
@@ -943,20 +1096,20 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 	// first, so slow drips cannot stretch probation indefinitely.
 	dropRecs()
 	recheckDue := f.classified >= f.nextRecheck ||
-		(!f.nextRecheckT.IsZero() && !m.clock.Before(f.nextRecheckT))
+		(!f.nextRecheckT.IsZero() && !c.clock.Before(f.nextRecheckT))
 	if recheckDue {
 		f.rechecks--
 		f.nextRecheck = f.classified + w.RecheckEvery
 		if w.RejectQuiet > 0 {
-			f.nextRecheckT = m.clock.Add(w.RejectQuiet)
+			f.nextRecheckT = c.clock.Add(w.RejectQuiet)
 		}
 		if f.rechecks <= 0 {
 			f.rejected = false
-			m.rejectedNow--
-			m.deadenFlow(f)
-			m.expired++
+			c.rejectedNow--
+			c.deadenFlow(f)
+			c.expired++
 			f.announced = true
-			m.emit(FlowExpired{Flow: f.eventKey(), At: m.clock,
+			c.emit(FlowExpired{Flow: f.eventKey(), At: c.clock,
 				Reason: "rejected", Records: f.classified, Bytes: f.totalBytes()})
 		}
 	}
@@ -964,183 +1117,130 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 
 // maybeFinalize finalizes a flow whose transport state ended: both
 // directions saw their FIN delivered, or either direction was reset.
-func (m *Monitor) maybeFinalize(f *monFlow, at time.Time) {
+func (c *flowCore) maybeFinalize(f *monFlow, at time.Time) {
 	cs, ss := f.client.stream, f.server.stream
 	if cs == nil || ss == nil {
 		return
 	}
 	switch {
 	case cs.Aborted() || ss.Aborted():
-		m.finalizeFlow(f, at, "rst")
+		c.finalizeFlow(f, at, "rst")
 	case cs.Complete() && ss.Complete():
-		m.finalizeFlow(f, at, "fin")
+		c.finalizeFlow(f, at, "fin")
 	}
 }
 
-// sweepDue advances the sweep cadence by one packet and reports whether
-// an idle sweep should run now: every Window.SweepInterval packets, or
-// sooner when the capture clock has jumped a quarter of the idle timeout
-// since the last sweep, so a sparse tap (one packet after a long
-// silence) still ages flows out promptly.
-func (m *Monitor) sweepDue() bool {
-	m.sinceSweep++
-	if m.sweptAt.IsZero() {
-		m.sweptAt = m.clock
-	}
-	return m.sinceSweep >= m.win.SweepInterval ||
-		m.clock.Sub(m.sweptAt) >= m.win.IdleTimeout/4
-}
-
-// sweepNow runs the idle sweep: flows with no traffic for IdleTimeout on
-// the capture clock finalize, which is how conversations that vanish
-// without a close (a device leaving the network) still leave the window.
-// The timing wheel makes this O(expired + re-armed) — only entries whose
+// sweep runs the idle sweep: flows with no traffic for IdleTimeout on the
+// capture clock finalize, which is how conversations that vanish without
+// a close (a device leaving the network) still leave the window. The
+// timing wheel makes this O(expired + re-armed) — only entries whose
 // deadline slot the clock crossed are examined, never the whole table.
 // Popped entries whose flow saw traffic since scheduling re-arm at the
 // refreshed deadline; entries whose flow is already gone are dropped
 // (dropFlow leaves them in the wheel for exactly this lazy check).
 //
-// exempt (when haveExempt) is the canonical key of the packet that
-// triggered the sweep: its own flow is never expired by it, even when
-// the packet's timestamp jump exceeds the idle timeout — the flow is
-// provably not idle, its next packet is already in hand. Expiry order is
-// the flow's first-seen order (twEntry.ord), matching the former linear
-// table scan.
-func (m *Monitor) sweepNow(exempt layers.FlowKey, haveExempt bool) {
-	m.sinceSweep = 0
-	m.sweptAt = m.clock
-	m.sweeps++
-	m.compactOrder()
-	if m.wheel == nil {
-		return
-	}
-	for _, e := range m.wheel.advance(m.clock) {
-		m.sweepTouch++
+// exempt is the canonical key of the packet that triggered the sweep: its
+// own flow is never expired by it, even when the packet's timestamp jump
+// exceeds the idle timeout — the flow is provably not idle, its next
+// packet is already in hand. Expiry order is the flow's first-seen order
+// (twEntry.ord).
+func (c *flowCore) sweep(exempt layers.FlowKey) {
+	for _, e := range c.wheel.advance(c.clock) {
+		c.sweepTouch++
 		f := e.flow
-		if m.flows[f.canonical] != f {
+		if c.flows[f.canonical] != f {
 			continue // dropped since scheduling; stale entry
 		}
-		alive := f.lastSeen.IsZero() || f.lastSeen.Add(m.win.IdleTimeout).After(m.clock) ||
-			(haveExempt && f.canonical == exempt)
-		if alive {
+		if f.lastSeen.IsZero() || f.lastSeen.Add(c.win.IdleTimeout).After(c.clock) || f.canonical == exempt {
 			// Re-arm at the refreshed deadline. For the exempt flow this
 			// may still be in the past (its packet has not landed yet);
 			// schedule clamps past deadlines one tick out, and the next
 			// pop re-checks against the then-updated lastSeen.
-			e.deadline = f.lastSeen.Add(m.win.IdleTimeout)
-			m.wheel.schedule(e)
+			e.deadline = f.lastSeen.Add(c.win.IdleTimeout)
+			c.wheel.schedule(e)
 			continue
 		}
-		m.evKey = f.firstSeq
-		m.finalizeFlow(f, m.clock, "idle")
+		c.evKey = f.firstSeq
+		c.finalizeFlow(f, c.clock, "idle")
 	}
-	m.evKey = 0
+	c.evKey = 0
 }
 
-// compactOrder rebuilds the first-seen order without dropped flows.
-func (m *Monitor) compactOrder() {
-	if m.flowsGone <= 64 || m.flowsGone*2 <= len(m.order) {
-		return
-	}
-	kept := m.order[:0]
-	for _, k := range m.order {
-		if _, ok := m.flows[k]; ok {
-			kept = append(kept, k)
-		}
-	}
-	m.order, m.flowsGone = kept, 0
+// sessionReady reports whether a flow has the in-band evidence to finalize
+// as an interactive session.
+func (c *flowCore) sessionReady(f *monFlow) bool {
+	return !f.dead && f.viable() && c.hardCount(f) >= minSessionHards
 }
 
-// finalizeFlow concludes one flow and removes it from the monitor. A
-// viable flow with enough in-band evidence is inferred and emitted as a
+// finalizeFlow concludes one flow and removes it from the core. A viable
+// flow with enough in-band evidence is inferred and emitted as a
 // SessionFinalized — for a mid-session idle expiry that inference carries
 // the partial path decoded so far and its confirmed-prefix DecodeMargin —
 // and everything else expires.
-func (m *Monitor) finalizeFlow(f *monFlow, at time.Time, reason string) {
-	defer m.dropFlow(f)
+func (c *flowCore) finalizeFlow(f *monFlow, at time.Time, reason string) {
+	defer c.dropFlow(f)
 	// A QUIC flow's last write never sees the gap that would close it.
-	m.flushQUIC(f)
-	if !f.dead && f.viable() && m.hardCount(f) >= minSessionHards {
-		if inf, err := m.atk.Infer(f.observation()); err == nil {
-			matched, score := m.hardCount(f), 0.0
-			if len(inf.Hypotheses) > 0 {
-				matched, score = inf.Hypotheses[0].Matched, inf.Hypotheses[0].Score
-			}
-			m.noteFinal(inf, matched, score)
-			m.finalized++
-			m.emit(SessionFinalized{Flow: f.clientKey, Inference: inf})
+	c.flushQUIC(f)
+	if c.sessionReady(f) {
+		if inf, err := c.atk.Infer(f.observation()); err == nil {
+			c.noteFinal(sessionVerdict(f, inf, c.hardCount(f)))
 			return
 		}
 	}
 	// A currently-rejected flow's retained records are the post-rejection
 	// tail; its richer pre-rejection prefix was already stashed when the
 	// rejection hit, so don't overwrite that with a worse observation.
-	if m.bestFinal == nil && !m.suppressFallback && !f.dead && !f.rejected &&
-		f.viable() && f.totalBytes() > m.fallbackHigh() {
-		m.stashFallback(f)
+	if !f.dead && !f.rejected {
+		c.stashFallback(f)
 	}
 	if !f.announced {
-		m.expired++
+		c.expired++
 		f.announced = true
-		m.emit(FlowExpired{Flow: f.eventKey(), At: at, Reason: reason,
+		c.emit(FlowExpired{Flow: f.eventKey(), At: at, Reason: reason,
 			Records: f.classified, Bytes: f.totalBytes()})
 	}
 }
 
-// noteFinal keeps the best finalized inference by the same
-// (matched, score) rule selectFlow applies at batch Close: strictly
-// better wins, the first of equals stays. Each call is stamped so the
-// shard engine can reconstruct the single-threaded chronology.
-func (m *Monitor) noteFinal(inf *Inference, matched int, score float64) {
-	st := evStamp{m.seqCtx, m.evKey}
-	if m.firstFinal == nil {
-		s := st
-		m.firstFinal = &s
+// noteFinal stamps a finalized session, keeps it when it beats the best
+// so far (the first of equals stays, being the earlier event) and emits
+// its SessionFinalized.
+func (c *flowCore) noteFinal(v *verdict) {
+	v.at = evStamp{c.seq, c.evKey}
+	if c.best == nil || v.beats(c.best) {
+		c.best = v
 	}
-	if m.bestFinal == nil || matched > m.bestMatched ||
-		(matched == m.bestMatched && score > m.bestScore) {
-		m.bestFinal, m.bestMatched, m.bestScore, m.bestStamp = inf, matched, score, st
-	}
+	c.settled = true
+	c.finalized++
+	c.emit(SessionFinalized{Flow: v.flow, Inference: v.inf})
 }
 
-// fallbackHigh is the byte size of the best fallback stashed so far —
-// the threshold a flow must beat to become the new fallback target.
-func (m *Monitor) fallbackHigh() int64 {
-	if n := len(m.fallbacks); n > 0 {
-		return m.fallbacks[n-1].bytes
+// stashFallback makes f's inference the largest-flow fallback when no
+// session has settled and f outweighs the current fallback.
+func (c *flowCore) stashFallback(f *monFlow) {
+	if c.settled || !f.viable() || f.totalBytes() <= c.fallback.weight() {
+		return
 	}
-	return 0
-}
-
-// stashFallback records a flow's inference as the current largest-flow
-// fallback. Callers gate on fallbackHigh, so the slice stays strictly
-// increasing in bytes; the stamp history lets the shard engine replay
-// which candidate a single-threaded run would have held at any point.
-func (m *Monitor) stashFallback(f *monFlow) {
-	if inf, err := m.atk.Infer(f.observation()); err == nil {
-		m.fallbacks = append(m.fallbacks, fallbackCand{
-			inf: inf, flow: f.clientKey, bytes: f.totalBytes(),
-			at: evStamp{m.seqCtx, m.evKey},
-		})
+	if inf, err := c.atk.Infer(f.observation()); err == nil {
+		c.fallback = &verdict{inf: inf, flow: f.clientKey, canon: f.canonical,
+			bytes: f.totalBytes(), at: evStamp{c.seq, c.evKey}}
 	}
 }
 
 // dropFlow releases a flow's reassembly state and forgets it. A later
 // packet on the same 5-tuple starts a fresh conversation, which is how
 // port reuse on a long tap should read.
-func (m *Monitor) dropFlow(f *monFlow) {
+func (c *flowCore) dropFlow(f *monFlow) {
 	if f.rejected {
 		f.rejected = false
-		m.rejectedNow--
+		c.rejectedNow--
 	}
 	if f.client.stream != nil {
-		m.asm.Drop(f.client.stream.Key)
+		c.asm.Drop(f.client.stream.Key)
 	}
 	if f.server.stream != nil {
-		m.asm.Drop(f.server.stream.Key)
+		c.asm.Drop(f.server.stream.Key)
 	}
-	delete(m.flows, f.canonical)
-	m.flowsGone++
+	delete(c.flows, f.canonical)
 }
 
 // eventKey is the key flow-level events carry: client→server when known.
@@ -1182,9 +1282,8 @@ func (f *monFlow) direction(k layers.FlowKey) (*monDir, bool) {
 // (which classifies through Infer anyway), so the whole step is skipped
 // and the one-shot wrapper stays as cheap as the old batch path. With a
 // window but no callback only the counters the window needs are kept.
-func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
-	live := m.onEvent != nil
-	if !live && m.win == nil {
+func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
+	if !c.live && c.win == nil {
 		return
 	}
 	if f.anchor.IsZero() {
@@ -1193,8 +1292,8 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	if rec.Type != tlsrec.ContentApplicationData {
 		return
 	}
-	soft, _ := m.atk.Classifier.(SoftClassifier)
-	cr := classifyRecord(rec, m.atk.Classifier, soft)
+	soft, _ := c.atk.Classifier.(SoftClassifier)
+	cr := classifyRecord(rec, c.atk.Classifier, soft)
 	idx := f.classified
 	f.classified++
 	if f.firstAppAt.IsZero() {
@@ -1206,7 +1305,7 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 		f.hards++
 		if !f.detected {
 			f.detected = true
-			m.emit(FlowDetected{Flow: f.clientKey, At: rec.Time, Length: rec.Length, Class: cr.Class})
+			c.emit(FlowDetected{Flow: f.clientKey, At: rec.Time, Length: rec.Length, Class: cr.Class})
 		}
 		// Plain running decode: a type-1 opens a choice, a type-2 before
 		// the next type-1 flips the latest one to non-default.
@@ -1222,7 +1321,7 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 			}
 		}
 	}
-	if !live || f.rejected {
+	if !c.live || f.rejected {
 		// Window-only bookkeeping, or a flow in rejected probation whose
 		// hypothesis engine is paused: counters are all that is needed.
 		return
@@ -1231,9 +1330,9 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	if !ok {
 		return
 	}
-	if t := m.liveTable(); t != nil {
+	if t := c.liveTable(); t != nil {
 		if f.pa == nil {
-			f.pa = newPrefixAligner(t, m.prm)
+			f.pa = newPrefixAligner(t, c.prm)
 		}
 		f.pa.observe(ev)
 	}
@@ -1266,25 +1365,25 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	} else if ci.Choice >= 0 {
 		ci.TookDefault = f.plainChoices[ci.Choice].TookDefault
 	}
-	m.emit(ci)
+	c.emit(ci)
 }
 
 // liveTable lazily builds the shared decoding table for the live engine.
 // A failed build is remembered and not retried on every record.
-func (m *Monitor) liveTable() *PathTable {
-	if m.tableTried || m.atk.Graph == nil {
-		return m.table
+func (c *flowCore) liveTable() *PathTable {
+	if c.tableTried || c.atk.Graph == nil {
+		return c.table
 	}
-	m.tableTried = true
-	maxChoices := m.atk.MaxChoices
+	c.tableTried = true
+	maxChoices := c.atk.MaxChoices
 	if maxChoices <= 0 {
 		maxChoices = 16
 	}
-	t, err := PathTableFor(m.atk.Graph, maxChoices)
+	t, err := PathTableFor(c.atk.Graph, maxChoices)
 	if err != nil {
 		return nil // fall back to the plain running decode
 	}
-	m.table = t
+	c.table = t
 	return t
 }
 
@@ -1302,9 +1401,8 @@ func (f *monFlow) observation() *Observation {
 	}
 }
 
-// viable reports whether a flow is a complete, attackable conversation —
-// the batch extraction's admission rule: both directions seen and
-// parsable as the flow's transport.
+// viable reports whether a flow is a complete, attackable conversation:
+// both directions seen and parsable as the flow's transport.
 func (f *monFlow) viable() bool {
 	if f.quic != nil {
 		return f.quic.haveClient && f.quic.haveServer
@@ -1315,21 +1413,39 @@ func (f *monFlow) viable() bool {
 
 // Stats snapshots the monitor's flow table and retained memory.
 func (m *Monitor) Stats() MonitorStats {
-	if m.eng != nil {
-		return m.eng.stats()
-	}
-	st := MonitorStats{
-		Flows:             len(m.flows),
-		RejectedFlows:     m.rejectedNow,
-		FinalizedSessions: m.finalized,
-		ExpiredFlows:      m.expired,
-		Sweeps:            m.sweeps,
-		SweepTouched:      m.sweepTouch,
-	}
+	per := make([]MonitorStats, len(m.cores))
+	m.onCores(func(i int, c *flowCore) { per[i] = c.stats() })
+	st := MonitorStats{FinalizedSessions: m.finalized, Sweeps: m.sweeps}
 	if m.cr != nil {
 		st.RetainedBytes += int64(m.cr.Buffered())
 	}
-	for _, f := range m.flows {
+	for i, cs := range per {
+		st.Flows += cs.Flows
+		st.LiveFlows += cs.LiveFlows
+		st.RejectedFlows += cs.RejectedFlows
+		st.FinalizedSessions += cs.FinalizedSessions
+		st.ExpiredFlows += cs.ExpiredFlows
+		st.RetainedBytes += cs.RetainedBytes
+		st.SweepTouched += cs.SweepTouched
+		if m.shards != nil {
+			sh := m.shards[i].stats(cs)
+			st.Shards = append(st.Shards, sh)
+			st.RetainedBytes += sh.RingPending
+		}
+	}
+	return st
+}
+
+// stats snapshots one core's share of Stats.
+func (c *flowCore) stats() MonitorStats {
+	st := MonitorStats{
+		Flows:             len(c.flows),
+		RejectedFlows:     c.rejectedNow,
+		FinalizedSessions: c.finalized,
+		ExpiredFlows:      c.expired,
+		SweepTouched:      c.sweepTouch,
+	}
+	for _, f := range c.flows {
 		if !f.dead {
 			st.LiveFlows++
 		}
@@ -1357,225 +1473,206 @@ func (m *Monitor) Stats() MonitorStats {
 // reports classified anywhere). In rolling-window mode every still-open
 // flow finalizes first — emitting its own SessionFinalized or FlowExpired
 // — and the best inference across the whole run is returned.
+//
+// Close runs its phases on every core and reduces the per-core verdicts
+// by one rule at every shard count: best (matched, score), then the
+// order key; the largest-flow fallback by bytes, then the order key. The
+// order key is the client key in batch mode; in window mode it is the
+// event stamp, so of equals the earlier finalization wins. Flows still
+// open at Close finalize or expire in first-seen sequence order — the
+// order the timing wheel and the shard merge use — so a 5-tuple reused
+// after its first conversation ended closes after the flows first seen
+// before its reuse.
 func (m *Monitor) Close() (*Inference, error) {
-	if m.eng != nil {
-		return m.eng.close()
-	}
 	if m.closed {
 		return nil, errors.New("attack: monitor already closed")
 	}
 	m.closed = true
-	if m.err != nil {
-		return nil, m.err
-	}
-	if m.cr != nil {
+	defer m.stop()
+	if m.err == nil && m.cr != nil {
 		if err := m.cr.TailErr(); err != nil {
 			m.err = wrapReadErr(m.cr.HeaderDone(), err)
-			return nil, m.err
 		}
 	}
-	if m.win != nil {
+	switch {
+	case m.err != nil:
+		return nil, m.err
+	case m.win != nil:
 		return m.closeWindowed()
+	default:
+		return m.closeBatch()
 	}
+}
 
-	// End of feed: QUIC flows' open bursts close now — the silence that
-	// would have closed them will never be observed.
-	for _, k := range m.order {
-		if f, ok := m.flows[k]; ok {
-			m.flushQUIC(f)
-		}
+// announce delivers every event the cores emitted, then the
+// SessionFinalized that Close itself decided, and returns its inference.
+func (m *Monitor) announce(v *verdict) (*Inference, error) {
+	m.stop()
+	if m.onEvent != nil {
+		m.onEvent(SessionFinalized{Flow: v.flow, Inference: v.inf})
 	}
+	return v.inf, nil
+}
 
-	// Candidate flows, ordered like the batch extraction (by client key).
-	var cands []*monFlow
-	for _, k := range m.order {
-		if f := m.flows[k]; f.viable() {
-			cands = append(cands, f)
-		}
+// closeBatch is the batch close: the best in-band candidate across cores
+// wins, else the largest viable conversation is attacked (the batch
+// rule), and Close emits the one SessionFinalized.
+func (m *Monitor) closeBatch() (*Inference, error) {
+	best := make([]*verdict, len(m.cores))
+	largest := make([]*verdict, len(m.cores))
+	m.onCores(func(i int, c *flowCore) { best[i], largest[i] = c.batchVerdicts() })
+	if _, v := pickVerdict(best, (*verdict).beats); v != nil {
+		return m.announce(v)
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].clientKey.String() < cands[j].clientKey.String()
-	})
-	if len(cands) == 0 {
+	i, v := pickVerdict(largest, (*verdict).outweighs)
+	if v == nil {
 		return nil, ErrNoTLSConversation
 	}
-
-	chosen, inf, err := m.selectFlow(cands)
+	var err error
+	m.onCores(func(j int, c *flowCore) {
+		if j == i {
+			v.inf, err = c.atk.Infer(c.flows[v.canon].observation())
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	m.emit(SessionFinalized{Flow: chosen.clientKey, Inference: inf})
-	return inf, nil
+	return m.announce(v)
 }
 
-// closeWindowed drains the window at end of feed: candidate flows
-// finalize (in deterministic first-seen order), and if no session was
-// ever finalized the largest still-viable conversation is attacked — the
-// batch fallback for captures whose reports never classified. Everything
-// else expires with reason "close". The phases are separate methods so
-// the shard engine can run each across all shards with a global reduce
-// between them.
-func (m *Monitor) closeWindowed() (*Inference, error) {
-	m.closeFinalizeSessions()
-	if m.bestFinal == nil {
-		// The batch rule attacks the capture's biggest conversation; an
-		// already-expired flow (tracked by the fallback) may outweigh
-		// everything still open.
-		if canon, bytes, _, ok := m.largestOpen(); ok && bytes > m.fallbackHigh() {
-			m.finalizeLargest(canon)
-		}
-	}
-	m.closeExpireRest()
-	if m.bestFinal == nil && len(m.fallbacks) > 0 {
-		// Nothing ever classified as a session; the largest expired viable
-		// flow is the attack target, as in the batch path.
-		fb := m.fallbacks[len(m.fallbacks)-1]
-		m.finalized++
-		m.emit(SessionFinalized{Flow: fb.flow, Inference: fb.inf})
-		return fb.inf, nil
-	}
-	if m.bestFinal == nil {
-		return nil, ErrNoTLSConversation
-	}
-	return m.bestFinal, nil
-}
-
-// remainingFlows returns the still-open flows in first-seen order.
-// m.order can hold a key twice when a finalized flow's 5-tuple was
-// reused; dedupe so no flow finalizes more than once.
-func (m *Monitor) remainingFlows() []*monFlow {
-	m.compactOrder()
-	var remaining []*monFlow
-	seen := make(map[layers.FlowKey]bool, len(m.order))
-	for _, k := range m.order {
-		if seen[k] {
+// batchVerdicts is one core's batch close: open QUIC bursts close (the
+// silence that would have closed them will never be observed), then
+// every viable flow is a largest-flow candidate and every flow with
+// in-band reports is inferred and ranked as a session.
+func (c *flowCore) batchVerdicts() (best, largest *verdict) {
+	for _, f := range c.openFlows() {
+		c.evKey = f.firstSeq
+		c.flushQUIC(f)
+		if !f.viable() {
 			continue
 		}
-		seen[k] = true
-		if f, ok := m.flows[k]; ok {
-			remaining = append(remaining, f)
+		v := &verdict{flow: f.clientKey, canon: f.canonical, bytes: f.totalBytes()}
+		if largest == nil || v.outweighs(largest) {
+			largest = v
 		}
-	}
-	return remaining
-}
-
-// closeFinalizeSessions is the first close phase: every flow with enough
-// in-band evidence finalizes as a session, in first-seen order.
-func (m *Monitor) closeFinalizeSessions() {
-	for _, f := range m.remainingFlows() {
-		if _, ok := m.flows[f.canonical]; !ok {
-			continue
-		}
-		if !f.dead && f.viable() && m.hardCount(f) >= minSessionHards {
-			m.evKey = f.firstSeq
-			m.finalizeFlow(f, m.clock, "close")
-		}
-	}
-	m.evKey = 0
-}
-
-// largestOpen finds the largest still-open viable flow — the candidate
-// for the batch largest-conversation fallback at close.
-func (m *Monitor) largestOpen() (canon layers.FlowKey, bytes int64, firstSeq uint64, ok bool) {
-	var largest *monFlow
-	for _, f := range m.remainingFlows() {
-		if f.dead || !f.viable() {
-			continue
-		}
-		if largest == nil || f.totalBytes() > largest.totalBytes() {
-			largest = f
-		}
-	}
-	if largest == nil {
-		return layers.FlowKey{}, 0, 0, false
-	}
-	return largest.canonical, largest.totalBytes(), largest.firstSeq, true
-}
-
-// finalizeLargest runs the largest-conversation attack on one still-open
-// flow and finalizes it. A failed Infer leaves the flow for
-// closeExpireRest.
-func (m *Monitor) finalizeLargest(canon layers.FlowKey) {
-	f, ok := m.flows[canon]
-	if !ok {
-		return
-	}
-	if inf, err := m.atk.Infer(f.observation()); err == nil {
-		m.evKey = f.firstSeq
-		m.noteFinal(inf, 0, 0)
-		m.finalized++
-		m.emit(SessionFinalized{Flow: f.clientKey, Inference: inf})
-		m.dropFlow(f)
-		m.evKey = 0
-	}
-}
-
-// closeExpireRest is the final close phase: whatever is still open
-// expires with reason "close", in first-seen order.
-func (m *Monitor) closeExpireRest() {
-	for _, f := range m.remainingFlows() {
-		if _, ok := m.flows[f.canonical]; ok {
-			m.evKey = f.firstSeq
-			m.finalizeFlow(f, m.clock, "close")
-		}
-	}
-	m.evKey = 0
-}
-
-// selectFlow picks the conversation to attack. With a single candidate —
-// the whole-capture, one-conversation case InferPcap wraps — the choice
-// is trivial and the inference runs exactly once, preserving byte
-// equivalence with the batch path. With several candidates, every flow
-// that produced in-band reports is scored by how well the graph explains
-// it (hard observations matched by its best hypothesis, then hypothesis
-// score, then size); when no flow produced reports the largest one wins,
-// which is the batch rule.
-func (m *Monitor) selectFlow(cands []*monFlow) (*monFlow, *Inference, error) {
-	if len(cands) == 1 {
-		inf, err := m.atk.Infer(cands[0].observation())
-		return cands[0], inf, err
-	}
-	var best *monFlow
-	var bestInf *Inference
-	bestMatched, bestScore := -1, 0.0
-	for _, f := range cands {
-		hards := m.hardCount(f)
+		hards := c.hardCount(f)
 		if hards == 0 {
 			continue
 		}
-		inf, err := m.atk.Infer(f.observation())
-		if err != nil {
+		if inf, err := c.atk.Infer(f.observation()); err == nil {
+			if v := sessionVerdict(f, inf, hards); best == nil || v.beats(best) {
+				best = v
+			}
+		}
+	}
+	c.evKey = 0
+	return best, largest
+}
+
+// closeWindowed drains the window at end of feed in three phases run on
+// every core, with the per-core verdicts reduced between them: flows
+// with in-band evidence finalize as sessions; if none did anywhere, the
+// largest still-open conversation is attacked — the batch fallback for
+// captures whose reports never classified — unless an already-expired
+// flow outweighs it; everything else expires with reason "close". With
+// still no session, the largest expired viable flow is the answer.
+func (m *Monitor) closeWindowed() (*Inference, error) {
+	n := len(m.cores)
+	best, fallback := make([]*verdict, n), make([]*verdict, n)
+	m.onCores(func(i int, c *flowCore) {
+		c.closeFlows(c.sessionReady)
+		best[i], fallback[i] = c.best, c.fallback
+	})
+	_, won := pickVerdict(best, (*verdict).beats)
+	if won == nil {
+		open := make([]*verdict, n)
+		m.onCores(func(i int, c *flowCore) { open[i] = c.largestOpen() })
+		_, top := pickVerdict(fallback, (*verdict).outweighs)
+		if i, lg := pickVerdict(open, (*verdict).outweighs); lg != nil && lg.bytes > top.weight() {
+			m.onCores(func(j int, c *flowCore) {
+				if j == i {
+					c.finalizeLargest(lg.canon)
+					best[j] = c.best
+				}
+			})
+			_, won = pickVerdict(best, (*verdict).beats)
+		}
+	}
+	// Once a session has won anywhere, no core stashes fallbacks: a
+	// single core would have stopped at its first final.
+	m.onCores(func(i int, c *flowCore) {
+		c.settled = c.settled || won != nil
+		c.closeFlows(func(*monFlow) bool { return true })
+		best[i], fallback[i] = c.best, c.fallback
+	})
+	if _, v := pickVerdict(best, (*verdict).beats); v != nil {
+		return v.inf, nil
+	}
+	if _, v := pickVerdict(fallback, (*verdict).outweighs); v != nil {
+		m.finalized++
+		return m.announce(v)
+	}
+	return nil, ErrNoTLSConversation
+}
+
+// openFlows lists the core's flows in first-seen order.
+func (c *flowCore) openFlows() []*monFlow {
+	fs := make([]*monFlow, 0, len(c.flows))
+	for _, f := range c.flows {
+		fs = append(fs, f)
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i].firstSeq < fs[j].firstSeq })
+	return fs
+}
+
+// closeFlows finalizes, in first-seen order, every open flow that keep
+// accepts, with reason "close".
+func (c *flowCore) closeFlows(keep func(*monFlow) bool) {
+	for _, f := range c.openFlows() {
+		if keep(f) {
+			c.evKey = f.firstSeq
+			c.finalizeFlow(f, c.clock, "close")
+		}
+	}
+	c.evKey = 0
+}
+
+// largestOpen is the core's largest still-open viable flow — the
+// candidate for the batch largest-conversation fallback at close.
+func (c *flowCore) largestOpen() *verdict {
+	var largest *verdict
+	for _, f := range c.openFlows() {
+		if f.dead || !f.viable() {
 			continue
 		}
-		matched, score := hards, 0.0
-		if len(inf.Hypotheses) > 0 {
-			matched, score = inf.Hypotheses[0].Matched, inf.Hypotheses[0].Score
-		}
-		if matched > bestMatched || (matched == bestMatched && score > bestScore) {
-			best, bestInf, bestMatched, bestScore = f, inf, matched, score
+		v := &verdict{flow: f.clientKey, canon: f.canonical, bytes: f.totalBytes(), at: evStamp{c.seq, f.firstSeq}}
+		if largest == nil || v.outweighs(largest) {
+			largest = v
 		}
 	}
-	if best != nil {
-		return best, bestInf, nil
+	return largest
+}
+
+// finalizeLargest runs the largest-conversation attack on one still-open
+// flow and finalizes it. A failed Infer leaves the flow to expire.
+func (c *flowCore) finalizeLargest(canon layers.FlowKey) {
+	f := c.flows[canon]
+	if inf, err := c.atk.Infer(f.observation()); err == nil {
+		c.evKey = f.firstSeq
+		c.noteFinal(&verdict{inf: inf, flow: f.clientKey})
+		c.dropFlow(f)
+		c.evKey = 0
 	}
-	// No in-band evidence anywhere: attack the largest conversation.
-	for _, f := range cands {
-		if best == nil || f.totalBytes() > best.totalBytes() {
-			best = f
-		}
-	}
-	inf, err := m.atk.Infer(best.observation())
-	return best, inf, err
 }
 
 // hardCount returns the number of in-band (type-1/type-2) client records
 // on a flow. With a live event callback or a rolling window the running
 // counter is already maintained; otherwise — records were not classified
 // during the feed to keep the one-shot path cheap — the client records
-// are classified here, once, for the multi-candidate selection that needs
+// are classified here, once, for the close-time selection that needs
 // them.
-func (m *Monitor) hardCount(f *monFlow) int {
-	if m.onEvent != nil || m.win != nil {
+func (c *flowCore) hardCount(f *monFlow) int {
+	if c.live || c.win != nil {
 		return f.hards
 	}
 	n := 0
@@ -1589,7 +1686,7 @@ func (m *Monitor) hardCount(f *monFlow) int {
 		if r.Type != tlsrec.ContentApplicationData {
 			continue
 		}
-		if cls, _ := m.atk.Classifier.Classify(r.Length); cls == ClassType1 || cls == ClassType2 {
+		if cls, _ := c.atk.Classifier.Classify(r.Length); cls == ClassType1 || cls == ClassType2 {
 			n++
 		}
 	}

@@ -10,12 +10,7 @@ package attack
 
 import (
 	"errors"
-	"fmt"
-	"io"
 
-	"repro/internal/layers"
-	"repro/internal/pcapio"
-	"repro/internal/tcpreasm"
 	"repro/internal/tlsrec"
 )
 
@@ -32,101 +27,6 @@ type Observation struct {
 // ErrNoTLSConversation is returned when a capture contains no parseable
 // TLS conversation.
 var ErrNoTLSConversation = errors.New("attack: no TLS conversation in capture")
-
-// ExtractPcap parses a pcap stream and extracts the observation for the
-// largest TLS conversation (by total bytes). Undecodable frames are
-// skipped, mirroring how an eavesdropper tolerates unrelated traffic.
-func ExtractPcap(r io.Reader) (*Observation, error) {
-	pr, err := pcapio.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
-	}
-	return extractFromReader(pr)
-}
-
-// ExtractPcapBytes is ExtractPcap over an in-memory capture; the capture
-// bytes are never copied (packets and reassembly sub-slice them).
-func ExtractPcapBytes(data []byte) (*Observation, error) {
-	pr, err := pcapio.NewBytesReader(data)
-	if err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
-	}
-	return extractFromReader(pr)
-}
-
-func extractFromReader(pr *pcapio.Reader) (*Observation, error) {
-	asm := tcpreasm.NewAssembler()
-	// Record data sub-slices the reader's arena, which outlives the
-	// extraction; reassembly can own the payload slices outright.
-	asm.SetStablePayloads(true)
-	for {
-		rec, err := pr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("attack: reading capture: %w", err)
-		}
-		p, err := layers.DecodePacket(rec.Timestamp, rec.Data)
-		if err != nil {
-			continue // non-TCP or foreign traffic
-		}
-		asm.Feed(p)
-	}
-	return extractFromAssembler(asm)
-}
-
-func extractFromAssembler(asm *tcpreasm.Assembler) (*Observation, error) {
-	var best *Observation
-	var bestBytes int64
-	for _, conv := range asm.Conversations() {
-		if conv.ClientToServer == nil || conv.ServerToClient == nil {
-			continue
-		}
-		obs, err := observeConversation(conv)
-		if err != nil {
-			continue // not TLS
-		}
-		total := conv.ClientToServer.Len() + conv.ServerToClient.Len()
-		if total > bestBytes {
-			best, bestBytes = obs, total
-		}
-	}
-	if best == nil {
-		return nil, ErrNoTLSConversation
-	}
-	return best, nil
-}
-
-// observeConversation extracts records from both direction streams with
-// per-record timestamps recovered from segment arrival times.
-func observeConversation(conv tcpreasm.Conversation) (*Observation, error) {
-	cRecs, err := recordsFromStream(conv.ClientToServer)
-	if err != nil {
-		return nil, err
-	}
-	sRecs, err := recordsFromStream(conv.ServerToClient)
-	if err != nil {
-		return nil, err
-	}
-	return &Observation{ClientRecords: cRecs, ServerRecords: sRecs}, nil
-}
-
-// recordsFromStream extracts record descriptors straight from the
-// reassembled chunk list with a streaming header-only scan: no
-// concatenated stream copy, no body buffering. Each record's timestamp is
-// the arrival time of the chunk that carried its first header byte —
-// identical to the offset lookup the full parse performed.
-func recordsFromStream(st *tcpreasm.Stream) ([]tlsrec.Record, error) {
-	sc := tlsrec.NewRecordScanner()
-	for _, c := range st.Chunks() {
-		sc.Feed(c.Time, c.Data)
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return sc.Records(), nil
-}
 
 // ApplicationRecords filters an observation's client records down to
 // application-data records — the candidates for state-report detection.

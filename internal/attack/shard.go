@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,47 +8,40 @@ import (
 
 	"repro/internal/layers"
 	"repro/internal/parallel"
-	"repro/internal/pcapio"
 )
 
-// Sharded monitor engine. With MonitorOptions.Shards > 0 the Monitor
-// fans out across N worker goroutines, RSS-style: the dispatcher (the
+// Sharded monitor. With MonitorOptions.Shards > 0 the Monitor's N flow
+// cores run on N worker goroutines, RSS-style: the front end (the
 // caller's goroutine) parses pcap framing, decodes each packet and hands
-// it to the shard owning its canonical flow hash over a bounded SPSC
-// ring; each shard is a complete single-threaded Monitor core — its own
-// assembler, record scanners, window state and timing wheel — that never
-// touches another shard's flows. Determinism is restored at the edges:
+// it to the core owning its canonical flow hash over a bounded SPSC ring;
+// each core never touches another core's flows. The front end keeps
+// everything the cores must agree on — the capture clock, the ingest
+// sequence, the sweep cadence and the wheel epoch — so the only
+// sharding-specific work is restoring one deterministic event order:
 //
-//   - Every dispatched message carries a global sequence number, and
-//     every event a shard emits is tagged (seq, flowFirstSeq, emission
-//     index). The dispatcher merges per-shard event batches by that tag,
-//     which reproduces the exact single-threaded emission order: packet
-//     events in dispatch order, sweep and close events in flow
-//     first-seen order within their barrier.
-//   - Idle sweeps are decided by the dispatcher (which owns the sweep
-//     cadence) and broadcast as a barrier message at their own sequence
-//     number, one slot before the packet that triggered them — so
-//     expirations sort ahead of that packet's events, keeping the merged
-//     stream monotone in capture time.
+//   - Every message carries its global sequence number, and every event a
+//     core emits is tagged (seq, flowFirstSeq, emission index). The front
+//     end merges per-shard event batches by that tag, which reproduces
+//     the single-core emission order: packet events in dispatch order,
+//     sweep and close events in flow first-seen order within their step.
+//   - Idle sweeps are broadcast at their own sequence number, one slot
+//     before the packet that triggered them, so expirations sort ahead of
+//     that packet's events.
 //   - Events are only delivered up to the merge watermark: the highest
 //     sequence every shard has fully processed (an idle shard is counted
 //     as caught up). Nothing can arrive out of order later.
-//   - Close runs as a sequence of cross-shard phases mirroring the
-//     single-threaded close, with per-shard results reduced by stamped
-//     chronology ((seq, key) of the state update), so ties — equal
-//     (matched, score) finals, equal-size fallbacks — resolve exactly as
-//     the single-threaded run resolved them.
 //
-// The result is pinned by TestShardEquivalence: byte-identical event
-// streams and inferences at shards ∈ {0, 1, 2, 4, 8}.
+// Close runs the same phases and the same verdict reduction as at Shards
+// 0 (monitor.go); TestShardEquivalence pins byte-identical event streams
+// and inferences at shards ∈ {0, 1, 2, 4, 8}.
 //
-// The caller-owned PacketRing is single-consumer state, so shards never
-// release spans into it directly: each shard core's assembler routes
-// released spans into a per-shard batch the dispatcher drains back to
-// the ring on its own goroutine.
+// The caller-owned PacketRing is single-consumer state, so cores never
+// release spans into it directly: each core's assembler routes released
+// spans into a per-shard batch the front end drains back to the ring on
+// its own goroutine.
 
 // shardQueueDepth bounds each shard's inbox. Full inboxes block the
-// dispatcher (backpressure), so slow shards bound memory instead of
+// front end (backpressure), so slow shards bound memory instead of
 // growing a backlog.
 const shardQueueDepth = 512
 
@@ -65,23 +57,20 @@ const (
 	msgCall
 )
 
-// shardMsg is one unit of work on a shard's inbox.
+// shardMsg is one unit of work for a core.
 type shardMsg struct {
 	kind  shardMsgKind
 	seq   uint64
-	clock time.Time // dispatcher's capture clock at dispatch
+	clock time.Time // the front end's capture clock at dispatch
 
-	pkt *layers.Packet // msgPacket
-
-	exempt     layers.FlowKey // msgSweep: the triggering packet's flow
-	haveExempt bool
-
-	call func(*Monitor) // msgCall: runs on the shard's goroutine
+	pkt  *layers.Packet  // msgPacket
+	key  layers.FlowKey  // msgPacket: its canonical key; msgSweep: the exempt flow
+	call func(*flowCore) // msgCall: runs on the core's goroutine
 }
 
 // evTag orders one event in the merged stream.
 type evTag struct {
-	seq uint64 // dispatch sequence of the producing message
+	seq uint64 // sequence of the producing message
 	key uint64 // flow first-seen sequence (0 for packet-driven events)
 	sub uint32 // emission index within the message
 }
@@ -101,22 +90,35 @@ type taggedEvent struct {
 	ev  Event
 }
 
-// monShard is one worker: a Monitor core, its inbox, and the outboxes
-// the dispatcher drains (events for the merge, released ring spans).
+// monShard is one worker: a core, its inbox, and the outboxes the front
+// end drains (events for the merge, released ring spans).
 type monShard struct {
-	core *Monitor
+	core *flowCore
 	in   *parallel.SPSC[shardMsg]
 
 	mu       sync.Mutex
 	out      []taggedEvent
-	rel      [][]byte // ring spans released by this shard's assembler
+	tagSeq   uint64   // sequence of the latest tagged event
+	sub      uint32   // emission index within tagSeq
+	rel      [][]byte // ring spans released by this core's assembler
 	relBytes int64
 
-	curSeq uint64 // sequence of the message being processed (shard-side)
-	sub    uint32 // emission counter within it (shard-side)
-
-	lastSent uint64        // highest seq dispatched to this shard (dispatcher-side)
+	lastSent uint64        // highest seq dispatched to this shard (front-end side)
 	lastDone atomic.Uint64 // highest seq fully processed (events published first)
+}
+
+// startShards builds n cores and starts one worker goroutine per core.
+func (m *Monitor) startShards(n int) {
+	for i := 0; i < n; i++ {
+		s := &monShard{in: parallel.NewSPSC[shardMsg](shardQueueDepth)}
+		// QUIC datagram payloads (relSpan) batch through the same funnel
+		// as reassembled TCP spans.
+		s.core = m.newCore(s.tag, s.release)
+		m.cores = append(m.cores, s.core)
+		m.shards = append(m.shards, s)
+		m.wg.Add(1)
+		go s.run(&m.wg)
+	}
 }
 
 // run is the shard worker loop.
@@ -127,93 +129,48 @@ func (s *monShard) run(wg *sync.WaitGroup) {
 		if !ok {
 			return
 		}
-		s.curSeq = msg.seq
-		s.sub = 0
-		c := s.core
-		c.seqCtx = msg.seq
-		if msg.clock.After(c.clock) {
-			c.clock = msg.clock
-		}
-		switch msg.kind {
-		case msgPacket:
-			c.ingestDecoded(msg.pkt)
-		case msgSweep:
-			c.sweepNow(msg.exempt, msg.haveExempt)
-		case msgCall:
-			msg.call(c)
-		}
+		s.core.handle(msg)
 		// Publish completion only after every event of this message is in
-		// the outbox: the dispatcher's watermark then guarantees merged
+		// the outbox: the front end's watermark then guarantees merged
 		// batches are complete prefixes.
 		s.lastDone.Store(msg.seq)
 	}
 }
 
-// shardEngine is the dispatcher-side state of a sharded Monitor.
-type shardEngine struct {
-	atk     *Attacker
-	onEvent func(Event)
-	win     *Window // resolved copy; nil in batch mode
-	ring    *pcapio.PacketRing
-
-	cr    *pcapio.ChunkReader
-	arena []byte // feedPacket copies frames into chained blocks
-
-	clock      time.Time
-	sinceSweep int
-	sweptAt    time.Time
-	sweeps     int64
-
-	seq       uint64
-	shards    []*monShard
-	wg        sync.WaitGroup
-	pending   []taggedEvent // merged-but-undelivered events
-	sincePump int
-
-	extraFinalized int // engine-emitted SessionFinalized (close fallback)
-
-	closed  bool
-	stopped bool // worker goroutines joined
-	err     error
+// tag files one core event in the outbox under its merge tag.
+func (s *monShard) tag(ev Event) {
+	c := s.core
+	s.mu.Lock()
+	if c.seq != s.tagSeq {
+		s.tagSeq, s.sub = c.seq, 0
+	}
+	s.out = append(s.out, taggedEvent{evTag{c.seq, c.evKey, s.sub}, ev})
+	s.sub++
+	s.mu.Unlock()
 }
 
-func newShardEngine(a *Attacker, opts MonitorOptions) *shardEngine {
-	e := &shardEngine{atk: a, onEvent: opts.OnEvent, ring: opts.FrameRing}
-	if opts.Window != nil {
-		w := opts.Window.withDefaults()
-		e.win = &w
+// release batches one span the core stopped referencing, for the front
+// end to hand back to the ring.
+func (s *monShard) release(span []byte) {
+	s.mu.Lock()
+	s.rel = append(s.rel, span)
+	s.relBytes += int64(len(span))
+	s.mu.Unlock()
+}
+
+// stats is the shard's slice of Stats: its core's figures plus the ring
+// spans the front end has not recycled yet.
+func (s *monShard) stats(cs MonitorStats) ShardStats {
+	s.mu.Lock()
+	pending := s.relBytes
+	s.mu.Unlock()
+	return ShardStats{
+		Flows:         cs.Flows,
+		LiveFlows:     cs.LiveFlows,
+		RejectedFlows: cs.RejectedFlows,
+		RetainedBytes: cs.RetainedBytes,
+		RingPending:   pending,
 	}
-	for i := 0; i < opts.Shards; i++ {
-		core := NewMonitor(a, MonitorOptions{OnEvent: opts.OnEvent, Window: opts.Window})
-		s := &monShard{core: core, in: parallel.NewSPSC[shardMsg](shardQueueDepth)}
-		// Events route into the tagged outbox instead of the callback;
-		// core.onEvent stays set so the live hypothesis engine keys off it
-		// exactly as it would single-threaded.
-		core.tagSink = func(ev Event) {
-			s.mu.Lock()
-			s.out = append(s.out, taggedEvent{evTag{s.curSeq, core.evKey, s.sub}, ev})
-			s.sub++
-			s.mu.Unlock()
-		}
-		if e.ring != nil {
-			// The ring is single-consumer (the dispatcher); shard-side
-			// releases are batched and drained at the next pump. QUIC
-			// datagram payloads (core.relSpan) batch through the same
-			// funnel as reassembled TCP spans.
-			release := func(span []byte) {
-				s.mu.Lock()
-				s.rel = append(s.rel, span)
-				s.relBytes += int64(len(span))
-				s.mu.Unlock()
-			}
-			core.asm.SetReleaseFunc(release)
-			core.relSpan = release
-		}
-		e.shards = append(e.shards, s)
-		e.wg.Add(1)
-		go s.run(&e.wg)
-	}
-	return e
 }
 
 // shardOf maps a canonical flow key to its owning shard: FNV-1a over
@@ -249,106 +206,45 @@ func shardOf(k layers.FlowKey, n int) int {
 	return int(h % uint64(n))
 }
 
-func (s *monShard) send(msg shardMsg) {
-	s.lastSent = msg.seq
-	s.in.Push(msg)
-}
-
-// dispatchFrame decodes one frame on the dispatcher and routes it. The
-// sweep decision is made here — the dispatcher owns the packet-count and
-// clock-jump cadence — and broadcast as a barrier one sequence slot
-// ahead of the triggering packet.
-func (e *shardEngine) dispatchFrame(ts time.Time, frame []byte, ringOwned bool) {
-	if ts.After(e.clock) {
-		e.clock = ts
-	}
-	p, err := layers.DecodePacket(ts, frame)
-	if err != nil {
-		if ringOwned && e.ring != nil {
-			e.ring.ReleaseExcept(frame, nil) // non-TCP or foreign traffic
-		}
-		return
-	}
-	if ringOwned && e.ring != nil {
-		// Headers go back to the ring immediately; only the TCP payload
-		// travels to the owning shard.
-		e.ring.ReleaseExcept(frame, p.Payload)
-	}
-	canon, _ := p.Flow().Canonical()
-	if e.win != nil && e.sweepDue() {
-		e.seq++
-		e.sweeps++
-		for _, s := range e.shards {
-			s.send(shardMsg{kind: msgSweep, seq: e.seq, clock: e.clock,
-				exempt: canon, haveExempt: true})
-		}
-	}
-	e.seq++
-	e.shards[shardOf(canon, len(e.shards))].send(
-		shardMsg{kind: msgPacket, seq: e.seq, clock: e.clock, pkt: p})
-	e.sincePump++
-	if e.sincePump >= pumpEvery {
-		e.pump()
-	}
-}
-
-// sweepDue mirrors Monitor.sweepDue on the dispatcher's clock.
-func (e *shardEngine) sweepDue() bool {
-	e.sinceSweep++
-	if e.sweptAt.IsZero() {
-		e.sweptAt = e.clock
-	}
-	if e.sinceSweep >= e.win.SweepInterval ||
-		e.clock.Sub(e.sweptAt) >= e.win.IdleTimeout/4 {
-		e.sinceSweep = 0
-		e.sweptAt = e.clock
-		return true
-	}
-	return false
-}
-
 // pump drains shard outboxes, recycles released ring spans, and delivers
 // every merged event at or below the watermark — the highest sequence
-// all shards have fully processed.
-func (e *shardEngine) pump() {
-	e.sincePump = 0
-	wm := e.seq
-	for _, s := range e.shards {
+// all shards have fully processed. A no-op at Shards 0, where events are
+// delivered as they fire.
+func (m *Monitor) pump() {
+	if m.shards == nil {
+		return
+	}
+	m.sincePump = 0
+	wm := m.seq
+	for _, s := range m.shards {
 		if done := s.lastDone.Load(); done < s.lastSent && done < wm {
 			wm = done
 		}
 	}
-	e.collect()
-	e.deliver(wm)
+	m.collect()
+	m.deliver(wm)
 }
 
-// collect moves shard outboxes into the engine's pending merge set and
-// recycles released ring spans.
-func (e *shardEngine) collect() {
-	for _, s := range e.shards {
+// collect moves shard outboxes into the pending merge set and recycles
+// released ring spans.
+func (m *Monitor) collect() {
+	for _, s := range m.shards {
 		s.mu.Lock()
-		e.pending = append(e.pending, s.out...)
+		m.pending = append(m.pending, s.out...)
 		s.out = s.out[:0]
 		rel := s.rel
 		s.rel, s.relBytes = nil, 0
 		s.mu.Unlock()
 		for _, span := range rel {
-			e.ring.Release(span)
+			m.ring.Release(span)
 		}
 	}
 }
 
 // deliver sorts and emits every pending event tagged at or below wm.
-func (e *shardEngine) deliver(wm uint64) {
-	if len(e.pending) == 0 {
-		return
-	}
-	if e.onEvent == nil {
-		e.pending = e.pending[:0]
-		return
-	}
+func (m *Monitor) deliver(wm uint64) {
 	var ready, later []taggedEvent
-	for _, te := range e.pending {
+	for _, te := range m.pending {
 		if te.tag.seq <= wm {
 			ready = append(ready, te)
 		} else {
@@ -359,479 +255,23 @@ func (e *shardEngine) deliver(wm uint64) {
 		return
 	}
 	sort.Slice(ready, func(i, j int) bool { return ready[i].tag.less(ready[j].tag) })
-	e.pending = later
+	m.pending = later
 	for _, te := range ready {
-		e.onEvent(te.ev)
+		m.onEvent(te.ev)
 	}
 }
 
-// callAll runs fn on every shard's goroutine (against its core) at one
-// barrier sequence and waits for all of them. fn may write to
-// shard-indexed result slots without locking — the WaitGroup orders
-// those writes before the dispatcher reads them.
-func (e *shardEngine) callAll(fn func(c *Monitor, i int)) {
-	e.seq++
-	seq := e.seq
-	var wg sync.WaitGroup
-	wg.Add(len(e.shards))
-	for i, s := range e.shards {
-		i := i
-		s.send(shardMsg{kind: msgCall, seq: seq, clock: e.clock, call: func(c *Monitor) {
-			defer wg.Done()
-			fn(c, i)
-		}})
-	}
-	wg.Wait()
-}
-
-// callOne runs fn on one shard's goroutine and waits.
-func (e *shardEngine) callOne(i int, fn func(c *Monitor)) {
-	e.seq++
-	done := make(chan struct{})
-	e.shards[i].send(shardMsg{kind: msgCall, seq: e.seq, clock: e.clock, call: func(c *Monitor) {
-		defer close(done)
-		fn(c)
-	}})
-	<-done
-}
-
-// feed ingests raw pcap bytes (Monitor.Feed / feedOwned, sharded).
-func (e *shardEngine) feed(chunk []byte, owned bool) error {
-	if e.closed {
-		return errors.New("attack: monitor is closed")
-	}
-	if e.err != nil {
-		return e.err
-	}
-	if e.cr == nil {
-		e.cr = pcapio.NewChunkReader()
-	}
-	if owned {
-		e.cr.FeedOwned(chunk)
-	} else {
-		e.cr.Feed(chunk)
-	}
-	for {
-		rec, ok, err := e.cr.Next()
-		if err != nil {
-			e.err = wrapReadErr(e.cr.HeaderDone(), err)
-			return e.err
-		}
-		if !ok {
-			e.pump()
-			return nil
-		}
-		e.dispatchFrame(rec.Timestamp, rec.Data, false)
-	}
-}
-
-// feedPacket ingests one copied frame (Monitor.FeedPacket, sharded).
-func (e *shardEngine) feedPacket(ts time.Time, frame []byte) error {
-	if e.closed {
-		return errors.New("attack: monitor is closed")
-	}
-	if e.err != nil {
-		return e.err
-	}
-	if cap(e.arena)-len(e.arena) < len(frame) {
-		size := frameArenaBlock
-		if len(frame) > size {
-			size = len(frame)
-		}
-		e.arena = make([]byte, 0, size)
-	}
-	e.arena = append(e.arena, frame...)
-	e.dispatchFrame(ts, e.arena[len(e.arena)-len(frame):], false)
-	return nil
-}
-
-// feedPacketOwned ingests one caller-owned frame (Monitor.FeedPacketOwned,
-// sharded). Ring slots of refused frames are handed straight back.
-func (e *shardEngine) feedPacketOwned(ts time.Time, frame []byte) error {
-	if e.closed || e.err != nil {
-		if e.ring != nil {
-			e.ring.ReleaseExcept(frame, nil)
-		}
-		if e.closed {
-			return errors.New("attack: monitor is closed")
-		}
-		return e.err
-	}
-	e.dispatchFrame(ts, frame, true)
-	return nil
-}
-
-// shutdown closes every inbox and joins the workers. After it returns
-// the cores are quiescent and safe to read from the dispatcher.
-func (e *shardEngine) shutdown() {
-	if e.stopped {
+// stop joins the workers and delivers every merged event. From then on
+// the cores run inline on the caller's goroutine. A no-op at Shards 0.
+func (m *Monitor) stop() {
+	if m.shards == nil || m.stopped {
 		return
 	}
-	e.stopped = true
-	for _, s := range e.shards {
+	m.stopped = true
+	for _, s := range m.shards {
 		s.in.Close()
 	}
-	e.wg.Wait()
-}
-
-// close finalizes the sharded monitor (Monitor.Close).
-func (e *shardEngine) close() (*Inference, error) {
-	if e.closed {
-		return nil, errors.New("attack: monitor already closed")
-	}
-	e.closed = true
-	if e.err != nil {
-		e.shutdown()
-		return nil, e.err
-	}
-	if e.cr != nil {
-		if err := e.cr.TailErr(); err != nil {
-			e.err = wrapReadErr(e.cr.HeaderDone(), err)
-			e.shutdown()
-			return nil, e.err
-		}
-	}
-	var inf *Inference
-	var err error
-	if e.win != nil {
-		inf, err = e.closeWindowed()
-	} else {
-		inf, err = e.closeBatch()
-	}
-	e.shutdown()
-	e.collect()
-	e.deliver(e.seq) // everything is processed; deliver the full merge
-	return inf, err
-}
-
-// shardCloseSnap is one shard's reducible close-time state.
-type shardCloseSnap struct {
-	bestFinal   *Inference
-	bestMatched int
-	bestScore   float64
-	bestStamp   evStamp
-	firstFinal  *evStamp
-	high        int64 // fallbackHigh
-}
-
-func snapCore(c *Monitor) shardCloseSnap {
-	return shardCloseSnap{
-		bestFinal:   c.bestFinal,
-		bestMatched: c.bestMatched,
-		bestScore:   c.bestScore,
-		bestStamp:   c.bestStamp,
-		firstFinal:  c.firstFinal,
-		high:        c.fallbackHigh(),
-	}
-}
-
-// closeWindowed runs the windowed close as cross-shard phases, each the
-// sharded image of one closeWindowed step, with stamped reduces between
-// them so every tie resolves as the single-threaded chronology would.
-func (e *shardEngine) closeWindowed() (*Inference, error) {
-	n := len(e.shards)
-
-	// Phase 1: flows with enough in-band evidence finalize as sessions.
-	snaps := make([]shardCloseSnap, n)
-	e.callAll(func(c *Monitor, i int) {
-		c.closeFinalizeSessions()
-		snaps[i] = snapCore(c)
-	})
-	best, bestShard := reduceBest(snaps)
-
-	// Phase 2: no session anywhere — the batch rule attacks the largest
-	// still-open conversation, if it outweighs every stashed fallback.
-	if best == nil {
-		type openCand struct {
-			canon    layers.FlowKey
-			bytes    int64
-			firstSeq uint64
-			ok       bool
-		}
-		open := make([]openCand, n)
-		e.callAll(func(c *Monitor, i int) {
-			var oc openCand
-			oc.canon, oc.bytes, oc.firstSeq, oc.ok = c.largestOpen()
-			open[i] = oc
-		})
-		high := int64(0)
-		for _, sn := range snaps {
-			if sn.high > high {
-				high = sn.high
-			}
-		}
-		pick := -1
-		for i, oc := range open {
-			if !oc.ok {
-				continue
-			}
-			if pick < 0 || oc.bytes > open[pick].bytes ||
-				(oc.bytes == open[pick].bytes && oc.firstSeq < open[pick].firstSeq) {
-				pick = i
-			}
-		}
-		if pick >= 0 && open[pick].bytes > high {
-			e.callOne(pick, func(c *Monitor) {
-				c.finalizeLargest(open[pick].canon)
-				snaps[pick] = snapCore(c)
-			})
-			best, bestShard = reduceBest(snaps)
-		}
-	}
-
-	// Phase 3: everything still open expires with reason "close". When a
-	// session already won, shards with no local final skip fallback
-	// stashing — the single-threaded run would have stopped stashing at
-	// the first final.
-	suppress := best != nil
-	e.callAll(func(c *Monitor, i int) {
-		c.suppressFallback = suppress
-		c.closeExpireRest()
-		c.suppressFallback = false
-		snaps[i] = snapCore(c)
-	})
-	best, bestShard = reduceBest(snaps)
-	_ = bestShard
-
-	if best == nil {
-		// Phase 4: no session ever — the largest expired viable flow is
-		// the attack target. Per-shard fallback histories are strictly
-		// increasing in bytes; the single-threaded run would have kept
-		// the globally largest, first-stashed of equals.
-		var fb *fallbackCand
-		for i := range e.shards {
-			var cands []fallbackCand
-			e.callOne(i, func(c *Monitor) { cands = c.fallbacks })
-			for k := range cands {
-				cand := &cands[k]
-				if fb == nil || cand.bytes > fb.bytes ||
-					(cand.bytes == fb.bytes && cand.at.less(fb.at)) {
-					fb = cand
-				}
-			}
-		}
-		if fb != nil {
-			e.extraFinalized++
-			e.seq++
-			e.pending = append(e.pending, taggedEvent{evTag{seq: e.seq},
-				SessionFinalized{Flow: fb.flow, Inference: fb.inf}})
-			return fb.inf, nil
-		}
-		return nil, ErrNoTLSConversation
-	}
-	return best.bestFinal, nil
-}
-
-// reduceBest picks the winning finalized inference across shards: best
-// (matched, score), earliest stamp of equals — the single-threaded
-// "first final wins ties" rule replayed from the stamps.
-func reduceBest(snaps []shardCloseSnap) (*shardCloseSnap, int) {
-	var best *shardCloseSnap
-	idx := -1
-	for i := range snaps {
-		sn := &snaps[i]
-		if sn.bestFinal == nil {
-			continue
-		}
-		if best == nil || sn.bestMatched > best.bestMatched ||
-			(sn.bestMatched == best.bestMatched && sn.bestScore > best.bestScore) ||
-			(sn.bestMatched == best.bestMatched && sn.bestScore == best.bestScore &&
-				sn.bestStamp.less(best.bestStamp)) {
-			best, idx = sn, i
-		}
-	}
-	return best, idx
-}
-
-// batchCand is one viable flow in the batch-close candidate set.
-type batchCand struct {
-	canon     layers.FlowKey
-	clientKey layers.FlowKey
-	client    string // clientKey.String(), the batch candidate order
-	bytes     int64
-}
-
-// batchCandidates lists this core's viable flows (batch close).
-func (m *Monitor) batchCandidates() []batchCand {
-	var out []batchCand
-	for _, k := range m.order {
-		if f := m.flows[k]; f != nil && f.viable() {
-			out = append(out, batchCand{canon: k, clientKey: f.clientKey,
-				client: f.clientKey.String(), bytes: f.totalBytes()})
-		}
-	}
-	return out
-}
-
-// batchBest scores this core's in-band candidate flows like selectFlow:
-// best (matched, score) among flows with hard reports, first of equals
-// in clientKey order.
-func (m *Monitor) batchBest() (inf *Inference, matched int, score float64, client layers.FlowKey, ok bool) {
-	var cands []*monFlow
-	for _, k := range m.order {
-		if f := m.flows[k]; f != nil && f.viable() {
-			cands = append(cands, f)
-		}
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].clientKey.String() < cands[j].clientKey.String()
-	})
-	matched = -1
-	for _, f := range cands {
-		hards := m.hardCount(f)
-		if hards == 0 {
-			continue
-		}
-		fi, err := m.atk.Infer(f.observation())
-		if err != nil {
-			continue
-		}
-		fm, fs := hards, 0.0
-		if len(fi.Hypotheses) > 0 {
-			fm, fs = fi.Hypotheses[0].Matched, fi.Hypotheses[0].Score
-		}
-		if fm > matched || (fm == matched && fs > score) {
-			inf, matched, score, client, ok = fi, fm, fs, f.clientKey, true
-		}
-	}
-	return inf, matched, score, client, ok
-}
-
-// inferFlow runs the full inference on one of this core's flows and
-// reports the client key for the SessionFinalized event.
-func (m *Monitor) inferFlow(canon layers.FlowKey) (*Inference, layers.FlowKey, error) {
-	f, ok := m.flows[canon]
-	if !ok {
-		return nil, layers.FlowKey{}, errors.New("attack: flow vanished before inference")
-	}
-	inf, err := m.atk.Infer(f.observation())
-	return inf, f.clientKey, err
-}
-
-// closeBatch runs the batch close across shards: the candidate set is
-// the union of per-shard viable flows in clientKey order, and selection
-// follows selectFlow exactly — single candidate short-circuit, then
-// best (matched, score) among reporting flows, then the largest
-// conversation.
-func (e *shardEngine) closeBatch() (*Inference, error) {
-	n := len(e.shards)
-	lists := make([][]batchCand, n)
-	e.callAll(func(c *Monitor, i int) { lists[i] = c.batchCandidates() })
-	var all []batchCand
-	owner := map[string]int{} // clientKey string -> shard
-	byClient := map[string]batchCand{}
-	for i, list := range lists {
-		for _, bc := range list {
-			all = append(all, bc)
-			owner[bc.client] = i
-			byClient[bc.client] = bc
-		}
-	}
-	if len(all) == 0 {
-		return nil, ErrNoTLSConversation
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].client < all[j].client })
-
-	finish := func(shard int, canon layers.FlowKey) (*Inference, error) {
-		var inf *Inference
-		var client layers.FlowKey
-		var err error
-		e.callOne(shard, func(c *Monitor) { inf, client, err = c.inferFlow(canon) })
-		if err != nil {
-			return nil, err
-		}
-		e.seq++
-		e.pending = append(e.pending, taggedEvent{evTag{seq: e.seq},
-			SessionFinalized{Flow: client, Inference: inf}})
-		return inf, nil
-	}
-
-	if len(all) == 1 {
-		return finish(owner[all[0].client], all[0].canon)
-	}
-
-	// Per-shard bests, then the cross-shard reduce with the clientKey
-	// tie-break the sorted single-threaded scan implies.
-	type shardBest struct {
-		inf     *Inference
-		matched int
-		score   float64
-		client  layers.FlowKey
-		ok      bool
-	}
-	bests := make([]shardBest, n)
-	e.callAll(func(c *Monitor, i int) {
-		var sb shardBest
-		sb.inf, sb.matched, sb.score, sb.client, sb.ok = c.batchBest()
-		bests[i] = sb
-	})
-	pick := -1
-	for i, sb := range bests {
-		if !sb.ok {
-			continue
-		}
-		if pick < 0 || sb.matched > bests[pick].matched ||
-			(sb.matched == bests[pick].matched && sb.score > bests[pick].score) ||
-			(sb.matched == bests[pick].matched && sb.score == bests[pick].score &&
-				sb.client.String() < bests[pick].client.String()) {
-			pick = i
-		}
-	}
-	if pick >= 0 {
-		e.seq++
-		e.pending = append(e.pending, taggedEvent{evTag{seq: e.seq},
-			SessionFinalized{Flow: bests[pick].client, Inference: bests[pick].inf}})
-		return bests[pick].inf, nil
-	}
-
-	// No in-band evidence anywhere: attack the largest conversation
-	// (first of equals in clientKey order — `all` is already sorted).
-	largest := all[0]
-	for _, bc := range all[1:] {
-		if bc.bytes > largest.bytes {
-			largest = bc
-		}
-	}
-	return finish(owner[largest.client], largest.canon)
-}
-
-// stats aggregates per-shard snapshots (Monitor.Stats, sharded).
-func (e *shardEngine) stats() MonitorStats {
-	n := len(e.shards)
-	sts := make([]MonitorStats, n)
-	if e.stopped {
-		// Workers joined (post-Close): the cores are safe to read here.
-		for i, s := range e.shards {
-			sts[i] = s.core.Stats()
-		}
-	} else {
-		e.callAll(func(c *Monitor, i int) { sts[i] = c.Stats() })
-	}
-	agg := MonitorStats{Sweeps: e.sweeps, Shards: make([]ShardStats, n)}
-	for i, st := range sts {
-		agg.Flows += st.Flows
-		agg.LiveFlows += st.LiveFlows
-		agg.RejectedFlows += st.RejectedFlows
-		agg.FinalizedSessions += st.FinalizedSessions
-		agg.ExpiredFlows += st.ExpiredFlows
-		agg.RetainedBytes += st.RetainedBytes
-		agg.SweepTouched += st.SweepTouched
-		s := e.shards[i]
-		s.mu.Lock()
-		pendingRel := s.relBytes
-		s.mu.Unlock()
-		agg.Shards[i] = ShardStats{
-			Flows:         st.Flows,
-			LiveFlows:     st.LiveFlows,
-			RejectedFlows: st.RejectedFlows,
-			RetainedBytes: st.RetainedBytes,
-			RingPending:   pendingRel,
-		}
-		agg.RetainedBytes += pendingRel
-	}
-	agg.FinalizedSessions += e.extraFinalized
-	if e.cr != nil {
-		agg.RetainedBytes += int64(e.cr.Buffered())
-	}
-	return agg
+	m.wg.Wait()
+	m.collect()
+	m.deliver(m.seq)
 }

@@ -71,9 +71,6 @@ func gapOrderingEvents(t *testing.T, atk *Attacker, data []byte, shards int) []E
 // crafted flow-B packets must postdate the session's tail).
 func (m *Monitor) lastClock(t *testing.T) time.Time {
 	t.Helper()
-	if m.eng != nil {
-		return m.eng.clock
-	}
 	return m.clock
 }
 
@@ -271,5 +268,111 @@ func TestMonitorShardBalance(t *testing.T) {
 			t.Errorf("shard %d holds %d flows; want within [%d, %d] of the even share %d",
 				i, sh.Flows, share/2, share*2, share)
 		}
+	}
+}
+
+// TestShardEquivalenceHandBuilt replays hand-built SYN/ACK/RST sequences
+// through FeedPacket and requires every shard count to emit the unsharded
+// event stream and Close error, and that stream to be the expected one.
+// The two flows X and Y hash to different shards of two.
+//
+//   - wheel epoch: Y's shard first sees traffic half a second after X's.
+//     Its wheel must still tick on the grid anchored at the first decoded
+//     packet, so Y idles out on the same sweep as on one core.
+//   - port reuse: X resets and its 5-tuple opens a new conversation after
+//     Y was first seen; at Close the still-open flows expire in first-seen
+//     order, Y before the new X.
+func TestShardEquivalenceHandBuilt(t *testing.T) {
+	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
+	base := time.Unix(1700000000, 0)
+	key := func(port uint16) layers.FlowKey {
+		return layers.FlowKey{
+			SrcAddr: netip.MustParseAddr("192.168.1.10"),
+			DstAddr: netip.MustParseAddr("198.51.100.7"),
+			SrcPort: port, DstPort: 443,
+		}
+	}
+	shardOf2 := func(k layers.FlowKey) int {
+		canon, _ := k.Canonical()
+		return shardOf(canon, 2)
+	}
+	x, y, z := key(40000), key(40001), key(50000)
+	for shardOf2(y) == shardOf2(x) {
+		y.SrcPort++
+	}
+	names := map[layers.FlowKey]string{x: "X", y: "Y", z: "Z"}
+
+	syn := layers.TCP{Seq: 1, Flags: layers.TCPSyn}
+	synAck := layers.TCP{Seq: 1, Ack: 2, Flags: layers.TCPSyn | layers.TCPAck}
+	ack := layers.TCP{Seq: 2, Ack: 2, Flags: layers.TCPAck}
+	rst := layers.TCP{Seq: 2, Flags: layers.TCPRst}
+	type step struct {
+		at  time.Duration
+		key layers.FlowKey
+		tcp layers.TCP
+	}
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	cases := []struct {
+		name  string
+		win   Window
+		steps []step
+		want  []string // FlowExpired events: reason, flow, capture offset
+	}{
+		{
+			name:  "wheel epoch",
+			win:   Window{IdleTimeout: 64 * time.Second, SweepInterval: 1},
+			steps: []step{{0, x, syn}, {ms(500), y, syn}, {ms(64200), z, syn}, {ms(64700), z, ack}, {ms(65200), z, ack}},
+			want:  []string{"idle X 1m4.2s", "idle Y 1m5.2s", "close Z 1m5.2s"},
+		},
+		{
+			name:  "port reuse",
+			win:   Window{},
+			steps: []step{{0, x, syn}, {0, x.Reverse(), synAck}, {ms(1000), y, syn}, {ms(2000), x, rst}, {ms(3000), x, syn}},
+			want:  []string{"rst X 2s", "close Y 3s", "close X 3s"},
+		},
+	}
+	run := func(t *testing.T, win Window, steps []step, shards int) ([]Event, error) {
+		var events []Event
+		m := NewMonitor(atk, MonitorOptions{
+			Shards:  shards,
+			Window:  &win,
+			OnEvent: func(ev Event) { events = append(events, ev) },
+		})
+		for i, st := range steps {
+			frame, err := layers.BuildTCPFrame(st.key, layers.Ethernet{}, st.tcp, nil, uint16(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.FeedPacket(base.Add(st.at), frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := m.Close()
+		return events, err
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantEvents, wantErr := run(t, tc.win, tc.steps, 0)
+			for _, shards := range []int{0, 1, 2, 4} {
+				events, err := run(t, tc.win, tc.steps, shards)
+				if err != wantErr {
+					t.Errorf("shards=%d: Close error %v, want %v", shards, err, wantErr)
+				}
+				var got []string
+				for _, ev := range events {
+					e, ok := ev.(FlowExpired)
+					if !ok {
+						t.Fatalf("shards=%d: unexpected %T", shards, ev)
+					}
+					got = append(got, fmt.Sprintf("%s %s %v", e.Reason, names[e.Flow], e.At.Sub(base)))
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("shards=%d: events %q, want %q", shards, got, tc.want)
+				}
+				if !reflect.DeepEqual(events, wantEvents) {
+					t.Errorf("shards=%d: event stream diverged from shards=0", shards)
+				}
+			}
+		})
 	}
 }
