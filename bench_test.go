@@ -11,6 +11,7 @@ package whitemirror
 // and the rendered reports land in EXPERIMENTS.md via cmd/wmbench.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/attack"
@@ -239,12 +240,12 @@ func BenchmarkScenario_QUIC(b *testing.B) {
 }
 
 // BenchmarkPipeline_AttackThroughputShards4 measures the multi-core read
-// path: an interleaved multi-flow capture streamed through a Monitor
-// with four per-core shards. One flow cannot parallelize, so the input
-// is the interleaved scenario (the session plus six noise flows); the
-// event stream and inference stay byte-identical to the single-threaded
-// monitor at any shard count, so this benchmark is a pure throughput
-// figure.
+// path against the single-threaded one on the same bytes: an interleaved
+// multi-flow capture (the session plus six noise flows; one flow cannot
+// parallelize) streamed through a Monitor at shards=0 and at shards=4.
+// The event stream and inference are byte-identical at every shard
+// count, so the two sub-benchmarks are pure throughput figures and
+// compare directly.
 func BenchmarkPipeline_AttackThroughputShards4(b *testing.B) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {
@@ -258,16 +259,19 @@ func BenchmarkPipeline_AttackThroughputShards4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(pcapBytes)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewMonitor(atk, MonitorOptions{Shards: 4})
-		if err := m.Feed(pcapBytes); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Close(); err != nil {
-			b.Fatal(err)
-		}
+	for _, shards := range []int{0, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.SetBytes(int64(len(pcapBytes)))
+			for i := 0; i < b.N; i++ {
+				m := NewMonitor(atk, MonitorOptions{Shards: shards})
+				if err := m.Feed(pcapBytes); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -37,16 +37,17 @@ import (
 // graph, which is what lets it find the interactive session among
 // concurrent bulk-streaming noise.
 //
-// By default the monitor retains every flow's reassembled stream until
+// In every mode reassembled chunks are released the moment the record
+// scanner has read them, since the attack needs only record headers. By
+// default the monitor retains every flow's record descriptors until
 // Close — the batch-equivalence contract needs the full observation. A
 // real deployment watches a link tap for hours; MonitorOptions.Window
-// turns on the rolling-window mode for that regime: consumed reassembly
-// chunks are released the moment the record scanner has seen them, flows
-// finalize individually on FIN/RST or an idle timeout (emitting
-// SessionFinalized or FlowExpired as they go), and noise flows that never
-// produce an in-band report are rejected and eventually evicted, so one
-// monitor runs indefinitely in memory bounded by the set of concurrently
-// live conversations rather than by uptime.
+// turns on the rolling-window mode for that regime: flows finalize
+// individually on FIN/RST or an idle timeout (emitting SessionFinalized
+// or FlowExpired as they go), and noise flows that never produce an
+// in-band report are rejected and eventually evicted, so one monitor
+// runs indefinitely in memory bounded by the set of concurrently live
+// conversations rather than by uptime.
 //
 // A Monitor is one front end over one or more flow cores. The front end
 // parses pcap framing, copies FeedPacket frames, hands spans back to the
@@ -65,7 +66,8 @@ type Monitor struct {
 	ring    *pcapio.PacketRing
 
 	cr    *pcapio.ChunkReader
-	arena []byte // FeedPacket copies frames into chained blocks
+	arena []byte        // FeedPacket copies frames into chained blocks
+	pkt   layers.Packet // every frame decodes into this one Packet
 
 	// Ordering state every core shares. seq numbers each packet, sweep
 	// barrier and core call; wheelsStarted records that the first decoded
@@ -102,9 +104,8 @@ type flowCore struct {
 	win     *Window
 	live    bool         // OnEvent is set: run the live hypothesis engine
 	emit    func(Event)  // the callback inline, the shard's tagged outbox when sharded
-	relSpan func([]byte) // releases a UDP payload span once consumed
+	relSpan func([]byte) // releases a payload span the core stops referencing
 
-	asm   *tcpreasm.Assembler
 	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
 	wheel *timeWheel                  // idle-expiry deadlines (window mode)
 
@@ -340,8 +341,8 @@ type MonitorOptions struct {
 	// cheap as the old batch path.
 	OnEvent func(Event)
 	// Window, when non-nil, turns on the rolling-window mode: released
-	// chunk memory, per-flow FIN/RST/idle finalization, and noise-flow
-	// eviction. Per-record classification runs even without OnEvent (the
+	// record descriptors, per-flow FIN/RST/idle finalization, and
+	// noise-flow eviction. Per-record classification runs even without OnEvent (the
 	// window needs the counters), but the hypothesis engine still needs
 	// the callback.
 	Window *Window
@@ -596,22 +597,12 @@ func (m *Monitor) newCore(emit func(Event), release func([]byte)) *flowCore {
 	if m.ring == nil {
 		release = nil
 	}
-	asm := tcpreasm.NewAssembler()
-	// Every feed path hands the assembler stable memory: pcap chunks live
-	// in the ChunkReader's grow-only buffer, FeedPacket copies frames into
-	// the monitor's arena and FeedPacketOwned slots are caller-owned, so
-	// reassembly owns payloads without copying each segment again.
-	asm.SetStablePayloads(true)
-	if release != nil {
-		asm.SetReleaseFunc(release)
-	}
 	return &flowCore{
 		atk:     m.atk,
 		win:     m.win,
 		live:    m.onEvent != nil,
 		emit:    emit,
 		relSpan: release,
-		asm:     asm,
 		flows:   make(map[layers.FlowKey]*monFlow),
 		prm:     m.atk.Decode.withDefaults(),
 	}
@@ -726,8 +717,8 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte, ringOwned bool) {
 	if ts.After(m.clock) {
 		m.clock = ts
 	}
-	p, err := layers.DecodePacket(ts, frame)
-	if err != nil {
+	p := &m.pkt
+	if err := layers.DecodeInto(p, ts, frame); err != nil {
 		if ringOwned && m.ring != nil {
 			m.ring.ReleaseExcept(frame, nil) // non-TCP or foreign traffic
 		}
@@ -767,7 +758,9 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte, ringOwned bool) {
 		c.ingest(p, canon)
 		return
 	}
-	m.send(shardOf(canon, len(m.shards)), shardMsg{kind: msgPacket, seq: m.seq, clock: m.clock, pkt: p, key: canon})
+	// The message carries the Packet by value: m.pkt is overwritten by the
+	// next frame while the shard may still be working on this one.
+	m.send(shardOf(canon, len(m.shards)), shardMsg{kind: msgPacket, seq: m.seq, clock: m.clock, pkt: *p, key: canon})
 	m.sincePump++
 	if m.sincePump >= pumpEvery {
 		m.pump()
@@ -827,7 +820,7 @@ func (c *flowCore) handle(msg shardMsg) {
 	c.seq, c.clock = msg.seq, msg.clock
 	switch msg.kind {
 	case msgPacket:
-		c.ingest(msg.pkt, msg.key)
+		c.ingest(&msg.pkt, msg.key)
 	case msgSweep:
 		c.sweep(msg.key)
 	case msgCall:
@@ -844,26 +837,36 @@ func (c *flowCore) ingest(p *layers.Packet, canon layers.FlowKey) {
 		return
 	}
 	ts := p.Timestamp
-	st := c.asm.Feed(p)
 	f := c.flowFor(canon, ts)
 	f.lastSeen = ts
-	dir, isClient := f.direction(st.Key)
+	key := p.Flow()
+	dir, isClient := f.direction(key)
 	if dir.stream == nil {
-		dir.stream = st
+		// Every feed path hands the core stable memory: pcap chunks live
+		// in the ChunkReader's grow-only buffer, FeedPacket copies frames
+		// into the monitor's arena and FeedPacketOwned slots are
+		// caller-owned, so reassembly owns payloads without copying each
+		// segment again.
+		dir.stream = tcpreasm.NewStream(key, true, c.relSpan)
 		dir.sc = tlsrec.NewRecordScanner()
 		if isClient {
-			f.clientKey = st.Key
+			f.clientKey = key
 		}
 	}
-	// Drain newly delivered chunks into the record scanner. A scanner
-	// that has hit a framing error stays stuck (the direction is not
-	// TLS), and the conversation is never a candidate.
+	st := dir.stream
+	st.Feed(p)
+	// Drain newly delivered chunks into the record scanner, then release
+	// them: the scanner keeps only record headers, so no mode reads a
+	// chunk twice. A scanner that has hit a framing error stays stuck
+	// (the direction is not TLS), and the conversation is never a
+	// candidate.
 	for _, ch := range st.DeliveredChunks(dir.consumed) {
 		dir.consumed++
 		if dir.sc.Err() == nil {
 			dir.sc.Feed(ch.Time, ch.Data)
 		}
 	}
+	st.ReleaseThrough(dir.consumed)
 	if dir.sc.Err() != nil {
 		// Not TLS: the conversation can never be attacked, so stop
 		// buffering it in every mode (its data is never read again).
@@ -1032,11 +1035,9 @@ func (c *flowCore) deadenFlow(f *monFlow) {
 }
 
 // maintainFlow is the rolling-window bookkeeping after one packet: the
-// touched direction's consumed chunks are released, the server side's
-// record descriptors (which the attack never reads) are dropped, and the
-// client side drives the noise-rejection state machine.
+// server side's record descriptors (which the attack never reads) are
+// dropped, and the client side drives the noise-rejection state machine.
 func (c *flowCore) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
-	dir.stream.ReleaseThrough(dir.consumed)
 	if !isClient {
 		dir.sc.ReleaseRecords(dir.sc.Released() + len(dir.sc.Records()))
 		return
@@ -1234,11 +1235,10 @@ func (c *flowCore) dropFlow(f *monFlow) {
 		f.rejected = false
 		c.rejectedNow--
 	}
-	if f.client.stream != nil {
-		c.asm.Drop(f.client.stream.Key)
-	}
-	if f.server.stream != nil {
-		c.asm.Drop(f.server.stream.Key)
+	for _, d := range []*monDir{&f.client, &f.server} {
+		if d.stream != nil {
+			d.stream.Discard()
+		}
 	}
 	delete(c.flows, f.canonical)
 }

@@ -63,7 +63,7 @@ type shardMsg struct {
 	seq   uint64
 	clock time.Time // the front end's capture clock at dispatch
 
-	pkt  *layers.Packet  // msgPacket
+	pkt  layers.Packet   // msgPacket
 	key  layers.FlowKey  // msgPacket: its canonical key; msgSweep: the exempt flow
 	call func(*flowCore) // msgCall: runs on the core's goroutine
 }

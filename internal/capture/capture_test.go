@@ -36,14 +36,17 @@ func captureTrace(t *testing.T, seed uint64) (*session.Trace, []byte) {
 	return tr, buf.Bytes()
 }
 
-// reassemble parses a pcap back into per-direction streams.
-func reassemble(t *testing.T, pcapBytes []byte) *tcpreasm.Assembler {
+// reassemble parses a pcap back into per-direction streams and returns
+// the client→server key of every conversation, in the order their
+// opening SYNs appear; a key's Reverse is the server→client stream.
+func reassemble(t *testing.T, pcapBytes []byte) (*tcpreasm.Assembler, []layers.FlowKey) {
 	t.Helper()
 	r, err := pcapio.NewReader(bytes.NewReader(pcapBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	asm := tcpreasm.NewAssembler()
+	var clients []layers.FlowKey
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -56,37 +59,38 @@ func reassemble(t *testing.T, pcapBytes []byte) *tcpreasm.Assembler {
 		if err != nil {
 			t.Fatalf("undecodable frame in own capture: %v", err)
 		}
+		if p.TCP.Flags&(layers.TCPSyn|layers.TCPAck) == layers.TCPSyn {
+			clients = append(clients, p.Flow())
+		}
 		asm.Feed(p)
 	}
-	return asm
+	return asm, clients
 }
 
 func TestPcapRoundTripsClientStream(t *testing.T) {
 	tr, pcapBytes := captureTrace(t, 1)
-	asm := reassemble(t, pcapBytes)
-	convs := asm.Conversations()
-	if len(convs) != 1 {
-		t.Fatalf("conversations = %d", len(convs))
+	asm, clients := reassemble(t, pcapBytes)
+	if len(clients) != 1 {
+		t.Fatalf("conversations = %d", len(clients))
 	}
-	c := convs[0]
-	if c.ClientToServer == nil || c.ServerToClient == nil {
+	c2s, s2c := asm.Stream(clients[0]), asm.Stream(clients[0].Reverse())
+	if c2s == nil || s2c == nil {
 		t.Fatal("conversation not fully captured")
 	}
-	if !bytes.Equal(c.ClientToServer.Bytes(), tr.ClientToServer.Bytes) {
+	if !bytes.Equal(c2s.Bytes(), tr.ClientToServer.Bytes) {
 		t.Errorf("client stream mismatch: got %d bytes, want %d",
-			len(c.ClientToServer.Bytes()), len(tr.ClientToServer.Bytes))
+			len(c2s.Bytes()), len(tr.ClientToServer.Bytes))
 	}
-	if !bytes.Equal(c.ServerToClient.Bytes(), tr.ServerToClient.Bytes) {
+	if !bytes.Equal(s2c.Bytes(), tr.ServerToClient.Bytes) {
 		t.Errorf("server stream mismatch: got %d bytes, want %d",
-			len(c.ServerToClient.Bytes()), len(tr.ServerToClient.Bytes))
+			len(s2c.Bytes()), len(tr.ServerToClient.Bytes))
 	}
 }
 
 func TestPcapStreamsParseAsTLS(t *testing.T) {
 	_, pcapBytes := captureTrace(t, 2)
-	asm := reassemble(t, pcapBytes)
-	c := asm.Conversations()[0]
-	recs, rest, err := tlsrec.ParseStream(c.ClientToServer.Bytes(), nil)
+	asm, clients := reassemble(t, pcapBytes)
+	recs, rest, err := tlsrec.ParseStream(asm.Stream(clients[0]).Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +183,9 @@ func TestWriteBoundariesAlignWithSegments(t *testing.T) {
 	// per-record timestamps are recoverable: verify every client write
 	// mark's offset coincides with a segment start in the capture.
 	tr, pcapBytes := captureTrace(t, 6)
-	asm := reassemble(t, pcapBytes)
-	c := asm.Conversations()[0]
+	asm, clients := reassemble(t, pcapBytes)
 	startOffsets := map[int64]bool{}
-	for _, ch := range c.ClientToServer.Chunks() {
+	for _, ch := range asm.Stream(clients[0]).Chunks() {
 		startOffsets[ch.StreamOffset] = true
 	}
 	for _, m := range tr.ClientToServer.Writes {
@@ -236,23 +239,23 @@ func TestWritePcapMultiInterleavesFlows(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	asm := reassemble(t, buf.Bytes())
-	convs := asm.Conversations()
-	if len(convs) != noise+1 {
-		t.Fatalf("conversations = %d, want %d", len(convs), noise+1)
+	asm, clients := reassemble(t, buf.Bytes())
+	if len(clients) != noise+1 {
+		t.Fatalf("conversations = %d, want %d", len(clients), noise+1)
 	}
 	ep := DefaultEndpoints()
 	foundInteractive := false
-	for _, c := range convs {
-		if c.ClientToServer == nil || c.ServerToClient == nil {
+	for _, k := range clients {
+		c2s := asm.Stream(k)
+		if c2s == nil || asm.Stream(k.Reverse()) == nil {
 			t.Fatal("conversation not fully captured")
 		}
-		if _, _, err := tlsrec.ParseStream(c.ClientToServer.Bytes(), nil); err != nil {
-			t.Fatalf("client stream of %v not TLS: %v", c.ClientToServer.Key, err)
+		if _, _, err := tlsrec.ParseStream(c2s.Bytes(), nil); err != nil {
+			t.Fatalf("client stream of %v not TLS: %v", k, err)
 		}
-		if c.ClientToServer.Key.SrcPort == ep.ClientPort {
+		if k.SrcPort == ep.ClientPort {
 			foundInteractive = true
-			if !bytes.Equal(c.ClientToServer.Bytes(), tr.ClientToServer.Bytes) {
+			if !bytes.Equal(c2s.Bytes(), tr.ClientToServer.Bytes) {
 				t.Error("interactive client stream corrupted by interleaving")
 			}
 		}

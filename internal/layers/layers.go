@@ -8,6 +8,7 @@
 package layers
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -145,22 +146,17 @@ func DecodeIPv4(data []byte) (IPv4, []byte, error) {
 	if len(data) < hdrLen {
 		return IPv4{}, nil, fmt.Errorf("%w: IPv4 options extend past packet", ErrTruncated)
 	}
-	r := wire.NewReader(data)
-	r.Skip(1)
-	var ip IPv4
-	ip.TOS = r.U8()
-	ip.TotalLen = r.U16()
-	ip.ID = r.U16()
-	frag := r.U16()
-	ip.Flags = uint8(frag >> 13)
-	ip.FragOff = frag & 0x1fff
-	ip.TTL = r.U8()
-	ip.Protocol = IPProtocol(r.U8())
-	r.Skip(2) // checksum: simulator-written captures are trusted
-	ip.Src = netip.AddrFrom4([4]byte(r.Bytes(4)))
-	ip.Dst = netip.AddrFrom4([4]byte(r.Bytes(4)))
-	if err := r.Err(); err != nil {
-		return IPv4{}, nil, err
+	ip := IPv4{
+		TOS:      data[1],
+		TotalLen: binary.BigEndian.Uint16(data[2:]),
+		ID:       binary.BigEndian.Uint16(data[4:]),
+		Flags:    data[6] >> 5,
+		FragOff:  binary.BigEndian.Uint16(data[6:]) & 0x1fff,
+		TTL:      data[8],
+		Protocol: IPProtocol(data[9]),
+		// data[10:12] is the checksum: simulator-written captures are trusted.
+		Src: netip.AddrFrom4([4]byte(data[12:16])),
+		Dst: netip.AddrFrom4([4]byte(data[16:20])),
 	}
 	if int(ip.TotalLen) < hdrLen || int(ip.TotalLen) > len(data) {
 		return IPv4{}, nil, fmt.Errorf("%w: IPv4 total length %d vs %d captured",
@@ -207,21 +203,18 @@ func DecodeIPv6(data []byte) (IPv6, []byte, error) {
 		return IPv6{}, nil, fmt.Errorf("%w: IPv6 header needs %d bytes, have %d",
 			ErrTruncated, ipv6HeaderLen, len(data))
 	}
-	r := wire.NewReader(data)
-	first := r.U32()
+	first := binary.BigEndian.Uint32(data)
 	if first>>28 != 6 {
 		return IPv6{}, nil, fmt.Errorf("%w: version %d", ErrBadVersion, first>>28)
 	}
-	var ip IPv6
-	ip.TrafficClass = uint8(first >> 20)
-	ip.FlowLabel = first & 0xfffff
-	ip.PayloadLen = r.U16()
-	ip.NextHeader = IPProtocol(r.U8())
-	ip.HopLimit = r.U8()
-	ip.Src = netip.AddrFrom16([16]byte(r.Bytes(16)))
-	ip.Dst = netip.AddrFrom16([16]byte(r.Bytes(16)))
-	if err := r.Err(); err != nil {
-		return IPv6{}, nil, err
+	ip := IPv6{
+		TrafficClass: uint8(first >> 20),
+		FlowLabel:    first & 0xfffff,
+		PayloadLen:   binary.BigEndian.Uint16(data[4:]),
+		NextHeader:   IPProtocol(data[6]),
+		HopLimit:     data[7],
+		Src:          netip.AddrFrom16([16]byte(data[8:24])),
+		Dst:          netip.AddrFrom16([16]byte(data[24:40])),
 	}
 	end := ipv6HeaderLen + int(ip.PayloadLen)
 	if end > len(data) {

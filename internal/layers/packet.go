@@ -77,45 +77,49 @@ func (p *Packet) Flow() FlowKey {
 // DecodePacket parses an Ethernet/IP/{TCP,UDP} frame. Frames carrying any
 // other transport return ErrUnsupported; the caller typically skips them.
 func DecodePacket(ts time.Time, frame []byte) (*Packet, error) {
-	eth, rest, err := DecodeEthernet(frame)
-	if err != nil {
+	p := new(Packet)
+	if err := DecodeInto(p, ts, frame); err != nil {
 		return nil, err
 	}
-	p := &Packet{Timestamp: ts, Eth: eth}
+	return p, nil
+}
+
+// DecodeInto is DecodePacket into caller-owned storage: it overwrites
+// every field of *p, so one Packet can be reused across frames with no
+// allocation per packet and no field surviving from the previous frame.
+// It returns the error DecodePacket would; *p is then unspecified.
+// Payload aliases frame.
+func DecodeInto(p *Packet, ts time.Time, frame []byte) error {
+	*p = Packet{Timestamp: ts}
+	eth, rest, err := DecodeEthernet(frame)
+	if err != nil {
+		return err
+	}
+	p.Eth = eth
 	var proto IPProtocol
 	switch eth.EtherType {
 	case EtherTypeIPv4:
-		ip, payload, err := DecodeIPv4(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.IPVersion, p.IP4, rest, proto = 4, ip, payload, ip.Protocol
+		p.IP4, rest, err = DecodeIPv4(rest)
+		p.IPVersion, proto = 4, p.IP4.Protocol
 	case EtherTypeIPv6:
-		ip, payload, err := DecodeIPv6(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.IPVersion, p.IP6, rest, proto = 6, ip, payload, ip.NextHeader
+		p.IP6, rest, err = DecodeIPv6(rest)
+		p.IPVersion, proto = 6, p.IP6.NextHeader
 	default:
-		return nil, fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, uint16(eth.EtherType))
+		return fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, uint16(eth.EtherType))
+	}
+	if err != nil {
+		return err
 	}
 	switch proto {
 	case IPProtocolTCP:
-		tcp, payload, err := DecodeTCP(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.Proto, p.TCP, p.Payload = IPProtocolTCP, tcp, payload
+		p.TCP, p.Payload, err = DecodeTCP(rest)
 	case IPProtocolUDP:
-		udp, payload, err := DecodeUDP(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.Proto, p.UDP, p.Payload = IPProtocolUDP, udp, payload
+		p.UDP, p.Payload, err = DecodeUDP(rest)
 	default:
-		return nil, fmt.Errorf("%w: IP protocol %d", ErrUnsupported, proto)
+		return fmt.Errorf("%w: IP protocol %d", ErrUnsupported, proto)
 	}
-	return p, nil
+	p.Proto = proto
+	return err
 }
 
 // BuildTCPFrame serializes a complete Ethernet/IPv4-or-IPv6/TCP frame.

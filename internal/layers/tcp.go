@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 
@@ -105,20 +106,17 @@ func DecodeTCP(data []byte) (TCP, []byte, error) {
 		return TCP{}, nil, fmt.Errorf("%w: TCP header needs %d bytes, have %d",
 			ErrTruncated, tcpHeaderLen, len(data))
 	}
-	r := wire.NewReader(data)
-	var t TCP
-	t.SrcPort = r.U16()
-	t.DstPort = r.U16()
-	t.Seq = r.U32()
-	t.Ack = r.U32()
-	off := int(r.U8()>>4) * 4
-	t.Flags = TCPFlags(r.U8())
-	t.Window = r.U16()
-	r.Skip(2) // checksum
-	t.Urgent = r.U16()
-	if err := r.Err(); err != nil {
-		return TCP{}, nil, err
+	t := TCP{
+		SrcPort: binary.BigEndian.Uint16(data[0:]),
+		DstPort: binary.BigEndian.Uint16(data[2:]),
+		Seq:     binary.BigEndian.Uint32(data[4:]),
+		Ack:     binary.BigEndian.Uint32(data[8:]),
+		Flags:   TCPFlags(data[13]),
+		Window:  binary.BigEndian.Uint16(data[14:]),
+		// data[16:18] is the checksum.
+		Urgent: binary.BigEndian.Uint16(data[18:]),
 	}
+	off := int(data[12]>>4) * 4
 	if off < tcpHeaderLen {
 		return TCP{}, nil, fmt.Errorf("layers: TCP data offset %d below minimum", off)
 	}

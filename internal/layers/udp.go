@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 
@@ -64,14 +65,11 @@ func DecodeUDP(data []byte) (UDP, []byte, error) {
 		return UDP{}, nil, fmt.Errorf("%w: UDP header needs %d bytes, have %d",
 			ErrTruncated, udpHeaderLen, len(data))
 	}
-	r := wire.NewReader(data)
-	var u UDP
-	u.SrcPort = r.U16()
-	u.DstPort = r.U16()
-	u.Length = r.U16()
-	r.Skip(2) // checksum
-	if err := r.Err(); err != nil {
-		return UDP{}, nil, err
+	u := UDP{
+		SrcPort: binary.BigEndian.Uint16(data[0:]),
+		DstPort: binary.BigEndian.Uint16(data[2:]),
+		Length:  binary.BigEndian.Uint16(data[4:]),
+		// data[6:8] is the checksum.
 	}
 	if int(u.Length) < udpHeaderLen {
 		return UDP{}, nil, fmt.Errorf("layers: UDP length %d below header size", u.Length)

@@ -42,6 +42,7 @@ var criticalSegments = map[string]bool{
 	"attack":    true,
 	"capture":   true,
 	"quicrec":   true,
+	"tcpreasm":  true,
 }
 
 // allowedEnv are the documented environment knobs (README "Performance";

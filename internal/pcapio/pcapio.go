@@ -148,7 +148,10 @@ func (w *Writer) WritePacket(ts time.Time, frame []byte) error {
 
 // fileHeader is the decoded global header shared by both reader forms.
 type fileHeader struct {
-	order    binary.ByteOrder
+	// swapped marks a little-endian file (a byte-swapped magic): a plain
+	// flag rather than a binary.ByteOrder, so the per-record field reads
+	// make no interface call.
+	swapped  bool
 	nanos    bool
 	linkType uint32
 	snapLen  uint32
@@ -159,26 +162,33 @@ func parseFileHeader(hdr []byte) (fileHeader, error) {
 	var fh fileHeader
 	magic := binary.BigEndian.Uint32(hdr[0:])
 	switch magic {
-	case magicMicros:
-		fh.order = binary.BigEndian
+	case magicMicros: // big-endian microseconds: the zero fileHeader
 	case magicNanos:
-		fh.order, fh.nanos = binary.BigEndian, true
+		fh.nanos = true
 	case magicMicrosSwapped:
-		fh.order = binary.LittleEndian
+		fh.swapped = true
 	case magicNanosSwapped:
-		fh.order, fh.nanos = binary.LittleEndian, true
+		fh.swapped, fh.nanos = true, true
 	default:
 		return fh, fmt.Errorf("%w: %#08x", ErrBadMagic, magic)
 	}
-	fh.snapLen = fh.order.Uint32(hdr[16:])
-	fh.linkType = fh.order.Uint32(hdr[20:])
+	fh.snapLen = fh.u32(hdr[16:])
+	fh.linkType = fh.u32(hdr[20:])
 	return fh, nil
+}
+
+// u32 reads one 32-bit header field in the file's byte order.
+func (fh fileHeader) u32(b []byte) uint32 {
+	if fh.swapped {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return binary.BigEndian.Uint32(b)
 }
 
 // recordTime decodes a record header's timestamp fields.
 func (fh fileHeader) recordTime(hdr []byte) time.Time {
-	sec := fh.order.Uint32(hdr[0:])
-	sub := fh.order.Uint32(hdr[4:])
+	sec := fh.u32(hdr[0:])
+	sub := fh.u32(hdr[4:])
 	if fh.nanos {
 		return time.Unix(int64(sec), int64(sub))
 	}
@@ -245,8 +255,8 @@ func (r *Reader) Next() (Record, error) {
 		return Record{}, fmt.Errorf("%w: record header: unexpected EOF", ErrTruncated)
 	}
 	hdr := r.buf[r.off:]
-	capLen := r.order.Uint32(hdr[8:])
-	origLen := r.order.Uint32(hdr[12:])
+	capLen := r.u32(hdr[8:])
+	origLen := r.u32(hdr[12:])
 	if err := r.checkCapLen(capLen); err != nil {
 		return Record{}, err
 	}
@@ -365,7 +375,7 @@ func (c *ChunkReader) Next() (rec Record, ok bool, err error) {
 		return Record{}, false, nil
 	}
 	hdr := c.buf[c.off:]
-	capLen := c.order.Uint32(hdr[8:])
+	capLen := c.u32(hdr[8:])
 	if err := c.checkCapLen(capLen); err != nil {
 		c.err = err
 		return Record{}, false, err
@@ -373,7 +383,7 @@ func (c *ChunkReader) Next() (rec Record, ok bool, err error) {
 	if c.Buffered() < recordHeaderLen+int(capLen) {
 		return Record{}, false, nil
 	}
-	origLen := c.order.Uint32(hdr[12:])
+	origLen := c.u32(hdr[12:])
 	start := c.off + recordHeaderLen
 	c.off = start + int(capLen)
 	return Record{

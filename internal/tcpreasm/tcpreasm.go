@@ -4,13 +4,20 @@
 // boundaries; the analyzer therefore needs per-direction, in-order byte
 // streams with the arrival time of each contributing segment preserved so
 // record timestamps can be recovered. The reassembler handles out-of-order
-// arrival, duplicate segments, overlapping retransmissions (first-copy
-// wins, matching common capture semantics) and sequence-number wraparound.
+// arrival, duplicate segments, overlapping retransmissions and
+// sequence-number wraparound. Overlaps resolve by three rules, so the
+// delivered chunks depend only on the order segments arrive in:
+//
+//   - delivered bytes are never replaced: a segment overlapping them
+//     contributes only its new tail;
+//   - at an equal offset the longer buffered segment is kept;
+//   - when no buffered segment starts at the delivery point but some
+//     cover it, the one with the lowest offset is trimmed and delivered.
 package tcpreasm
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/layers"
@@ -36,8 +43,8 @@ type Stream struct {
 	isn      uint32 // initial sequence number (of SYN)
 	nextRel  int64  // next expected relative offset (bytes delivered)
 	chunks   []Chunk
-	released int                  // chunks dropped from the front by ReleaseThrough
-	pending  map[int64]pendingSeg // keyed by relative offset
+	released int          // chunks dropped from the front by ReleaseThrough
+	pending  []pendingSeg // out-of-order segments, ascending offset, one per offset
 	finSeen  bool
 	finRel   int64
 	rstSeen  bool
@@ -46,9 +53,22 @@ type Stream struct {
 	unref    func([]byte) // optional: called for every payload span dropped
 }
 
+// pendingSeg is one buffered out-of-order segment at relative offset off.
 type pendingSeg struct {
+	off  int64
 	time time.Time
 	data []byte
+}
+
+// NewStream returns an empty stream for one direction. stable declares
+// that every payload fed to it aliases memory that outlives the stream,
+// so it is buffered without copying (Assembler.SetStablePayloads);
+// release, when non-nil, receives every payload span the stream stops
+// referencing (Assembler.SetReleaseFunc). A consumer that already keeps
+// per-conversation state owns its two streams through this constructor
+// and feeds them directly, skipping the Assembler's lookup.
+func NewStream(key layers.FlowKey, stable bool, release func([]byte)) *Stream {
+	return &Stream{Key: key, noCopy: stable, unref: release}
 }
 
 // drop hands a payload span the stream permanently stops referencing to
@@ -124,10 +144,10 @@ func (s *Stream) Discard() {
 	}
 	s.discard = true
 	s.ReleaseThrough(s.released + len(s.chunks))
-	for off, p := range s.pending {
+	for _, p := range s.pending {
 		s.drop(p.data)
-		delete(s.pending, off)
 	}
+	s.pending = nil
 }
 
 // Bytes concatenates the retained (unreleased) delivered stream.
@@ -189,14 +209,16 @@ func (s *Stream) relOffset(seq uint32) int64 {
 	return base
 }
 
-// addSegment ingests one segment's payload.
-func (s *Stream) addSegment(ts time.Time, tcp layers.TCP, payload []byte) {
+// Feed ingests one decoded segment of this direction: p.Flow() must be
+// the stream's Key. The SYN fixes the sequence origin (a mid-stream
+// capture adopts the first segment's), FIN and RST are tracked for
+// Complete and Aborted, and payload bytes are delivered in order as
+// chunks.
+func (s *Stream) Feed(p *layers.Packet) {
+	tcp, payload := p.TCP, p.Payload
 	if tcp.Flags&layers.TCPSyn != 0 && !s.synSeen {
 		s.synSeen = true
 		s.isn = tcp.Seq
-		if s.pending == nil {
-			s.pending = make(map[int64]pendingSeg)
-		}
 		s.drop(payload) // TFO-style SYN data is not reassembled
 		return
 	}
@@ -205,9 +227,6 @@ func (s *Stream) addSegment(ts time.Time, tcp layers.TCP, payload []byte) {
 		// the stream origin so analysis still works without the handshake.
 		s.synSeen = true
 		s.isn = tcp.Seq - 1
-		if s.pending == nil {
-			s.pending = make(map[int64]pendingSeg)
-		}
 	}
 	if tcp.Flags&layers.TCPFin != 0 {
 		rel := s.relOffset(tcp.Seq) + int64(len(payload))
@@ -246,63 +265,79 @@ func (s *Stream) addSegment(ts time.Time, tcp layers.TCP, payload []byte) {
 		payload = payload[s.nextRel-rel:]
 		rel = s.nextRel
 	}
-	if existing, ok := s.pending[rel]; ok {
-		if int64(len(existing.data)) >= int64(len(payload)) {
-			s.drop(payload)
-			return // duplicate of a buffered segment
-		}
-		s.drop(existing.data) // superseded by the longer arrival
+	if rel == s.nextRel && len(s.pending) == 0 {
+		// In order with nothing buffered: the common case delivers at once.
+		s.deliver(p.Timestamp, s.own(payload))
+		return
 	}
-	if !s.noCopy {
-		payload = append([]byte(nil), payload...)
+	i, found := slices.BinarySearchFunc(s.pending, rel, atOffset)
+	if found && len(s.pending[i].data) >= len(payload) {
+		s.drop(payload)
+		return // duplicate of a buffered segment
 	}
-	s.pending[rel] = pendingSeg{time: ts, data: payload}
+	seg := pendingSeg{off: rel, time: p.Timestamp, data: s.own(payload)}
+	if found {
+		s.drop(s.pending[i].data) // superseded by the longer arrival
+		s.pending[i] = seg
+	} else {
+		s.pending = slices.Insert(s.pending, i, seg)
+	}
 	s.drain()
 }
 
-// drain moves every now-contiguous pending segment into the chunk list.
+// own returns a payload the stream may keep: the caller's slice when
+// payloads are stable, a copy otherwise.
+func (s *Stream) own(payload []byte) []byte {
+	if s.noCopy {
+		return payload
+	}
+	return append([]byte(nil), payload...)
+}
+
+// deliver appends data as the chunk at the delivery point.
+func (s *Stream) deliver(ts time.Time, data []byte) {
+	s.chunks = append(s.chunks, Chunk{Time: ts, Data: data, StreamOffset: s.nextRel})
+	s.nextRel += int64(len(data))
+}
+
+// drain delivers buffered segments while the front of pending reaches
+// the delivery point. pending is sorted by offset, so every segment at
+// or behind the point sits at the front and each step pops one by
+// advancing the slice: a gap filled behind n buffered segments drains
+// in O(n).
 func (s *Stream) drain() {
-	for {
-		seg, ok := s.pending[s.nextRel]
-		if !ok {
-			// A buffered segment may start before nextRel if a retransmit
-			// filled a gap with overlap; find any segment covering nextRel.
-			found := false
-			for off, p := range s.pending {
-				if off < s.nextRel && off+int64(len(p.data)) > s.nextRel {
-					s.drop(p.data[:s.nextRel-off])
-					trimmed := p.data[s.nextRel-off:]
-					delete(s.pending, off)
-					s.pending[s.nextRel] = pendingSeg{time: p.time, data: trimmed}
-					found = true
-					break
-				}
+	for len(s.pending) > 0 && s.pending[0].off <= s.nextRel {
+		seg := s.pending[0]
+		end := seg.off + int64(len(seg.data))
+		switch {
+		case end <= s.nextRel:
+			s.drop(seg.data) // wholly superseded by delivered bytes
+		case seg.off < s.nextRel:
+			// A segment that starts exactly at the delivery point wins;
+			// failing that the lowest covering one (this one) is trimmed.
+			if j, found := slices.BinarySearchFunc(s.pending, s.nextRel, atOffset); found {
+				seg = s.pending[j]
+				copy(s.pending[1:j+1], s.pending[:j])
+			} else {
+				s.drop(seg.data[:s.nextRel-seg.off])
+				seg.data = seg.data[s.nextRel-seg.off:]
 			}
-			if !found {
-				return
-			}
-			continue
+			s.deliver(seg.time, seg.data)
+		default:
+			s.deliver(seg.time, seg.data)
 		}
-		delete(s.pending, s.nextRel)
-		s.chunks = append(s.chunks, Chunk{
-			Time: seg.time, Data: seg.data, StreamOffset: s.nextRel,
-		})
-		s.nextRel += int64(len(seg.data))
-		// Drop any buffered segments now wholly superseded.
-		for off, p := range s.pending {
-			if off+int64(len(p.data)) <= s.nextRel {
-				s.drop(p.data)
-				delete(s.pending, off)
-			}
-		}
+		s.pending[0] = pendingSeg{} // stop pinning the payload
+		s.pending = s.pending[1:]
 	}
 }
+
+// atOffset orders a buffered segment against an offset, for binary
+// search over pending.
+func atOffset(p pendingSeg, off int64) int { return cmp.Compare(p.off, off) }
 
 // Assembler demultiplexes packets into per-direction streams.
 type Assembler struct {
 	streams map[layers.FlowKey]*Stream
-	order   []layers.FlowKey // creation order, for deterministic iteration
-	dropped int              // streams removed since the last order compaction
 	noCopy  bool
 	unref   func([]byte)
 }
@@ -337,12 +372,10 @@ func (a *Assembler) Feed(p *layers.Packet) *Stream {
 	key := p.Flow()
 	st, ok := a.streams[key]
 	if !ok {
-		st = &Stream{Key: key, noCopy: a.noCopy, unref: a.unref,
-			pending: make(map[int64]pendingSeg)}
+		st = NewStream(key, a.noCopy, a.unref)
 		a.streams[key] = st
-		a.order = append(a.order, key)
 	}
-	st.addSegment(p.Timestamp, p.TCP, p.Payload)
+	st.Feed(p)
 	return st
 }
 
@@ -352,101 +385,13 @@ func (a *Assembler) Stream(key layers.FlowKey) *Stream {
 }
 
 // Drop releases a directional stream's buffers and removes it from the
-// assembler. A rolling-window monitor calls it when a flow finalizes
-// (FIN/RST/idle) so the demultiplexer's footprint tracks the set of live
+// assembler, so the demultiplexer's footprint tracks the set of live
 // conversations, not every conversation ever seen. A later packet on the
 // same key starts a fresh stream (mid-stream adoption), which is exactly
 // how port reuse on a long-lived tap should behave.
 func (a *Assembler) Drop(key layers.FlowKey) {
-	st, ok := a.streams[key]
-	if !ok {
-		return
+	if st, ok := a.streams[key]; ok {
+		st.Discard()
+		delete(a.streams, key)
 	}
-	st.Discard()
-	delete(a.streams, key)
-	a.dropped++
-	if a.dropped > 64 && a.dropped*2 > len(a.order) {
-		a.compactOrder()
-	}
-}
-
-// compactOrder rebuilds the first-seen order without dropped keys.
-func (a *Assembler) compactOrder() {
-	kept := a.order[:0]
-	for _, k := range a.order {
-		if _, ok := a.streams[k]; ok {
-			kept = append(kept, k)
-		}
-	}
-	a.order, a.dropped = kept, 0
-}
-
-// Streams returns all live streams in first-seen order.
-func (a *Assembler) Streams() []*Stream {
-	out := make([]*Stream, 0, len(a.order))
-	for _, k := range a.order {
-		if st, ok := a.streams[k]; ok {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// Conversations pairs up directional streams that belong to the same TCP
-// conversation, client side first. The client is taken to be the endpoint
-// with the higher port number when one side uses a well-known port (<1024),
-// otherwise the direction seen first.
-type Conversation struct {
-	ClientToServer *Stream
-	ServerToClient *Stream
-}
-
-// Conversations returns every paired conversation, sorted by the client
-// endpoint for determinism. One-sided captures yield a conversation with a
-// nil reverse stream.
-func (a *Assembler) Conversations() []Conversation {
-	seen := make(map[layers.FlowKey]bool)
-	var convs []Conversation
-	for _, k := range a.order {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		fwd, ok := a.streams[k]
-		if !ok {
-			continue // dropped
-		}
-		var rev *Stream
-		if r, ok := a.streams[k.Reverse()]; ok {
-			rev = r
-			seen[k.Reverse()] = true
-		}
-		c := orient(fwd, rev)
-		convs = append(convs, c)
-	}
-	sort.Slice(convs, func(i, j int) bool {
-		return convKey(convs[i]) < convKey(convs[j])
-	})
-	return convs
-}
-
-func convKey(c Conversation) string {
-	if c.ClientToServer != nil {
-		return c.ClientToServer.Key.String()
-	}
-	return fmt.Sprintf("~%s", c.ServerToClient.Key)
-}
-
-// orient decides which stream is client→server.
-func orient(fwd, rev *Stream) Conversation {
-	clientFirst := true
-	if fwd.Key.DstPort < 1024 && fwd.Key.SrcPort >= 1024 {
-		clientFirst = true
-	} else if fwd.Key.SrcPort < 1024 && fwd.Key.DstPort >= 1024 {
-		clientFirst = false
-	}
-	if clientFirst {
-		return Conversation{ClientToServer: fwd, ServerToClient: rev}
-	}
-	return Conversation{ClientToServer: rev, ServerToClient: fwd}
 }

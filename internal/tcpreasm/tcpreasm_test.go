@@ -2,7 +2,9 @@ package tcpreasm
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,70 +174,6 @@ func TestSequenceWraparound(t *testing.T) {
 	want := string(payload1) + "tail"
 	if got := string(st.Bytes()); got != want {
 		t.Errorf("wraparound stream = %q (len %d), want len %d", got, len(got), len(want))
-	}
-}
-
-func TestConversationPairing(t *testing.T) {
-	a := NewAssembler()
-	a.Feed(seg(1000, layers.TCPSyn, nil, 0))
-	a.Feed(seg(1001, layers.TCPAck, []byte("req"), 1))
-	// Reverse direction.
-	back := &layers.Packet{
-		Timestamp: time.Unix(1700000000, 0),
-		IPVersion: 4,
-		IP4:       layers.IPv4{Src: srv, Dst: cli},
-		TCP: layers.TCP{SrcPort: 443, DstPort: 51000, Seq: 9000,
-			Flags: layers.TCPSyn | layers.TCPAck},
-	}
-	a.Feed(back)
-	back2 := *back
-	back2.TCP.Seq = 9001
-	back2.TCP.Flags = layers.TCPAck
-	back2.Payload = []byte("resp")
-	a.Feed(&back2)
-
-	convs := a.Conversations()
-	if len(convs) != 1 {
-		t.Fatalf("conversations = %d, want 1", len(convs))
-	}
-	c := convs[0]
-	if c.ClientToServer == nil || c.ServerToClient == nil {
-		t.Fatal("conversation not fully paired")
-	}
-	if c.ClientToServer.Key.DstPort != 443 {
-		t.Errorf("client→server misoriented: %v", c.ClientToServer.Key)
-	}
-	if got := string(c.ClientToServer.Bytes()); got != "req" {
-		t.Errorf("c2s = %q", got)
-	}
-	if got := string(c.ServerToClient.Bytes()); got != "resp" {
-		t.Errorf("s2c = %q", got)
-	}
-}
-
-func TestConversationOrientationByPort(t *testing.T) {
-	// Server→client direction seen first must still orient client first.
-	a := NewAssembler()
-	back := &layers.Packet{
-		Timestamp: time.Unix(0, 0), IPVersion: 4,
-		IP4: layers.IPv4{Src: srv, Dst: cli},
-		TCP: layers.TCP{SrcPort: 443, DstPort: 51000, Seq: 1,
-			Flags: layers.TCPAck},
-		Payload: []byte("early"),
-	}
-	a.Feed(back)
-	convs := a.Conversations()
-	if len(convs) != 1 {
-		t.Fatalf("conversations = %d", len(convs))
-	}
-	if convs[0].ServerToClient == nil {
-		t.Fatal("server stream missing")
-	}
-	if convs[0].ServerToClient.Key.SrcPort != 443 {
-		t.Errorf("orientation wrong: %v", convs[0].ServerToClient.Key)
-	}
-	if convs[0].ClientToServer != nil {
-		t.Errorf("one-sided capture should leave client stream nil")
 	}
 }
 
@@ -491,11 +429,70 @@ func TestAssemblerDrop(t *testing.T) {
 	if a.Stream(key) != nil {
 		t.Fatal("dropped stream still resolvable")
 	}
-	if len(a.Streams()) != 0 || len(a.Conversations()) != 0 {
-		t.Fatal("dropped stream still iterable")
-	}
 	st := a.Feed(seg(9000, layers.TCPAck, []byte("fresh"), 2))
 	if got := string(st.Bytes()); got != "fresh" {
 		t.Fatalf("reused key did not start fresh: %q", got)
+	}
+}
+
+// chunkTrace renders a stream's retained chunks as offset:"data"@ms.
+func chunkTrace(st *Stream) string {
+	var parts []string
+	for _, c := range st.Chunks() {
+		parts = append(parts, fmt.Sprintf("%d:%q@%d", c.StreamOffset, c.Data, c.Time.Nanosecond()/1e6))
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestOverlapResolutionDeterministic pins the overlap rules on three
+// overlapping out-of-order retransmits behind a gap: once the gap fills
+// past all three starts, the covering segment with the lowest offset is
+// trimmed and delivered first. Pending segments used to sit in a map,
+// so which covering segment won depended on map iteration order and the
+// same input gave different chunk boundaries and arrival times.
+func TestOverlapResolutionDeterministic(t *testing.T) {
+	const data = "ABCDEFGHIJKLMNOPQRS"
+	feed := []struct{ from, to, at int }{
+		{5, 15, 1}, {7, 17, 2}, {9, 19, 3}, {0, 4, 4}, {3, 11, 5},
+	}
+	const want = `0:"ABCD"@4 4:"EFGHIJK"@5 11:"LMNO"@1 15:"PQ"@2 17:"RS"@3`
+	for run := 0; run < 300; run++ {
+		a := NewAssembler()
+		a.Feed(seg(1000, layers.TCPSyn, nil, 0))
+		for _, f := range feed {
+			a.Feed(seg(1001+uint32(f.from), layers.TCPAck, []byte(data[f.from:f.to]), f.at))
+		}
+		if got := chunkTrace(a.Stream(key)); got != want {
+			t.Fatalf("run %d: chunks %s, want %s", run, got, want)
+		}
+	}
+}
+
+// TestGapFillLinear fills one missing segment behind a long run of
+// buffered ones, the shape a single lost packet leaves on a busy flow.
+// Delivery must cost time linear in the segments it releases: a drain
+// that rescans every buffered segment after each delivered chunk is
+// quadratic and took seconds here.
+func TestGapFillLinear(t *testing.T) {
+	const n, size = 16000, 100
+	payload := bytes.Repeat([]byte("x"), size)
+	a := NewAssembler()
+	a.SetStablePayloads(true)
+	a.Feed(seg(1000, layers.TCPSyn, nil, 0))
+	for i := 1; i <= n; i++ {
+		a.Feed(seg(1001+uint32(i*size), layers.TCPAck, payload, 1))
+	}
+	st := a.Stream(key)
+	if st.Len() != 0 || st.Gaps() != n {
+		t.Fatalf("before the fill: Len %d, %d buffered", st.Len(), st.Gaps())
+	}
+	start := time.Now()
+	a.Feed(seg(1001, layers.TCPAck, payload, 2))
+	elapsed := time.Since(start)
+	if st.Len() != (n+1)*size || st.Gaps() != 0 {
+		t.Fatalf("after the fill: Len %d, %d buffered", st.Len(), st.Gaps())
+	}
+	if elapsed > 250*time.Millisecond {
+		t.Errorf("filling one gap behind %d segments took %v, want < 250ms", n, elapsed)
 	}
 }
