@@ -11,7 +11,8 @@ import (
 // shard), each flow owns its two reassembly streams, and scanned chunks
 // are released at once, so what remains are per-flow and per-record
 // costs: a capture must cost under one allocation per ten packets,
-// through InferPcap and through a Monitor at Shards 2.
+// through InferPcap, through a Monitor at Shards 2, and frame by frame
+// through FeedPacket into a rolling-window Monitor.
 func TestMonitorAllocsPerPacket(t *testing.T) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {
@@ -29,6 +30,7 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := readFrames(t, multi)
 	cases := []struct {
 		name string
 		pcap []byte
@@ -46,16 +48,19 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 			_, err := m.Close()
 			return err
 		}},
+		{"FeedPacket", multi, func() error {
+			m := NewMonitor(atk, MonitorOptions{Window: &MonitorWindow{}})
+			for _, rec := range frames {
+				if err := m.FeedPacket(rec.Timestamp, rec.Data); err != nil {
+					return err
+				}
+			}
+			_, err := m.Close()
+			return err
+		}},
 	}
 	for _, c := range cases {
-		rd, err := pcapio.NewBytesReader(c.pcap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := rd.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs := readFrames(t, c.pcap)
 		var runErr error
 		allocs := testing.AllocsPerRun(3, func() {
 			if err := c.run(); err != nil {
@@ -71,4 +76,18 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 				c.name, allocs, len(recs))
 		}
 	}
+}
+
+// readFrames returns every record of an in-memory pcap.
+func readFrames(t *testing.T, pcap []byte) []pcapio.Record {
+	t.Helper()
+	rd, err := pcapio.NewBytesReader(pcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

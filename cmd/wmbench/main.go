@@ -8,8 +8,8 @@
 //	wmbench -exp figure2          # one experiment
 //	wmbench -workers 8            # bound the worker pool (0 = GOMAXPROCS)
 //	wmbench -benchjson BENCH.json # machine-readable perf + domain metrics
-//	wmbench -check BENCH_pr4.json # CI perf gate: rerun pipeline benches,
-//	                              # exit non-zero outside the tolerance band
+//	wmbench -check BENCH_pr16.json # CI perf gate: rerun pipeline benches,
+//	                               # exit non-zero outside the tolerance band
 //
 // Experiments: table1, figure1, figure2, accuracy, decode, baselines,
 // defenses, timing, classifiers, prefetch, interleaved, tls13, soak.
@@ -199,7 +199,6 @@ func runners() []runner {
 					"decoded_identical":   float64(v.Decoded),
 					"finalized":           float64(v.Finalized),
 					"peak_retained_bytes": float64(v.PeakRetainedBytes),
-					"ring_blocks":         float64(v.RingBlocks),
 					"sweeps":              float64(v.Sweeps),
 					"sweep_touched":       float64(v.SweepTouched),
 				}
@@ -267,18 +266,17 @@ type benchEntry struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// benchFile is the BENCH_prN.json schema: environment, the per-experiment
-// measurements, and optional frozen baselines from earlier PRs so the
-// perf trajectory stays in one file.
+// benchFile is the BENCH_prN.json schema: environment and the
+// per-experiment measurements. Each file carries only its own entries;
+// the gate reads an earlier file by name.
 type benchFile struct {
-	GoVersion string                  `json:"go_version"`
-	GOOS      string                  `json:"goos"`
-	GOARCH    string                  `json:"goarch"`
-	CPUs      int                     `json:"cpus"`
-	Workers   int                     `json:"workers"`
-	Seed      uint64                  `json:"seed"`
-	Entries   []benchEntry            `json:"entries"`
-	Baselines map[string][]benchEntry `json:"baselines,omitempty"`
+	GoVersion string       `json:"go_version"`
+	GOOS      string       `json:"goos"`
+	GOARCH    string       `json:"goarch"`
+	CPUs      int          `json:"cpus"`
+	Workers   int          `json:"workers"`
+	Seed      uint64       `json:"seed"`
+	Entries   []benchEntry `json:"entries"`
 }
 
 // decoderBenchEntries measures the decoding engine's two unit costs —
@@ -545,38 +543,10 @@ func pipelineShardedBenchEntry(shards int) (benchEntry, error) {
 	}, nil
 }
 
-// loadBaseline embeds a prior BENCH file under the given label so the
-// perf trajectory stays in one file; the prior file's own baselines are
-// hoisted alongside it.
-func loadBaseline(spec string, out *benchFile) error {
-	label, path, ok := strings.Cut(spec, "=")
-	if !ok {
-		return fmt.Errorf("baseline %q: want label=path", spec)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var prior benchFile
-	if err := json.Unmarshal(buf, &prior); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if out.Baselines == nil {
-		out.Baselines = map[string][]benchEntry{}
-	}
-	out.Baselines[label] = prior.Entries
-	for k, v := range prior.Baselines {
-		if _, dup := out.Baselines[k]; !dup {
-			out.Baselines[k] = v
-		}
-	}
-	return nil
-}
-
 // runBenchJSON measures every selected experiment with testing.Benchmark
 // and writes the machine-readable file future PRs diff against. Domain
 // metrics come from the final benchmark iteration's result.
-func runBenchJSON(path string, runs []runner, seed uint64, workers int, baselines []string) error {
+func runBenchJSON(path string, runs []runner, seed uint64, workers int) error {
 	out := benchFile{
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -584,13 +554,6 @@ func runBenchJSON(path string, runs []runner, seed uint64, workers int, baseline
 		CPUs:      runtime.NumCPU(),
 		Workers:   parallel.Workers(workers),
 		Seed:      seed,
-	}
-	// Load baselines first: a bad spec should fail instantly, not after
-	// minutes of completed measurements.
-	for _, spec := range baselines {
-		if err := loadBaseline(spec, &out); err != nil {
-			return err
-		}
 	}
 	for _, r := range runs {
 		var last any
@@ -672,9 +635,11 @@ type checkTolerances struct {
 }
 
 // runCheck is the CI perf-regression gate: rerun the pipeline benchmarks
-// — the end-to-end attack read path and the decoder's unit costs, the
-// numbers the BENCH_pr*.json trail tracks — and compare against the
-// committed baseline file, failing on any metric outside its band.
+// — the decoder's unit costs, the TLS attack read path unsharded and at
+// Shards 4, the QUIC read path and the dataset pipeline, the numbers the
+// BENCH_pr*.json trail tracks — and compare against the committed
+// baseline file, failing on any metric outside its band. A file without
+// one of these entries fails by the "no baseline entry" rule.
 func runCheck(path string, tol checkTolerances) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -700,34 +665,21 @@ func runCheck(path string, tol checkTolerances) error {
 		return fmt.Errorf("pipeline bench: %w", err)
 	}
 	current = append(current, pipe)
-	// The sharded pipeline bench joined the trail with BENCH_pr6; gate it
-	// only against baselines that carry it, so the gate still accepts the
-	// earlier files (an absent entry there is age, not a rename).
-	if _, ok := baseline["pipeline_attack_throughput_shards4"]; ok {
-		sharded, err := pipelineShardedBenchEntry(4)
-		if err != nil {
-			return fmt.Errorf("sharded pipeline bench: %w", err)
-		}
-		current = append(current, sharded)
+	sharded, err := pipelineShardedBenchEntry(4)
+	if err != nil {
+		return fmt.Errorf("sharded pipeline bench: %w", err)
 	}
-	// The QUIC pipeline bench joined the trail with BENCH_pr8; same
-	// age-tolerant rule as above.
-	if _, ok := baseline["pipeline_quic_attack_throughput"]; ok {
-		qpipe, err := pipelineQUICBenchEntry()
-		if err != nil {
-			return fmt.Errorf("quic pipeline bench: %w", err)
-		}
-		current = append(current, qpipe)
+	current = append(current, sharded)
+	qpipe, err := pipelineQUICBenchEntry()
+	if err != nil {
+		return fmt.Errorf("quic pipeline bench: %w", err)
 	}
-	// The dataset pipeline benches joined the trail with BENCH_pr9; same
-	// age-tolerant rule as above.
-	if _, ok := baseline["dataset_generate_throughput"]; ok {
-		ds, err := datasetBenchEntries()
-		if err != nil {
-			return fmt.Errorf("dataset bench: %w", err)
-		}
-		current = append(current, ds...)
+	current = append(current, qpipe)
+	ds, err := datasetBenchEntries()
+	if err != nil {
+		return fmt.Errorf("dataset bench: %w", err)
 	}
+	current = append(current, ds...)
 
 	type metric struct {
 		name string
@@ -784,12 +736,6 @@ func runCheck(path string, tol checkTolerances) error {
 	return nil
 }
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
 func main() {
 	var (
 		exp       = flag.String("exp", "", "run a single experiment (empty = all)")
@@ -800,9 +746,7 @@ func main() {
 		tolTime   = flag.Float64("tol-time", 0.25, "-check: allowed fractional ns/op growth")
 		tolAllocs = flag.Float64("tol-allocs", 0.10, "-check: allowed fractional allocs/op growth")
 		tolBytes  = flag.Float64("tol-bytes", 0.10, "-check: allowed fractional bytes/op growth")
-		baselines multiFlag
 	)
-	flag.Var(&baselines, "baseline", "label=path of a prior BENCH json to embed as a frozen baseline (repeatable)")
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
 
@@ -823,7 +767,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, runs, *seed, *workers, baselines); err != nil {
+		if err := runBenchJSON(*benchJSON, runs, *seed, *workers); err != nil {
 			fmt.Fprintf(os.Stderr, "wmbench: %v\n", err)
 			os.Exit(1)
 		}

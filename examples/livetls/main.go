@@ -130,15 +130,14 @@ func main() {
 // --- tap proxy ----------------------------------------------------------------
 
 // tap forwards TCP bytes bidirectionally and feeds the client->server
-// direction through an incremental TLS record parser.
+// direction through a header-only TLS record scanner.
 type tap struct {
-	mu     sync.Mutex
-	parser *tlsrec.StreamParser
-	recs   []tlsrec.Record
+	mu sync.Mutex
+	sc *tlsrec.RecordScanner
 }
 
 func newTap() *tap {
-	return &tap{parser: tlsrec.NewStreamParser()}
+	return &tap{sc: tlsrec.NewRecordScanner()}
 }
 
 func (t *tap) serve(ln net.Listener, upstream string) {
@@ -166,8 +165,7 @@ func (t *tap) pipe(src, dst net.Conn, parse bool) {
 		if n > 0 {
 			if parse {
 				t.mu.Lock()
-				t.parser.Feed(time.Now(), buf[:n])
-				t.recs = append(t.recs, t.parser.Records()...)
+				t.sc.Feed(time.Now(), buf[:n])
 				t.mu.Unlock()
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
@@ -184,7 +182,7 @@ func (t *tap) clientAppRecordLengths() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []int
-	for _, r := range t.recs {
+	for _, r := range t.sc.Records() {
 		if r.Type == tlsrec.ContentApplicationData {
 			out = append(out, r.Length)
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // runSession simulates one Bandersnatch viewing under cond.
-func runSession(t *testing.T, seed uint64, cond profiles.Condition) *session.Trace {
+func runSession(t testing.TB, seed uint64, cond profiles.Condition) *session.Trace {
 	t.Helper()
 	g := script.Bandersnatch()
 	enc := media.Encode(g, media.DefaultLadder, 42)
@@ -31,7 +31,7 @@ func runSession(t *testing.T, seed uint64, cond profiles.Condition) *session.Tra
 	return tr
 }
 
-func trainedAttacker(t *testing.T, cond profiles.Condition, trainSeeds []uint64) *Attacker {
+func trainedAttacker(t testing.TB, cond profiles.Condition, trainSeeds []uint64) *Attacker {
 	t.Helper()
 	var traces []*session.Trace
 	for _, s := range trainSeeds {
@@ -350,7 +350,8 @@ func TestScoreDecisions(t *testing.T) {
 // TestMonitorErrorsAtEveryShardCount pins the one front end's error
 // handling: a non-pcap input (refused by Feed) and a capture cut
 // mid-record (refused by Close) fail with the same error through
-// InferPcap as through Feed + Close, unsharded and sharded.
+// InferPcap as through Feed + Close, unsharded and sharded, and a closed
+// monitor refuses both feed entry points.
 func TestMonitorErrorsAtEveryShardCount(t *testing.T) {
 	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
 	full := capturedSession(t, runSession(t, 7, profiles.Fig2Ubuntu), 7)
@@ -378,6 +379,12 @@ func TestMonitorErrorsAtEveryShardCount(t *testing.T) {
 			}
 			if closeErr == nil || closeErr.Error() != want.Error() {
 				t.Errorf("%s, shards=%d: Close error %v, want %v", tc.name, shards, closeErr, want)
+			}
+			if err := m.Feed(full); err == nil {
+				t.Errorf("%s, shards=%d: Feed after Close succeeded", tc.name, shards)
+			}
+			if err := m.FeedPacket(time.Unix(0, 0), make([]byte, 1200)); err == nil {
+				t.Errorf("%s, shards=%d: FeedPacket after Close succeeded", tc.name, shards)
 			}
 		}
 	}

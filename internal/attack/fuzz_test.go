@@ -1,0 +1,176 @@
+package attack
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/capture"
+	"repro/internal/layers"
+	"repro/internal/media"
+	"repro/internal/pcapio"
+	"repro/internal/profiles"
+	"repro/internal/script"
+	"repro/internal/session"
+	"repro/internal/viewer"
+	"repro/internal/wire"
+)
+
+// fuzzEpoch is the capture clock a fuzz input's first timestamp delta
+// starts from.
+var fuzzEpoch = time.Unix(1700000000, 0)
+
+// fuzzTick is the unit of a fuzz record's timestamp delta.
+const fuzzTick = 100 * time.Millisecond
+
+// fuzzFrame is one timestamped frame of a fuzz input.
+type fuzzFrame struct {
+	ts   time.Time
+	data []byte
+}
+
+// decodeFuzzFrames splits a fuzz input into frames. Each record is a
+// signed 1-byte timestamp delta in units of fuzzTick (so the capture
+// clock can run backwards), a 2-byte big-endian frame length, then the
+// frame bytes; a length past the end of the input takes what is left.
+func decodeFuzzFrames(in []byte) []fuzzFrame {
+	var out []fuzzFrame
+	ts := fuzzEpoch
+	for len(in) >= 3 {
+		ts = ts.Add(time.Duration(int8(in[0])) * fuzzTick)
+		n := min(int(binary.BigEndian.Uint16(in[1:3])), len(in)-3)
+		out = append(out, fuzzFrame{ts, in[3 : 3+n]})
+		in = in[3+n:]
+	}
+	return out
+}
+
+// encodeFuzzFrames is the inverse of decodeFuzzFrames for seeds: each
+// delta is rounded to whole ticks and clamped to the signed byte range.
+func encodeFuzzFrames(frames []fuzzFrame) []byte {
+	var out []byte
+	prev := fuzzEpoch
+	for _, fr := range frames {
+		d := max(-128, min(127, fr.ts.Sub(prev).Round(fuzzTick)/fuzzTick))
+		prev = prev.Add(d * fuzzTick)
+		out = append(out, byte(int8(d)))
+		out = binary.BigEndian.AppendUint16(out, uint16(len(fr.data)))
+		out = append(out, fr.data...)
+	}
+	return out
+}
+
+// fuzzOutcome is everything a monitor reports for one input: its event
+// stream and its Close result.
+type fuzzOutcome struct {
+	events   []Event
+	inf      *Inference
+	closeErr string
+}
+
+// runFuzzFrames feeds frames one by one through a fresh monitor and
+// closes it.
+func runFuzzFrames(t *testing.T, atk *Attacker, frames []fuzzFrame, win *Window, shards int) fuzzOutcome {
+	t.Helper()
+	var out fuzzOutcome
+	m := NewMonitor(atk, MonitorOptions{
+		Window:  win,
+		Shards:  shards,
+		OnEvent: func(ev Event) { out.events = append(out.events, ev) },
+	})
+	for _, fr := range frames {
+		if err := m.FeedPacket(fr.ts, fr.data); err != nil {
+			t.Fatalf("FeedPacket: %v", err)
+		}
+	}
+	inf, err := m.Close()
+	out.inf = inf
+	if err != nil {
+		out.closeErr = err.Error()
+	}
+	return out
+}
+
+// tinyCaptureFrames renders a TinyScript session with one noise flow and
+// returns its frames with their capture timestamps.
+func tinyCaptureFrames(tb testing.TB) []fuzzFrame {
+	tb.Helper()
+	g := script.TinyScript()
+	tr, err := session.Run(session.Config{
+		Graph: g, Encoding: media.Encode(g, media.DefaultLadder, 42),
+		Viewer:    viewer.SamplePopulation(1, wire.NewRNG(1))[0],
+		Condition: profiles.Fig2Ubuntu, SessionID: "fuzz-seed", Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
+		Options: capture.Options{Seed: 1}, NoiseFlows: 1,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	rd, err := pcapio.NewBytesReader(buf.Bytes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs, err := rd.ReadAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frames := make([]fuzzFrame, len(recs))
+	for i, r := range recs {
+		frames[i] = fuzzFrame{r.Timestamp, r.Data}
+	}
+	return frames
+}
+
+// FuzzMonitorFeedPacket drives the Monitor's frame entry point with
+// arbitrary frame sequences, in batch mode and in a short rolling window.
+// No input may panic it, feeding the same input twice must give the same
+// events and Close result, and Shards 2 must match Shards 0.
+func FuzzMonitorFeedPacket(f *testing.F) {
+	// Frames spread evenly over a real capture, one to a seed: small
+	// seeds keep each execution and each minimization cheap.
+	frames := tinyCaptureFrames(f)
+	for i := 0; i < len(frames); i += 1 + len(frames)/7 {
+		f.Add(encodeFuzzFrames(frames[i : i+1]))
+	}
+	// The hand-built open and reset of TestShardEquivalenceHandBuilt.
+	x := handKey(40000)
+	var hand []fuzzFrame
+	for i, st := range []struct {
+		key layers.FlowKey
+		tcp layers.TCP
+	}{{x, handSyn}, {x.Reverse(), handSynAck}, {x, handRst}} {
+		frame, err := layers.BuildTCPFrame(st.key, layers.Ethernet{}, st.tcp, nil, uint16(i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		hand = append(hand, fuzzFrame{fuzzEpoch.Add(time.Duration(i) * time.Second), frame})
+	}
+	f.Add(encodeFuzzFrames(hand))
+
+	atk := trainedAttacker(f, profiles.Fig2Ubuntu, []uint64{101})
+	modes := []struct {
+		name string
+		win  *Window
+	}{
+		{"batch", nil},
+		{"window", &Window{IdleTimeout: 10 * time.Second, SweepInterval: 4}},
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		frames := decodeFuzzFrames(in)
+		for _, mode := range modes {
+			want := runFuzzFrames(t, atk, frames, mode.win, 0)
+			if again := runFuzzFrames(t, atk, frames, mode.win, 0); !reflect.DeepEqual(again, want) {
+				t.Fatalf("%s: a second feed of the same input diverged:\n%+v\nwant\n%+v", mode.name, again, want)
+			}
+			if sharded := runFuzzFrames(t, atk, frames, mode.win, 2); !reflect.DeepEqual(sharded, want) {
+				t.Fatalf("%s: Shards 2 diverged from Shards 0:\n%+v\nwant\n%+v", mode.name, sharded, want)
+			}
+		}
+	})
+}

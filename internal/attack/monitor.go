@@ -50,20 +50,19 @@ import (
 // conversations rather than by uptime.
 //
 // A Monitor is one front end over one or more flow cores. The front end
-// parses pcap framing, copies FeedPacket frames, hands spans back to the
-// FrameRing and decodes each packet; it alone owns the capture clock,
-// the ingest sequence, the idle-sweep cadence and the timing-wheel
-// epoch. Each core owns the flows routed to it: reassembly, record
-// scanners, window state and its timing wheel. With MonitorOptions.Shards
-// 0 the single core runs inline on the caller's goroutine; with Shards N
-// the N cores run on worker goroutines (shard.go).
+// parses pcap framing, copies FeedPacket frames and decodes each packet;
+// it alone owns the capture clock, the ingest sequence, the idle-sweep
+// cadence and the timing-wheel epoch. Each core owns the flows routed to
+// it: reassembly, record scanners, window state and its timing wheel.
+// With MonitorOptions.Shards 0 the single core runs inline on the
+// caller's goroutine; with Shards N the N cores run on worker goroutines
+// (shard.go).
 //
 // A Monitor is single-session state and not safe for concurrent use.
 type Monitor struct {
 	atk     *Attacker
 	onEvent func(Event)
 	win     *Window
-	ring    *pcapio.PacketRing
 
 	cr    *pcapio.ChunkReader
 	arena []byte        // FeedPacket copies frames into chained blocks
@@ -100,11 +99,10 @@ type Monitor struct {
 // messages the front end hands it (handle) and never touches another
 // core's flows.
 type flowCore struct {
-	atk     *Attacker
-	win     *Window
-	live    bool         // OnEvent is set: run the live hypothesis engine
-	emit    func(Event)  // the callback inline, the shard's tagged outbox when sharded
-	relSpan func([]byte) // releases a payload span the core stops referencing
+	atk  *Attacker
+	win  *Window
+	live bool        // OnEvent is set: run the live hypothesis engine
+	emit func(Event) // the callback inline, the shard's tagged outbox when sharded
 
 	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
 	wheel *timeWheel                  // idle-expiry deadlines (window mode)
@@ -346,13 +344,6 @@ type MonitorOptions struct {
 	// window needs the counters), but the hypothesis engine still needs
 	// the callback.
 	Window *Window
-	// FrameRing, when non-nil, is the caller-owned ring backing
-	// FeedPacketOwned slots. The monitor routes every frame span it stops
-	// referencing back to the ring — headers immediately after decode,
-	// payloads when the rolling window releases their chunks — so a live
-	// capture loop reading frames into ring slots makes no per-packet
-	// copy and recycles slot memory in steady state.
-	FrameRing *pcapio.PacketRing
 	// Shards, when > 0, runs the monitor sharded across that many
 	// worker goroutines: flows are distributed by canonical-key hash
 	// (RSS-style), each shard owns its own reassembly, scanners and
@@ -499,9 +490,6 @@ type ShardStats struct {
 	RejectedFlows int
 	// RetainedBytes is the shard's retained buffer memory.
 	RetainedBytes int64
-	// RingPending is the byte volume of ring spans the shard has
-	// released but the front end has not yet recycled.
-	RingPending int64
 }
 
 // monDir is one direction of a monitored conversation: the reassembly
@@ -563,7 +551,7 @@ type monFlow struct {
 
 // NewMonitor returns a streaming monitor for a trained attacker.
 func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
-	m := &Monitor{atk: a, onEvent: opts.OnEvent, ring: opts.FrameRing}
+	m := &Monitor{atk: a, onEvent: opts.OnEvent}
 	if opts.Window != nil {
 		w := opts.Window.withDefaults()
 		m.win = &w
@@ -572,13 +560,7 @@ func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
 		m.startShards(opts.Shards)
 		return m
 	}
-	var release func([]byte)
-	if opts.FrameRing != nil {
-		// Unreferenced payload spans flow back to the caller's ring; spans
-		// from other feed paths are foreign to it and ignored.
-		release = opts.FrameRing.Release
-	}
-	m.cores = []*flowCore{m.newCore(opts.OnEvent, release)}
+	m.cores = []*flowCore{m.newCore(opts.OnEvent)}
 	return m
 }
 
@@ -588,23 +570,18 @@ func (a *Attacker) NewMonitor(opts MonitorOptions) *Monitor {
 }
 
 // newCore builds one flow core. emit receives its events when the
-// monitor has OnEvent; release receives every payload span the core stops
-// referencing when it has a FrameRing.
-func (m *Monitor) newCore(emit func(Event), release func([]byte)) *flowCore {
+// monitor has OnEvent.
+func (m *Monitor) newCore(emit func(Event)) *flowCore {
 	if m.onEvent == nil {
 		emit = func(Event) {}
 	}
-	if m.ring == nil {
-		release = nil
-	}
 	return &flowCore{
-		atk:     m.atk,
-		win:     m.win,
-		live:    m.onEvent != nil,
-		emit:    emit,
-		relSpan: release,
-		flows:   make(map[layers.FlowKey]*monFlow),
-		prm:     m.atk.Decode.withDefaults(),
+		atk:   m.atk,
+		win:   m.win,
+		live:  m.onEvent != nil,
+		emit:  emit,
+		flows: make(map[layers.FlowKey]*monFlow),
+		prm:   m.atk.Decode.withDefaults(),
 	}
 }
 
@@ -647,7 +624,7 @@ func (m *Monitor) feed(chunk []byte, owned bool) error {
 			m.pump()
 			return nil
 		}
-		m.ingestFrame(rec.Timestamp, rec.Data, false)
+		m.ingestFrame(rec.Timestamp, rec.Data)
 	}
 }
 
@@ -672,31 +649,7 @@ func (m *Monitor) FeedPacket(ts time.Time, frame []byte) error {
 		m.arena = make([]byte, 0, size)
 	}
 	m.arena = append(m.arena, frame...)
-	m.ingestFrame(ts, m.arena[len(m.arena)-len(frame):], false)
-	return nil
-}
-
-// FeedPacketOwned ingests one captured frame without copying it: the
-// caller transfers ownership and must keep the bytes stable. Paired with
-// MonitorOptions.FrameRing — the caller reads each frame into a ring slot
-// (PacketRing.Alloc/AllocFrame) and every span the monitor stops
-// referencing is released back to the ring — the live path makes no
-// per-packet copy and recycles a bounded set of blocks indefinitely.
-// Without a ring the frames are simply garbage-collected once the rolling
-// window drops them.
-func (m *Monitor) FeedPacketOwned(ts time.Time, frame []byte) error {
-	if m.closed || m.err != nil {
-		// The frame will never be referenced; hand the slot straight back
-		// so a capture loop feeding a dead monitor cannot leak its ring.
-		if m.ring != nil {
-			m.ring.ReleaseExcept(frame, nil)
-		}
-		if m.closed {
-			return errors.New("attack: monitor is closed")
-		}
-		return m.err
-	}
-	m.ingestFrame(ts, frame, true)
+	m.ingestFrame(ts, m.arena[len(m.arena)-len(frame):])
 	return nil
 }
 
@@ -710,24 +663,14 @@ func wrapReadErr(headerDone bool, err error) error {
 }
 
 // ingestFrame decodes one frame, advances the shared clock, sequence and
-// sweep cadence, and routes the packet to its core. ringOwned marks frames
-// fed through FeedPacketOwned, whose unreferenced spans go back to the
-// caller's ring.
-func (m *Monitor) ingestFrame(ts time.Time, frame []byte, ringOwned bool) {
+// sweep cadence, and routes the packet to its core.
+func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 	if ts.After(m.clock) {
 		m.clock = ts
 	}
 	p := &m.pkt
 	if err := layers.DecodeInto(p, ts, frame); err != nil {
-		if ringOwned && m.ring != nil {
-			m.ring.ReleaseExcept(frame, nil) // non-TCP or foreign traffic
-		}
-		return
-	}
-	if ringOwned && m.ring != nil {
-		// Only the transport payload can be retained by a core; the frame's
-		// link/network/transport headers go straight back to the ring.
-		m.ring.ReleaseExcept(frame, p.Payload)
+		return // non-IP, neither TCP nor UDP, or truncated
 	}
 	canon, _ := p.Flow().Canonical()
 	if m.win != nil {
@@ -842,12 +785,11 @@ func (c *flowCore) ingest(p *layers.Packet, canon layers.FlowKey) {
 	key := p.Flow()
 	dir, isClient := f.direction(key)
 	if dir.stream == nil {
-		// Every feed path hands the core stable memory: pcap chunks live
-		// in the ChunkReader's grow-only buffer, FeedPacket copies frames
-		// into the monitor's arena and FeedPacketOwned slots are
-		// caller-owned, so reassembly owns payloads without copying each
-		// segment again.
-		dir.stream = tcpreasm.NewStream(key, true, c.relSpan)
+		// Both feed paths hand the core stable memory: pcap chunks live in
+		// the ChunkReader's grow-only buffer and FeedPacket copies frames
+		// into the monitor's arena, so reassembly owns payloads without
+		// copying each segment again.
+		dir.stream = tcpreasm.NewStream(key, true)
 		dir.sc = tlsrec.NewRecordScanner()
 		if isClient {
 			f.clientKey = key
@@ -913,12 +855,8 @@ func (c *flowCore) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
 // excluded from burst segmentation; client short-header datagrams drive
 // the burst segmenter, and each completed burst replays through the
 // record pipeline as a pseudo-record of the burst's summed size. Nothing
-// beyond sizes and times is retained, so the payload span goes back to
-// the caller's ring immediately.
+// beyond sizes and times is retained.
 func (c *flowCore) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
-	if c.relSpan != nil {
-		defer c.relSpan(p.Payload)
-	}
 	ts := p.Timestamp
 	f := c.flowFor(canon, ts)
 	f.lastSeen = ts
@@ -1419,7 +1357,7 @@ func (m *Monitor) Stats() MonitorStats {
 	if m.cr != nil {
 		st.RetainedBytes += int64(m.cr.Buffered())
 	}
-	for i, cs := range per {
+	for _, cs := range per {
 		st.Flows += cs.Flows
 		st.LiveFlows += cs.LiveFlows
 		st.RejectedFlows += cs.RejectedFlows
@@ -1428,9 +1366,12 @@ func (m *Monitor) Stats() MonitorStats {
 		st.RetainedBytes += cs.RetainedBytes
 		st.SweepTouched += cs.SweepTouched
 		if m.shards != nil {
-			sh := m.shards[i].stats(cs)
-			st.Shards = append(st.Shards, sh)
-			st.RetainedBytes += sh.RingPending
+			st.Shards = append(st.Shards, ShardStats{
+				Flows:         cs.Flows,
+				LiveFlows:     cs.LiveFlows,
+				RejectedFlows: cs.RejectedFlows,
+				RetainedBytes: cs.RetainedBytes,
+			})
 		}
 	}
 	return st

@@ -631,23 +631,25 @@ func TestMonitorWindowFallbackSurvivesRejection(t *testing.T) {
 }
 
 // TestMonitorFeedPacketOwnedReleasesOnError: a capture loop feeding a
-// closed (or poisoned) monitor must get its ring slots back, or the ring
-// grows one frame per packet — the leak the ring exists to prevent.
+// closed monitor must get an error for every frame and leave nothing
+// behind — no frame copied into the arena, no bytes retained — or the
+// monitor grows one frame per packet after it stopped working.
 func TestMonitorFeedPacketOwnedReleasesOnError(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
-	ring := pcapio.NewPacketRing(4 << 10)
-	m := NewMonitor(atk, MonitorOptions{Window: &Window{}, FrameRing: ring})
+	m := NewMonitor(atk, MonitorOptions{Window: &Window{}})
 	if _, err := m.Close(); err == nil {
 		t.Fatal("Close on an empty packet-fed monitor should report no conversation")
 	}
 	for i := 0; i < 10; i++ {
-		slot := ring.AllocFrame(make([]byte, 1200))
-		if err := m.FeedPacketOwned(time.Unix(int64(i), 0), slot); err == nil {
+		if err := m.FeedPacket(time.Unix(int64(i), 0), make([]byte, 1200)); err == nil {
 			t.Fatal("feed after Close should error")
 		}
 	}
-	if ring.InUse() != 0 {
-		t.Fatalf("ring holds %d bytes after error-path feeds; slots leaked", ring.InUse())
+	if m.arena != nil {
+		t.Fatalf("arena holds %d bytes after error-path feeds; frames were copied", len(m.arena))
+	}
+	if st := m.Stats(); st.RetainedBytes != 0 || st.Flows != 0 {
+		t.Fatalf("closed monitor retains %d bytes over %d flows after error-path feeds", st.RetainedBytes, st.Flows)
 	}
 }

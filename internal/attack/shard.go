@@ -34,11 +34,6 @@ import (
 // Close runs the same phases and the same verdict reduction as at Shards
 // 0 (monitor.go); TestShardEquivalence pins byte-identical event streams
 // and inferences at shards ∈ {0, 1, 2, 4, 8}.
-//
-// The caller-owned PacketRing is single-consumer state, so cores never
-// release spans into it directly: each core's assembler routes released
-// spans into a per-shard batch the front end drains back to the ring on
-// its own goroutine.
 
 // shardQueueDepth bounds each shard's inbox. Full inboxes block the
 // front end (backpressure), so slow shards bound memory instead of
@@ -46,7 +41,7 @@ import (
 const shardQueueDepth = 512
 
 // pumpEvery is how many dispatched packets pass between merge pumps
-// (event delivery + ring release drains) during a feed call.
+// (event delivery) during a feed call.
 const pumpEvery = 128
 
 type shardMsgKind uint8
@@ -90,18 +85,16 @@ type taggedEvent struct {
 	ev  Event
 }
 
-// monShard is one worker: a core, its inbox, and the outboxes the front
-// end drains (events for the merge, released ring spans).
+// monShard is one worker: a core, its inbox, and the event outbox the
+// front end drains for the merge.
 type monShard struct {
 	core *flowCore
 	in   *parallel.SPSC[shardMsg]
 
-	mu       sync.Mutex
-	out      []taggedEvent
-	tagSeq   uint64   // sequence of the latest tagged event
-	sub      uint32   // emission index within tagSeq
-	rel      [][]byte // ring spans released by this core's assembler
-	relBytes int64
+	mu     sync.Mutex
+	out    []taggedEvent
+	tagSeq uint64 // sequence of the latest tagged event
+	sub    uint32 // emission index within tagSeq
 
 	lastSent uint64        // highest seq dispatched to this shard (front-end side)
 	lastDone atomic.Uint64 // highest seq fully processed (events published first)
@@ -111,9 +104,7 @@ type monShard struct {
 func (m *Monitor) startShards(n int) {
 	for i := 0; i < n; i++ {
 		s := &monShard{in: parallel.NewSPSC[shardMsg](shardQueueDepth)}
-		// QUIC datagram payloads (relSpan) batch through the same funnel
-		// as reassembled TCP spans.
-		s.core = m.newCore(s.tag, s.release)
+		s.core = m.newCore(s.tag)
 		m.cores = append(m.cores, s.core)
 		m.shards = append(m.shards, s)
 		m.wg.Add(1)
@@ -149,30 +140,6 @@ func (s *monShard) tag(ev Event) {
 	s.mu.Unlock()
 }
 
-// release batches one span the core stopped referencing, for the front
-// end to hand back to the ring.
-func (s *monShard) release(span []byte) {
-	s.mu.Lock()
-	s.rel = append(s.rel, span)
-	s.relBytes += int64(len(span))
-	s.mu.Unlock()
-}
-
-// stats is the shard's slice of Stats: its core's figures plus the ring
-// spans the front end has not recycled yet.
-func (s *monShard) stats(cs MonitorStats) ShardStats {
-	s.mu.Lock()
-	pending := s.relBytes
-	s.mu.Unlock()
-	return ShardStats{
-		Flows:         cs.Flows,
-		LiveFlows:     cs.LiveFlows,
-		RejectedFlows: cs.RejectedFlows,
-		RetainedBytes: cs.RetainedBytes,
-		RingPending:   pending,
-	}
-}
-
 // shardOf maps a canonical flow key to its owning shard: FNV-1a over
 // both endpoints. The hash is fixed (not seeded) so a capture shards
 // identically across runs.
@@ -206,10 +173,9 @@ func shardOf(k layers.FlowKey, n int) int {
 	return int(h % uint64(n))
 }
 
-// pump drains shard outboxes, recycles released ring spans, and delivers
-// every merged event at or below the watermark — the highest sequence
-// all shards have fully processed. A no-op at Shards 0, where events are
-// delivered as they fire.
+// pump drains shard outboxes and delivers every merged event at or below
+// the watermark — the highest sequence all shards have fully processed. A
+// no-op at Shards 0, where events are delivered as they fire.
 func (m *Monitor) pump() {
 	if m.shards == nil {
 		return
@@ -225,19 +191,13 @@ func (m *Monitor) pump() {
 	m.deliver(wm)
 }
 
-// collect moves shard outboxes into the pending merge set and recycles
-// released ring spans.
+// collect moves shard outboxes into the pending merge set.
 func (m *Monitor) collect() {
 	for _, s := range m.shards {
 		s.mu.Lock()
 		m.pending = append(m.pending, s.out...)
 		s.out = s.out[:0]
-		rel := s.rel
-		s.rel, s.relBytes = nil, 0
 		s.mu.Unlock()
-		for _, span := range rel {
-			m.ring.Release(span)
-		}
 	}
 }
 

@@ -271,6 +271,23 @@ func TestMonitorShardBalance(t *testing.T) {
 	}
 }
 
+// handKey is a hand-built client→server key on port 443.
+func handKey(port uint16) layers.FlowKey {
+	return layers.FlowKey{
+		SrcAddr: netip.MustParseAddr("192.168.1.10"),
+		DstAddr: netip.MustParseAddr("198.51.100.7"),
+		SrcPort: port, DstPort: 443,
+	}
+}
+
+// Hand-built TCP headers for one conversation's open, ack and reset.
+var (
+	handSyn    = layers.TCP{Seq: 1, Flags: layers.TCPSyn}
+	handSynAck = layers.TCP{Seq: 1, Ack: 2, Flags: layers.TCPSyn | layers.TCPAck}
+	handAck    = layers.TCP{Seq: 2, Ack: 2, Flags: layers.TCPAck}
+	handRst    = layers.TCP{Seq: 2, Flags: layers.TCPRst}
+)
+
 // TestShardEquivalenceHandBuilt replays hand-built SYN/ACK/RST sequences
 // through FeedPacket and requires every shard count to emit the unsharded
 // event stream and Close error, and that stream to be the expected one.
@@ -285,27 +302,16 @@ func TestMonitorShardBalance(t *testing.T) {
 func TestShardEquivalenceHandBuilt(t *testing.T) {
 	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
 	base := time.Unix(1700000000, 0)
-	key := func(port uint16) layers.FlowKey {
-		return layers.FlowKey{
-			SrcAddr: netip.MustParseAddr("192.168.1.10"),
-			DstAddr: netip.MustParseAddr("198.51.100.7"),
-			SrcPort: port, DstPort: 443,
-		}
-	}
 	shardOf2 := func(k layers.FlowKey) int {
 		canon, _ := k.Canonical()
 		return shardOf(canon, 2)
 	}
-	x, y, z := key(40000), key(40001), key(50000)
+	x, y, z := handKey(40000), handKey(40001), handKey(50000)
 	for shardOf2(y) == shardOf2(x) {
 		y.SrcPort++
 	}
 	names := map[layers.FlowKey]string{x: "X", y: "Y", z: "Z"}
 
-	syn := layers.TCP{Seq: 1, Flags: layers.TCPSyn}
-	synAck := layers.TCP{Seq: 1, Ack: 2, Flags: layers.TCPSyn | layers.TCPAck}
-	ack := layers.TCP{Seq: 2, Ack: 2, Flags: layers.TCPAck}
-	rst := layers.TCP{Seq: 2, Flags: layers.TCPRst}
 	type step struct {
 		at  time.Duration
 		key layers.FlowKey
@@ -321,13 +327,13 @@ func TestShardEquivalenceHandBuilt(t *testing.T) {
 		{
 			name:  "wheel epoch",
 			win:   Window{IdleTimeout: 64 * time.Second, SweepInterval: 1},
-			steps: []step{{0, x, syn}, {ms(500), y, syn}, {ms(64200), z, syn}, {ms(64700), z, ack}, {ms(65200), z, ack}},
+			steps: []step{{0, x, handSyn}, {ms(500), y, handSyn}, {ms(64200), z, handSyn}, {ms(64700), z, handAck}, {ms(65200), z, handAck}},
 			want:  []string{"idle X 1m4.2s", "idle Y 1m5.2s", "close Z 1m5.2s"},
 		},
 		{
 			name:  "port reuse",
 			win:   Window{},
-			steps: []step{{0, x, syn}, {0, x.Reverse(), synAck}, {ms(1000), y, syn}, {ms(2000), x, rst}, {ms(3000), x, syn}},
+			steps: []step{{0, x, handSyn}, {0, x.Reverse(), handSynAck}, {ms(1000), y, handSyn}, {ms(2000), x, handRst}, {ms(3000), x, handSyn}},
 			want:  []string{"rst X 2s", "close Y 3s", "close X 3s"},
 		},
 	}

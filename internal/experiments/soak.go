@@ -52,11 +52,6 @@ type SoakResult struct {
 	HeapBySession []uint64
 	// PeakRetainedBytes is the max of RetainedBySession.
 	PeakRetainedBytes int64
-	// RingBlocks is the packet ring's block count at the end — a flat
-	// figure proves frame slots recycle rather than leak.
-	RingBlocks int
-	// RingInUseEnd is the ring bytes still referenced after Close.
-	RingInUseEnd int64
 	// Sweeps and SweepTouched are the monitor's idle-sweep counters at the
 	// end of the run: SweepTouched stays O(expired flows), not
 	// O(flows × sweeps), now that expiry rides the timing wheel.
@@ -78,10 +73,10 @@ type SoakResult struct {
 // streams `sessions` consecutive interactive sessions — each rendered as
 // an interleaved capture with `noiseFlows` concurrent bulk flows and laid
 // end to end on one capture timeline — through a single windowed Monitor
-// via the zero-copy FeedPacketOwned/PacketRing path, and checks that
-// every session's SessionFinalized inference equals the one-shot
-// InferPcap baseline for that capture while the monitor's retained memory
-// stays O(window), not O(sessions).
+// frame by frame (FeedPacket), and checks that every session's
+// SessionFinalized inference equals the one-shot InferPcap baseline for
+// that capture while the monitor's retained memory stays O(window), not
+// O(sessions).
 func Soak(sessions, noiseFlows int, seed uint64) (*SoakResult, error) {
 	return soakRun(sessions, noiseFlows, seed, 0)
 }
@@ -127,14 +122,12 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 		Sessions: sessions, NoiseFlows: noiseFlows, Shards: shards,
 		ExpiredByReason: map[string]int{},
 	}
-	ring := pcapio.NewPacketRing(0)
 	// The soak's per-flow inferences arrive through events; index them by
 	// full flow key (each session's conversation has its own 5-tuple).
 	finals := map[layers.FlowKey]*attack.Inference{}
 	m := attack.NewMonitor(atk, attack.MonitorOptions{
-		FrameRing: ring,
-		Shards:    shards,
-		Window:    &attack.Window{IdleTimeout: 60 * time.Second},
+		Shards: shards,
+		Window: &attack.Window{IdleTimeout: 60 * time.Second},
 		OnEvent: func(ev attack.Event) {
 			res.Events = append(res.Events, ev)
 			switch e := ev.(type) {
@@ -197,10 +190,8 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 			SrcPort: ep.ClientPort, DstPort: ep.ServerPort,
 		}})
 
-		// Stream the capture's packets through the shared monitor via the
-		// ring: each frame lands in a ring slot and is handed over without
-		// further copies; the monitor releases spans as the window drops
-		// them, recycling the slots.
+		// Stream the capture's packets through the shared monitor one
+		// frame at a time, as a live capture loop would.
 		pr, err := pcapio.NewBytesReader(data)
 		if err != nil {
 			return nil, err
@@ -214,7 +205,7 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 			if err != nil {
 				return nil, err
 			}
-			if err := m.FeedPacketOwned(rec.Timestamp, ring.AllocFrame(rec.Data)); err != nil {
+			if err := m.FeedPacket(rec.Timestamp, rec.Data); err != nil {
 				return nil, err
 			}
 			last = rec.Timestamp
@@ -226,8 +217,7 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 		// Sample the monitor's footprint with the capture dropped — the
 		// series a bounded-memory monitor keeps flat.
 		st := m.Stats()
-		retained := st.RetainedBytes + ring.InUse()
-		res.RetainedBySession = append(res.RetainedBySession, retained)
+		res.RetainedBySession = append(res.RetainedBySession, st.RetainedBytes)
 		if len(st.Shards) > 0 {
 			perShard := make([]int64, len(st.Shards))
 			for i, sh := range st.Shards {
@@ -235,8 +225,8 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 			}
 			res.ShardRetainedBySession = append(res.ShardRetainedBySession, perShard)
 		}
-		if retained > res.PeakRetainedBytes {
-			res.PeakRetainedBytes = retained
+		if st.RetainedBytes > res.PeakRetainedBytes {
+			res.PeakRetainedBytes = st.RetainedBytes
 		}
 		data, buf = nil, bytes.Buffer{} // drop the capture before sampling the heap
 		_ = data
@@ -250,8 +240,6 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 	}
 	end := m.Stats()
 	res.Sweeps, res.SweepTouched = end.Sweeps, end.SweepTouched
-	res.RingBlocks = ring.Blocks()
-	res.RingInUseEnd = ring.InUse()
 
 	for _, e := range expects {
 		inf := finals[e.key]
@@ -276,15 +264,14 @@ func renderSoak(res *SoakResult) string {
 	if res.Shards > 0 {
 		fmt.Fprintf(&b, "(sharded engine: %d per-core monitor shards behind the same API)\n", res.Shards)
 	}
-	fmt.Fprintf(&b, "(zero-copy FeedPacketOwned via PacketRing; per-flow FIN/idle finalization)\n")
+	fmt.Fprintf(&b, "(frames fed one at a time via FeedPacket; per-flow FIN/idle finalization)\n")
 	rows := [][]string{
 		{"sessions decoded byte-identical to one-shot InferPcap",
 			fmt.Sprintf("%d/%d", res.Decoded, res.Sessions)},
 		{"sessions with matching decision vector",
 			fmt.Sprintf("%d/%d", res.DecisionsOK, res.Sessions)},
 		{"SessionFinalized events", fmt.Sprintf("%d", res.Finalized)},
-		{"peak retained (monitor + ring)", fmt.Sprintf("%.1f KiB", float64(res.PeakRetainedBytes)/1024)},
-		{"ring blocks at end / bytes in use", fmt.Sprintf("%d / %d", res.RingBlocks, res.RingInUseEnd)},
+		{"peak retained", fmt.Sprintf("%.1f KiB", float64(res.PeakRetainedBytes)/1024)},
 		{"idle sweeps / wheel entries touched", fmt.Sprintf("%d / %d", res.Sweeps, res.SweepTouched)},
 	}
 	if n := len(res.ShardRetainedBySession); n > 0 {

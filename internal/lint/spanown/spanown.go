@@ -1,10 +1,9 @@
 // Package spanown proves the zero-copy ownership discipline at compile
-// time: byte slices that sub-slice a pcapio arena or PacketRing — a
-// pcapio.Record's Data, a tcpreasm.Chunk's Data, a layers.Packet's
-// Payload, a PacketRing.AllocFrame result — are loans. The reader or
-// ring recycles their backing storage, so a loan may be read, copied, or
-// handed onward through an ownership-transfer call (FeedPacketOwned,
-// FeedOwned), but never retained: storing one in a struct field, sending
+// time: byte slices that sub-slice a pcapio arena — a pcapio.Record's
+// Data, a tcpreasm.Chunk's Data, a layers.Packet's Payload — are loans.
+// The reader recycles their backing storage, so a loan may be read,
+// copied, or handed onward through an ownership-transfer call
+// (FeedOwned), but never retained: storing one in a struct field, sending
 // it over a channel, or capturing it in a goroutine keeps a pointer into
 // memory that will be rewritten under it.
 //
@@ -92,7 +91,7 @@ func (c *checker) walkStmt(s ast.Stmt) {
 			c.pass.Reportf(st.Pos(), "spanown: sending an arena span over a "+
 				"channel retains it past the feed; copy it "+
 				"(append([]byte(nil), s...)) or transfer ownership "+
-				"(FeedPacketOwned/FeedOwned)")
+				"(FeedOwned)")
 		}
 	case *ast.GoStmt:
 		c.checkGo(st)
@@ -190,7 +189,7 @@ func (c *checker) assign(st *ast.AssignStmt) {
 				c.pass.Reportf(st.Pos(), "spanown: storing an arena span in a "+
 					"struct field retains it past the feed; copy it "+
 					"(append([]byte(nil), s...)) or transfer ownership "+
-					"(FeedPacketOwned/FeedOwned)")
+					"(FeedOwned)")
 			}
 		case *ast.IndexExpr:
 			if hot {
@@ -296,19 +295,10 @@ func (c *checker) isSpanField(sel *ast.SelectorExpr) bool {
 	return spanFields[key] == sel.Sel.Name
 }
 
-// taintedCall propagates taint through the calls that carry it:
-// PacketRing.AllocFrame mints a loan, append carries one when a span is
-// appended as an element (appending its bytes with ... is a copy).
+// taintedCall propagates taint through append, which carries a loan
+// when a span is appended as an element (appending its bytes with ... is
+// a copy).
 func (c *checker) taintedCall(call *ast.CallExpr) bool {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if s, ok := c.pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			fn := s.Obj()
-			if fn.Name() == "AllocFrame" && fn.Pkg() != nil &&
-				lastSegment(fn.Pkg().Path()) == "pcapio" {
-				return true
-			}
-		}
-	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
 		if obj := c.pass.TypesInfo.Uses[id]; obj == types.Universe.Lookup("append") {
 			if len(call.Args) > 0 && c.taintedExpr(call.Args[0]) {

@@ -1,6 +1,6 @@
 // Package pcapio is a spanown fixture stub: the analyzer matches span
-// sources by (package path suffix, type, field/method), so these shapes
-// mirror the real repro/internal/pcapio surface.
+// sources by (package path suffix, type, field), so these shapes mirror
+// the real repro/internal/pcapio surface.
 package pcapio
 
 // Record is one captured frame; Data sub-slices the reader's arena.
@@ -8,12 +8,3 @@ type Record struct {
 	// Data is the arena loan.
 	Data []byte
 }
-
-// PacketRing is the caller-owned recycling frame arena.
-type PacketRing struct{}
-
-// AllocFrame copies b into a ring block and returns the ring-owned span.
-func (r *PacketRing) AllocFrame(b []byte) []byte { return append([]byte(nil), b...) }
-
-// Release hands one span back to the ring.
-func (r *PacketRing) Release(span []byte) {}

@@ -35,11 +35,6 @@ func (h *holder) containerStore(rec pcapio.Record) {
 	h.byID[1] = rec.Data // want `spanown: storing an arena span in a container`
 }
 
-// ringStore retains a ring allocation.
-func (h *holder) ringStore(ring *pcapio.PacketRing, frame []byte) {
-	h.buf = ring.AllocFrame(frame) // want `spanown: storing an arena span in a struct field`
-}
-
 // copyStore copies first — sanctioned.
 func (h *holder) copyStore(rec pcapio.Record) {
 	h.buf = append([]byte(nil), rec.Data...)

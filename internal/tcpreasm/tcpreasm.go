@@ -50,7 +50,6 @@ type Stream struct {
 	rstSeen  bool
 	bytesIn  int64 // total payload bytes accepted (including dups trimmed away)
 	segCount int
-	unref    func([]byte) // optional: called for every payload span dropped
 }
 
 // pendingSeg is one buffered out-of-order segment at relative offset off.
@@ -62,22 +61,12 @@ type pendingSeg struct {
 
 // NewStream returns an empty stream for one direction. stable declares
 // that every payload fed to it aliases memory that outlives the stream,
-// so it is buffered without copying (Assembler.SetStablePayloads);
-// release, when non-nil, receives every payload span the stream stops
-// referencing (Assembler.SetReleaseFunc). A consumer that already keeps
-// per-conversation state owns its two streams through this constructor
-// and feeds them directly, skipping the Assembler's lookup.
-func NewStream(key layers.FlowKey, stable bool, release func([]byte)) *Stream {
-	return &Stream{Key: key, noCopy: stable, unref: release}
-}
-
-// drop hands a payload span the stream permanently stops referencing to
-// the release callback, if any (the zero-copy live path recycles frame
-// memory through it).
-func (s *Stream) drop(b []byte) {
-	if s.unref != nil && len(b) > 0 {
-		s.unref(b)
-	}
+// so it is buffered without copying (Assembler.SetStablePayloads). A
+// consumer that already keeps per-conversation state owns its two
+// streams through this constructor and feeds them directly, skipping the
+// Assembler's lookup.
+func NewStream(key layers.FlowKey, stable bool) *Stream {
+	return &Stream{Key: key, noCopy: stable}
 }
 
 // Chunks returns the in-order chunks delivered and not yet released.
@@ -102,13 +91,12 @@ func (s *Stream) DeliveredChunks(since int) []Chunk {
 	return s.chunks[since:]
 }
 
-// ReleaseThrough drops every delivered chunk with absolute index < n,
-// handing their payload spans to the release callback. It is the
-// rolling-window consumer's half of the DeliveredChunks cursor contract:
-// once a chunk has been scanned, releasing it lets the memory behind it
-// (the feed buffer, a caller-owned packet ring) be reclaimed, so a
-// monitor can run indefinitely without retaining the whole stream.
-// Releasing past the delivered count is clamped.
+// ReleaseThrough drops every delivered chunk with absolute index < n. It
+// is the rolling-window consumer's half of the DeliveredChunks cursor
+// contract: once a chunk has been scanned, releasing it lets the memory
+// behind it (the feed buffer, a frame copy) be reclaimed, so a monitor
+// can run indefinitely without retaining the whole stream. Releasing past
+// the delivered count is clamped.
 func (s *Stream) ReleaseThrough(n int) {
 	k := n - s.released
 	if k <= 0 {
@@ -116,9 +104,6 @@ func (s *Stream) ReleaseThrough(n int) {
 	}
 	if k > len(s.chunks) {
 		k = len(s.chunks)
-	}
-	for i := 0; i < k; i++ {
-		s.drop(s.chunks[i].Data)
 	}
 	rest := copy(s.chunks, s.chunks[k:])
 	// Zero the tail so the backing array stops pinning payload memory.
@@ -144,9 +129,6 @@ func (s *Stream) Discard() {
 	}
 	s.discard = true
 	s.ReleaseThrough(s.released + len(s.chunks))
-	for _, p := range s.pending {
-		s.drop(p.data)
-	}
 	s.pending = nil
 }
 
@@ -219,8 +201,7 @@ func (s *Stream) Feed(p *layers.Packet) {
 	if tcp.Flags&layers.TCPSyn != 0 && !s.synSeen {
 		s.synSeen = true
 		s.isn = tcp.Seq
-		s.drop(payload) // TFO-style SYN data is not reassembled
-		return
+		return // TFO-style SYN data is not reassembled
 	}
 	if !s.synSeen {
 		// Mid-stream capture: adopt the first segment's sequence number as
@@ -247,21 +228,17 @@ func (s *Stream) Feed(p *layers.Packet) {
 	end := rel + int64(len(payload))
 	if s.discard {
 		// Evicted stream: advance the delivery cursor past the data (gaps
-		// are of no consequence once nothing downstream reads bytes) and
-		// hand the payload straight back.
+		// are of no consequence once nothing downstream reads bytes).
 		if end > s.nextRel {
 			s.nextRel = end
 		}
-		s.drop(payload)
 		return
 	}
 	if end <= s.nextRel {
-		s.drop(payload)
 		return // pure retransmission of delivered data
 	}
 	if rel < s.nextRel {
 		// Partial overlap with delivered data: keep only the new tail.
-		s.drop(payload[:s.nextRel-rel])
 		payload = payload[s.nextRel-rel:]
 		rel = s.nextRel
 	}
@@ -272,13 +249,11 @@ func (s *Stream) Feed(p *layers.Packet) {
 	}
 	i, found := slices.BinarySearchFunc(s.pending, rel, atOffset)
 	if found && len(s.pending[i].data) >= len(payload) {
-		s.drop(payload)
 		return // duplicate of a buffered segment
 	}
 	seg := pendingSeg{off: rel, time: p.Timestamp, data: s.own(payload)}
 	if found {
-		s.drop(s.pending[i].data) // superseded by the longer arrival
-		s.pending[i] = seg
+		s.pending[i] = seg // superseded by the longer arrival
 	} else {
 		s.pending = slices.Insert(s.pending, i, seg)
 	}
@@ -307,23 +282,19 @@ func (s *Stream) deliver(ts time.Time, data []byte) {
 // in O(n).
 func (s *Stream) drain() {
 	for len(s.pending) > 0 && s.pending[0].off <= s.nextRel {
-		seg := s.pending[0]
-		end := seg.off + int64(len(seg.data))
-		switch {
-		case end <= s.nextRel:
-			s.drop(seg.data) // wholly superseded by delivered bytes
-		case seg.off < s.nextRel:
-			// A segment that starts exactly at the delivery point wins;
-			// failing that the lowest covering one (this one) is trimmed.
-			if j, found := slices.BinarySearchFunc(s.pending, s.nextRel, atOffset); found {
-				seg = s.pending[j]
-				copy(s.pending[1:j+1], s.pending[:j])
-			} else {
-				s.drop(seg.data[:s.nextRel-seg.off])
-				seg.data = seg.data[s.nextRel-seg.off:]
+		// A segment wholly behind the delivery point is superseded and
+		// only popped.
+		if seg := s.pending[0]; seg.off+int64(len(seg.data)) > s.nextRel {
+			if seg.off < s.nextRel {
+				// A segment that starts exactly at the delivery point wins;
+				// failing that the lowest covering one (this one) is trimmed.
+				if j, found := slices.BinarySearchFunc(s.pending, s.nextRel, atOffset); found {
+					seg = s.pending[j]
+					copy(s.pending[1:j+1], s.pending[:j])
+				} else {
+					seg.data = seg.data[s.nextRel-seg.off:]
+				}
 			}
-			s.deliver(seg.time, seg.data)
-		default:
 			s.deliver(seg.time, seg.data)
 		}
 		s.pending[0] = pendingSeg{} // stop pinning the payload
@@ -339,7 +310,6 @@ func atOffset(p pendingSeg, off int64) int { return cmp.Compare(p.off, off) }
 type Assembler struct {
 	streams map[layers.FlowKey]*Stream
 	noCopy  bool
-	unref   func([]byte)
 }
 
 // NewAssembler returns an empty assembler.
@@ -355,16 +325,6 @@ func NewAssembler() *Assembler {
 // after the call.
 func (a *Assembler) SetStablePayloads(stable bool) { a.noCopy = stable }
 
-// SetReleaseFunc installs a callback that receives every payload span the
-// assembler permanently stops referencing: duplicate and overlapping
-// retransmissions, chunks dropped by Stream.ReleaseThrough, and buffers
-// evicted by Stream.Discard or Drop. A caller feeding frames from its own
-// ring (pcapio.PacketRing) recycles slots through it; spans from other
-// memory may be passed too — the ring ignores what it does not own. Only
-// meaningful with stable payloads, and affects streams created after the
-// call.
-func (a *Assembler) SetReleaseFunc(f func([]byte)) { a.unref = f }
-
 // Feed routes one decoded packet to its directional stream, creating the
 // stream on first sight, and returns the stream the packet landed in so
 // incremental consumers can follow up on exactly the flow that changed.
@@ -372,7 +332,7 @@ func (a *Assembler) Feed(p *layers.Packet) *Stream {
 	key := p.Flow()
 	st, ok := a.streams[key]
 	if !ok {
-		st = NewStream(key, a.noCopy, a.unref)
+		st = NewStream(key, a.noCopy)
 		a.streams[key] = st
 	}
 	st.Feed(p)
@@ -382,16 +342,4 @@ func (a *Assembler) Feed(p *layers.Packet) *Stream {
 // Stream returns the stream for a directional key, or nil.
 func (a *Assembler) Stream(key layers.FlowKey) *Stream {
 	return a.streams[key]
-}
-
-// Drop releases a directional stream's buffers and removes it from the
-// assembler, so the demultiplexer's footprint tracks the set of live
-// conversations, not every conversation ever seen. A later packet on the
-// same key starts a fresh stream (mid-stream adoption), which is exactly
-// how port reuse on a long-lived tap should behave.
-func (a *Assembler) Drop(key layers.FlowKey) {
-	if st, ok := a.streams[key]; ok {
-		st.Discard()
-		delete(a.streams, key)
-	}
 }

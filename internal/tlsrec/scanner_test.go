@@ -94,12 +94,24 @@ func TestRecordScannerTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestRecordScannerRejectsGarbage mirrors the parser's validation.
+// TestRecordScannerRejectsGarbage mirrors the parser's validation. The
+// error is sticky: a later Feed of valid records keeps the first error
+// and adds no records.
 func TestRecordScannerRejectsGarbage(t *testing.T) {
 	sc := NewRecordScanner()
 	sc.Feed(time.Unix(1, 0), []byte{0x99, 0x03, 0x03, 0x00, 0x01, 0x00})
-	if sc.Err() == nil {
+	first := sc.Err()
+	if first == nil {
 		t.Fatal("scanner accepted an unknown content type")
+	}
+	w := wire.NewWriter(64)
+	AppendRecord(w, ContentHandshake, VersionTLS12, make([]byte, 10))
+	sc.Feed(time.Unix(2, 0), w.Bytes())
+	if sc.Err() != first {
+		t.Errorf("error not sticky: %v, then %v", first, sc.Err())
+	}
+	if n := len(sc.Records()); n != 0 {
+		t.Errorf("scanner added %d records after its framing error", n)
 	}
 }
 

@@ -217,61 +217,6 @@ func validateHeader(typ ContentType, ver Version, length int, first bool) error 
 	return nil
 }
 
-// StreamParser is an incremental record scanner for live feeds: bytes are
-// appended as segments arrive and completed records pop out.
-type StreamParser struct {
-	buf    []byte
-	offset int64 // stream offset of buf[0]
-	now    time.Time
-	recs   []Record
-	err    error
-}
-
-// NewStreamParser returns an empty incremental parser.
-func NewStreamParser() *StreamParser { return &StreamParser{} }
-
-// Feed appends stream bytes that arrived at time ts. Completed records are
-// retrievable via Records.
-func (p *StreamParser) Feed(ts time.Time, data []byte) {
-	if p.err != nil {
-		return
-	}
-	p.now = ts
-	p.buf = append(p.buf, data...)
-	for len(p.buf) >= headerLen {
-		typ := ContentType(p.buf[0])
-		ver := Version(uint16(p.buf[1])<<8 | uint16(p.buf[2]))
-		length := int(p.buf[3])<<8 | int(p.buf[4])
-		if err := validateHeader(typ, ver, length, p.offset == 0 && len(p.recs) == 0); err != nil {
-			p.err = err
-			return
-		}
-		if len(p.buf) < headerLen+length {
-			return
-		}
-		body := append([]byte(nil), p.buf[headerLen:headerLen+length]...)
-		p.recs = append(p.recs, Record{
-			Type: typ, Version: ver, Length: length,
-			Time: ts, StreamOffset: p.offset, Body: body,
-		})
-		p.buf = p.buf[headerLen+length:]
-		p.offset += int64(headerLen + length)
-	}
-}
-
-// Records drains and returns the completed records.
-func (p *StreamParser) Records() []Record {
-	out := p.recs
-	p.recs = nil
-	return out
-}
-
-// Err reports a fatal framing error, after which Feed is a no-op.
-func (p *StreamParser) Err() error { return p.err }
-
-// Pending returns the number of buffered bytes not yet forming a record.
-func (p *StreamParser) Pending() int { return len(p.buf) }
-
 // RecordScanner is a header-only streaming record extractor: bytes are fed
 // in arrival order (e.g. straight from TCP reassembly chunks) and only the
 // 5-byte headers are ever buffered — body bytes are counted and skipped

@@ -112,47 +112,30 @@ func TestParseTimestampResolution(t *testing.T) {
 	}
 }
 
-func TestStreamParserIncremental(t *testing.T) {
+// TestStreamParserErrorSticky pins the incremental record parser's
+// framing error mid-stream: records completed before the garbage stay,
+// and later feeds neither replace the first error nor add records.
+func TestStreamParserErrorSticky(t *testing.T) {
 	w := wire.NewWriter(64)
 	AppendRecord(w, ContentHandshake, VersionTLS12, make([]byte, 10))
 	AppendRecord(w, ContentApplicationData, VersionTLS12, make([]byte, 20))
-	data := w.Bytes()
+	good := w.Bytes()
 
-	p := NewStreamParser()
-	// Feed in awkward 7-byte slices.
-	for i := 0; i < len(data); i += 7 {
-		end := min(i+7, len(data))
-		p.Feed(time.Unix(int64(i), 0), data[i:end])
-	}
-	if p.Err() != nil {
-		t.Fatal(p.Err())
-	}
-	recs := p.Records()
-	if len(recs) != 2 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if recs[0].Length != 10 || recs[1].Length != 20 {
-		t.Errorf("lengths = %d, %d", recs[0].Length, recs[1].Length)
-	}
-	if p.Pending() != 0 {
-		t.Errorf("pending = %d", p.Pending())
-	}
-	// Records drains.
-	if len(p.Records()) != 0 {
-		t.Error("Records did not drain")
-	}
-}
-
-func TestStreamParserErrorSticky(t *testing.T) {
-	p := NewStreamParser()
-	p.Feed(time.Now(), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	if p.Err() == nil {
+	sc := NewRecordScanner()
+	sc.Feed(time.Unix(1, 0), good)
+	sc.Feed(time.Unix(2, 0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	first := sc.Err()
+	if first == nil {
 		t.Fatal("expected framing error")
 	}
-	first := p.Err()
-	p.Feed(time.Now(), []byte{1, 2, 3})
-	if p.Err() != first {
-		t.Error("error not sticky")
+	sc.Feed(time.Unix(3, 0), []byte{1, 2, 3})
+	sc.Feed(time.Unix(4, 0), good)
+	if sc.Err() != first {
+		t.Errorf("error not sticky: %v, then %v", first, sc.Err())
+	}
+	recs := sc.Records()
+	if len(recs) != 2 || recs[0].Length != 10 || recs[1].Length != 20 {
+		t.Errorf("records after framing error = %+v, want the two before it", recs)
 	}
 }
 

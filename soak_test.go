@@ -10,7 +10,7 @@ import (
 // TestMonitorSoakBoundedMemory is the long-lived-observer contract, run
 // as the CI soak smoke: 20 consecutive interactive sessions, each
 // interleaved with noise flows, stream back-to-back through ONE
-// rolling-window monitor over the zero-copy ring path. Every session must
+// rolling-window monitor, frame by frame. Every session must
 // decode byte-identically to the per-capture one-shot InferPcap baseline,
 // and the monitor's retained memory must stay O(window) — flat in the
 // session count — rather than O(sessions).
@@ -51,11 +51,6 @@ func TestMonitorSoakBoundedMemory(t *testing.T) {
 	}
 	if late > 2*early+(256<<10) {
 		t.Errorf("retained bytes grew with session count: early max %d, late max %d", early, late)
-	}
-
-	// The ring must have recycled every frame slot once all flows closed.
-	if res.RingInUseEnd != 0 {
-		t.Errorf("packet ring still holds %d bytes after Close; release accounting leaked", res.RingInUseEnd)
 	}
 
 	// Heap flatness, end to end (with slack for runtime noise): a monitor
@@ -146,8 +141,5 @@ func TestMonitorSoakSharded(t *testing.T) {
 			t.Errorf("shard %d retained bytes grew with session count: early max %d (cross-shard peak %d), late max %d",
 				sh, early, earlyPeak, late)
 		}
-	}
-	if res.RingInUseEnd != 0 {
-		t.Errorf("sharded soak: packet ring still holds %d bytes after Close", res.RingInUseEnd)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"repro/internal/layers"
 	"repro/internal/media"
 	"repro/internal/parallel"
-	"repro/internal/pcapio"
 	"repro/internal/profiles"
 	"repro/internal/quicrec"
 	"repro/internal/script"
@@ -63,7 +62,7 @@ type (
 	// inference. Attacker.InferPcap is a thin wrapper over it.
 	Monitor = attack.Monitor
 	// MonitorOptions tunes a Monitor (event callback, rolling window,
-	// frame ring).
+	// shard count).
 	MonitorOptions = attack.MonitorOptions
 	// MonitorWindow configures the rolling-window mode: bounded-memory
 	// operation over an indefinite link tap, with per-flow FIN/RST/idle
@@ -96,11 +95,6 @@ type (
 	// FlowKey identifies one direction of a TCP or UDP conversation (as
 	// carried by Monitor events).
 	FlowKey = layers.FlowKey
-	// PacketRing is the caller-owned frame arena backing the zero-copy
-	// Monitor.FeedPacketOwned path: a live capture loop reads frames into
-	// ring slots and the monitor releases every span it stops
-	// referencing, so steady state allocates nothing per packet.
-	PacketRing = pcapio.PacketRing
 
 	// RecordVersion selects the TLS record-layer generation a simulated
 	// stack speaks: RecordTLS12 (the zero value — the paper's 2019 stack)
@@ -162,24 +156,17 @@ func QUICPadFull(n int) SizingPolicy { return quicrec.PadFull(n) }
 func QUICPadRandom(n, k int) SizingPolicy { return quicrec.PadRandom(n, k) }
 
 // NewMonitor returns a streaming monitor for a trained attacker. The
-// monitor accepts pcap bytes in chunks of any size (Feed) or decoded
-// frames (FeedPacket, or the zero-copy FeedPacketOwned), emits events
-// through opts.OnEvent, and Close returns the Inference for the best
-// candidate flow — byte-identical to Attacker.InferPcap for
-// single-conversation captures. Set opts.Window for the rolling-window
-// link-tap regime: bounded memory over an indefinite feed, with flows
-// finalizing individually on FIN/RST or idle. Set opts.Shards > 0 to fan
-// flows out across that many per-core monitor shards; the event stream
-// and Close inference are byte-identical at every shard count.
+// monitor accepts pcap bytes in chunks of any size (Feed) or captured
+// frames one at a time (FeedPacket), emits events through opts.OnEvent,
+// and Close returns the Inference for the best candidate flow —
+// byte-identical to Attacker.InferPcap for single-conversation captures.
+// Set opts.Window for the rolling-window link-tap regime: bounded memory
+// over an indefinite feed, with flows finalizing individually on FIN/RST
+// or idle. Set opts.Shards > 0 to fan flows out across that many
+// per-core monitor shards; the event stream and Close inference are
+// byte-identical at every shard count.
 func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
 	return attack.NewMonitor(a, opts)
-}
-
-// NewPacketRing returns a frame ring for the zero-copy live path; pass it
-// as MonitorOptions.FrameRing and feed slots via Monitor.FeedPacketOwned.
-// blockSize <= 0 selects the default.
-func NewPacketRing(blockSize int) *PacketRing {
-	return pcapio.NewPacketRing(blockSize)
 }
 
 // Named conditions from the paper's Figure 2.
