@@ -7,11 +7,11 @@ import (
 )
 
 // TestMonitorAllocsPerPacket bounds the Monitor's allocations per packet.
-// Every frame decodes into one reused Packet (carried by value to a
-// shard), each flow owns its two reassembly streams, and scanned chunks
-// are released at once, so what remains are per-flow and per-record
-// costs: a capture must cost under one allocation per ten packets,
-// through InferPcap, through a Monitor at Shards 2, and frame by frame
+// Every frame decodes into one reused Packet, each flow owns its two
+// reassembly streams, and scanned chunks are released at once, so what
+// remains are per-flow and per-record costs: a capture must cost under
+// one allocation per ten packets, through InferPcap, through a Monitor
+// fed an interleaved multi-flow capture in one Feed, and frame by frame
 // through FeedPacket into a rolling-window Monitor.
 func TestMonitorAllocsPerPacket(t *testing.T) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
@@ -40,8 +40,8 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 			_, err := atk.InferPcap(single)
 			return err
 		}},
-		{"Shards2", multi, func() error {
-			m := NewMonitor(atk, MonitorOptions{Shards: 2})
+		{"Multi", multi, func() error {
+			m := NewMonitor(atk, MonitorOptions{})
 			if err := m.Feed(multi); err != nil {
 				return err
 			}

@@ -11,7 +11,6 @@ package whitemirror
 // and the rendered reports land in EXPERIMENTS.md via cmd/wmbench.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/attack"
@@ -239,14 +238,11 @@ func BenchmarkScenario_QUIC(b *testing.B) {
 	}
 }
 
-// BenchmarkPipeline_AttackThroughputShards4 measures the multi-core read
-// path against the single-threaded one on the same bytes: an interleaved
-// multi-flow capture (the session plus six noise flows; one flow cannot
-// parallelize) streamed through a Monitor at shards=0 and at shards=4.
-// The event stream and inference are byte-identical at every shard
-// count, so the two sub-benchmarks are pure throughput figures and
-// compare directly.
-func BenchmarkPipeline_AttackThroughputShards4(b *testing.B) {
+// BenchmarkPipeline_AttackThroughputMulti measures the attack read path
+// on an interleaved multi-flow capture (the session plus six noise
+// flows) streamed through a Monitor in one Feed: the per-flow costs a
+// link tap adds over the single-flow BenchmarkPipeline_AttackThroughput.
+func BenchmarkPipeline_AttackThroughputMulti(b *testing.B) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {
 		b.Fatal(err)
@@ -259,19 +255,16 @@ func BenchmarkPipeline_AttackThroughputShards4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shards := range []int{0, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.SetBytes(int64(len(pcapBytes)))
-			for i := 0; i < b.N; i++ {
-				m := NewMonitor(atk, MonitorOptions{Shards: shards})
-				if err := m.Feed(pcapBytes); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(pcapBytes)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMonitor(atk, MonitorOptions{})
+		if err := m.Feed(pcapBytes); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@
 //	wmattack -pcap session.pcap -os linux -browser firefox
 //	wmattack -pcap session.pcap -live          # stream the capture, print events
 //	wmattack -pcap tap.pcap -live -idle 2m     # rolling-window tap replay
-//	wmattack -pcap tap.pcap -live -shards 4    # multi-core sharded monitor
 //	wmattack -pcap h3.pcap -quic               # burst-feature attack on a QUIC capture
 //
 // Training happens in-process: the attacker profiles simulated sessions
@@ -59,7 +58,6 @@ func main() {
 		chunkKiB = flag.Int("chunk", 64, "live-mode feed chunk size in KiB")
 		window   = flag.Bool("window", true, "live mode: rolling-window operation (bounded memory, per-flow FIN/RST/idle finalization)")
 		idle     = flag.Duration("idle", 90*time.Second, "live window mode: idle timeout before a silent flow finalizes")
-		shards   = flag.Int("shards", 0, "live mode: fan flows out across this many per-core monitor shards (0 = single-threaded; events are identical at any count)")
 		tls13    = flag.Bool("tls13", false, "train under the TLS 1.3 record layer (attack a wmsession -tls13 capture)")
 		padTo    = flag.Int("pad-to", 0, "TLS 1.3 training: records were padded to a multiple of this many bytes")
 		padRand  = flag.Int("pad-random", 0, "TLS 1.3 training: records carried a random pad up to this many bytes")
@@ -115,7 +113,7 @@ func main() {
 		if *window {
 			win = &attack.Window{IdleTimeout: *idle}
 		}
-		inf, err = attackLive(atk, data, *chunkKiB<<10, win, *shards)
+		inf, err = attackLive(atk, data, *chunkKiB<<10, win)
 	} else {
 		inf, err = atk.InferPcap(data)
 	}
@@ -177,10 +175,7 @@ func main() {
 // non-nil the monitor runs in rolling-window mode — the link-tap regime:
 // memory stays bounded, flows finalize individually on FIN/RST/idle (so
 // SessionFinalized can fire mid-feed), and evicted flows are narrated.
-// With shards > 0 the monitor fans flows out across per-core shards; the
-// printed event stream is identical, and shard occupancy is narrated
-// alongside the feed.
-func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.Window, shards int) (*attack.Inference, error) {
+func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.Window) (*attack.Inference, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = 64 << 10
 	}
@@ -191,7 +186,7 @@ func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.W
 		}
 		return fmt.Sprintf("t+%7.2fs", t.Sub(epoch).Seconds())
 	}
-	m := attack.NewMonitor(atk, attack.MonitorOptions{Window: win, Shards: shards, OnEvent: func(ev attack.Event) {
+	m := attack.NewMonitor(atk, attack.MonitorOptions{Window: win, OnEvent: func(ev attack.Event) {
 		switch e := ev.(type) {
 		case attack.FlowDetected:
 			fmt.Printf("[%s] FLOW DETECTED   %v  (%s record, %d bytes)\n",
@@ -214,9 +209,6 @@ func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.W
 				at(e.At), e.Flow, e.Version, e.DCIDLen)
 		}
 	}})
-	// With a sharded monitor, narrate occupancy at each quarter of the
-	// feed: which shards hold the flows, and what each retains.
-	nextNarrate := len(data) / 4
 	for off := 0; off < len(data); off += chunkBytes {
 		end := off + chunkBytes
 		if end > len(data) {
@@ -225,10 +217,6 @@ func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.W
 		if err := m.Feed(data[off:end]); err != nil {
 			return nil, err
 		}
-		if shards > 0 && end >= nextNarrate && nextNarrate > 0 {
-			narrateShards(m, end, len(data))
-			nextNarrate += len(data) / 4
-		}
 	}
 	inf, err := m.Close()
 	if err != nil {
@@ -236,19 +224,6 @@ func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.W
 	}
 	fmt.Println()
 	return inf, nil
-}
-
-// narrateShards prints one line of per-shard occupancy from
-// Monitor.Stats(): live/total flows and retained bytes per shard, so a
-// tap operator can see the RSS hash spreading the link's flows.
-func narrateShards(m *attack.Monitor, fed, total int) {
-	st := m.Stats()
-	fmt.Printf("[shards @ %3d%%]", fed*100/total)
-	for i, sh := range st.Shards {
-		fmt.Printf("  s%d: %d flows (%d live, %.0f KiB)",
-			i, sh.Flows, sh.LiveFlows, float64(sh.RetainedBytes)/1024)
-	}
-	fmt.Println()
 }
 
 // train profiles the service under cond — and under the capture's record

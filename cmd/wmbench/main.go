@@ -485,64 +485,6 @@ func pipelineQUICBenchEntry() (benchEntry, error) {
 	}, nil
 }
 
-// pipelineShardedBenchEntry measures the multi-core attack read path: an
-// interleaved multi-flow capture (the sharded engine's target workload —
-// one flow cannot parallelize) streamed through a Monitor with `shards`
-// per-core shards, against the single-threaded monitor on the identical
-// bytes. The speedup metric is honest about the host: on a 1-CPU runner
-// the shards time-slice one core and the ratio sits near (or below) 1.
-func pipelineShardedBenchEntry(shards int) (benchEntry, error) {
-	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{Seed: 21})
-	if err != nil {
-		return benchEntry{}, err
-	}
-	pcapBytes, err := whitemirror.CapturePcapMulti(tr, 21, shards+2)
-	if err != nil {
-		return benchEntry{}, err
-	}
-	atk, err := whitemirror.TrainAttacker(whitemirror.TrainingOptions{Seed: 22})
-	if err != nil {
-		return benchEntry{}, err
-	}
-	run := func(n int) error {
-		m := whitemirror.NewMonitor(atk, whitemirror.MonitorOptions{Shards: n})
-		if err := m.Feed(pcapBytes); err != nil {
-			return err
-		}
-		_, err := m.Close()
-		return err
-	}
-	single := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := run(0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(pcapBytes)))
-		for i := 0; i < b.N; i++ {
-			if err := run(shards); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	mbps := float64(len(pcapBytes)) * float64(res.N) /
-		res.T.Seconds() / (1 << 20)
-	return benchEntry{
-		Name:    fmt.Sprintf("pipeline_attack_throughput_shards%d", shards),
-		NsPerOp: res.NsPerOp(), BytesPerOp: res.AllocedBytesPerOp(), AllocsPerOp: res.AllocsPerOp(),
-		Metrics: map[string]float64{
-			"capture_bytes":        float64(len(pcapBytes)),
-			"mb_per_s":             mbps,
-			"shards":               float64(shards),
-			"cpus":                 float64(runtime.NumCPU()),
-			"speedup_vs_unsharded": float64(single.NsPerOp()) / float64(res.NsPerOp()),
-		},
-	}, nil
-}
-
 // runBenchJSON measures every selected experiment with testing.Benchmark
 // and writes the machine-readable file future PRs diff against. Domain
 // metrics come from the final benchmark iteration's result.
@@ -604,11 +546,6 @@ func runBenchJSON(path string, runs []runner, seed uint64, workers int) error {
 				return fmt.Errorf("pipeline bench: %w", err)
 			}
 			out.Entries = append(out.Entries, pipe)
-			sharded, err := pipelineShardedBenchEntry(4)
-			if err != nil {
-				return fmt.Errorf("sharded pipeline bench: %w", err)
-			}
-			out.Entries = append(out.Entries, sharded)
 		case "quic":
 			pipe, err := pipelineQUICBenchEntry()
 			if err != nil {
@@ -635,11 +572,11 @@ type checkTolerances struct {
 }
 
 // runCheck is the CI perf-regression gate: rerun the pipeline benchmarks
-// — the decoder's unit costs, the TLS attack read path unsharded and at
-// Shards 4, the QUIC read path and the dataset pipeline, the numbers the
-// BENCH_pr*.json trail tracks — and compare against the committed
-// baseline file, failing on any metric outside its band. A file without
-// one of these entries fails by the "no baseline entry" rule.
+// — the decoder's unit costs, the TLS and QUIC attack read paths and the
+// dataset pipeline, the numbers the BENCH_pr*.json trail tracks — and
+// compare against the committed baseline file, failing on any metric
+// outside its band. A file without one of these entries fails by the
+// "no baseline entry" rule.
 func runCheck(path string, tol checkTolerances) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -665,11 +602,6 @@ func runCheck(path string, tol checkTolerances) error {
 		return fmt.Errorf("pipeline bench: %w", err)
 	}
 	current = append(current, pipe)
-	sharded, err := pipelineShardedBenchEntry(4)
-	if err != nil {
-		return fmt.Errorf("sharded pipeline bench: %w", err)
-	}
-	current = append(current, sharded)
 	qpipe, err := pipelineQUICBenchEntry()
 	if err != nil {
 		return fmt.Errorf("quic pipeline bench: %w", err)

@@ -347,11 +347,11 @@ func TestScoreDecisions(t *testing.T) {
 	}
 }
 
-// TestMonitorErrorsAtEveryShardCount pins the one front end's error
-// handling: a non-pcap input (refused by Feed) and a capture cut
-// mid-record (refused by Close) fail with the same error through
-// InferPcap as through Feed + Close, unsharded and sharded, and a closed
-// monitor refuses both feed entry points.
+// TestMonitorErrorsAtEveryShardCount pins the Monitor's error handling:
+// a non-pcap input (refused by Feed) and a capture cut mid-record
+// (refused by Close) fail with the same error through InferPcap as
+// through Feed + Close, and a closed monitor refuses both feed entry
+// points.
 func TestMonitorErrorsAtEveryShardCount(t *testing.T) {
 	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
 	full := capturedSession(t, runSession(t, 7, profiles.Fig2Ubuntu), 7)
@@ -366,26 +366,24 @@ func TestMonitorErrorsAtEveryShardCount(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s: InferPcap accepted the capture", tc.name)
 		}
-		for _, shards := range []int{0, 2} {
-			m := NewMonitor(atk, MonitorOptions{Shards: shards})
-			feedErr := m.Feed(tc.data)
-			_, closeErr := m.Close()
-			got := closeErr
-			if feedErr != nil {
-				got = feedErr
-			}
-			if got == nil || got.Error() != want.Error() {
-				t.Errorf("%s, shards=%d: Feed + Close error %v, want %v", tc.name, shards, got, want)
-			}
-			if closeErr == nil || closeErr.Error() != want.Error() {
-				t.Errorf("%s, shards=%d: Close error %v, want %v", tc.name, shards, closeErr, want)
-			}
-			if err := m.Feed(full); err == nil {
-				t.Errorf("%s, shards=%d: Feed after Close succeeded", tc.name, shards)
-			}
-			if err := m.FeedPacket(time.Unix(0, 0), make([]byte, 1200)); err == nil {
-				t.Errorf("%s, shards=%d: FeedPacket after Close succeeded", tc.name, shards)
-			}
+		m := NewMonitor(atk, MonitorOptions{})
+		feedErr := m.Feed(tc.data)
+		_, closeErr := m.Close()
+		got := closeErr
+		if feedErr != nil {
+			got = feedErr
+		}
+		if got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: Feed + Close error %v, want %v", tc.name, got, want)
+		}
+		if closeErr == nil || closeErr.Error() != want.Error() {
+			t.Errorf("%s: Close error %v, want %v", tc.name, closeErr, want)
+		}
+		if err := m.Feed(full); err == nil {
+			t.Errorf("%s: Feed after Close succeeded", tc.name)
+		}
+		if err := m.FeedPacket(time.Unix(0, 0), make([]byte, 1200)); err == nil {
+			t.Errorf("%s: FeedPacket after Close succeeded", tc.name)
 		}
 	}
 }

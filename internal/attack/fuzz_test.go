@@ -3,6 +3,7 @@ package attack
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -24,6 +25,10 @@ var fuzzEpoch = time.Unix(1700000000, 0)
 
 // fuzzTick is the unit of a fuzz record's timestamp delta.
 const fuzzTick = 100 * time.Millisecond
+
+// pcapHeaderBytes is the length of a pcap file header plus one record
+// header.
+const pcapHeaderBytes = 24 + 16
 
 // fuzzFrame is one timestamped frame of a fuzz input.
 type fuzzFrame struct {
@@ -70,20 +75,16 @@ type fuzzOutcome struct {
 	closeErr string
 }
 
-// runFuzzFrames feeds frames one by one through a fresh monitor and
-// closes it.
-func runFuzzFrames(t *testing.T, atk *Attacker, frames []fuzzFrame, win *Window, shards int) fuzzOutcome {
+// runFuzzMonitor feeds a fresh monitor through feed and closes it.
+func runFuzzMonitor(t *testing.T, atk *Attacker, win *Window, feed func(*Monitor) error) fuzzOutcome {
 	t.Helper()
 	var out fuzzOutcome
 	m := NewMonitor(atk, MonitorOptions{
 		Window:  win,
-		Shards:  shards,
 		OnEvent: func(ev Event) { out.events = append(out.events, ev) },
 	})
-	for _, fr := range frames {
-		if err := m.FeedPacket(fr.ts, fr.data); err != nil {
-			t.Fatalf("FeedPacket: %v", err)
-		}
+	if err := feed(m); err != nil {
+		t.Fatal(err)
 	}
 	inf, err := m.Close()
 	out.inf = inf
@@ -91,6 +92,47 @@ func runFuzzFrames(t *testing.T, atk *Attacker, frames []fuzzFrame, win *Window,
 		out.closeErr = err.Error()
 	}
 	return out
+}
+
+// feedFrames feeds frames one by one through FeedPacket.
+func feedFrames(frames []fuzzFrame) func(*Monitor) error {
+	return func(m *Monitor) error {
+		for _, fr := range frames {
+			if err := m.FeedPacket(fr.ts, fr.data); err != nil {
+				return fmt.Errorf("FeedPacket: %w", err)
+			}
+		}
+		return nil
+	}
+}
+
+// feedSplit feeds pcap bytes through Feed in two pieces, cut at off.
+func feedSplit(pcap []byte, off int) func(*Monitor) error {
+	return func(m *Monitor) error {
+		for _, part := range [][]byte{pcap[:off], pcap[off:]} {
+			if err := m.Feed(part); err != nil {
+				return fmt.Errorf("Feed: %w", err)
+			}
+		}
+		return nil
+	}
+}
+
+// fuzzPcap writes frames as pcap bytes. The file header is written even
+// for no frames, so the bytes are always a valid capture.
+func fuzzPcap(tb testing.TB, frames []fuzzFrame) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := pcapio.NewWriter(&buf)
+	if err := w.WriteHeader(); err != nil {
+		tb.Fatal(err)
+	}
+	for _, fr := range frames {
+		if err := w.WritePacket(fr.ts, fr.data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
 }
 
 // tinyCaptureFrames renders a TinyScript session with one noise flow and
@@ -130,13 +172,17 @@ func tinyCaptureFrames(tb testing.TB) []fuzzFrame {
 // FuzzMonitorFeedPacket drives the Monitor's frame entry point with
 // arbitrary frame sequences, in batch mode and in a short rolling window.
 // No input may panic it, feeding the same input twice must give the same
-// events and Close result, and Shards 2 must match Shards 0.
+// events and Close result, and the same frames written as pcap bytes and
+// fed through Feed in two pieces, cut at the offset split picks, must
+// give them too.
 func FuzzMonitorFeedPacket(f *testing.F) {
-	// Frames spread evenly over a real capture, one to a seed: small
-	// seeds keep each execution and each minimization cheap.
+	// Frames spread evenly over a real capture, one to a seed, each cut
+	// inside the frame: small seeds keep each execution and each
+	// minimization cheap (a whole capture overflows the fuzzer's shared
+	// memory).
 	frames := tinyCaptureFrames(f)
 	for i := 0; i < len(frames); i += 1 + len(frames)/7 {
-		f.Add(encodeFuzzFrames(frames[i : i+1]))
+		f.Add(uint16(pcapHeaderBytes+len(frames[i].data)/2), encodeFuzzFrames(frames[i:i+1]))
 	}
 	// The hand-built open and reset of TestShardEquivalenceHandBuilt.
 	x := handKey(40000)
@@ -151,7 +197,7 @@ func FuzzMonitorFeedPacket(f *testing.F) {
 		}
 		hand = append(hand, fuzzFrame{fuzzEpoch.Add(time.Duration(i) * time.Second), frame})
 	}
-	f.Add(encodeFuzzFrames(hand))
+	f.Add(uint16(pcapHeaderBytes+len(hand[0].data)+8), encodeFuzzFrames(hand)) // cut in the second record header
 
 	atk := trainedAttacker(f, profiles.Fig2Ubuntu, []uint64{101})
 	modes := []struct {
@@ -161,15 +207,17 @@ func FuzzMonitorFeedPacket(f *testing.F) {
 		{"batch", nil},
 		{"window", &Window{IdleTimeout: 10 * time.Second, SweepInterval: 4}},
 	}
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Fuzz(func(t *testing.T, split uint16, in []byte) {
 		frames := decodeFuzzFrames(in)
+		pcap := fuzzPcap(t, frames)
+		off := int(split) % (len(pcap) + 1)
 		for _, mode := range modes {
-			want := runFuzzFrames(t, atk, frames, mode.win, 0)
-			if again := runFuzzFrames(t, atk, frames, mode.win, 0); !reflect.DeepEqual(again, want) {
+			want := runFuzzMonitor(t, atk, mode.win, feedFrames(frames))
+			if again := runFuzzMonitor(t, atk, mode.win, feedFrames(frames)); !reflect.DeepEqual(again, want) {
 				t.Fatalf("%s: a second feed of the same input diverged:\n%+v\nwant\n%+v", mode.name, again, want)
 			}
-			if sharded := runFuzzFrames(t, atk, frames, mode.win, 2); !reflect.DeepEqual(sharded, want) {
-				t.Fatalf("%s: Shards 2 diverged from Shards 0:\n%+v\nwant\n%+v", mode.name, sharded, want)
+			if got := runFuzzMonitor(t, atk, mode.win, feedSplit(pcap, off)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: pcap bytes fed in two pieces cut at %d diverged from FeedPacket:\n%+v\nwant\n%+v", mode.name, off, got, want)
 			}
 		}
 	})

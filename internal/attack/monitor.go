@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/layers"
@@ -49,72 +48,31 @@ import (
 // runs indefinitely in memory bounded by the set of concurrently live
 // conversations rather than by uptime.
 //
-// A Monitor is one front end over one or more flow cores. The front end
-// parses pcap framing, copies FeedPacket frames and decodes each packet;
-// it alone owns the capture clock, the ingest sequence, the idle-sweep
-// cadence and the timing-wheel epoch. Each core owns the flows routed to
-// it: reassembly, record scanners, window state and its timing wheel.
-// With MonitorOptions.Shards 0 the single core runs inline on the
-// caller's goroutine; with Shards N the N cores run on worker goroutines
-// (shard.go).
+// A Monitor runs on the caller's goroutine: Feed and FeedPacket parse,
+// decode and process their packets before they return, and OnEvent runs
+// inside those calls. To watch more traffic than one core carries, run
+// one Monitor per process on an RSS-split tap (the NIC hashes each flow
+// to one receive queue), the shape wmdataset -shard uses for corpora.
 //
 // A Monitor is single-session state and not safe for concurrent use.
 type Monitor struct {
 	atk     *Attacker
-	onEvent func(Event)
+	onEvent func(Event) // when set, also runs the live hypothesis engine
 	win     *Window
+	prm     DecodeParams
 
 	cr    *pcapio.ChunkReader
 	arena []byte        // FeedPacket copies frames into chained blocks
 	pkt   layers.Packet // every frame decodes into this one Packet
 
-	// Ordering state every core shares. seq numbers each packet, sweep
-	// barrier and core call; wheelsStarted records that the first decoded
-	// packet's timestamp was handed to every core as its wheel epoch.
-	clock         time.Time // high-water capture timestamp
-	seq           uint64
-	wheelsStarted bool
-	sinceSweep    int       // packets since the last idle sweep
-	sweptAt       time.Time // capture clock of the last idle sweep
-	sweeps        int64     // idle sweeps run
-	finalized     int       // SessionFinalized emitted by Close itself (window mode)
-
-	cores []*flowCore
-
-	// Sharded mode (shard.go): one worker per core; shards is nil at
-	// Shards 0, where the single core runs inline.
-	shards    []*monShard
-	wg        sync.WaitGroup
-	pending   []taggedEvent // merged-but-undelivered events
-	sincePump int
-	stopped   bool // worker goroutines joined; cores run inline
-
-	closed bool
-	err    error
-}
-
-// flowCore is one flow engine: the flows the front end routes to it, with
-// their reassembly, record scanners, rolling-window state and idle timing
-// wheel, and the verdicts Close reduces across cores. It runs only the
-// messages the front end hands it (handle) and never touches another
-// core's flows.
-type flowCore struct {
-	atk  *Attacker
-	win  *Window
-	live bool        // OnEvent is set: run the live hypothesis engine
-	emit func(Event) // the callback inline, the shard's tagged outbox when sharded
-
 	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
-	wheel *timeWheel                  // idle-expiry deadlines (window mode)
+	wheel *timeWheel                  // idle-expiry deadlines (window mode), from the first decoded packet
 
-	// The message being handled: its ingest sequence and the front end's
-	// capture clock. evKey is the flow-level order key within that step:
-	// 0 for packet events (one flow per packet) and the flow's first-seen
-	// sequence for sweep and close events, so a merged multi-core stream
-	// orders expirations exactly as a single core does.
-	seq   uint64
-	clock time.Time
-	evKey uint64
+	clock      time.Time // high-water capture timestamp
+	seq        uint64    // decoded packets so far; orders flows by first sight
+	sinceSweep int       // packets since the last idle sweep
+	sweptAt    time.Time // capture clock of the last idle sweep
+	sweeps     int64     // idle sweeps run
 
 	finalized   int   // SessionFinalized emitted (window mode)
 	expired     int   // FlowExpired emitted (window mode)
@@ -126,41 +84,24 @@ type flowCore struct {
 	// viable flow to expire keeps its inference, preserving the batch rule
 	// that a capture with no classified reports still attacks its biggest
 	// conversation. It costs one Infer per new-largest expiry. settled
-	// stops fallback stashing once a session has finalized on this core
-	// or, during Close, on any core.
+	// stops fallback stashing once a session has finalized.
 	best, fallback *verdict
 	settled        bool
 
 	table      *PathTable // lazily built when the attacker has a graph
 	tableTried bool       // one-shot: a failed build is not retried per record
-	prm        DecodeParams
+
+	closed bool
+	err    error
 }
 
-// evStamp is a point in the global ingest chronology: the packet (or
-// barrier) sequence plus the flow-level key within it. Stamps order
-// cross-core state updates the way a single core ordered them.
-type evStamp struct {
-	seq, key uint64
-}
-
-func (a evStamp) less(b evStamp) bool {
-	return a.seq < b.seq || (a.seq == b.seq && a.key < b.key)
-}
-
-// verdict is one flow's candidacy for the Close result. One pair of rules
-// ranks verdicts on a core and across cores, in both modes: beats for
-// sessions and outweighs for the largest-flow fallback. Both break ties
-// by the order key: the stamp of the verdict's event in window mode (the
-// earlier event wins), the client key in batch mode, where stamps are
-// zero.
+// verdict is one flow's candidacy for the Close result.
 type verdict struct {
 	inf     *Inference
 	flow    layers.FlowKey // client→server key, as SessionFinalized carries it
-	canon   layers.FlowKey // the owning core's flow-table key
 	matched int
 	score   float64
 	bytes   int64
-	at      evStamp
 }
 
 // sessionVerdict ranks a flow's inference by its best hypothesis
@@ -175,31 +116,22 @@ func sessionVerdict(f *monFlow, inf *Inference, hards int) *verdict {
 }
 
 // beats ranks sessions: more matched in-band observations, then a higher
-// score, then the order key.
+// score. Of equals neither beats the other, so the session held first
+// stays.
 func (v *verdict) beats(o *verdict) bool {
 	if v.matched != o.matched {
 		return v.matched > o.matched
 	}
-	if v.score != o.score {
-		return v.score > o.score
-	}
-	return v.precedes(o)
+	return v.score > o.score
 }
 
-// outweighs ranks largest-flow candidates: more bytes, then the order key.
-func (v *verdict) outweighs(o *verdict) bool {
-	if v.bytes != o.bytes {
-		return v.bytes > o.bytes
+// beatsByKey is the batch close's session rule: beats, with equals
+// broken by the lower client key.
+func (v *verdict) beatsByKey(o *verdict) bool {
+	if v.matched == o.matched && v.score == o.score {
+		return v.flow.String() < o.flow.String()
 	}
-	return v.precedes(o)
-}
-
-// precedes compares order keys.
-func (v *verdict) precedes(o *verdict) bool {
-	if v.at != o.at {
-		return v.at.less(o.at)
-	}
-	return v.flow.String() < o.flow.String()
+	return v.beats(o)
 }
 
 // weight is a fallback's byte volume; no fallback weighs 0.
@@ -208,21 +140,6 @@ func (v *verdict) weight() int64 {
 		return 0
 	}
 	return v.bytes
-}
-
-// pickVerdict reduces per-core verdicts (nil where a core has none) to
-// the winner under better and its core index, or (-1, nil).
-func pickVerdict(vs []*verdict, better func(v, o *verdict) bool) (int, *verdict) {
-	idx := -1
-	for i, v := range vs {
-		if v != nil && (idx < 0 || better(v, vs[idx])) {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return -1, nil
-	}
-	return idx, vs[idx]
 }
 
 // Window configures the monitor's rolling-window mode: bounded-memory
@@ -344,15 +261,10 @@ type MonitorOptions struct {
 	// window needs the counters), but the hypothesis engine still needs
 	// the callback.
 	Window *Window
-	// Shards, when > 0, runs the monitor sharded across that many
-	// worker goroutines: flows are distributed by canonical-key hash
-	// (RSS-style), each shard owns its own reassembly, scanners and
-	// window state, and per-shard events are merged back into one
-	// deterministic stream. The event stream, the Close inference and
-	// the error behavior are byte-identical at every shard count,
-	// including Shards == 0 (the single-threaded path); OnEvent still
-	// runs on the feeding goroutine. Feeding calls remain
-	// single-caller: a Monitor is one tap's state at any shard count.
+	// Shards is ignored: a Monitor always runs on the caller's goroutine.
+	//
+	// Deprecated: scale out with one Monitor per process on an RSS-split
+	// tap.
 	Shards int
 }
 
@@ -474,22 +386,18 @@ type MonitorStats struct {
 	// sweeps. With the wheel this grows O(expired + re-armed), not
 	// O(flows × sweeps) — the soak asserts the gap.
 	SweepTouched int64
-	// Shards holds one entry per shard when the monitor runs sharded
-	// (MonitorOptions.Shards > 0); nil on the single-threaded path. The
-	// top-level fields aggregate across shards either way.
+	// Shards is always nil.
+	//
+	// Deprecated: a Monitor is not sharded.
 	Shards []ShardStats
 }
 
-// ShardStats is one shard's slice of a sharded monitor's footprint.
+// ShardStats is the element type of the always-nil MonitorStats.Shards.
+//
+// Deprecated: a Monitor is not sharded.
 type ShardStats struct {
-	// Flows is the shard's tracked conversation count.
+	// Flows is a shard's tracked conversation count.
 	Flows int
-	// LiveFlows are the shard's flows that can still finalize.
-	LiveFlows int
-	// RejectedFlows are the shard's flows in rejected probation.
-	RejectedFlows int
-	// RetainedBytes is the shard's retained buffer memory.
-	RetainedBytes int64
 }
 
 // monDir is one direction of a monitored conversation: the reassembly
@@ -528,7 +436,7 @@ type monFlow struct {
 	server    monDir
 	quic      *quicFlow
 	detected  bool
-	firstSeq  uint64   // global ingest sequence of the flow's first packet
+	firstSeq  uint64   // decoded-packet sequence of the flow's first packet
 	ent       *twEntry // idle-expiry wheel entry (window mode)
 
 	// Rolling-window state.
@@ -551,16 +459,16 @@ type monFlow struct {
 
 // NewMonitor returns a streaming monitor for a trained attacker.
 func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
-	m := &Monitor{atk: a, onEvent: opts.OnEvent}
+	m := &Monitor{
+		atk:     a,
+		onEvent: opts.OnEvent,
+		prm:     a.Decode.withDefaults(),
+		flows:   make(map[layers.FlowKey]*monFlow),
+	}
 	if opts.Window != nil {
 		w := opts.Window.withDefaults()
 		m.win = &w
 	}
-	if opts.Shards > 0 {
-		m.startShards(opts.Shards)
-		return m
-	}
-	m.cores = []*flowCore{m.newCore(opts.OnEvent)}
 	return m
 }
 
@@ -569,19 +477,10 @@ func (a *Attacker) NewMonitor(opts MonitorOptions) *Monitor {
 	return NewMonitor(a, opts)
 }
 
-// newCore builds one flow core. emit receives its events when the
-// monitor has OnEvent.
-func (m *Monitor) newCore(emit func(Event)) *flowCore {
-	if m.onEvent == nil {
-		emit = func(Event) {}
-	}
-	return &flowCore{
-		atk:   m.atk,
-		win:   m.win,
-		live:  m.onEvent != nil,
-		emit:  emit,
-		flows: make(map[layers.FlowKey]*monFlow),
-		prm:   m.atk.Decode.withDefaults(),
+// emit hands one event to the OnEvent callback, if there is one.
+func (m *Monitor) emit(ev Event) {
+	if m.onEvent != nil {
+		m.onEvent(ev)
 	}
 }
 
@@ -621,7 +520,6 @@ func (m *Monitor) feed(chunk []byte, owned bool) error {
 			return m.err
 		}
 		if !ok {
-			m.pump()
 			return nil
 		}
 		m.ingestFrame(rec.Timestamp, rec.Data)
@@ -662,8 +560,8 @@ func wrapReadErr(headerDone bool, err error) error {
 	return fmt.Errorf("attack: reading capture: %w", err)
 }
 
-// ingestFrame decodes one frame, advances the shared clock, sequence and
-// sweep cadence, and routes the packet to its core.
+// ingestFrame decodes one frame, advances the capture clock, packet
+// sequence and sweep cadence, and runs the packet through its flow.
 func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 	if ts.After(m.clock) {
 		m.clock = ts
@@ -674,40 +572,22 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 	}
 	canon, _ := p.Flow().Canonical()
 	if m.win != nil {
-		if !m.wheelsStarted {
-			// Every core's wheel ticks on one grid, anchored at the first
-			// decoded packet, so a flow expires on the same sweep whichever
-			// core owns it.
-			m.wheelsStarted = true
-			m.onCores(func(_ int, c *flowCore) { c.wheel = newTimeWheel(ts, c.win.IdleTimeout) })
+		if m.wheel == nil {
+			// The wheel's tick grid is anchored at the first decoded packet.
+			m.wheel = newTimeWheel(ts, m.win.IdleTimeout)
 		}
 		if m.sweepDue() {
-			// Sweep BEFORE the packet's own events, at its own sequence
-			// step, so a clock jump expires idle flows ahead of whatever
-			// this packet emits — the event stream stays monotone in
-			// capture time. The triggering packet's own flow is exempt: its
-			// arrival is the traffic that disproves idleness, even if the
-			// timestamp gap alone says otherwise.
-			m.seq++
-			for i := range m.cores {
-				m.send(i, shardMsg{kind: msgSweep, seq: m.seq, clock: m.clock, key: canon})
-			}
+			// Sweep BEFORE the packet's own events, so a clock jump expires
+			// idle flows ahead of whatever this packet emits — the event
+			// stream stays monotone in capture time. The triggering
+			// packet's own flow is exempt: its arrival is the traffic that
+			// disproves idleness, even if the timestamp gap alone says
+			// otherwise.
+			m.sweep(canon)
 		}
 	}
 	m.seq++
-	if m.shards == nil {
-		c := m.cores[0]
-		c.seq, c.clock = m.seq, m.clock
-		c.ingest(p, canon)
-		return
-	}
-	// The message carries the Packet by value: m.pkt is overwritten by the
-	// next frame while the shard may still be working on this one.
-	m.send(shardOf(canon, len(m.shards)), shardMsg{kind: msgPacket, seq: m.seq, clock: m.clock, pkt: *p, key: canon})
-	m.sincePump++
-	if m.sincePump >= pumpEvery {
-		m.pump()
-	}
+	m.ingest(p, canon)
 }
 
 // sweepDue advances the sweep cadence by one packet and reports whether
@@ -728,67 +608,23 @@ func (m *Monitor) sweepDue() bool {
 	return true
 }
 
-// send hands one message to core i: inline at Shards 0 (and once the
-// workers have stopped), over the core's ring otherwise.
-func (m *Monitor) send(i int, msg shardMsg) {
-	if m.shards == nil || m.stopped {
-		m.cores[i].handle(msg)
-		return
-	}
-	s := m.shards[i]
-	s.lastSent = msg.seq
-	s.in.Push(msg)
-}
-
-// onCores runs fn against every core at one new sequence step and waits
-// for all of them: inline at Shards 0, on the cores' own goroutines (in
-// parallel) when sharded. fn may write to core-indexed result slots
-// without locking; the wait orders those writes before the caller reads
-// them.
-func (m *Monitor) onCores(fn func(i int, c *flowCore)) {
-	m.seq++
-	var wg sync.WaitGroup
-	wg.Add(len(m.cores))
-	for i := range m.cores {
-		m.send(i, shardMsg{kind: msgCall, seq: m.seq, clock: m.clock, call: func(c *flowCore) {
-			defer wg.Done()
-			fn(i, c)
-		}})
-	}
-	wg.Wait()
-}
-
-// handle runs one front-end message on the core.
-func (c *flowCore) handle(msg shardMsg) {
-	c.seq, c.clock = msg.seq, msg.clock
-	switch msg.kind {
-	case msgPacket:
-		c.ingest(&msg.pkt, msg.key)
-	case msgSweep:
-		c.sweep(msg.key)
-	case msgCall:
-		msg.call(c)
-	}
-}
-
 // ingest runs one decoded packet through reassembly, scanning and window
 // maintenance. canon is the packet's canonical conversation key.
-func (c *flowCore) ingest(p *layers.Packet, canon layers.FlowKey) {
-	c.evKey = 0
+func (m *Monitor) ingest(p *layers.Packet, canon layers.FlowKey) {
 	if p.Proto == layers.IPProtocolUDP {
-		c.ingestDatagram(p, canon)
+		m.ingestDatagram(p, canon)
 		return
 	}
 	ts := p.Timestamp
-	f := c.flowFor(canon, ts)
+	f := m.flowFor(canon, ts)
 	f.lastSeen = ts
 	key := p.Flow()
 	dir, isClient := f.direction(key)
 	if dir.stream == nil {
-		// Both feed paths hand the core stable memory: pcap chunks live in
-		// the ChunkReader's grow-only buffer and FeedPacket copies frames
-		// into the monitor's arena, so reassembly owns payloads without
-		// copying each segment again.
+		// Both feed paths hand reassembly stable memory: pcap chunks live
+		// in the ChunkReader's grow-only buffer and FeedPacket copies
+		// frames into the monitor's arena, so reassembly owns payloads
+		// without copying each segment again.
 		dir.stream = tcpreasm.NewStream(key, true)
 		dir.sc = tlsrec.NewRecordScanner()
 		if isClient {
@@ -812,37 +648,37 @@ func (c *flowCore) ingest(p *layers.Packet, canon layers.FlowKey) {
 	if dir.sc.Err() != nil {
 		// Not TLS: the conversation can never be attacked, so stop
 		// buffering it in every mode (its data is never read again).
-		c.deadenFlow(f)
+		m.deadenFlow(f)
 	} else if !f.dead {
 		recs := dir.sc.Records()
 		if base := dir.sc.Released(); dir.taken < base+len(recs) {
 			for _, r := range recs[dir.taken-base:] {
 				if isClient {
-					c.onClientRecord(f, r)
+					m.onClientRecord(f, r)
 				}
 			}
 			dir.taken = base + len(recs)
 		}
 	}
-	if c.win != nil {
-		c.maintainFlow(f, dir, isClient)
-		c.maybeFinalize(f, ts)
+	if m.win != nil {
+		m.maintainFlow(f, dir, isClient)
+		m.maybeFinalize(f, ts)
 	}
 }
 
 // flowFor finds or creates the tracked flow for a canonical key,
 // scheduling its idle-expiry wheel entry in window mode.
-func (c *flowCore) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
-	f, ok := c.flows[canon]
+func (m *Monitor) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
+	f, ok := m.flows[canon]
 	if !ok {
-		f = &monFlow{canonical: canon, firstSeq: c.seq}
+		f = &monFlow{canonical: canon, firstSeq: m.seq}
 		if canon.Proto == layers.IPProtocolUDP {
 			f.quic = &quicFlow{}
 		}
-		c.flows[canon] = f
-		if c.wheel != nil {
-			f.ent = &twEntry{deadline: ts.Add(c.win.IdleTimeout), ord: f.firstSeq, flow: f}
-			c.wheel.schedule(f.ent)
+		m.flows[canon] = f
+		if m.wheel != nil {
+			f.ent = &twEntry{deadline: ts.Add(m.win.IdleTimeout), ord: f.firstSeq, flow: f}
+			m.wheel.schedule(f.ent)
 		}
 	}
 	return f
@@ -856,9 +692,9 @@ func (c *flowCore) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
 // the burst segmenter, and each completed burst replays through the
 // record pipeline as a pseudo-record of the burst's summed size. Nothing
 // beyond sizes and times is retained.
-func (c *flowCore) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
+func (m *Monitor) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
 	ts := p.Timestamp
-	f := c.flowFor(canon, ts)
+	f := m.flowFor(canon, ts)
 	f.lastSeen = ts
 	if f.dead {
 		return
@@ -872,7 +708,7 @@ func (c *flowCore) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
 		if !quicrec.Sniff(p.Payload) {
 			// Not QUIC (plain DNS, WebRTC, ...): never attackable, stop
 			// tracking its bytes in every mode.
-			c.deadenFlow(f)
+			m.deadenFlow(f)
 			return
 		}
 	}
@@ -894,38 +730,38 @@ func (c *flowCore) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
 		if !q.observed {
 			if ver, dcidLen, ok := quicrec.ParseLongHeader(p.Payload); ok {
 				q.observed = true
-				c.emit(QUICFlowObserved{Flow: f.eventKey(), At: ts, Version: ver, DCIDLen: dcidLen})
+				m.emit(QUICFlowObserved{Flow: f.eventKey(), At: ts, Version: ver, DCIDLen: dcidLen})
 			}
 		}
 		return // handshake flights never join bursts
 	}
 	if isClient {
 		if b, ok := q.seg.Feed(ts, len(p.Payload)); ok {
-			c.quicBurst(f, b)
+			m.quicBurst(f, b)
 		}
 	}
-	if c.win != nil {
-		c.noiseTick(f, func() { q.recs = q.recs[:0] })
+	if m.win != nil {
+		m.noiseTick(f, func() { q.recs = q.recs[:0] })
 	}
 }
 
 // quicBurst records one completed client burst as a pseudo-record and
 // runs it through the same classify/detect/decode step a scanned TLS
 // record takes.
-func (c *flowCore) quicBurst(f *monFlow, b Burst) {
+func (m *Monitor) quicBurst(f *monFlow, b Burst) {
 	rec := tlsrec.Record{Type: tlsrec.ContentApplicationData, Length: b.Bytes, Time: b.Start}
 	f.quic.recs = append(f.quic.recs, rec)
-	c.onClientRecord(f, rec)
+	m.onClientRecord(f, rec)
 }
 
 // flushQUIC closes a QUIC flow's open burst — the flow is ending, so the
 // silence that would have closed it will never be observed.
-func (c *flowCore) flushQUIC(f *monFlow) {
+func (m *Monitor) flushQUIC(f *monFlow) {
 	if f.quic == nil || f.dead {
 		return
 	}
 	if b, ok := f.quic.seg.Flush(); ok {
-		c.quicBurst(f, b)
+		m.quicBurst(f, b)
 	}
 }
 
@@ -950,14 +786,14 @@ func (f *monFlow) quicDirection(k layers.FlowKey) bool {
 // deadenFlow marks a conversation as unattackable and evicts its buffers:
 // reassembly stops retaining payloads and already-scanned descriptors are
 // dropped. Candidate selection is unaffected — the flow was never viable.
-func (c *flowCore) deadenFlow(f *monFlow) {
+func (m *Monitor) deadenFlow(f *monFlow) {
 	if f.dead {
 		return
 	}
 	f.dead = true
 	if f.rejected {
 		f.rejected = false
-		c.rejectedNow--
+		m.rejectedNow--
 	}
 	for _, d := range []*monDir{&f.client, &f.server} {
 		if d.stream != nil {
@@ -975,12 +811,12 @@ func (c *flowCore) deadenFlow(f *monFlow) {
 // maintainFlow is the rolling-window bookkeeping after one packet: the
 // server side's record descriptors (which the attack never reads) are
 // dropped, and the client side drives the noise-rejection state machine.
-func (c *flowCore) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
+func (m *Monitor) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
 	if !isClient {
 		dir.sc.ReleaseRecords(dir.sc.Released() + len(dir.sc.Records()))
 		return
 	}
-	c.noiseTick(f, func() { dir.sc.ReleaseRecords(dir.taken) })
+	m.noiseTick(f, func() { dir.sc.ReleaseRecords(dir.taken) })
 }
 
 // noiseTick drives the zero-report rejection state machine for one flow's
@@ -988,7 +824,7 @@ func (c *flowCore) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
 // client record descriptors — scanner records for TCP, burst
 // pseudo-records for QUIC — which is the only transport-specific part of
 // the machine.
-func (c *flowCore) noiseTick(f *monFlow, dropRecs func()) {
+func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 	if f.dead {
 		return
 	}
@@ -998,11 +834,11 @@ func (c *flowCore) noiseTick(f *monFlow, dropRecs func()) {
 			// earliest descriptors are gone, so a finalize sees a partial
 			// observation — the price of having looked like noise.
 			f.rejected = false
-			c.rejectedNow--
+			m.rejectedNow--
 		}
 		return
 	}
-	w := c.win
+	w := m.win
 	if !f.rejected {
 		// Two rejection triggers: the count rule (dense flows trip it in
 		// seconds) and the clock rule (a slow drip of reportless records
@@ -1010,20 +846,20 @@ func (c *flowCore) noiseTick(f *monFlow, dropRecs func()) {
 		// record count would).
 		quiet := w.RejectQuiet > 0 && !f.firstAppAt.IsZero() &&
 			f.classified >= w.RejectQuietMinRecords &&
-			c.clock.Sub(f.firstAppAt) >= w.RejectQuiet
+			m.clock.Sub(f.firstAppAt) >= w.RejectQuiet
 		if f.classified >= w.RejectAfterRecords || quiet {
 			// Before the descriptors go: if no session has been seen yet,
 			// this flow may still end up the batch-rule fallback target
 			// (largest conversation of a reportless capture), so its decode
 			// over the pre-rejection prefix is stashed now — rejection must
 			// never turn a zero-report capture into an error.
-			c.stashFallback(f)
+			m.stashFallback(f)
 			f.rejected = true
-			c.rejectedNow++
+			m.rejectedNow++
 			f.rechecks = w.RecheckBudget
 			f.nextRecheck = f.classified + w.RecheckEvery
 			if w.RejectQuiet > 0 {
-				f.nextRecheckT = c.clock.Add(w.RejectQuiet)
+				f.nextRecheckT = m.clock.Add(w.RejectQuiet)
 			}
 			dropRecs()
 		}
@@ -1035,20 +871,20 @@ func (c *flowCore) noiseTick(f *monFlow, dropRecs func()) {
 	// first, so slow drips cannot stretch probation indefinitely.
 	dropRecs()
 	recheckDue := f.classified >= f.nextRecheck ||
-		(!f.nextRecheckT.IsZero() && !c.clock.Before(f.nextRecheckT))
+		(!f.nextRecheckT.IsZero() && !m.clock.Before(f.nextRecheckT))
 	if recheckDue {
 		f.rechecks--
 		f.nextRecheck = f.classified + w.RecheckEvery
 		if w.RejectQuiet > 0 {
-			f.nextRecheckT = c.clock.Add(w.RejectQuiet)
+			f.nextRecheckT = m.clock.Add(w.RejectQuiet)
 		}
 		if f.rechecks <= 0 {
 			f.rejected = false
-			c.rejectedNow--
-			c.deadenFlow(f)
-			c.expired++
+			m.rejectedNow--
+			m.deadenFlow(f)
+			m.expired++
 			f.announced = true
-			c.emit(FlowExpired{Flow: f.eventKey(), At: c.clock,
+			m.emit(FlowExpired{Flow: f.eventKey(), At: m.clock,
 				Reason: "rejected", Records: f.classified, Bytes: f.totalBytes()})
 		}
 	}
@@ -1056,16 +892,16 @@ func (c *flowCore) noiseTick(f *monFlow, dropRecs func()) {
 
 // maybeFinalize finalizes a flow whose transport state ended: both
 // directions saw their FIN delivered, or either direction was reset.
-func (c *flowCore) maybeFinalize(f *monFlow, at time.Time) {
+func (m *Monitor) maybeFinalize(f *monFlow, at time.Time) {
 	cs, ss := f.client.stream, f.server.stream
 	if cs == nil || ss == nil {
 		return
 	}
 	switch {
 	case cs.Aborted() || ss.Aborted():
-		c.finalizeFlow(f, at, "rst")
+		m.finalizeFlow(f, at, "rst")
 	case cs.Complete() && ss.Complete():
-		c.finalizeFlow(f, at, "fin")
+		m.finalizeFlow(f, at, "fin")
 	}
 }
 
@@ -1083,46 +919,44 @@ func (c *flowCore) maybeFinalize(f *monFlow, at time.Time) {
 // exceeds the idle timeout — the flow is provably not idle, its next
 // packet is already in hand. Expiry order is the flow's first-seen order
 // (twEntry.ord).
-func (c *flowCore) sweep(exempt layers.FlowKey) {
-	for _, e := range c.wheel.advance(c.clock) {
-		c.sweepTouch++
+func (m *Monitor) sweep(exempt layers.FlowKey) {
+	for _, e := range m.wheel.advance(m.clock) {
+		m.sweepTouch++
 		f := e.flow
-		if c.flows[f.canonical] != f {
+		if m.flows[f.canonical] != f {
 			continue // dropped since scheduling; stale entry
 		}
-		if f.lastSeen.IsZero() || f.lastSeen.Add(c.win.IdleTimeout).After(c.clock) || f.canonical == exempt {
+		if f.lastSeen.IsZero() || f.lastSeen.Add(m.win.IdleTimeout).After(m.clock) || f.canonical == exempt {
 			// Re-arm at the refreshed deadline. For the exempt flow this
 			// may still be in the past (its packet has not landed yet);
 			// schedule clamps past deadlines one tick out, and the next
 			// pop re-checks against the then-updated lastSeen.
-			e.deadline = f.lastSeen.Add(c.win.IdleTimeout)
-			c.wheel.schedule(e)
+			e.deadline = f.lastSeen.Add(m.win.IdleTimeout)
+			m.wheel.schedule(e)
 			continue
 		}
-		c.evKey = f.firstSeq
-		c.finalizeFlow(f, c.clock, "idle")
+		m.finalizeFlow(f, m.clock, "idle")
 	}
-	c.evKey = 0
 }
 
 // sessionReady reports whether a flow has the in-band evidence to finalize
 // as an interactive session.
-func (c *flowCore) sessionReady(f *monFlow) bool {
-	return !f.dead && f.viable() && c.hardCount(f) >= minSessionHards
+func (m *Monitor) sessionReady(f *monFlow) bool {
+	return !f.dead && f.viable() && m.hardCount(f) >= minSessionHards
 }
 
-// finalizeFlow concludes one flow and removes it from the core. A viable
+// finalizeFlow concludes one flow and removes it from the monitor. A viable
 // flow with enough in-band evidence is inferred and emitted as a
 // SessionFinalized — for a mid-session idle expiry that inference carries
 // the partial path decoded so far and its confirmed-prefix DecodeMargin —
 // and everything else expires.
-func (c *flowCore) finalizeFlow(f *monFlow, at time.Time, reason string) {
-	defer c.dropFlow(f)
+func (m *Monitor) finalizeFlow(f *monFlow, at time.Time, reason string) {
+	defer m.dropFlow(f)
 	// A QUIC flow's last write never sees the gap that would close it.
-	c.flushQUIC(f)
-	if c.sessionReady(f) {
-		if inf, err := c.atk.Infer(f.observation()); err == nil {
-			c.noteFinal(sessionVerdict(f, inf, c.hardCount(f)))
+	m.flushQUIC(f)
+	if m.sessionReady(f) {
+		if inf, err := m.atk.Infer(f.observation()); err == nil {
+			m.noteFinal(sessionVerdict(f, inf, m.hardCount(f)))
 			return
 		}
 	}
@@ -1130,55 +964,53 @@ func (c *flowCore) finalizeFlow(f *monFlow, at time.Time, reason string) {
 	// tail; its richer pre-rejection prefix was already stashed when the
 	// rejection hit, so don't overwrite that with a worse observation.
 	if !f.dead && !f.rejected {
-		c.stashFallback(f)
+		m.stashFallback(f)
 	}
 	if !f.announced {
-		c.expired++
+		m.expired++
 		f.announced = true
-		c.emit(FlowExpired{Flow: f.eventKey(), At: at, Reason: reason,
+		m.emit(FlowExpired{Flow: f.eventKey(), At: at, Reason: reason,
 			Records: f.classified, Bytes: f.totalBytes()})
 	}
 }
 
-// noteFinal stamps a finalized session, keeps it when it beats the best
-// so far (the first of equals stays, being the earlier event) and emits
-// its SessionFinalized.
-func (c *flowCore) noteFinal(v *verdict) {
-	v.at = evStamp{c.seq, c.evKey}
-	if c.best == nil || v.beats(c.best) {
-		c.best = v
+// noteFinal keeps a finalized session when it beats the best so far (the
+// first of equals stays, being the earlier event) and emits its
+// SessionFinalized.
+func (m *Monitor) noteFinal(v *verdict) {
+	if m.best == nil || v.beats(m.best) {
+		m.best = v
 	}
-	c.settled = true
-	c.finalized++
-	c.emit(SessionFinalized{Flow: v.flow, Inference: v.inf})
+	m.settled = true
+	m.finalized++
+	m.emit(SessionFinalized{Flow: v.flow, Inference: v.inf})
 }
 
 // stashFallback makes f's inference the largest-flow fallback when no
 // session has settled and f outweighs the current fallback.
-func (c *flowCore) stashFallback(f *monFlow) {
-	if c.settled || !f.viable() || f.totalBytes() <= c.fallback.weight() {
+func (m *Monitor) stashFallback(f *monFlow) {
+	if m.settled || !f.viable() || f.totalBytes() <= m.fallback.weight() {
 		return
 	}
-	if inf, err := c.atk.Infer(f.observation()); err == nil {
-		c.fallback = &verdict{inf: inf, flow: f.clientKey, canon: f.canonical,
-			bytes: f.totalBytes(), at: evStamp{c.seq, c.evKey}}
+	if inf, err := m.atk.Infer(f.observation()); err == nil {
+		m.fallback = &verdict{inf: inf, flow: f.clientKey, bytes: f.totalBytes()}
 	}
 }
 
 // dropFlow releases a flow's reassembly state and forgets it. A later
 // packet on the same 5-tuple starts a fresh conversation, which is how
 // port reuse on a long tap should read.
-func (c *flowCore) dropFlow(f *monFlow) {
+func (m *Monitor) dropFlow(f *monFlow) {
 	if f.rejected {
 		f.rejected = false
-		c.rejectedNow--
+		m.rejectedNow--
 	}
 	for _, d := range []*monDir{&f.client, &f.server} {
 		if d.stream != nil {
 			d.stream.Discard()
 		}
 	}
-	delete(c.flows, f.canonical)
+	delete(m.flows, f.canonical)
 }
 
 // eventKey is the key flow-level events carry: client→server when known.
@@ -1220,8 +1052,8 @@ func (f *monFlow) direction(k layers.FlowKey) (*monDir, bool) {
 // (which classifies through Infer anyway), so the whole step is skipped
 // and the one-shot wrapper stays as cheap as the old batch path. With a
 // window but no callback only the counters the window needs are kept.
-func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
-	if !c.live && c.win == nil {
+func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
+	if m.onEvent == nil && m.win == nil {
 		return
 	}
 	if f.anchor.IsZero() {
@@ -1230,8 +1062,8 @@ func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	if rec.Type != tlsrec.ContentApplicationData {
 		return
 	}
-	soft, _ := c.atk.Classifier.(SoftClassifier)
-	cr := classifyRecord(rec, c.atk.Classifier, soft)
+	soft, _ := m.atk.Classifier.(SoftClassifier)
+	cr := classifyRecord(rec, m.atk.Classifier, soft)
 	idx := f.classified
 	f.classified++
 	if f.firstAppAt.IsZero() {
@@ -1243,7 +1075,7 @@ func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
 		f.hards++
 		if !f.detected {
 			f.detected = true
-			c.emit(FlowDetected{Flow: f.clientKey, At: rec.Time, Length: rec.Length, Class: cr.Class})
+			m.emit(FlowDetected{Flow: f.clientKey, At: rec.Time, Length: rec.Length, Class: cr.Class})
 		}
 		// Plain running decode: a type-1 opens a choice, a type-2 before
 		// the next type-1 flips the latest one to non-default.
@@ -1259,7 +1091,7 @@ func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
 			}
 		}
 	}
-	if !c.live || f.rejected {
+	if m.onEvent == nil || f.rejected {
 		// Window-only bookkeeping, or a flow in rejected probation whose
 		// hypothesis engine is paused: counters are all that is needed.
 		return
@@ -1268,9 +1100,9 @@ func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	if !ok {
 		return
 	}
-	if t := c.liveTable(); t != nil {
+	if t := m.liveTable(); t != nil {
 		if f.pa == nil {
-			f.pa = newPrefixAligner(t, c.prm)
+			f.pa = newPrefixAligner(t, m.prm)
 		}
 		f.pa.observe(ev)
 	}
@@ -1303,25 +1135,25 @@ func (c *flowCore) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	} else if ci.Choice >= 0 {
 		ci.TookDefault = f.plainChoices[ci.Choice].TookDefault
 	}
-	c.emit(ci)
+	m.emit(ci)
 }
 
 // liveTable lazily builds the shared decoding table for the live engine.
 // A failed build is remembered and not retried on every record.
-func (c *flowCore) liveTable() *PathTable {
-	if c.tableTried || c.atk.Graph == nil {
-		return c.table
+func (m *Monitor) liveTable() *PathTable {
+	if m.tableTried || m.atk.Graph == nil {
+		return m.table
 	}
-	c.tableTried = true
-	maxChoices := c.atk.MaxChoices
+	m.tableTried = true
+	maxChoices := m.atk.MaxChoices
 	if maxChoices <= 0 {
 		maxChoices = 16
 	}
-	t, err := PathTableFor(c.atk.Graph, maxChoices)
+	t, err := PathTableFor(m.atk.Graph, maxChoices)
 	if err != nil {
 		return nil // fall back to the plain running decode
 	}
-	c.table = t
+	m.table = t
 	return t
 }
 
@@ -1351,42 +1183,18 @@ func (f *monFlow) viable() bool {
 
 // Stats snapshots the monitor's flow table and retained memory.
 func (m *Monitor) Stats() MonitorStats {
-	per := make([]MonitorStats, len(m.cores))
-	m.onCores(func(i int, c *flowCore) { per[i] = c.stats() })
-	st := MonitorStats{FinalizedSessions: m.finalized, Sweeps: m.sweeps}
+	st := MonitorStats{
+		Flows:             len(m.flows),
+		RejectedFlows:     m.rejectedNow,
+		FinalizedSessions: m.finalized,
+		ExpiredFlows:      m.expired,
+		Sweeps:            m.sweeps,
+		SweepTouched:      m.sweepTouch,
+	}
 	if m.cr != nil {
 		st.RetainedBytes += int64(m.cr.Buffered())
 	}
-	for _, cs := range per {
-		st.Flows += cs.Flows
-		st.LiveFlows += cs.LiveFlows
-		st.RejectedFlows += cs.RejectedFlows
-		st.FinalizedSessions += cs.FinalizedSessions
-		st.ExpiredFlows += cs.ExpiredFlows
-		st.RetainedBytes += cs.RetainedBytes
-		st.SweepTouched += cs.SweepTouched
-		if m.shards != nil {
-			st.Shards = append(st.Shards, ShardStats{
-				Flows:         cs.Flows,
-				LiveFlows:     cs.LiveFlows,
-				RejectedFlows: cs.RejectedFlows,
-				RetainedBytes: cs.RetainedBytes,
-			})
-		}
-	}
-	return st
-}
-
-// stats snapshots one core's share of Stats.
-func (c *flowCore) stats() MonitorStats {
-	st := MonitorStats{
-		Flows:             len(c.flows),
-		RejectedFlows:     c.rejectedNow,
-		FinalizedSessions: c.finalized,
-		ExpiredFlows:      c.expired,
-		SweepTouched:      c.sweepTouch,
-	}
-	for _, f := range c.flows {
+	for _, f := range m.flows {
 		if !f.dead {
 			st.LiveFlows++
 		}
@@ -1415,21 +1223,18 @@ func (c *flowCore) stats() MonitorStats {
 // flow finalizes first — emitting its own SessionFinalized or FlowExpired
 // — and the best inference across the whole run is returned.
 //
-// Close runs its phases on every core and reduces the per-core verdicts
-// by one rule at every shard count: best (matched, score), then the
-// order key; the largest-flow fallback by bytes, then the order key. The
-// order key is the client key in batch mode; in window mode it is the
-// event stamp, so of equals the earlier finalization wins. Flows still
-// open at Close finalize or expire in first-seen sequence order — the
-// order the timing wheel and the shard merge use — so a 5-tuple reused
-// after its first conversation ended closes after the flows first seen
-// before its reuse.
+// Flows still open at Close finalize or expire in first-seen order — the
+// order the timing wheel uses — so a 5-tuple reused after its first
+// conversation ended closes after the flows first seen before its reuse.
+// Sessions rank by (matched, score). In window mode the earlier of two
+// equal sessions wins, and the largest-flow fallback takes only strictly
+// more bytes; in batch mode equal sessions and equal-size flows break by
+// client key.
 func (m *Monitor) Close() (*Inference, error) {
 	if m.closed {
 		return nil, errors.New("attack: monitor already closed")
 	}
 	m.closed = true
-	defer m.stop()
 	if m.err == nil && m.cr != nil {
 		if err := m.cr.TailErr(); err != nil {
 			m.err = wrapReadErr(m.cr.HeaderDone(), err)
@@ -1445,121 +1250,84 @@ func (m *Monitor) Close() (*Inference, error) {
 	}
 }
 
-// announce delivers every event the cores emitted, then the
-// SessionFinalized that Close itself decided, and returns its inference.
-func (m *Monitor) announce(v *verdict) (*Inference, error) {
-	m.stop()
-	if m.onEvent != nil {
-		m.onEvent(SessionFinalized{Flow: v.flow, Inference: v.inf})
-	}
-	return v.inf, nil
-}
-
-// closeBatch is the batch close: the best in-band candidate across cores
-// wins, else the largest viable conversation is attacked (the batch
-// rule), and Close emits the one SessionFinalized.
+// closeBatch is the batch close: open QUIC bursts close (the silence that
+// would have closed them will never be observed), every flow with
+// in-band reports is inferred and ranked as a session, and the best one
+// wins; else the largest viable conversation is attacked (the batch
+// rule). Close emits the one SessionFinalized.
 func (m *Monitor) closeBatch() (*Inference, error) {
-	best := make([]*verdict, len(m.cores))
-	largest := make([]*verdict, len(m.cores))
-	m.onCores(func(i int, c *flowCore) { best[i], largest[i] = c.batchVerdicts() })
-	if _, v := pickVerdict(best, (*verdict).beats); v != nil {
-		return m.announce(v)
-	}
-	i, v := pickVerdict(largest, (*verdict).outweighs)
-	if v == nil {
-		return nil, ErrNoTLSConversation
-	}
-	var err error
-	m.onCores(func(j int, c *flowCore) {
-		if j == i {
-			v.inf, err = c.atk.Infer(c.flows[v.canon].observation())
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m.announce(v)
-}
-
-// batchVerdicts is one core's batch close: open QUIC bursts close (the
-// silence that would have closed them will never be observed), then
-// every viable flow is a largest-flow candidate and every flow with
-// in-band reports is inferred and ranked as a session.
-func (c *flowCore) batchVerdicts() (best, largest *verdict) {
-	for _, f := range c.openFlows() {
-		c.evKey = f.firstSeq
-		c.flushQUIC(f)
+	var best *verdict
+	var largest *monFlow
+	for _, f := range m.openFlows() {
+		m.flushQUIC(f)
 		if !f.viable() {
 			continue
 		}
-		v := &verdict{flow: f.clientKey, canon: f.canonical, bytes: f.totalBytes()}
-		if largest == nil || v.outweighs(largest) {
-			largest = v
+		if largest == nil || f.heavier(largest) {
+			largest = f
 		}
-		hards := c.hardCount(f)
+		hards := m.hardCount(f)
 		if hards == 0 {
 			continue
 		}
-		if inf, err := c.atk.Infer(f.observation()); err == nil {
-			if v := sessionVerdict(f, inf, hards); best == nil || v.beats(best) {
+		if inf, err := m.atk.Infer(f.observation()); err == nil {
+			if v := sessionVerdict(f, inf, hards); best == nil || v.beatsByKey(best) {
 				best = v
 			}
 		}
 	}
-	c.evKey = 0
-	return best, largest
+	if best == nil {
+		if largest == nil {
+			return nil, ErrNoTLSConversation
+		}
+		inf, err := m.atk.Infer(largest.observation())
+		if err != nil {
+			return nil, err
+		}
+		best = &verdict{inf: inf, flow: largest.clientKey}
+	}
+	m.emit(SessionFinalized{Flow: best.flow, Inference: best.inf})
+	return best.inf, nil
 }
 
-// closeWindowed drains the window at end of feed in three phases run on
-// every core, with the per-core verdicts reduced between them: flows
-// with in-band evidence finalize as sessions; if none did anywhere, the
+// heavier ranks largest-flow candidates in the batch close: more bytes,
+// then the lower client key.
+func (f *monFlow) heavier(o *monFlow) bool {
+	if b, ob := f.totalBytes(), o.totalBytes(); b != ob {
+		return b > ob
+	}
+	return f.clientKey.String() < o.clientKey.String()
+}
+
+// closeWindowed drains the window at end of feed in three steps: flows
+// with in-band evidence finalize as sessions; if none has finalized, the
 // largest still-open conversation is attacked — the batch fallback for
 // captures whose reports never classified — unless an already-expired
 // flow outweighs it; everything else expires with reason "close". With
 // still no session, the largest expired viable flow is the answer.
 func (m *Monitor) closeWindowed() (*Inference, error) {
-	n := len(m.cores)
-	best, fallback := make([]*verdict, n), make([]*verdict, n)
-	m.onCores(func(i int, c *flowCore) {
-		c.closeFlows(c.sessionReady)
-		best[i], fallback[i] = c.best, c.fallback
-	})
-	_, won := pickVerdict(best, (*verdict).beats)
-	if won == nil {
-		open := make([]*verdict, n)
-		m.onCores(func(i int, c *flowCore) { open[i] = c.largestOpen() })
-		_, top := pickVerdict(fallback, (*verdict).outweighs)
-		if i, lg := pickVerdict(open, (*verdict).outweighs); lg != nil && lg.bytes > top.weight() {
-			m.onCores(func(j int, c *flowCore) {
-				if j == i {
-					c.finalizeLargest(lg.canon)
-					best[j] = c.best
-				}
-			})
-			_, won = pickVerdict(best, (*verdict).beats)
+	m.closeFlows(m.sessionReady)
+	if m.best == nil {
+		if f := m.largestOpen(); f != nil && f.totalBytes() > m.fallback.weight() {
+			m.finalizeLargest(f)
 		}
 	}
-	// Once a session has won anywhere, no core stashes fallbacks: a
-	// single core would have stopped at its first final.
-	m.onCores(func(i int, c *flowCore) {
-		c.settled = c.settled || won != nil
-		c.closeFlows(func(*monFlow) bool { return true })
-		best[i], fallback[i] = c.best, c.fallback
-	})
-	if _, v := pickVerdict(best, (*verdict).beats); v != nil {
-		return v.inf, nil
+	m.closeFlows(func(*monFlow) bool { return true })
+	if m.best != nil {
+		return m.best.inf, nil
 	}
-	if _, v := pickVerdict(fallback, (*verdict).outweighs); v != nil {
+	if v := m.fallback; v != nil {
 		m.finalized++
-		return m.announce(v)
+		m.emit(SessionFinalized{Flow: v.flow, Inference: v.inf})
+		return v.inf, nil
 	}
 	return nil, ErrNoTLSConversation
 }
 
-// openFlows lists the core's flows in first-seen order.
-func (c *flowCore) openFlows() []*monFlow {
-	fs := make([]*monFlow, 0, len(c.flows))
-	for _, f := range c.flows {
+// openFlows lists the tracked flows in first-seen order.
+func (m *Monitor) openFlows() []*monFlow {
+	fs := make([]*monFlow, 0, len(m.flows))
+	for _, f := range m.flows {
 		fs = append(fs, f)
 	}
 	sort.Slice(fs, func(i, j int) bool { return fs[i].firstSeq < fs[j].firstSeq })
@@ -1568,27 +1336,22 @@ func (c *flowCore) openFlows() []*monFlow {
 
 // closeFlows finalizes, in first-seen order, every open flow that keep
 // accepts, with reason "close".
-func (c *flowCore) closeFlows(keep func(*monFlow) bool) {
-	for _, f := range c.openFlows() {
+func (m *Monitor) closeFlows(keep func(*monFlow) bool) {
+	for _, f := range m.openFlows() {
 		if keep(f) {
-			c.evKey = f.firstSeq
-			c.finalizeFlow(f, c.clock, "close")
+			m.finalizeFlow(f, m.clock, "close")
 		}
 	}
-	c.evKey = 0
 }
 
-// largestOpen is the core's largest still-open viable flow — the
-// candidate for the batch largest-conversation fallback at close.
-func (c *flowCore) largestOpen() *verdict {
-	var largest *verdict
-	for _, f := range c.openFlows() {
-		if f.dead || !f.viable() {
-			continue
-		}
-		v := &verdict{flow: f.clientKey, canon: f.canonical, bytes: f.totalBytes(), at: evStamp{c.seq, f.firstSeq}}
-		if largest == nil || v.outweighs(largest) {
-			largest = v
+// largestOpen is the largest still-open viable flow, the first seen of
+// equals — the candidate for the batch largest-conversation fallback at
+// close.
+func (m *Monitor) largestOpen() *monFlow {
+	var largest *monFlow
+	for _, f := range m.openFlows() {
+		if !f.dead && f.viable() && (largest == nil || f.totalBytes() > largest.totalBytes()) {
+			largest = f
 		}
 	}
 	return largest
@@ -1596,13 +1359,10 @@ func (c *flowCore) largestOpen() *verdict {
 
 // finalizeLargest runs the largest-conversation attack on one still-open
 // flow and finalizes it. A failed Infer leaves the flow to expire.
-func (c *flowCore) finalizeLargest(canon layers.FlowKey) {
-	f := c.flows[canon]
-	if inf, err := c.atk.Infer(f.observation()); err == nil {
-		c.evKey = f.firstSeq
-		c.noteFinal(&verdict{inf: inf, flow: f.clientKey})
-		c.dropFlow(f)
-		c.evKey = 0
+func (m *Monitor) finalizeLargest(f *monFlow) {
+	if inf, err := m.atk.Infer(f.observation()); err == nil {
+		m.noteFinal(&verdict{inf: inf, flow: f.clientKey})
+		m.dropFlow(f)
 	}
 }
 
@@ -1612,8 +1372,8 @@ func (c *flowCore) finalizeLargest(canon layers.FlowKey) {
 // during the feed to keep the one-shot path cheap — the client records
 // are classified here, once, for the close-time selection that needs
 // them.
-func (c *flowCore) hardCount(f *monFlow) int {
-	if c.live || c.win != nil {
+func (m *Monitor) hardCount(f *monFlow) int {
+	if m.onEvent != nil || m.win != nil {
 		return f.hards
 	}
 	n := 0
@@ -1627,7 +1387,7 @@ func (c *flowCore) hardCount(f *monFlow) int {
 		if r.Type != tlsrec.ContentApplicationData {
 			continue
 		}
-		if cls, _ := c.atk.Classifier.Classify(r.Length); cls == ClassType1 || cls == ClassType2 {
+		if cls, _ := m.atk.Classifier.Classify(r.Length); cls == ClassType1 || cls == ClassType2 {
 			n++
 		}
 	}

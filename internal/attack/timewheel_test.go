@@ -130,8 +130,7 @@ func TestTimeWheelReArm(t *testing.T) {
 
 // TestTimeWheelIdenticalDeadlineOrder pins expiry-order determinism:
 // entries sharing one deadline pop in ord order regardless of insertion
-// order, so sharded and unsharded sweeps expire equal-deadline flows
-// identically.
+// order, so a sweep expires equal-deadline flows in first-seen order.
 func TestTimeWheelIdenticalDeadlineOrder(t *testing.T) {
 	epoch := time.Unix(1700000000, 0)
 	deadline := twAt(epoch, 30)

@@ -30,8 +30,6 @@ type SoakResult struct {
 	Sessions int
 	// NoiseFlows is the concurrent bulk-streaming flows per session.
 	NoiseFlows int
-	// Shards is the monitor's shard count (0 = single-threaded).
-	Shards int
 	// Decoded counts sessions whose windowed per-flow inference is
 	// byte-identical (reflect.DeepEqual) to the one-shot InferPcap run on
 	// the same capture in isolation — the batch-equivalence bar.
@@ -57,14 +55,8 @@ type SoakResult struct {
 	// O(flows × sweeps), now that expiry rides the timing wheel.
 	Sweeps       int64
 	SweepTouched int64
-	// ShardRetainedBySession samples each shard's RetainedBytes after each
-	// session (sharded runs only): every per-shard series must stay as
-	// flat as the aggregate — no shard may accumulate what the others
-	// release.
-	ShardRetainedBySession [][]int64
-	// Events is the monitor's full ordered event stream, recorded so a
-	// sharded soak can be checked byte-identical against the
-	// single-threaded run.
+	// Events is the monitor's full ordered event stream, recorded so two
+	// runs of the same soak can be checked byte-identical.
 	Events []attack.Event
 	Report string
 }
@@ -78,22 +70,6 @@ type SoakResult struct {
 // that capture while the monitor's retained memory stays O(window), not
 // O(sessions).
 func Soak(sessions, noiseFlows int, seed uint64) (*SoakResult, error) {
-	return soakRun(sessions, noiseFlows, seed, 0)
-}
-
-// SoakSharded is Soak on the multi-core monitor: the same continuous tap
-// streams through `shards` per-core monitor shards, and the result must
-// be indistinguishable — the recorded Events stream is byte-identical to
-// the single-threaded soak's, and every shard's retained footprint stays
-// flat in the session count.
-func SoakSharded(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	return soakRun(sessions, noiseFlows, seed, shards)
-}
-
-func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, error) {
 	if sessions <= 0 {
 		sessions = 20
 	}
@@ -119,14 +95,13 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 	}
 
 	res := &SoakResult{
-		Sessions: sessions, NoiseFlows: noiseFlows, Shards: shards,
+		Sessions: sessions, NoiseFlows: noiseFlows,
 		ExpiredByReason: map[string]int{},
 	}
 	// The soak's per-flow inferences arrive through events; index them by
 	// full flow key (each session's conversation has its own 5-tuple).
 	finals := map[layers.FlowKey]*attack.Inference{}
 	m := attack.NewMonitor(atk, attack.MonitorOptions{
-		Shards: shards,
 		Window: &attack.Window{IdleTimeout: 60 * time.Second},
 		OnEvent: func(ev attack.Event) {
 			res.Events = append(res.Events, ev)
@@ -218,13 +193,6 @@ func soakRun(sessions, noiseFlows int, seed uint64, shards int) (*SoakResult, er
 		// series a bounded-memory monitor keeps flat.
 		st := m.Stats()
 		res.RetainedBySession = append(res.RetainedBySession, st.RetainedBytes)
-		if len(st.Shards) > 0 {
-			perShard := make([]int64, len(st.Shards))
-			for i, sh := range st.Shards {
-				perShard[i] = sh.RetainedBytes
-			}
-			res.ShardRetainedBySession = append(res.ShardRetainedBySession, perShard)
-		}
 		if st.RetainedBytes > res.PeakRetainedBytes {
 			res.PeakRetainedBytes = st.RetainedBytes
 		}
@@ -261,9 +229,6 @@ func renderSoak(res *SoakResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Rolling-window soak: %d back-to-back sessions + %d noise flows each through ONE monitor\n",
 		res.Sessions, res.NoiseFlows)
-	if res.Shards > 0 {
-		fmt.Fprintf(&b, "(sharded engine: %d per-core monitor shards behind the same API)\n", res.Shards)
-	}
 	fmt.Fprintf(&b, "(frames fed one at a time via FeedPacket; per-flow FIN/idle finalization)\n")
 	rows := [][]string{
 		{"sessions decoded byte-identical to one-shot InferPcap",
@@ -273,15 +238,6 @@ func renderSoak(res *SoakResult) string {
 		{"SessionFinalized events", fmt.Sprintf("%d", res.Finalized)},
 		{"peak retained", fmt.Sprintf("%.1f KiB", float64(res.PeakRetainedBytes)/1024)},
 		{"idle sweeps / wheel entries touched", fmt.Sprintf("%d / %d", res.Sweeps, res.SweepTouched)},
-	}
-	if n := len(res.ShardRetainedBySession); n > 0 {
-		lastRow := res.ShardRetainedBySession[n-1]
-		parts := make([]string, len(lastRow))
-		for i, v := range lastRow {
-			parts[i] = fmt.Sprintf("%.1f", float64(v)/1024)
-		}
-		rows = append(rows, []string{"per-shard retained after last session (KiB)",
-			strings.Join(parts, " / ")})
 	}
 	if n := len(res.RetainedBySession); n > 0 {
 		rows = append(rows, []string{"retained after first/last session",

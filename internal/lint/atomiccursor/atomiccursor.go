@@ -1,12 +1,12 @@
-// Package atomiccursor proves the SPSC cursor discipline at compile
+// Package atomiccursor proves the shared-cursor discipline at compile
 // time: a struct field that any code in the package accesses through
 // sync/atomic (atomic.LoadUint64(&s.f), atomic.AddInt64(&s.f), ...) is
 // a shared cursor, and every other access to it must be atomic too. A
 // plain read or write of such a field — typically a "it's only stats"
-// shortcut — is exactly the Dekker-parking bug class the sharded
-// monitor's internal/parallel.SPSC rings are vulnerable to: the racy
-// access tears, or the compiler hoists it out of the loop that was
-// supposed to observe the other goroutine's store.
+// shortcut — is the bug class any cross-goroutine cursor is open to,
+// such as the next-task index internal/parallel's workers claim work
+// through: the racy access tears, or the compiler hoists it out of the
+// loop that was supposed to observe the other goroutine's store.
 //
 // Fields declared with the typed atomics (atomic.Uint64 and friends)
 // are immune by construction — plain access doesn't compile — which is

@@ -4,11 +4,11 @@
 // process-global randomness, undocumented environment, or map iteration
 // order.
 //
-// The paper reproduction's headline guarantee is byte-identical event
-// streams and inferences at any worker count (WM_WORKERS) and any shard
-// count (MonitorOptions.Shards). The equivalence tests enforce that
-// dynamically; this analyzer rejects the four nondeterminism sources
-// that have historically threatened it:
+// The paper reproduction's headline guarantee is byte-identical output
+// at any worker count (WM_WORKERS) and byte-identical Monitor event
+// streams and inferences at any feed granularity. The equivalence tests
+// enforce that dynamically; this analyzer rejects the four
+// nondeterminism sources that have historically threatened it:
 //
 //   - time.Now / time.Since: wall-clock reads. Time must come from the
 //     capture clock (packet timestamps) or the simulated session clock.

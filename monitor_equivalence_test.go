@@ -1,6 +1,7 @@
 package whitemirror
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -8,34 +9,51 @@ import (
 	"repro/internal/pcapio"
 )
 
+// monitorRun is what one feed of a capture through a fresh Monitor
+// reports: its events (collected only when asked for, since an OnEvent
+// callback also turns on the live hypothesis engine) and its Close
+// result.
+type monitorRun struct {
+	events []MonitorEvent
+	inf    *Inference
+	err    error
+}
+
+// newRunMonitor builds the Monitor for one monitorRun.
+func newRunMonitor(atk *Attacker, win *MonitorWindow, events bool, r *monitorRun) *Monitor {
+	opts := MonitorOptions{Window: win}
+	if events {
+		opts.OnEvent = func(ev MonitorEvent) { r.events = append(r.events, ev) }
+	}
+	return NewMonitor(atk, opts)
+}
+
 // feedChunks drives a fresh Monitor over data in fixed-size chunks.
-func feedChunks(t *testing.T, atk *Attacker, data []byte, chunk int) *Inference {
-	t.Helper()
-	m := NewMonitor(atk, MonitorOptions{})
+func feedChunks(atk *Attacker, data []byte, chunk int, win *MonitorWindow, events bool) monitorRun {
+	var r monitorRun
+	m := newRunMonitor(atk, win, events, &r)
 	for off := 0; off < len(data); off += chunk {
 		end := off + chunk
 		if end > len(data) {
 			end = len(data)
 		}
-		if err := m.Feed(data[off:end]); err != nil {
-			t.Fatal(err)
+		if r.err = m.Feed(data[off:end]); r.err != nil {
+			return r
 		}
 	}
-	inf, err := m.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inf
+	r.inf, r.err = m.Close()
+	return r
 }
 
-// feedPackets drives a Monitor one decoded frame at a time.
-func feedPackets(t *testing.T, atk *Attacker, data []byte) *Inference {
+// feedPackets drives a fresh Monitor one decoded frame at a time.
+func feedPackets(t *testing.T, atk *Attacker, data []byte, win *MonitorWindow, events bool) monitorRun {
 	t.Helper()
 	pr, err := pcapio.NewBytesReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMonitor(atk, MonitorOptions{})
+	var r monitorRun
+	m := newRunMonitor(atk, win, events, &r)
 	for {
 		rec, err := pr.Next()
 		if err == io.EOF {
@@ -44,15 +62,21 @@ func feedPackets(t *testing.T, atk *Attacker, data []byte) *Inference {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.FeedPacket(rec.Timestamp, rec.Data); err != nil {
-			t.Fatal(err)
+		if r.err = m.FeedPacket(rec.Timestamp, rec.Data); r.err != nil {
+			return r
 		}
 	}
-	inf, err := m.Close()
-	if err != nil {
-		t.Fatal(err)
+	r.inf, r.err = m.Close()
+	return r
+}
+
+// inference is a run's Close inference; a failed run fails the test.
+func (r monitorRun) inference(t *testing.T) *Inference {
+	t.Helper()
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	return inf
+	return r.inf
 }
 
 // TestMonitorChunkEquivalence is the wrapper contract for the streaming
@@ -81,14 +105,92 @@ func TestMonitorChunkEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := feedChunks(t, atk, data, len(data)); !reflect.DeepEqual(got, want) {
+		if got := feedChunks(atk, data, len(data), nil, false).inference(t); !reflect.DeepEqual(got, want) {
 			t.Errorf("session %03d: whole-capture feed diverged from InferPcap", p.Index+1)
 		}
-		if got := feedPackets(t, atk, data); !reflect.DeepEqual(got, want) {
+		if got := feedPackets(t, atk, data, nil, false).inference(t); !reflect.DeepEqual(got, want) {
 			t.Errorf("session %03d: per-packet feed diverged from InferPcap", p.Index+1)
 		}
-		if got := feedChunks(t, atk, data, 1); !reflect.DeepEqual(got, want) {
+		if got := feedChunks(atk, data, 1, nil, false).inference(t); !reflect.DeepEqual(got, want) {
 			t.Errorf("session %03d: 1-byte feed diverged from InferPcap", p.Index+1)
+		}
+	}
+}
+
+// TestShardEquivalence pins feed-path equivalence for events and both
+// modes: on clean single-session captures and on interleaved multi-flow
+// captures, in batch and rolling-window mode, a Monitor fed in 63 KiB
+// chunks (not a packet boundary), as one whole Feed and frame by frame
+// through FeedPacket emits the identical event stream and Close result.
+func TestShardEquivalence(t *testing.T) {
+	ds, err := GenerateDataset(6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := TrainAttacker(TrainingOptions{Condition: ConditionUbuntu, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type capCase struct {
+		name string
+		data []byte
+	}
+	var cases []capCase
+	for _, p := range ds.Points {
+		data, err := CapturePcap(p.Trace, uint64(p.Index))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, capCase{fmt.Sprintf("session%03d", p.Index+1), data})
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		tr, err := Simulate(SessionOptions{Seed: seed, Condition: ConditionUbuntu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, err := CapturePcapMulti(tr, seed, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, capCase{fmt.Sprintf("interleaved%d", seed), multi})
+	}
+
+	windows := []struct {
+		name string
+		win  *MonitorWindow
+	}{{"batch", nil}, {"window", &MonitorWindow{}}}
+	for _, tc := range cases {
+		for _, w := range windows {
+			want := feedChunks(atk, tc.data, 63<<10, w.win, true)
+			for _, feed := range []struct {
+				name string
+				run  monitorRun
+			}{
+				{"whole Feed", feedChunks(atk, tc.data, len(tc.data), w.win, true)},
+				{"FeedPacket", feedPackets(t, atk, tc.data, w.win, true)},
+			} {
+				got := feed.run
+				if (got.err == nil) != (want.err == nil) ||
+					(got.err != nil && got.err.Error() != want.err.Error()) {
+					t.Errorf("%s/%s %s: error %v, want %v", tc.name, w.name, feed.name, got.err, want.err)
+					continue
+				}
+				if !reflect.DeepEqual(got.inf, want.inf) {
+					t.Errorf("%s/%s %s: inference diverged from the chunked feed", tc.name, w.name, feed.name)
+				}
+				if len(got.events) != len(want.events) {
+					t.Errorf("%s/%s %s: %d events, want %d", tc.name, w.name, feed.name, len(got.events), len(want.events))
+					continue
+				}
+				for i := range want.events {
+					if !reflect.DeepEqual(got.events[i], want.events[i]) {
+						t.Errorf("%s/%s %s: event %d = %#v, want %#v",
+							tc.name, w.name, feed.name, i, got.events[i], want.events[i])
+						break
+					}
+				}
+			}
 		}
 	}
 }

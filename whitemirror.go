@@ -61,19 +61,14 @@ type (
 	// as they arrive, receive typed events, and Close for the final
 	// inference. Attacker.InferPcap is a thin wrapper over it.
 	Monitor = attack.Monitor
-	// MonitorOptions tunes a Monitor (event callback, rolling window,
-	// shard count).
+	// MonitorOptions tunes a Monitor (event callback, rolling window).
 	MonitorOptions = attack.MonitorOptions
 	// MonitorWindow configures the rolling-window mode: bounded-memory
 	// operation over an indefinite link tap, with per-flow FIN/RST/idle
 	// finalization and noise-flow eviction.
 	MonitorWindow = attack.Window
-	// MonitorStats snapshots a monitor's flow table and retained memory;
-	// with MonitorOptions.Shards > 0 its Shards slice breaks the figures
-	// down per monitor shard.
+	// MonitorStats snapshots a monitor's flow table and retained memory.
 	MonitorStats = attack.MonitorStats
-	// ShardStats is one shard's slice of a sharded monitor's MonitorStats.
-	ShardStats = attack.ShardStats
 	// MonitorEvent is a typed Monitor notification; the concrete types are
 	// FlowDetected, ChoiceInferred, SessionFinalized, FlowExpired and
 	// QUICFlowObserved.
@@ -162,9 +157,7 @@ func QUICPadRandom(n, k int) SizingPolicy { return quicrec.PadRandom(n, k) }
 // byte-identical to Attacker.InferPcap for single-conversation captures.
 // Set opts.Window for the rolling-window link-tap regime: bounded memory
 // over an indefinite feed, with flows finalizing individually on FIN/RST
-// or idle. Set opts.Shards > 0 to fan flows out across that many
-// per-core monitor shards; the event stream and Close inference are
-// byte-identical at every shard count.
+// or idle.
 func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
 	return attack.NewMonitor(a, opts)
 }
