@@ -154,12 +154,12 @@ func BenchmarkAblation_Prefetch(b *testing.B) {
 // layer, across the padding policies.
 func BenchmarkScenario_TLS13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TLS13(4, nil, 3)
+		res, err := experiments.Shaping(4, experiments.DefaultTLSCells(), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, p := range res.Points {
-			if p.Policy.Version == tlsrec.RecordTLS13 && p.Policy.Padding.Mode == tlsrec.PadNone {
+			if p.Cell.Wire.String() == "tls1.3" {
 				b.ReportMetric(100*p.MeanAccuracy, "%tls13-accuracy")
 				b.ReportMetric(100*p.DetectionRate, "%tls13-detection")
 			}
@@ -199,7 +199,8 @@ func BenchmarkPipeline_AttackThroughput(b *testing.B) {
 // same deployment figure as the TCP pipeline benchmark, without TCP
 // reassembly or record scanning in the loop.
 func BenchmarkPipeline_QUICAttackThroughput(b *testing.B) {
-	tr, err := Simulate(SessionOptions{Seed: 21, Transport: TransportQUIC})
+	quic := mustWire(b, "quic")
+	tr, err := Simulate(SessionOptions{Seed: 21, Wire: quic})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func BenchmarkPipeline_QUICAttackThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	atk, err := TrainAttacker(TrainingOptions{
-		Seed: 22, Transport: TransportQUIC, Sessions: 10,
+		Seed: 22, Wire: quic, Sessions: 10,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -227,7 +228,7 @@ func BenchmarkPipeline_QUICAttackThroughput(b *testing.B) {
 // flows at default datagram sizing.
 func BenchmarkScenario_QUIC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.QUIC(4, []experiments.QUICPolicy{{NoiseFlows: 2}}, 3)
+		res, err := experiments.Shaping(4, []experiments.ShapingCell{{Wire: mustWire(b, "quic"), NoiseFlows: 2}}, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

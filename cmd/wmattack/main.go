@@ -8,11 +8,12 @@
 //	wmattack -pcap session.pcap -os linux -browser firefox
 //	wmattack -pcap session.pcap -live          # stream the capture, print events
 //	wmattack -pcap tap.pcap -live -idle 2m     # rolling-window tap replay
-//	wmattack -pcap h3.pcap -quic               # burst-feature attack on a QUIC capture
+//	wmattack -pcap h3.pcap -wire quic          # burst-feature attack on a QUIC capture
 //
 // Training happens in-process: the attacker profiles simulated sessions
-// under the named condition first (the paper's per-condition training),
-// then attacks the capture. In -live mode the capture is fed to the
+// under the named condition and the capture's -wire stack first (the
+// paper's per-condition training; every stack moves the bands), then
+// attacks the capture. In -live mode the capture is fed to the
 // streaming monitor in chunks and detection/choice events print as they
 // fire, which is how the attack behaves against a link tap; the monitor
 // runs in rolling-window mode by default (-window=false reverts to
@@ -39,7 +40,6 @@ import (
 	"repro/internal/quicrec"
 	"repro/internal/script"
 	"repro/internal/session"
-	"repro/internal/tlsrec"
 	"repro/internal/viewer"
 	"repro/internal/wire"
 )
@@ -58,11 +58,7 @@ func main() {
 		chunkKiB = flag.Int("chunk", 64, "live-mode feed chunk size in KiB")
 		window   = flag.Bool("window", true, "live mode: rolling-window operation (bounded memory, per-flow FIN/RST/idle finalization)")
 		idle     = flag.Duration("idle", 90*time.Second, "live window mode: idle timeout before a silent flow finalizes")
-		tls13    = flag.Bool("tls13", false, "train under the TLS 1.3 record layer (attack a wmsession -tls13 capture)")
-		padTo    = flag.Int("pad-to", 0, "TLS 1.3 training: records were padded to a multiple of this many bytes")
-		padRand  = flag.Int("pad-random", 0, "TLS 1.3 training: records carried a random pad up to this many bytes")
-		quic     = flag.Bool("quic", false, "train under QUIC v1 burst features (attack a wmsession -quic capture)")
-		sizing   = flag.String("sizing", "", "QUIC training: the capture's datagram sizing policy (default | fixed-N | pad-full-N | pad-random-N+K)")
+		wireSpec = flag.String("wire", "tls1.2", "train under the capture's wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
 	)
 	flag.Parse()
 
@@ -74,22 +70,15 @@ func main() {
 		TrafficTime: netem.TrafficTime(*traffic),
 	}
 
-	recVer, padding, err := tlsrec.ResolveRecordFlags(*tls13, *padTo, *padRand)
+	w, err := session.ParseWire(*wireSpec)
 	if err != nil {
 		fatal(err)
-	}
-	transport, pol, err := quicrec.ResolveTransportFlags(*quic, *sizing)
-	if err != nil {
-		fatal(err)
-	}
-	if *quic && *tls13 {
-		fatal(fmt.Errorf("-quic and -tls13 are mutually exclusive (QUIC seals record framing inside 1-RTT packets)"))
 	}
 	// QUIC bands are learned over composite bursts (a report plus the
 	// variably-sized request merged behind it), so covering each class's
 	// range takes more profiling sessions than TLS's exact record lengths;
 	// raise the default unless the user chose a count.
-	if *quic {
+	if w.Transport == quicrec.TransportQUIC {
 		trainSet := false
 		flag.Visit(func(f *flag.Flag) { trainSet = trainSet || f.Name == "train" })
 		if !trainSet {
@@ -98,7 +87,7 @@ func main() {
 	}
 
 	g := script.Bandersnatch()
-	atk, err := train(g, cond, *trainN, *seed, recVer, padding, transport, pol)
+	atk, err := train(g, cond, *trainN, *seed, w)
 	if err != nil {
 		fatal(err)
 	}
@@ -226,12 +215,10 @@ func attackLive(atk *attack.Attacker, data []byte, chunkBytes int, win *attack.W
 	return inf, nil
 }
 
-// train profiles the service under cond — and under the capture's record
-// layer or transport, which moves every band — drawing extra sessions
-// until both report types appear in the training set.
-func train(g *script.Graph, cond profiles.Condition, n int, seed uint64,
-	recVer tlsrec.RecordVersion, padding tlsrec.PaddingPolicy,
-	transport quicrec.Transport, pol quicrec.SizingPolicy) (*attack.Attacker, error) {
+// train profiles the service under cond — and under the capture's wire,
+// which moves every band — drawing extra sessions until both report
+// types appear in the training set.
+func train(g *script.Graph, cond profiles.Condition, n int, seed uint64, w session.Wire) (*attack.Attacker, error) {
 	enc := media.Encode(g, media.DefaultLadder, seed^0xabcd)
 	var traces []*session.Trace
 	for t := 0; t < n+8; t++ {
@@ -239,8 +226,7 @@ func train(g *script.Graph, cond profiles.Condition, n int, seed uint64,
 		tr, err := session.Run(session.Config{
 			Graph: g, Encoding: enc, Viewer: pop[0], Condition: cond,
 			SessionID: fmt.Sprintf("train-%d", t), Seed: seed + uint64(t)*101,
-			RecordVersion: recVer, Padding: padding,
-			Transport: transport, Sizing: pol,
+			Wire: w,
 		})
 		if err != nil {
 			return nil, err
@@ -250,11 +236,7 @@ func train(g *script.Graph, cond profiles.Condition, n int, seed uint64,
 			break
 		}
 	}
-	trainer := attack.TrainerFor(recVer, padding)
-	if transport == quicrec.TransportQUIC {
-		trainer = attack.TrainerForQUIC(pol)
-	}
-	return attack.NewAttackerWithTrainer(trainer, traces, g, script.BandersnatchMaxChoices)
+	return attack.NewAttackerWithTrainer(attack.TrainerFor(w), traces, g, script.BandersnatchMaxChoices)
 }
 
 func bothClasses(traces []*session.Trace) bool {

@@ -12,16 +12,22 @@
 //	                               # exit non-zero outside the tolerance band
 //
 // Experiments: table1, figure1, figure2, accuracy, decode, baselines,
-// defenses, timing, classifiers, prefetch, interleaved, tls13, soak.
+// defenses, timing, classifiers, prefetch, interleaved, tls13, quic,
+// soak.
 //
-// The tls13 experiment sweeps the modern record layer: it profiles and
-// attacks sessions under TLS 1.2, unpadded TLS 1.3, and the RFC 8446
-// padding policies (pad-to-64/256, pad-random-128/512), reporting
-// detection rate, choice accuracy and padding byte overhead per policy:
+// The tls13 and quic experiments run the traffic-shaping sweep
+// (experiments.Shaping) over their default cells: each cell is a wire
+// label and a noise-flow count. tls13 profiles and attacks sessions
+// under TLS 1.2, unpadded TLS 1.3 and the RFC 8446 padding policies
+// (pad-to-64/256, pad-random-128/512); quic under default QUIC sizing
+// at 0-2 noise flows, a 1200-byte cap and the two padding defenses.
+// Each reports detection rate, choice accuracy and client byte overhead
+// per cell:
 //
-//	wmbench -exp tls13            # the full sweep at the default seed
+//	wmbench -exp tls13            # the TLS sweep at the default seed
+//	wmbench -exp quic             # the QUIC sweep
 //
-// A policy whose padding envelope makes the widened type-1/type-2 bands
+// A cell whose shaping policy makes the widened type-1/type-2 bands
 // overlap is reported as "not separable" — the attack declines to train
 // rather than misclassify.
 package main
@@ -161,35 +167,11 @@ func runners() []runner {
 				return m
 			}},
 		{"tls13",
-			func(seed uint64) (any, error) { return experiments.TLS13(4, nil, seed) },
-			func(r any) map[string]float64 {
-				v := r.(*experiments.TLS13Result)
-				m := map[string]float64{}
-				for _, p := range v.Points {
-					// Untrainable rows carry zero rates by construction
-					// (tls13Point returns before any session runs).
-					key := strings.NewReplacer("/", "_", ".", "", "-", "_").Replace(p.Policy.Label())
-					m["detection_pct_"+key] = 100 * p.DetectionRate
-					m["accuracy_pct_"+key] = 100 * p.MeanAccuracy
-					m["pad_overhead_pct_"+key] = p.PadOverheadPct
-				}
-				return m
-			}},
+			func(seed uint64) (any, error) { return experiments.Shaping(4, experiments.DefaultTLSCells(), seed) },
+			shapingMetrics},
 		{"quic",
-			func(seed uint64) (any, error) { return experiments.QUIC(4, nil, seed) },
-			func(r any) map[string]float64 {
-				v := r.(*experiments.QUICResult)
-				m := map[string]float64{}
-				for _, p := range v.Points {
-					// Untrainable rows carry zero rates by construction
-					// (quicPoint returns before any session runs).
-					key := strings.NewReplacer("/", "_", ".", "", "-", "_", "+", "_").Replace(p.Policy.Label())
-					m["detection_pct_"+key] = 100 * p.DetectionRate
-					m["accuracy_pct_"+key] = 100 * p.MeanAccuracy
-					m["size_overhead_pct_"+key] = p.PadOverheadPct
-				}
-				return m
-			}},
+			func(seed uint64) (any, error) { return experiments.Shaping(4, experiments.DefaultQUICCells(), seed) },
+			shapingMetrics},
 		{"soak",
 			func(seed uint64) (any, error) { return experiments.Soak(20, 2, seed) },
 			func(r any) map[string]float64 {
@@ -204,6 +186,21 @@ func runners() []runner {
 				}
 			}},
 	}
+}
+
+// shapingMetrics keys the shaping sweep's rates and byte overhead by
+// cell label, "tls1.3+pad-to-64/noise-2" becoming "tls13_pad_to_64_noise_2".
+// Untrainable cells carry zero rates by construction (the sweep returns
+// before any test session runs).
+func shapingMetrics(r any) map[string]float64 {
+	m := map[string]float64{}
+	for _, p := range r.(*experiments.ShapingResult).Points {
+		key := strings.NewReplacer("/", "_", ".", "", "-", "_", "+", "_").Replace(p.Cell.Label())
+		m["detection_pct_"+key] = 100 * p.DetectionRate
+		m["accuracy_pct_"+key] = 100 * p.MeanAccuracy
+		m["overhead_pct_"+key] = p.OverheadPct
+	}
+	return m
 }
 
 // report extracts the rendered text report from any result type.
@@ -231,9 +228,7 @@ func report(r any) (string, error) {
 		return v.Report, nil
 	case *experiments.InterleavedResult:
 		return v.Report, nil
-	case *experiments.TLS13Result:
-		return v.Report, nil
-	case *experiments.QUICResult:
+	case *experiments.ShapingResult:
 		return v.Report, nil
 	case *experiments.SoakResult:
 		return v.Report, nil
@@ -448,9 +443,11 @@ func pipelineBenchEntry() (benchEntry, error) {
 // packet count per client byte versus TCP, so this entry prices the
 // per-packet costs the burst pipeline adds.
 func pipelineQUICBenchEntry() (benchEntry, error) {
-	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{
-		Seed: 21, Transport: whitemirror.TransportQUIC,
-	})
+	quic, err := whitemirror.ParseWire("quic")
+	if err != nil {
+		return benchEntry{}, err
+	}
+	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{Seed: 21, Wire: quic})
 	if err != nil {
 		return benchEntry{}, err
 	}
@@ -459,7 +456,7 @@ func pipelineQUICBenchEntry() (benchEntry, error) {
 		return benchEntry{}, err
 	}
 	atk, err := whitemirror.TrainAttacker(whitemirror.TrainingOptions{
-		Seed: 22, Transport: whitemirror.TransportQUIC, Sessions: 10,
+		Seed: 22, Wire: quic, Sessions: 10,
 	})
 	if err != nil {
 		return benchEntry{}, err

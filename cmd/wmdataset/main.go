@@ -9,8 +9,8 @@
 //
 //	wmdataset -n 100 -seed 1 -out ./iitm-bandersnatch
 //	wmdataset -n 1000 -workers 8   # fan sessions across 8 workers
-//	wmdataset -n 100 -tls13 -pad-to 64   # a modern-stack dataset
-//	wmdataset -n 100 -quic               # an HTTP/3-era dataset (UDP)
+//	wmdataset -n 100 -wire tls1.3+pad-to-64   # a modern-stack dataset
+//	wmdataset -n 100 -wire quic               # an HTTP/3-era dataset (UDP)
 //
 //	# Fleet-scale: four processes, one shard each, then a merge.
 //	wmdataset -n 100000 -shard 0/4 -out shard0   # ... 1/4, 2/4, 3/4
@@ -20,10 +20,10 @@
 // pcaps at any -workers value, and a merged -shard run is byte-identical
 // to a single-process run (manifest and attributes.csv included). Points
 // stream to disk one at a time, so resident memory is constant in -n.
-// -tls13 generates every session under RFC 8446 record framing;
-// -pad-to / -pad-random apply a record-padding policy under it. -quic
-// generates every session as QUIC v1 over UDP, with -sizing choosing the
-// datagram sizing policy (default | fixed-N | pad-full-N | pad-random-N+K).
+// -wire names the stack every session speaks and the shaping policy in
+// force, in the grammar DATASET.md spells out (tls1.2 by default;
+// tls1.3[+pad-to-N|+pad-random-N]; quic[+fixed-N|+pad-full-N|
+// +pad-random-N+K]); the manifest records the label.
 package main
 
 import (
@@ -32,8 +32,7 @@ import (
 	"os"
 
 	"repro/internal/dataset"
-	"repro/internal/quicrec"
-	"repro/internal/tlsrec"
+	"repro/internal/session"
 )
 
 func main() {
@@ -43,11 +42,7 @@ func main() {
 		out       = flag.String("out", "iitm-bandersnatch", "output directory ('' to skip persistence)")
 		csv       = flag.Bool("csv", true, "write attributes.csv alongside the dataset")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = WM_WORKERS or GOMAXPROCS)")
-		tls13     = flag.Bool("tls13", false, "speak the TLS 1.3 record layer (RFC 8446 framing)")
-		padTo     = flag.Int("pad-to", 0, "TLS 1.3: pad records to a multiple of this many bytes")
-		padRandom = flag.Int("pad-random", 0, "TLS 1.3: per-record seeded random pad up to this many bytes")
-		quic      = flag.Bool("quic", false, "speak QUIC v1 over UDP instead of TLS over TCP")
-		sizing    = flag.String("sizing", "", "QUIC: datagram sizing policy (default | fixed-N | pad-full-N | pad-random-N+K)")
+		wireSpec  = flag.String("wire", "tls1.2", "wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
 		shardSpec = flag.String("shard", "", "generate one shard of a partitioned corpus: index/count (e.g. 0/4)")
 		merge     = flag.Bool("merge", false, "merge shard directories (positional arguments) into -out")
 	)
@@ -70,16 +65,9 @@ func main() {
 		return
 	}
 
-	recVer, padding, err := tlsrec.ResolveRecordFlags(*tls13, *padTo, *padRandom)
+	w, err := session.ParseWire(*wireSpec)
 	if err != nil {
 		fatal(err)
-	}
-	transport, pol, err := quicrec.ResolveTransportFlags(*quic, *sizing)
-	if err != nil {
-		fatal(err)
-	}
-	if *quic && *tls13 {
-		fatal(fmt.Errorf("-quic and -tls13 are mutually exclusive (QUIC seals record framing inside 1-RTT packets)"))
 	}
 	var shard dataset.Shard
 	if *shardSpec != "" {
@@ -89,9 +77,7 @@ func main() {
 	}
 	cfg := dataset.Config{
 		N: *n, Seed: *seed, Workers: *workers,
-		RecordVersion: recVer, Padding: padding,
-		Transport: transport, Sizing: pol,
-		Shard: shard,
+		Wire: w, Shard: shard,
 	}
 
 	if *out == "" {

@@ -4,16 +4,17 @@
 // Usage:
 //
 //	wmsession -out session.pcap -seed 42 -os linux -browser firefox
-//	wmsession -out s13.pcap -tls13 -pad-to 64   # modern record layer
-//	wmsession -out h3.pcap -quic -sizing pad-full-1350   # HTTP/3 over UDP
+//	wmsession -out s13.pcap -wire tls1.3+pad-to-64   # modern record layer
+//	wmsession -out h3.pcap -wire quic+pad-full-1350  # HTTP/3 over UDP
 //
 // The resulting pcap is a standard libpcap file (open it in Wireshark);
 // the sidecar records the viewer's actual choices for later scoring.
-// -tls13 switches the session to RFC 8446 record framing; -pad-to /
-// -pad-random apply a record-padding policy under it. -quic replaces the
-// whole stack with QUIC v1 over UDP — record boundaries are sealed
-// inside 1-RTT packets — and -sizing picks the datagram sizing policy
-// (default | fixed-N | pad-full-N | pad-random-N+K).
+// -wire names the stack and the shaping policy in force, in the grammar
+// DATASET.md spells out: tls1.2 (the default), tls1.3 with an optional
+// RFC 8446 record-padding policy (+pad-to-N, +pad-random-N), or quic —
+// QUIC v1 over UDP, record boundaries sealed inside 1-RTT packets — with
+// an optional datagram sizing policy (+fixed-N, +pad-full-N,
+// +pad-random-N+K).
 package main
 
 import (
@@ -26,10 +27,8 @@ import (
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/profiles"
-	"repro/internal/quicrec"
 	"repro/internal/script"
 	"repro/internal/session"
-	"repro/internal/tlsrec"
 	"repro/internal/viewer"
 	"repro/internal/wire"
 )
@@ -44,24 +43,13 @@ func main() {
 		medium     = flag.String("medium", "wired", "connection: wired|wireless")
 		traffic    = flag.String("traffic", "morning", "traffic time: morning|noon|night")
 		noPrefetch = flag.Bool("no-prefetch", false, "disable default-branch prefetching")
-		tls13      = flag.Bool("tls13", false, "speak the TLS 1.3 record layer (RFC 8446 framing)")
-		padTo      = flag.Int("pad-to", 0, "TLS 1.3: pad records to a multiple of this many bytes")
-		padRandom  = flag.Int("pad-random", 0, "TLS 1.3: per-record seeded random pad up to this many bytes")
-		quic       = flag.Bool("quic", false, "speak QUIC v1 over UDP instead of TLS over TCP")
-		sizing     = flag.String("sizing", "", "QUIC: datagram sizing policy (default | fixed-N | pad-full-N | pad-random-N+K)")
+		wireSpec   = flag.String("wire", "tls1.2", "wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
 		noise      = flag.Int("noise", 0, "interleave this many concurrent bulk-streaming noise flows (they speak the session's transport)")
 	)
 	flag.Parse()
-	recVer, padding, err := tlsrec.ResolveRecordFlags(*tls13, *padTo, *padRandom)
+	w, err := session.ParseWire(*wireSpec)
 	if err != nil {
 		fatal(err)
-	}
-	transport, pol, err := quicrec.ResolveTransportFlags(*quic, *sizing)
-	if err != nil {
-		fatal(err)
-	}
-	if *quic && *tls13 {
-		fatal(fmt.Errorf("-quic and -tls13 are mutually exclusive (QUIC seals record framing inside 1-RTT packets)"))
 	}
 
 	cond := profiles.Condition{
@@ -80,10 +68,7 @@ func main() {
 		SessionID:       fmt.Sprintf("wmsession-%d", *seed),
 		Seed:            *seed,
 		DisablePrefetch: *noPrefetch,
-		RecordVersion:   recVer,
-		Padding:         padding,
-		Transport:       transport,
-		Sizing:          pol,
+		Wire:            w,
 	})
 	if err != nil {
 		fatal(err)

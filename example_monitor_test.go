@@ -105,13 +105,14 @@ func ExampleNewMonitor_rollingWindow() {
 // handshake passes, then segments 1-RTT datagrams into bursts and
 // decodes choices exactly as it does record lengths.
 func ExampleNewMonitor_quic() {
+	quic, _ := ParseWire("quic")
 	tr, _ := Simulate(SessionOptions{
-		Seed: 1, Condition: ConditionUbuntu, Transport: TransportQUIC,
+		Seed: 1, Condition: ConditionUbuntu, Wire: quic,
 	})
 	pcapBytes, _ := CapturePcapMulti(tr, 1, 2) // noise flows speak QUIC too
 	atk, _ := TrainAttacker(TrainingOptions{
 		Condition: ConditionUbuntu, Seed: 99,
-		Transport: TransportQUIC, Sessions: 10,
+		Wire: quic, Sessions: 10,
 	})
 
 	var observed, finalized FlowKey
@@ -142,14 +143,13 @@ func ExampleNewMonitor_quic() {
 }
 
 func ExampleNewMonitor_tls13() {
+	padded, _ := ParseWire("tls1.3+pad-to-64")
 	tr, _ := Simulate(SessionOptions{
-		Seed: 1, Condition: ConditionUbuntu,
-		RecordVersion: RecordTLS13, Padding: PadToMultipleOf(64),
+		Seed: 1, Condition: ConditionUbuntu, Wire: padded,
 	})
 	pcapBytes, _ := CapturePcapMulti(tr, 1, 2) // noise flows speak 1.3 too
 	atk, _ := TrainAttacker(TrainingOptions{
-		Condition: ConditionUbuntu, Seed: 99,
-		RecordVersion: RecordTLS13, Padding: PadToMultipleOf(64),
+		Condition: ConditionUbuntu, Seed: 99, Wire: padded,
 	})
 
 	var finalized FlowKey

@@ -5,8 +5,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/quicrec"
-	"repro/internal/tlsrec"
+	"repro/internal/session"
 )
 
 // Class is the attacker-side label for a client record.
@@ -155,12 +154,14 @@ type IntervalBandTrainer struct {
 	// pollution check below rejects the margin if it swallows "other"
 	// traffic.
 	Margin int
-	// PadEnvelope widens each band by the maximum number of bytes a
-	// TLS 1.3 record-padding policy can add to a record
-	// (tlsrec.PaddingPolicy.Envelope). Padded training examples cover
-	// only the pads that happened to be drawn: an attack-time record may
-	// carry up to Envelope more padding than the largest observed example
-	// — or up to Envelope less than the smallest — so both edges widen.
+	// PadEnvelope widens each band by the wire's envelope
+	// (session.Wire.Envelope): the most bytes the shaping policy in force
+	// can add to one record under TLS 1.3 padding, or to one write's
+	// datagram burst under QUIC sizing. Shaped training examples cover
+	// only the pads that happened to be drawn: an attack-time record or
+	// burst may carry up to Envelope more than the largest observed
+	// example — or up to Envelope less than the smallest — so both edges
+	// widen.
 	// The separability and pollution checks run on the widened bands, so
 	// a policy wide enough to smear the classes together fails training
 	// loudly instead of misclassifying quietly.
@@ -202,29 +203,15 @@ func (t *IntervalBandTrainer) Train(examples []Example) (Classifier, error) {
 	return c, nil
 }
 
-// TrainerFor returns the interval-band trainer matched to the record
-// layer the profiled service speaks: under TLS 1.3 the learned bands
-// widen by the padding policy's envelope (training examples only cover
-// the pads that happened to be drawn); under 1.2 the policy is
-// meaningless and ignored. Every entry point that trains from
-// version-aware sessions — the facade, the experiment drivers, wmattack
-// — goes through here so the envelope rule lives in one place.
-func TrainerFor(ver tlsrec.RecordVersion, pad tlsrec.PaddingPolicy) Trainer {
-	t := &IntervalBandTrainer{}
-	if ver == tlsrec.RecordTLS13 {
-		t.PadEnvelope = pad.Envelope()
-	}
-	return t
-}
-
-// TrainerForQUIC is TrainerFor's counterpart when the profiled service
-// speaks QUIC: training examples are burst totals, and the datagram
-// sizing policy plays the role TLS 1.3 record padding plays — a
-// PadRandom policy inflates a write by up to its envelope beyond what
-// any one training example shows, so the learned bands must widen by
-// that much to hold at attack time.
-func TrainerForQUIC(pol quicrec.SizingPolicy) Trainer {
-	return &IntervalBandTrainer{PadEnvelope: pol.Envelope()}
+// TrainerFor returns the interval-band trainer matched to the wire the
+// profiled service speaks: the learned bands widen by the wire's
+// envelope (session.Wire.Envelope), because training examples only cover
+// the pads or dummy datagrams that happened to be drawn. Every entry
+// point that trains from wire-aware sessions — the facade, the
+// experiment drivers, wmattack — goes through here so the envelope rule
+// lives in one place.
+func TrainerFor(w session.Wire) Trainer {
+	return &IntervalBandTrainer{PadEnvelope: w.Envelope()}
 }
 
 // --- Nearest-centroid classifier -------------------------------------------

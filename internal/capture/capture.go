@@ -90,18 +90,12 @@ type MultiOptions struct {
 	// NoiseFlows is the number of concurrent bulk-streaming flows mixed
 	// into the capture.
 	NoiseFlows int
-	// RecordVersion is the record layer the noise flows negotiate. The
-	// zero value inherits the interactive trace's own generation, so a
-	// TLS 1.3 household produces TLS 1.3 noise; set it explicitly to mix
-	// generations on one tap.
-	RecordVersion tlsrec.RecordVersion
-	// RecordVersionSet marks RecordVersion as explicit (needed because
-	// RecordTLS12 is the zero value).
-	RecordVersionSet bool
-	// Transport is the transport the noise flows speak. The zero value
-	// inherits the interactive trace's transport — a QUIC household
-	// produces QUIC noise — mirroring RecordVersion inheritance; set
-	// TransportSet to mix transports on one tap.
+	// Transport is the transport the noise flows speak. Unless
+	// TransportSet marks it explicit, noise inherits the interactive
+	// trace's transport — a QUIC household produces QUIC noise; set both
+	// to mix transports on one tap. TCP noise always negotiates the
+	// trace's own record generation, so a TLS 1.3 household produces
+	// TLS 1.3 noise.
 	Transport    quicrec.Transport
 	TransportSet bool
 }
@@ -311,11 +305,7 @@ func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
 	start := streamStart(tr.ClientToServer)
 	end := tr.Result.EndedAt
 
-	recVer := opts.RecordVersion
-	if !opts.RecordVersionSet {
-		recVer = tr.Profile.RecordVersion()
-	}
-
+	recVer := tr.Profile.RecordVersion()
 	transport := opts.Transport
 	if !opts.TransportSet {
 		transport = tr.Transport

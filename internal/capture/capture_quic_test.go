@@ -23,7 +23,7 @@ func quicTestTrace(t *testing.T, seed uint64) *session.Trace {
 	tr, err := session.Run(session.Config{
 		Graph: g, Encoding: enc, Viewer: pop[0],
 		Condition: profiles.Fig2Ubuntu, SessionID: "q-sess", Seed: seed,
-		Transport: quicrec.TransportQUIC,
+		Wire: session.Wire{Transport: quicrec.TransportQUIC},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestWritePcapQUICLeanTraceErrors(t *testing.T) {
 	tr, err := session.Run(session.Config{
 		Graph: g, Encoding: enc, Viewer: pop[0],
 		Condition: profiles.Fig2Ubuntu, Seed: 3,
-		Transport: quicrec.TransportQUIC, OmitServerPayload: true,
+		Wire: session.Wire{Transport: quicrec.TransportQUIC}, OmitServerPayload: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,11 +28,9 @@ import (
 	"repro/internal/netem"
 	"repro/internal/parallel"
 	"repro/internal/profiles"
-	"repro/internal/quicrec"
 	"repro/internal/script"
 	"repro/internal/session"
 	"repro/internal/stats"
-	"repro/internal/tlsrec"
 	"repro/internal/viewer"
 	"repro/internal/wire"
 )
@@ -136,19 +134,10 @@ type Config struct {
 	// Workers bounds the session fan-out (0 = the process default:
 	// WM_WORKERS or GOMAXPROCS). Output is byte-identical at any count.
 	Workers int
-	// RecordVersion selects the TLS record layer every session speaks
-	// (zero = TLS 1.2, the paper's 2019 stack; RecordTLS13 generates a
-	// modern-stack dataset).
-	RecordVersion tlsrec.RecordVersion
-	// Padding applies an RFC 8446 record-padding policy under TLS 1.3.
-	Padding tlsrec.PaddingPolicy
-	// Transport selects the wire transport (zero = TLS over TCP;
-	// TransportQUIC generates an HTTP/3-era dataset of UDP captures, under
-	// which RecordVersion and Padding are ignored — framing is sealed
-	// inside 1-RTT packets).
-	Transport quicrec.Transport
-	// Sizing applies a datagram sizing policy under QUIC.
-	Sizing quicrec.SizingPolicy
+	// Wire is the stack every session speaks and the shaping policy in
+	// force (zero: TLS 1.2 over TCP, the paper's 2019 stack). The
+	// manifest records its label.
+	Wire session.Wire
 	// Shard restricts generation to one slice of the deterministic
 	// partition: only points with index i where i % Shard.Count ==
 	// Shard.Index are produced. The viewer population, condition
@@ -183,21 +172,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.Conditions = profiles.Grid()
 	}
 	return cfg
-}
-
-// wireLabel fingerprints the wire configuration for the manifest: the
-// transport plus whichever framing policy shapes observable lengths.
-func (cfg Config) wireLabel() string {
-	if cfg.Transport == quicrec.TransportQUIC {
-		return "quic+" + cfg.Sizing.Label()
-	}
-	label := cfg.RecordVersion.String()
-	if cfg.RecordVersion == tlsrec.RecordTLS13 {
-		if pad := cfg.Padding.String(); pad != "none" {
-			label += "+" + pad
-		}
-	}
-	return label
 }
 
 // Stream generates the corpus one point at a time, handing each owned
@@ -249,10 +223,7 @@ func streamPoints[R any](cfg Config, work func(Point) (R, error), emit func(R) e
 			Condition:         cond,
 			SessionID:         fmt.Sprintf("iitm-%03d", i+1),
 			Seed:              cfg.Seed*1_000_003 + uint64(i),
-			RecordVersion:     cfg.RecordVersion,
-			Padding:           cfg.Padding,
-			Transport:         cfg.Transport,
-			Sizing:            cfg.Sizing,
+			Wire:              cfg.Wire,
 			OmitServerPayload: cfg.Lean,
 		})
 		if err != nil {

@@ -40,7 +40,7 @@ type Manifest struct {
 	Seed uint64 `json:"seed"`
 	// Graph is the script graph's title.
 	Graph string `json:"graph"`
-	// Wire fingerprints the transport and framing policy
+	// Wire is the corpus's wire label, Config.Wire's String form
 	// (e.g. "tls1.2", "tls1.3+pad-to-256", "quic+pad-full-1252").
 	Wire string `json:"wire"`
 	// Shard is "index/count" for a shard directory, omitted for a full
@@ -159,7 +159,7 @@ func NewDatasetWriter(dir string, cfg Config) (*DatasetWriter, error) {
 			N:      cfg.N,
 			Seed:   cfg.Seed,
 			Graph:  cfg.Graph.Title,
-			Wire:   cfg.wireLabel(),
+			Wire:   cfg.Wire.String(),
 			Shard:  cfg.Shard.String(),
 		},
 	}

@@ -200,3 +200,27 @@ func TestPrefetchAblation(t *testing.T) {
 			res.WithoutPrefetch, res.WithPrefetch)
 	}
 }
+
+// TestDefaultShapingCells pins the two default sweeps' cells and order:
+// wmbench's tls13 and quic rows and metric keys derive from these labels.
+func TestDefaultShapingCells(t *testing.T) {
+	var got []string
+	for _, c := range append(DefaultTLSCells(), DefaultQUICCells()...) {
+		got = append(got, c.Label())
+	}
+	want := []string{
+		"tls1.2/noise-2", "tls1.3/noise-2", "tls1.3+pad-to-64/noise-2",
+		"tls1.3+pad-to-256/noise-2", "tls1.3+pad-random-128/noise-2", "tls1.3+pad-random-512/noise-2",
+		"quic+default-1350/noise-0", "quic+default-1350/noise-1", "quic+default-1350/noise-2",
+		"quic+fixed-1200/noise-2", "quic+pad-full-1350/noise-2", "quic+pad-random-1350+2/noise-2",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("default shaping cells\n got %v\nwant %v", got, want)
+	}
+}
+
+func TestShapingNeedsCells(t *testing.T) {
+	if _, err := Shaping(4, nil, 3); err == nil {
+		t.Error("Shaping with no cells should error, not return an empty sweep")
+	}
+}

@@ -86,49 +86,8 @@ func Interleaved(sessions int, noiseCounts []int, seed uint64) (*InterleavedResu
 		return nil, err
 	}
 
-	type unit struct {
-		detected       bool
-		correct, total int
-		margin         float64
-	}
-	units, err := parallel.MapN(0, len(noiseCounts)*sessions, func(i int) (unit, error) {
-		ni, si := i/sessions, i%sessions
-		tr := traces[si]
-		var buf bytes.Buffer
-		if err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
-			Options:    capture.Options{Seed: seed + uint64(i)*13},
-			NoiseFlows: noiseCounts[ni],
-		}); err != nil {
-			return unit{}, err
-		}
-
-		var finalized *attack.SessionFinalized
-		m := attack.NewMonitor(atk, attack.MonitorOptions{OnEvent: func(ev attack.Event) {
-			if f, ok := ev.(attack.SessionFinalized); ok {
-				finalized = &f
-			}
-		}})
-		data := buf.Bytes()
-		const chunk = 256 << 10
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			if err := m.Feed(data[off:end]); err != nil {
-				return unit{}, err
-			}
-		}
-		inf, err := m.Close()
-		if err != nil {
-			return unit{}, err
-		}
-		ep := capture.DefaultEndpoints()
-		u := unit{margin: inf.DecodeMargin}
-		u.detected = finalized != nil &&
-			finalized.Flow.SrcAddr == ep.ClientAddr && finalized.Flow.SrcPort == ep.ClientPort
-		u.correct, u.total = attack.ScoreDecisions(inf.Decisions, tr.GroundTruthDecisions())
-		return u, nil
+	scores, err := parallel.MapN(0, len(noiseCounts)*sessions, func(i int) (captureScore, error) {
+		return attackCapture(atk, traces[i%sessions], noiseCounts[i/sessions], seed+uint64(i)*13)
 	})
 	if err != nil {
 		return nil, err
@@ -136,26 +95,97 @@ func Interleaved(sessions int, noiseCounts []int, seed uint64) (*InterleavedResu
 
 	res := &InterleavedResult{}
 	for ni, n := range noiseCounts {
-		p := InterleavedPoint{NoiseFlows: n, Sessions: sessions}
-		var accs, margins []float64
-		for si := 0; si < sessions; si++ {
-			u := units[ni*sessions+si]
-			if !u.detected {
-				continue
-			}
-			p.Detected++
-			if u.total > 0 {
-				accs = append(accs, float64(u.correct)/float64(u.total))
-			}
-			margins = append(margins, u.margin)
-		}
-		p.DetectionRate = float64(p.Detected) / float64(sessions)
-		p.MeanAccuracy = stats.Mean(accs)
-		p.MeanMargin = stats.Mean(margins)
-		res.Points = append(res.Points, p)
+		t := tally(scores[ni*sessions : (ni+1)*sessions])
+		res.Points = append(res.Points, InterleavedPoint{
+			NoiseFlows: n, Sessions: sessions, Detected: t.detected,
+			DetectionRate: float64(t.detected) / float64(sessions),
+			MeanAccuracy:  t.meanAccuracy,
+			MeanMargin:    t.meanMargin,
+		})
 	}
 	res.Report = renderInterleaved(res)
 	return res, nil
+}
+
+// captureScore is one capture's outcome under the streaming attack.
+type captureScore struct {
+	// detected reports that the monitor finalized on the interactive
+	// flow rather than a noise flow.
+	detected       bool
+	correct, total int
+	margin         float64
+	// clientBytes is the session's client-direction wire volume.
+	clientBytes int64
+}
+
+// attackCapture renders tr with noiseFlows interleaved noise flows under
+// capture seed capSeed, feeds the capture through a Monitor in 256 KiB
+// chunks, and scores the result: whether the monitor finalized on the
+// client endpoint, and how many of tr's choices it recovered.
+func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capSeed uint64) (captureScore, error) {
+	var buf bytes.Buffer
+	if err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
+		Options:    capture.Options{Seed: capSeed},
+		NoiseFlows: noiseFlows,
+	}); err != nil {
+		return captureScore{}, err
+	}
+	var finalized *attack.SessionFinalized
+	m := attack.NewMonitor(atk, attack.MonitorOptions{OnEvent: func(ev attack.Event) {
+		if f, ok := ev.(attack.SessionFinalized); ok {
+			finalized = &f
+		}
+	}})
+	data := buf.Bytes()
+	const chunk = 256 << 10
+	for off := 0; off < len(data); off += chunk {
+		if err := m.Feed(data[off:min(off+chunk, len(data))]); err != nil {
+			return captureScore{}, err
+		}
+	}
+	inf, err := m.Close()
+	if err != nil {
+		return captureScore{}, err
+	}
+	ep := capture.DefaultEndpoints()
+	sc := captureScore{margin: inf.DecodeMargin, clientBytes: int64(len(tr.ClientToServer.Bytes))}
+	sc.detected = finalized != nil &&
+		finalized.Flow.SrcAddr == ep.ClientAddr && finalized.Flow.SrcPort == ep.ClientPort
+	sc.correct, sc.total = attack.ScoreDecisions(inf.Decisions, tr.GroundTruthDecisions())
+	return sc, nil
+}
+
+// captureTally aggregates one cell's capture scores.
+type captureTally struct {
+	// detected counts detected captures; fullPaths counts captures whose
+	// whole decision vector was recovered, detected or not.
+	detected, fullPaths int
+	// meanAccuracy and meanMargin average over detected captures.
+	meanAccuracy, meanMargin float64
+	clientBytes              int64
+}
+
+// tally aggregates capture scores.
+func tally(scores []captureScore) captureTally {
+	var t captureTally
+	var accs, margins []float64
+	for _, sc := range scores {
+		t.clientBytes += sc.clientBytes
+		if sc.total > 0 && sc.correct == sc.total {
+			t.fullPaths++
+		}
+		if !sc.detected {
+			continue
+		}
+		t.detected++
+		if sc.total > 0 {
+			accs = append(accs, float64(sc.correct)/float64(sc.total))
+		}
+		margins = append(margins, sc.margin)
+	}
+	t.meanAccuracy = stats.Mean(accs)
+	t.meanMargin = stats.Mean(margins)
+	return t
 }
 
 func renderInterleaved(res *InterleavedResult) string {

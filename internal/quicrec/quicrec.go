@@ -134,7 +134,8 @@ func (p SizingPolicy) Envelope() int {
 	return 0
 }
 
-// Label renders the policy for experiment tables.
+// Label renders the policy the way experiment tables and wire labels
+// spell it: "default-1350", "fixed-1200", "pad-random-1350+2".
 func (p SizingPolicy) Label() string {
 	switch p.Mode {
 	case SizeFixed:
@@ -146,53 +147,6 @@ func (p SizingPolicy) Label() string {
 	default:
 		return fmt.Sprintf("default-%d", p.MaxDatagram())
 	}
-}
-
-// ParseSizing is Label's inverse: it parses a sizing policy spelled the
-// way the experiment tables render it — "default", "fixed-1200",
-// "pad-full-1350", "pad-random-1350+2" — so CLI flags and reports share
-// one vocabulary. The size suffix is optional on "default".
-func ParseSizing(s string) (SizingPolicy, error) {
-	if s == "" || s == "default" {
-		return SizingPolicy{}, nil
-	}
-	var n, k int
-	switch {
-	case matchSizing(s, "default-%d", &n):
-		return SizingPolicy{N: n}, nil
-	case matchSizing(s, "fixed-%d", &n):
-		return Fixed(n), nil
-	case matchSizing(s, "pad-full-%d", &n):
-		return PadFull(n), nil
-	case matchSizing(s, "pad-random-%d+%d", &n, &k):
-		return PadRandom(n, k), nil
-	}
-	return SizingPolicy{}, fmt.Errorf("quicrec: unknown sizing policy %q (want default | fixed-N | pad-full-N | pad-random-N+K)", s)
-}
-
-// matchSizing reports whether s parses fully under the Sscanf format.
-func matchSizing(s, format string, args ...any) bool {
-	var rest string
-	n, err := fmt.Sscanf(s+"\x00", format+"%s", append(args, &rest)...)
-	return err == nil && n == len(args)+1 && rest == "\x00"
-}
-
-// ResolveTransportFlags maps the transport CLI flags the cmds share
-// (-quic, -sizing) to a transport and datagram sizing policy, enforcing
-// the cross-flag rule in one place: a sizing policy requires the QUIC
-// transport (TCP sessions shape traffic with record padding instead).
-func ResolveTransportFlags(quic bool, sizing string) (Transport, SizingPolicy, error) {
-	pol, err := ParseSizing(sizing)
-	if err != nil {
-		return 0, pol, err
-	}
-	if !quic {
-		if pol != (SizingPolicy{}) {
-			return 0, pol, fmt.Errorf("quicrec: -sizing requires -quic (TCP sessions pad records, not datagrams)")
-		}
-		return TransportTCP, SizingPolicy{}, nil
-	}
-	return TransportQUIC, pol, nil
 }
 
 // Params configures a Conn.

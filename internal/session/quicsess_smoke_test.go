@@ -16,7 +16,7 @@ func TestQUICSessionSmoke(t *testing.T) {
 	enc := media.Encode(g, media.DefaultLadder, 42)
 	pop := viewer.SamplePopulation(1, wire.NewRNG(1))
 	tr, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
-		Condition: profiles.Fig2Ubuntu, Seed: 42, Transport: quicrec.TransportQUIC,
+		Condition: profiles.Fig2Ubuntu, Seed: 42, Wire: Wire{Transport: quicrec.TransportQUIC},
 		OmitServerPayload: false})
 	if err != nil {
 		t.Fatal(err)

@@ -196,30 +196,10 @@ type Config struct {
 	// Profiling and experiment workloads that never serialize the trace to
 	// pcap set this — it removes the dominant memory cost of a session.
 	OmitServerPayload bool
-	// RecordVersion selects the TLS record-layer generation both
-	// directions speak. The zero value is RecordTLS12 — the stack the
-	// paper measured in 2019. RecordTLS13 swaps the condition profile's
-	// suite for its 1.3 equivalent (profiles.Profile.ForVersion) and
-	// synthesizes RFC 8446 framing: hellos in the clear, a dummy
-	// ChangeCipherSpec, and every later record as outer application_data.
-	RecordVersion tlsrec.RecordVersion
-	// Padding applies an RFC 8446 record-padding policy to every
-	// protected record in both directions (TLS 1.3 only; 1.2 has no such
-	// mechanism and ignores it). Random policies draw from dedicated
-	// seeded streams, so lean and full runs stay byte-identical.
-	Padding tlsrec.PaddingPolicy
-	// Transport selects the wire transport. The zero value is
-	// TransportTCP — TLS records over TCP, the stack the paper measured.
-	// TransportQUIC replaces the record layer with QUIC v1 datagrams over
-	// UDP (quicrec): record boundaries disappear, the condition profile
-	// shifts for HTTP/3 framing (profiles.Profile.ForTransport), and
-	// RecordVersion/Padding are ignored — QUIC's protection is always
-	// 1.3-style and sizing defenses are expressed via Sizing instead.
-	Transport quicrec.Transport
-	// Sizing is the QUIC datagram-sizing policy (TransportQUIC only).
-	// The zero value is the default 1350-byte cap; padding policies model
-	// datagram-level defenses the way Padding does for TLS 1.3 records.
-	Sizing quicrec.SizingPolicy
+	// Wire is the stack both directions speak and the shaping policy in
+	// force (zero: TLS 1.2 over TCP, unshaped). Run rejects a policy that
+	// does not fit the stack.
+	Wire Wire
 }
 
 // Run simulates one session.
@@ -233,11 +213,15 @@ func Run(cfg Config) (*Trace, error) {
 	if cfg.SessionID == "" {
 		cfg.SessionID = "session-1"
 	}
+	if err := cfg.Wire.validate(); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
 	if cfg.Start.IsZero() {
 		cfg.Start = time.Unix(1735689600, 0) // 2025-01-01T00:00:00Z epoch for traces
 	}
-	prof := profiles.Lookup(cfg.Condition).ForVersion(cfg.RecordVersion).ForTransport(cfg.Transport)
-	recVer := cfg.RecordVersion.WireVersion()
+	w := cfg.Wire
+	prof := profiles.Lookup(cfg.Condition).ForVersion(w.Record).ForTransport(w.Transport)
+	recVer := w.Record.WireVersion()
 	rng := wire.NewRNG(cfg.Seed)
 
 	// Stream buffers. The client direction is small and always pooled.
@@ -261,7 +245,7 @@ func Run(cfg Config) (*Trace, error) {
 			Condition: cfg.Condition,
 			Profile:   prof,
 			SessionID: cfg.SessionID,
-			Transport: cfg.Transport,
+			Transport: w.Transport,
 			// A typical walk meets ~50-150 labeled writes.
 			ClientWrites: make([]LabeledWrite, 0, 96),
 		},
@@ -281,19 +265,19 @@ func Run(cfg Config) (*Trace, error) {
 		sBuf:    sBuf,
 	}
 	env.sEnc.Server = true
-	if cfg.RecordVersion == tlsrec.RecordTLS13 {
+	if w.Record == tlsrec.RecordTLS13 {
 		// Padding draws come from dedicated streams so the RNG consumption
 		// of the session model itself is untouched by the policy.
-		env.cEnc.SetPadding(cfg.Padding, rng.Fork(7))
-		env.sEnc.SetPadding(cfg.Padding, rng.Fork(8))
+		env.cEnc.SetPadding(w.Padding, rng.Fork(7))
+		env.sEnc.SetPadding(w.Padding, rng.Fork(8))
 	}
-	if cfg.Transport == quicrec.TransportQUIC {
+	if w.Transport == quicrec.TransportQUIC {
 		// QUIC endpoints draw from forks 9 and 10, past every label the
 		// TCP path consumes, so adding the transport cannot perturb any
 		// existing seeded stream.
 		env.transport = quicrec.TransportQUIC
-		env.cQ = quicrec.NewConn(quicrec.Params{Sizing: cfg.Sizing}, false, rng.Fork(9))
-		env.sQ = quicrec.NewConn(quicrec.Params{Sizing: cfg.Sizing}, true, rng.Fork(10))
+		env.cQ = quicrec.NewConn(quicrec.Params{Sizing: w.Sizing}, false, rng.Fork(9))
+		env.sQ = quicrec.NewConn(quicrec.Params{Sizing: w.Sizing}, true, rng.Fork(10))
 	}
 
 	// TLS handshake opens the connection.

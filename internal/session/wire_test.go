@@ -1,0 +1,137 @@
+package session
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/media"
+	"repro/internal/profiles"
+	"repro/internal/quicrec"
+	"repro/internal/script"
+	"repro/internal/tlsrec"
+	"repro/internal/viewer"
+	"repro/internal/wire"
+)
+
+// TestParseWireRoundTrip: every label the shaping sweep's default cells
+// and DATASET.md spell parses to the expected Wire and renders back to
+// itself.
+func TestParseWireRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		label string
+		want  Wire
+	}{
+		{"tls1.2", Wire{}},
+		{"tls1.3", Wire{Record: tlsrec.RecordTLS13}},
+		{"tls1.3+pad-to-64", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(64)}},
+		{"tls1.3+pad-to-256", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(256)}},
+		{"tls1.3+pad-random-128", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(128)}},
+		{"tls1.3+pad-random-512", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(512)}},
+		{"quic+default-1350", Wire{Transport: quicrec.TransportQUIC}},
+		{"quic+fixed-1200", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.Fixed(1200)}},
+		{"quic+pad-full-1350", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadFull(1350)}},
+		{"quic+pad-full-1252", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadFull(1252)}},
+		{"quic+pad-random-1350+2", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, 2)}},
+	} {
+		got, err := ParseWire(tc.label)
+		if err != nil {
+			t.Errorf("ParseWire(%q): %v", tc.label, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("ParseWire(%q) = %+v, want %+v", tc.label, got, tc.want)
+		}
+		if s := got.String(); s != tc.label {
+			t.Errorf("ParseWire(%q).String() = %q", tc.label, s)
+		}
+	}
+}
+
+// TestParseWireDefaultSizing: bare "quic" and the zero policy's own
+// label both name the default sizing policy.
+func TestParseWireDefaultSizing(t *testing.T) {
+	for _, label := range []string{"quic", "quic+default-1350"} {
+		w, err := ParseWire(label)
+		if err != nil {
+			t.Fatalf("ParseWire(%q): %v", label, err)
+		}
+		if w != (Wire{Transport: quicrec.TransportQUIC}) {
+			t.Errorf("ParseWire(%q) = %+v, want QUIC with the zero sizing policy", label, w)
+		}
+	}
+}
+
+// TestParseWireRejects: a policy on a stack it does not shape, a size
+// that is not positive, and anything outside the grammar.
+func TestParseWireRejects(t *testing.T) {
+	for _, label := range []string{
+		"", "tls", "tls1.4", "TLS1.3", "tcp", "quic+", "tls1.3+",
+		"tls1.2+pad-to-64", "tls1.2+pad-random-128", // padding needs TLS 1.3
+		"quic+pad-to-64", "quic+pad-random-128", // ...and is no QUIC policy
+		"tls1.3+fixed-1200", "tls1.3+pad-full-1350", "tls1.3+default-1350", "tls1.3+pad-random-1350+2",
+		"tls1.2+fixed-1200", // sizing needs QUIC
+		"tls1.3+pad-to-0", "tls1.3+pad-to--3", "tls1.3+pad-random-0", "tls1.3+pad-random--1",
+		"quic+fixed-0", "quic+pad-full--1350", "quic+pad-random-0+2", "quic+pad-random-1350+-1",
+		"quic+default", "quic+default-1200", "quic+pad-random-1350",
+		"tls1.3+pad-to-064", "tls1.3+pad-to-+64", "quic+fixed-1200x", "tls1.3+pad-to-64+pad-to-64",
+		"tls1.3+pad-to-99999999999999999999",
+	} {
+		if w, err := ParseWire(label); err == nil {
+			t.Errorf("ParseWire(%q) = %+v, want an error", label, w)
+		}
+	}
+}
+
+// TestRunRejectsMismatchedWire: Run refuses a Wire literal whose policy
+// does not fit its stack instead of dropping the policy silently.
+func TestRunRejectsMismatchedWire(t *testing.T) {
+	g := script.Bandersnatch()
+	enc := media.Encode(g, media.DefaultLadder, 42)
+	pop := viewer.SamplePopulation(1, wire.NewRNG(1))
+	for _, w := range []Wire{
+		{Padding: tlsrec.PadToMultipleOf(64)},
+		{Transport: quicrec.TransportQUIC, Padding: tlsrec.PadRandomUpTo(128)},
+		{Transport: quicrec.TransportQUIC, Record: tlsrec.RecordTLS13},
+		{Sizing: quicrec.PadFull(1350)},
+		{Record: tlsrec.RecordTLS13, Sizing: quicrec.Fixed(1200)},
+		{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(-64)},
+		{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, -1)},
+	} {
+		_, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
+			Condition: profiles.Fig2Ubuntu, Seed: 1, Wire: w, OmitServerPayload: true})
+		if err == nil {
+			t.Errorf("Run accepted Wire %+v", w)
+		} else if !strings.HasPrefix(err.Error(), "session: ") {
+			t.Errorf("Run(%+v) error %q lacks the package prefix", w, err)
+		}
+	}
+}
+
+// FuzzParseWire: no input panics the parser, and every label it accepts
+// passes Run's validation and re-parses from its String form to an equal
+// Wire.
+func FuzzParseWire(f *testing.F) {
+	for _, seed := range []string{
+		"tls1.2", "tls1.3", "tls1.3+pad-to-64", "tls1.3+pad-random-512",
+		"quic", "quic+default-1350", "quic+fixed-1200", "quic+pad-full-1350",
+		"quic+pad-random-1350+2", "tls1.2+pad-to-64", "quic+pad-random-0+0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, label string) {
+		w, err := ParseWire(label)
+		if err != nil {
+			return
+		}
+		if err := w.validate(); err != nil {
+			t.Fatalf("ParseWire(%q) = %+v, which Run rejects: %v", label, w, err)
+		}
+		again, err := ParseWire(w.String())
+		if err != nil {
+			t.Fatalf("ParseWire(%q).String() = %q does not re-parse: %v", label, w.String(), err)
+		}
+		if again != w {
+			t.Fatalf("ParseWire(%q) = %+v, but its String %q re-parses to %+v", label, w, w.String(), again)
+		}
+	})
+}

@@ -52,7 +52,7 @@ func PadRandomUpTo(n int) PaddingPolicy {
 	return PaddingPolicy{Mode: PadRandom, Param: n}
 }
 
-// String renders the policy the way reports and flags spell it:
+// String renders the policy the way reports and wire labels spell it:
 // "none", "pad-to-64", "pad-random-128".
 func (p PaddingPolicy) String() string {
 	switch p.Mode {
@@ -80,30 +80,6 @@ func (p PaddingPolicy) Envelope() int {
 		}
 	}
 	return 0
-}
-
-// ResolveRecordFlags maps the record-layer CLI flags the cmds share
-// (-tls13, -pad-to, -pad-random) to a record version and padding policy,
-// enforcing the cross-flag rules in one place: the pad modes are
-// mutually exclusive, and padding requires the 1.3 record layer (1.2 has
-// no padding mechanism).
-func ResolveRecordFlags(tls13 bool, padTo, padRandom int) (RecordVersion, PaddingPolicy, error) {
-	var pad PaddingPolicy
-	switch {
-	case padTo > 0 && padRandom > 0:
-		return 0, pad, fmt.Errorf("tlsrec: -pad-to and -pad-random are mutually exclusive")
-	case padTo > 0:
-		pad = PadToMultipleOf(padTo)
-	case padRandom > 0:
-		pad = PadRandomUpTo(padRandom)
-	}
-	if pad.Mode != PadNone && !tls13 {
-		return 0, pad, fmt.Errorf("tlsrec: record padding requires -tls13 (TLS 1.2 has no padding mechanism)")
-	}
-	if tls13 {
-		return RecordTLS13, pad, nil
-	}
-	return RecordTLS12, pad, nil
 }
 
 // PadBytes returns the pad for one record whose TLSInnerPlaintext

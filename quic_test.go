@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/experiments"
-	"repro/internal/quicrec"
 )
 
 // TestQUICAccuracyRegression is the CI quic gate: the sweep's headline
@@ -21,30 +20,31 @@ import (
 // dummy-datagram defense must defeat interval-band training outright
 // rather than misclassify.
 func TestQUICAccuracyRegression(t *testing.T) {
-	policies := []experiments.QUICPolicy{
-		{NoiseFlows: 0},
-		{NoiseFlows: 1},
-		{NoiseFlows: 2},
-		{Sizing: quicrec.PadRandom(1350, 2), NoiseFlows: 2},
+	quic := mustWire(t, "quic")
+	cells := []experiments.ShapingCell{
+		{Wire: quic, NoiseFlows: 0},
+		{Wire: quic, NoiseFlows: 1},
+		{Wire: quic, NoiseFlows: 2},
+		{Wire: mustWire(t, "quic+pad-random-1350+2"), NoiseFlows: 2},
 	}
-	res, err := experiments.QUIC(4, policies, 3)
+	res, err := experiments.Shaping(4, cells, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(policies) {
-		t.Fatalf("got %d points for %d policies", len(res.Points), len(policies))
+	if len(res.Points) != len(cells) {
+		t.Fatalf("got %d points for %d cells", len(res.Points), len(cells))
 	}
 	for _, pt := range res.Points[:3] {
 		if !pt.Trainable {
-			t.Fatalf("%s failed training: %s", pt.Policy.Label(), pt.TrainError)
+			t.Fatalf("%s failed training: %s", pt.Cell.Label(), pt.TrainError)
 		}
 		if pt.DetectionRate < 0.90 {
 			t.Errorf("%s detection %.0f%% below the 90%% bar\n%s",
-				pt.Policy.Label(), 100*pt.DetectionRate, res.Report)
+				pt.Cell.Label(), 100*pt.DetectionRate, res.Report)
 		}
 		if pt.MeanAccuracy < 0.90 {
 			t.Errorf("%s decode accuracy %.1f%% below the 90%% bar\n%s",
-				pt.Policy.Label(), 100*pt.MeanAccuracy, res.Report)
+				pt.Cell.Label(), 100*pt.MeanAccuracy, res.Report)
 		}
 	}
 	if rand := res.Points[3]; rand.Trainable {
@@ -59,15 +59,16 @@ func TestQUICAccuracyRegression(t *testing.T) {
 // returns exactly what the one-shot wrapper returns, and both recover
 // the viewer's full path from burst totals alone.
 func TestQUICMonitorMatchesBatch(t *testing.T) {
+	quic := mustWire(t, "quic")
 	atk, err := TrainAttacker(TrainingOptions{
 		Condition: ConditionUbuntu, Seed: 99,
-		Transport: TransportQUIC, Sessions: 10,
+		Wire: quic, Sessions: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, err := Simulate(SessionOptions{
-		Seed: 2, Condition: ConditionUbuntu, Transport: TransportQUIC,
+		Seed: 2, Condition: ConditionUbuntu, Wire: quic,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/experiments"
-	"repro/internal/tlsrec"
 )
 
 // TestTLS13AccuracyRegression is the CI tls13 gate: the sweep's headline
@@ -22,17 +21,17 @@ import (
 // narrow buys nothing), and pad-random-512 must defeat interval-band
 // training outright rather than misclassify.
 func TestTLS13AccuracyRegression(t *testing.T) {
-	policies := []experiments.TLS13Policy{
-		{Version: tlsrec.RecordTLS13},
-		{Version: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(64)},
-		{Version: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(512)},
+	cells := []experiments.ShapingCell{
+		{Wire: mustWire(t, "tls1.3"), NoiseFlows: 2},
+		{Wire: mustWire(t, "tls1.3+pad-to-64"), NoiseFlows: 2},
+		{Wire: mustWire(t, "tls1.3+pad-random-512"), NoiseFlows: 2},
 	}
-	res, err := experiments.TLS13(4, policies, 3)
+	res, err := experiments.Shaping(4, cells, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(policies) {
-		t.Fatalf("got %d points for %d policies", len(res.Points), len(policies))
+	if len(res.Points) != len(cells) {
+		t.Fatalf("got %d points for %d cells", len(res.Points), len(cells))
 	}
 	none, pad64, rand512 := res.Points[0], res.Points[1], res.Points[2]
 
@@ -59,8 +58,8 @@ func TestTLS13AccuracyRegression(t *testing.T) {
 		t.Errorf("pad-to-64 decode accuracy %.1f%% below the pinned 95%%\n%s",
 			100*pad64.MeanAccuracy, res.Report)
 	}
-	if pad64.PadOverheadPct <= 0 || pad64.PadOverheadPct > 15 {
-		t.Errorf("pad-to-64 overhead %.1f%% implausible (want (0, 15]%%)", pad64.PadOverheadPct)
+	if pad64.OverheadPct <= 0 || pad64.OverheadPct > 15 {
+		t.Errorf("pad-to-64 overhead %.1f%% implausible (want (0, 15]%%)", pad64.OverheadPct)
 	}
 
 	if rand512.Trainable {
@@ -76,16 +75,15 @@ func TestTLS13AccuracyRegression(t *testing.T) {
 // chunks returns exactly what the one-shot wrapper returns, and both
 // recover the viewer's full path.
 func TestTLS13MonitorMatchesInferPcap(t *testing.T) {
+	padded := mustWire(t, "tls1.3+pad-to-64")
 	atk, err := TrainAttacker(TrainingOptions{
-		Condition: ConditionUbuntu, Seed: 99,
-		RecordVersion: RecordTLS13, Padding: PadToMultipleOf(64),
+		Condition: ConditionUbuntu, Seed: 99, Wire: padded,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, err := Simulate(SessionOptions{
-		Seed: 2, Condition: ConditionUbuntu,
-		RecordVersion: RecordTLS13, Padding: PadToMultipleOf(64),
+		Seed: 2, Condition: ConditionUbuntu, Wire: padded,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,8 @@ import (
 	"repro/internal/media"
 	"repro/internal/parallel"
 	"repro/internal/profiles"
-	"repro/internal/quicrec"
 	"repro/internal/script"
 	"repro/internal/session"
-	"repro/internal/tlsrec"
 	"repro/internal/viewer"
 	"repro/internal/wire"
 )
@@ -91,64 +89,18 @@ type (
 	// carried by Monitor events).
 	FlowKey = layers.FlowKey
 
-	// RecordVersion selects the TLS record-layer generation a simulated
-	// stack speaks: RecordTLS12 (the zero value — the paper's 2019 stack)
-	// or RecordTLS13 (RFC 8446 framing: content types hidden inside
-	// encrypted records, optional padding).
-	RecordVersion = tlsrec.RecordVersion
-	// PaddingPolicy is an RFC 8446 record-padding policy applied under
-	// TLS 1.3; build one with PadToMultipleOf or PadRandomUpTo.
-	PaddingPolicy = tlsrec.PaddingPolicy
-
-	// Transport selects the wire protocol a simulated stack speaks:
-	// TransportTCP (the zero value — TLS records over TCP) or
-	// TransportQUIC (HTTP/3: 1-RTT packets in UDP datagrams, record
-	// boundaries invisible on the wire).
-	Transport = quicrec.Transport
-	// SizingPolicy shapes QUIC 1-RTT datagram sizes; build one with
-	// QUICFixed, QUICPadFull or QUICPadRandom (the zero value packs
-	// datagrams up to the default 1350-byte cap).
-	SizingPolicy = quicrec.SizingPolicy
+	// Wire is the stack a simulated service speaks and the shaping
+	// policy in force: TLS 1.2 over TCP (the zero value — the paper's
+	// 2019 stack), TLS 1.3 with optional RFC 8446 record padding, or
+	// QUIC v1 over UDP with a datagram sizing policy. Build one with
+	// ParseWire.
+	Wire = session.Wire
 )
 
-// Record-layer generations, re-exported for SessionOptions.RecordVersion
-// and TrainingOptions.RecordVersion.
-const (
-	// RecordTLS12 is the classic record layer the paper measured.
-	RecordTLS12 = tlsrec.RecordTLS12
-	// RecordTLS13 is the RFC 8446 record layer of modern stacks.
-	RecordTLS13 = tlsrec.RecordTLS13
-)
-
-// PadToMultipleOf returns the TLS 1.3 padding policy that rounds every
-// record's inner plaintext up to a multiple of n bytes.
-func PadToMultipleOf(n int) PaddingPolicy { return tlsrec.PadToMultipleOf(n) }
-
-// PadRandomUpTo returns the TLS 1.3 padding policy that appends a
-// seeded uniform random pad of [0, n] bytes per record.
-func PadRandomUpTo(n int) PaddingPolicy { return tlsrec.PadRandomUpTo(n) }
-
-// Transports, re-exported for SessionOptions.Transport and
-// TrainingOptions.Transport.
-const (
-	// TransportTCP is TLS records over TCP — the paper's stack.
-	TransportTCP = quicrec.TransportTCP
-	// TransportQUIC is HTTP/3: the same session over QUIC datagrams.
-	TransportQUIC = quicrec.TransportQUIC
-)
-
-// QUICFixed returns the QUIC sizing policy that caps datagrams at n
-// bytes.
-func QUICFixed(n int) SizingPolicy { return quicrec.Fixed(n) }
-
-// QUICPadFull returns the QUIC sizing policy that pads every 1-RTT
-// datagram to n bytes.
-func QUICPadFull(n int) SizingPolicy { return quicrec.PadFull(n) }
-
-// QUICPadRandom returns the QUIC sizing policy that pads datagrams to n
-// bytes and appends a seeded uniform 0..k dummy datagrams per write —
-// the burst-feature countermeasure.
-func QUICPadRandom(n, k int) SizingPolicy { return quicrec.PadRandom(n, k) }
+// ParseWire parses a wire label — "tls1.2", "tls1.3+pad-to-64",
+// "quic", "quic+pad-random-1350+2", the grammar DATASET.md spells out —
+// into the Wire that SessionOptions and TrainingOptions carry.
+func ParseWire(label string) (Wire, error) { return session.ParseWire(label) }
 
 // NewMonitor returns a streaming monitor for a trained attacker. The
 // monitor accepts pcap bytes in chunks of any size (Feed) or captured
@@ -201,18 +153,9 @@ type SessionOptions struct {
 	// workloads that never render the trace to pcap (training, bulk
 	// experiments); CapturePcap requires a non-lean trace.
 	Lean bool
-	// RecordVersion selects the TLS record layer the session speaks
-	// (default RecordTLS12; RecordTLS13 models a modern stack). Ignored
-	// under TransportQUIC, which has its own record protection.
-	RecordVersion RecordVersion
-	// Padding applies an RFC 8446 record-padding policy under TLS 1.3
-	// (ignored for 1.2, which has no such mechanism, and under QUIC).
-	Padding PaddingPolicy
-	// Transport selects TCP (default) or QUIC framing for the same
-	// application behaviour.
-	Transport Transport
-	// Sizing shapes QUIC datagram sizes (TransportQUIC only).
-	Sizing SizingPolicy
+	// Wire is the stack the session speaks (default TLS 1.2 over TCP)
+	// and the shaping policy in force.
+	Wire Wire
 }
 
 // Simulate runs one end-to-end viewing session and returns its trace.
@@ -245,10 +188,7 @@ func Simulate(opts SessionOptions) (*Trace, error) {
 		Seed:              opts.Seed,
 		DisablePrefetch:   opts.DisablePrefetch,
 		OmitServerPayload: opts.Lean,
-		RecordVersion:     opts.RecordVersion,
-		Padding:           opts.Padding,
-		Transport:         opts.Transport,
-		Sizing:            opts.Sizing,
+		Wire:              opts.Wire,
 	})
 }
 
@@ -306,24 +246,16 @@ type TrainingOptions struct {
 	// WM_WORKERS or GOMAXPROCS). The trained attacker is identical at any
 	// worker count.
 	Workers int
-	// RecordVersion is the record layer the profiled service speaks; the
-	// attacker trains per record version exactly as it trains per
-	// condition (the 1.3 suites move every band).
-	RecordVersion RecordVersion
-	// Padding is the record-padding policy in force during profiling.
-	// The learned bands are widened by the policy's envelope — training
-	// examples only cover the pads that happened to be drawn — and a
-	// policy wide enough to smear the report classes together fails
-	// training with a "not separable" error rather than misclassifying.
-	Padding PaddingPolicy
-	// Transport is the wire protocol the profiled service speaks. Under
-	// TransportQUIC the attacker trains interval bands on labeled burst
-	// totals (summed datagram sizes per write) instead of record lengths.
-	Transport Transport
-	// Sizing is the QUIC datagram sizing policy in force during
-	// profiling; its envelope widens the learned bands exactly as
-	// Padding's does under TLS 1.3.
-	Sizing SizingPolicy
+	// Wire is the stack the profiled service speaks and the shaping
+	// policy in force; the attacker trains per wire exactly as it trains
+	// per condition (every stack moves the bands). Under QUIC it learns
+	// bands on labeled burst totals (summed datagram sizes per write)
+	// instead of record lengths. The learned bands widen by the wire's
+	// envelope — training examples only cover the pads that happened to
+	// be drawn — and a policy that smears the report classes together
+	// fails training with a "not separable" error rather than
+	// misclassifying.
+	Wire Wire
 }
 
 // TrainAttacker profiles the service under a condition and returns an
@@ -355,11 +287,8 @@ func TrainAttacker(opts TrainingOptions) (*Attacker, error) {
 			Encoding:  enc,
 			// Profiling only consumes client-side record lengths; skip the
 			// server media payload.
-			Lean:          true,
-			RecordVersion: opts.RecordVersion,
-			Padding:       opts.Padding,
-			Transport:     opts.Transport,
-			Sizing:        opts.Sizing,
+			Lean: true,
+			Wire: opts.Wire,
 		})
 	}
 	traces, err := parallel.MapN(opts.Workers, n, func(t int) (*Trace, error) {
@@ -377,11 +306,7 @@ func TrainAttacker(opts TrainingOptions) (*Attacker, error) {
 		}
 		traces = append(traces, tr)
 	}
-	trainer := attack.TrainerFor(opts.RecordVersion, opts.Padding)
-	if opts.Transport == TransportQUIC {
-		trainer = attack.TrainerForQUIC(opts.Sizing)
-	}
-	return attack.NewAttackerWithTrainer(trainer, traces, g, script.BandersnatchMaxChoices)
+	return attack.NewAttackerWithTrainer(attack.TrainerFor(opts.Wire), traces, g, script.BandersnatchMaxChoices)
 }
 
 // GenerateDataset builds an n-viewer synthetic IITM-Bandersnatch-style

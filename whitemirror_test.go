@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// mustWire parses a wire label for a test.
+func mustWire(tb testing.TB, label string) Wire {
+	tb.Helper()
+	w, err := ParseWire(label)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
 // TestFullLoopThroughPublicAPI is the root integration test: simulate →
 // capture to pcap → train → attack → verify against ground truth, all
 // through the facade.
