@@ -1,18 +1,24 @@
 package whitemirror
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/pcapio"
 )
 
-// TestMonitorAllocsPerPacket bounds the Monitor's allocations per packet.
-// Every frame decodes into one reused Packet, each flow owns its two
-// reassembly streams, and scanned chunks are released at once, so what
-// remains are per-flow and per-record costs: a capture must cost under
-// one allocation per ten packets, through InferPcap, through a Monitor
-// fed an interleaved multi-flow capture in one Feed, and frame by frame
-// through FeedPacket into a rolling-window Monitor.
+// TestMonitorAllocsPerPacket bounds the Monitor's allocations per packet
+// and per byte. Every frame decodes into one reused Packet, each flow
+// owns its two reassembly streams, scanned chunks are released at once,
+// and the fed bytes are parsed in place, so what remains are per-flow
+// and per-record costs and the copies of out-of-order segments. A
+// capture must cost under 64 KiB allocated per MiB fed through InferPcap,
+// through a Monitor fed an interleaved multi-flow capture in one Feed,
+// frame by frame through FeedPacket into a rolling-window Monitor, and
+// in the 64 KiB Feed chunks of a rolling-window Monitor with an event
+// callback, the shape wmattack -live runs. The first three must also
+// cost under one allocation per ten packets; the live row is exempt,
+// because every event it delivers is an allocation of its own.
 func TestMonitorAllocsPerPacket(t *testing.T) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {
@@ -32,15 +38,16 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 	}
 	frames := readFrames(t, multi)
 	cases := []struct {
-		name string
-		pcap []byte
-		run  func() error
+		name   string
+		pcap   []byte
+		events bool // delivers events: no per-packet bound
+		run    func() error
 	}{
-		{"InferPcap", single, func() error {
+		{"InferPcap", single, false, func() error {
 			_, err := atk.InferPcap(single)
 			return err
 		}},
-		{"Multi", multi, func() error {
+		{"Multi", multi, false, func() error {
 			m := NewMonitor(atk, MonitorOptions{})
 			if err := m.Feed(multi); err != nil {
 				return err
@@ -48,10 +55,20 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 			_, err := m.Close()
 			return err
 		}},
-		{"FeedPacket", multi, func() error {
+		{"FeedPacket", multi, false, func() error {
 			m := NewMonitor(atk, MonitorOptions{Window: &MonitorWindow{}})
 			for _, rec := range frames {
 				if err := m.FeedPacket(rec.Timestamp, rec.Data); err != nil {
+					return err
+				}
+			}
+			_, err := m.Close()
+			return err
+		}},
+		{"Live", multi, true, func() error {
+			m := NewMonitor(atk, MonitorOptions{Window: &MonitorWindow{}, OnEvent: func(MonitorEvent) {}})
+			for off := 0; off < len(multi); off += 64 << 10 {
+				if err := m.Feed(multi[off:min(off+64<<10, len(multi))]); err != nil {
 					return err
 				}
 			}
@@ -70,12 +87,30 @@ func TestMonitorAllocsPerPacket(t *testing.T) {
 		if runErr != nil {
 			t.Fatalf("%s: %v", c.name, runErr)
 		}
-		t.Logf("%s: %.0f allocations over %d packets", c.name, allocs, len(recs))
-		if allocs*10 >= float64(len(recs)) {
+		kibPerMiB := allocKiB(c.run) / (float64(len(c.pcap)) / (1 << 20))
+		t.Logf("%s: %.0f allocations over %d packets, %.1f KiB allocated per MiB fed",
+			c.name, allocs, len(recs), kibPerMiB)
+		if !c.events && allocs*10 >= float64(len(recs)) {
 			t.Errorf("%s: %.0f allocations over %d packets, want under one per ten packets",
 				c.name, allocs, len(recs))
 		}
+		if kibPerMiB >= 64 {
+			t.Errorf("%s: %.1f KiB allocated per MiB fed, want under 64", c.name, kibPerMiB)
+		}
 	}
+}
+
+// allocKiB returns the KiB that one call of run allocates, averaged over
+// three calls.
+func allocKiB(run func() error) float64 {
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
 }
 
 // readFrames returns every record of an in-memory pcap.

@@ -401,8 +401,8 @@ func datasetBenchEntries() ([]benchEntry, error) {
 // pipelineBenchEntry measures the end-to-end attack read path — pcap
 // parse through constrained decode via the streaming-monitor-backed
 // InferPcap — on one pre-rendered capture. Its alloc count is the figure
-// the zero-copy read path (arena pcap reads + reassembly payload
-// ownership) is accountable for.
+// the zero-copy read path (pcap records parsed in place, in-order
+// payloads reassembled without a copy) is accountable for.
 func pipelineBenchEntry() (benchEntry, error) {
 	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{Seed: 21})
 	if err != nil {

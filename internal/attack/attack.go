@@ -319,9 +319,7 @@ func pathValid(g *script.Graph, decisions []bool) bool {
 // fed in chunks of any size.
 func (a *Attacker) InferPcap(pcapBytes []byte) (*Inference, error) {
 	m := NewMonitor(a, MonitorOptions{})
-	// The caller's bytes are read-only for the call's duration, so the
-	// reader adopts them without the streaming path's defensive copy.
-	if err := m.feedOwned(pcapBytes); err != nil {
+	if err := m.Feed(pcapBytes); err != nil {
 		return nil, err
 	}
 	return m.Close()

@@ -94,27 +94,43 @@ func runFuzzMonitor(t *testing.T, atk *Attacker, win *Window, feed func(*Monitor
 	return out
 }
 
-// feedFrames feeds frames one by one through FeedPacket.
+// feedFrames feeds frames one by one through FeedPacket, each copied
+// into one reused buffer that is overwritten once the call returns: the
+// monitor may keep no reference to a frame.
 func feedFrames(frames []fuzzFrame) func(*Monitor) error {
 	return func(m *Monitor) error {
+		var buf []byte
 		for _, fr := range frames {
-			if err := m.FeedPacket(fr.ts, fr.data); err != nil {
+			buf = append(buf[:0], fr.data...)
+			if err := m.FeedPacket(fr.ts, buf); err != nil {
 				return fmt.Errorf("FeedPacket: %w", err)
 			}
+			scribble(buf)
 		}
 		return nil
 	}
 }
 
-// feedSplit feeds pcap bytes through Feed in two pieces, cut at off.
+// feedSplit feeds pcap bytes through Feed in two pieces, cut at off, each
+// copied into one reused buffer that is overwritten once Feed returns.
 func feedSplit(pcap []byte, off int) func(*Monitor) error {
 	return func(m *Monitor) error {
+		var buf []byte
 		for _, part := range [][]byte{pcap[:off], pcap[off:]} {
-			if err := m.Feed(part); err != nil {
+			buf = append(buf[:0], part...)
+			if err := m.Feed(buf); err != nil {
 				return fmt.Errorf("Feed: %w", err)
 			}
+			scribble(buf)
 		}
 		return nil
+	}
+}
+
+// scribble overwrites a buffer the monitor was fed and must not retain.
+func scribble(buf []byte) {
+	for i := range buf {
+		buf[i] = 0xa5
 	}
 }
 
@@ -174,7 +190,8 @@ func tinyCaptureFrames(tb testing.TB) []fuzzFrame {
 // No input may panic it, feeding the same input twice must give the same
 // events and Close result, and the same frames written as pcap bytes and
 // fed through Feed in two pieces, cut at the offset split picks, must
-// give them too.
+// give them too. Every feed goes through a reused buffer that is
+// overwritten after each call.
 func FuzzMonitorFeedPacket(f *testing.F) {
 	// Frames spread evenly over a real capture, one to a seed, each cut
 	// inside the frame: small seeds keep each execution and each

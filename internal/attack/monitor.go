@@ -61,9 +61,8 @@ type Monitor struct {
 	win     *Window
 	prm     DecodeParams
 
-	cr    *pcapio.ChunkReader
-	arena []byte        // FeedPacket copies frames into chained blocks
-	pkt   layers.Packet // every frame decodes into this one Packet
+	cr  *pcapio.ChunkReader
+	pkt layers.Packet // every frame decodes into this one Packet
 
 	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
 	wheel *timeWheel                  // idle-expiry deadlines (window mode), from the first decoded packet
@@ -238,11 +237,6 @@ const defaultSweepInterval = 256
 // rejects it as the final answer.)
 const minSessionHards = 1
 
-// frameArenaBlock sizes the FeedPacket copy arena's blocks; retired
-// blocks are pinned only by the chunks that still reference them, so the
-// rolling window releases them wholesale as flows are consumed.
-const frameArenaBlock = 256 << 10
-
 // recordFootprint approximates one retained record descriptor's heap cost
 // for Stats accounting.
 const recordFootprint = 96
@@ -378,7 +372,7 @@ type MonitorStats struct {
 	ExpiredFlows int
 	// RetainedBytes approximates the monitor's retained buffer memory:
 	// reassembly chunks and pending segments, record descriptors, and the
-	// unconsumed tail of the pcap feed buffer.
+	// carried partial record of the pcap feed.
 	RetainedBytes int64
 	// Sweeps counts idle sweeps run so far (window mode).
 	Sweeps int64
@@ -486,19 +480,11 @@ func (m *Monitor) emit(ev Event) {
 
 // Feed ingests raw pcap bytes — the global header followed by records —
 // in chunks of any size, including single bytes and mid-packet splits.
-// Complete packets are processed as soon as their last byte arrives. The
-// chunk is copied; the caller may reuse its buffer.
+// Complete packets are processed as soon as their last byte arrives,
+// parsed in place: only a record cut at the chunk's end and out-of-order
+// TCP bytes waiting in reassembly are copied. The caller may reuse its
+// buffer as soon as Feed returns.
 func (m *Monitor) Feed(chunk []byte) error {
-	return m.feed(chunk, false)
-}
-
-// feedOwned is the whole-capture fast path: the one-shot wrapper owns its
-// bytes outright, so the reader adopts them with no copy.
-func (m *Monitor) feedOwned(chunk []byte) error {
-	return m.feed(chunk, true)
-}
-
-func (m *Monitor) feed(chunk []byte, owned bool) error {
 	if m.closed {
 		return errors.New("attack: monitor is closed")
 	}
@@ -508,11 +494,7 @@ func (m *Monitor) feed(chunk []byte, owned bool) error {
 	if m.cr == nil {
 		m.cr = pcapio.NewChunkReader()
 	}
-	if owned {
-		m.cr.FeedOwned(chunk)
-	} else {
-		m.cr.Feed(chunk)
-	}
+	m.cr.Feed(chunk)
 	for {
 		rec, ok, err := m.cr.Next()
 		if err != nil {
@@ -528,7 +510,8 @@ func (m *Monitor) feed(chunk []byte, owned bool) error {
 
 // FeedPacket ingests one captured frame directly (for consumers that
 // already demultiplex packets, e.g. a live capture loop). The frame is
-// copied; the caller may reuse its buffer.
+// decoded in place and only out-of-order TCP bytes are copied out of it;
+// the caller may reuse its buffer as soon as FeedPacket returns.
 func (m *Monitor) FeedPacket(ts time.Time, frame []byte) error {
 	if m.closed {
 		return errors.New("attack: monitor is closed")
@@ -536,18 +519,7 @@ func (m *Monitor) FeedPacket(ts time.Time, frame []byte) error {
 	if m.err != nil {
 		return m.err
 	}
-	if cap(m.arena)-len(m.arena) < len(frame) {
-		size := frameArenaBlock
-		if len(frame) > size {
-			size = len(frame)
-		}
-		// Chained blocks instead of one growing arena: a retired block is
-		// pinned only by the chunks still referencing it, so the rolling
-		// window releases copy memory as it consumes the stream.
-		m.arena = make([]byte, 0, size)
-	}
-	m.arena = append(m.arena, frame...)
-	m.ingestFrame(ts, m.arena[len(m.arena)-len(frame):])
+	m.ingestFrame(ts, frame)
 	return nil
 }
 
@@ -621,11 +593,7 @@ func (m *Monitor) ingest(p *layers.Packet, canon layers.FlowKey) {
 	key := p.Flow()
 	dir, isClient := f.direction(key)
 	if dir.stream == nil {
-		// Both feed paths hand reassembly stable memory: pcap chunks live
-		// in the ChunkReader's grow-only buffer and FeedPacket copies
-		// frames into the monitor's arena, so reassembly owns payloads
-		// without copying each segment again.
-		dir.stream = tcpreasm.NewStream(key, true)
+		dir.stream = tcpreasm.NewStream(key)
 		dir.sc = tlsrec.NewRecordScanner()
 		if isClient {
 			f.clientKey = key
@@ -635,9 +603,10 @@ func (m *Monitor) ingest(p *layers.Packet, canon layers.FlowKey) {
 	st.Feed(p)
 	// Drain newly delivered chunks into the record scanner, then release
 	// them: the scanner keeps only record headers, so no mode reads a
-	// chunk twice. A scanner that has hit a framing error stays stuck
-	// (the direction is not TLS), and the conversation is never a
-	// candidate.
+	// chunk twice, and no in-order chunk, which aliases the caller's
+	// bytes, outlives the packet's ingest. A scanner that has hit a
+	// framing error stays stuck (the direction is not TLS), and the
+	// conversation is never a candidate.
 	for _, ch := range st.DeliveredChunks(dir.consumed) {
 		dir.consumed++
 		if dir.sc.Err() == nil {

@@ -633,8 +633,8 @@ func TestMonitorWindowFallbackSurvivesRejection(t *testing.T) {
 
 // TestMonitorFeedPacketOwnedReleasesOnError: a capture loop feeding a
 // closed monitor must get an error for every frame and leave nothing
-// behind — no frame copied into the arena, no bytes retained — or the
-// monitor grows one frame per packet after it stopped working.
+// behind — no bytes retained, no flow tracked — or the monitor grows one
+// frame per packet after it stopped working.
 func TestMonitorFeedPacketOwnedReleasesOnError(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
@@ -646,9 +646,6 @@ func TestMonitorFeedPacketOwnedReleasesOnError(t *testing.T) {
 		if err := m.FeedPacket(time.Unix(int64(i), 0), make([]byte, 1200)); err == nil {
 			t.Fatal("feed after Close should error")
 		}
-	}
-	if m.arena != nil {
-		t.Fatalf("arena holds %d bytes after error-path feeds; frames were copied", len(m.arena))
 	}
 	if st := m.Stats(); st.RetainedBytes != 0 || st.Flows != 0 {
 		t.Fatalf("closed monitor retains %d bytes over %d flows after error-path feeds", st.RetainedBytes, st.Flows)

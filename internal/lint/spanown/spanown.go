@@ -1,11 +1,11 @@
 // Package spanown proves the zero-copy ownership discipline at compile
-// time: byte slices that sub-slice a pcapio arena — a pcapio.Record's
+// time: byte slices that alias the bytes being parsed — a pcapio.Record's
 // Data, a tcpreasm.Chunk's Data, a layers.Packet's Payload — are loans.
-// The reader recycles their backing storage, so a loan may be read,
-// copied, or handed onward through an ownership-transfer call
-// (FeedOwned), but never retained: storing one in a struct field, sending
-// it over a channel, or capturing it in a goroutine keeps a pointer into
-// memory that will be rewritten under it.
+// They point into the caller's feed buffer or the reader's carry buffer,
+// both reused once the call returns, so a loan may be read, copied, or
+// passed down as a call argument, but never retained: storing one in a
+// struct field, sending it over a channel, or capturing it in a
+// goroutine keeps a pointer into memory that will be rewritten under it.
 //
 // The analyzer runs a forward taint pass per function: expressions
 // derived from a span source (including sub-slices and local aliases)
@@ -90,8 +90,7 @@ func (c *checker) walkStmt(s ast.Stmt) {
 		if c.taintedExpr(st.Value) {
 			c.pass.Reportf(st.Pos(), "spanown: sending an arena span over a "+
 				"channel retains it past the feed; copy it "+
-				"(append([]byte(nil), s...)) or transfer ownership "+
-				"(FeedOwned)")
+				"(append([]byte(nil), s...))")
 		}
 	case *ast.GoStmt:
 		c.checkGo(st)
@@ -188,8 +187,7 @@ func (c *checker) assign(st *ast.AssignStmt) {
 			if hot && c.isFieldStore(l) {
 				c.pass.Reportf(st.Pos(), "spanown: storing an arena span in a "+
 					"struct field retains it past the feed; copy it "+
-					"(append([]byte(nil), s...)) or transfer ownership "+
-					"(FeedOwned)")
+					"(append([]byte(nil), s...))")
 			}
 		case *ast.IndexExpr:
 			if hot {

@@ -13,8 +13,9 @@
 // buffer and every Record's Data sub-slices it, so a multi-megabyte
 // capture costs one buffer (or none at all via NewBytesReader) instead of
 // one allocation per packet. ChunkReader is the incremental form for live
-// feeds: pcap bytes arrive in chunks of any size and complete records pop
-// out as soon as their last byte is in.
+// feeds: pcap bytes arrive in chunks of any size, complete records pop
+// out as soon as their last byte is in, and they are parsed in place from
+// the caller's chunk, so only a record cut at a chunk's end is copied.
 package pcapio
 
 import (
@@ -53,8 +54,9 @@ type Record struct {
 	// OrigLen is the frame's length on the wire; Data may be shorter if
 	// the capture used a snap length.
 	OrigLen int
-	// Data sub-slices the reader's arena buffer: it stays valid for the
-	// reader's lifetime but must be copied if it should outlive it.
+	// Data sub-slices the bytes the reader parses. A Reader's Data stays
+	// valid for the reader's lifetime; a ChunkReader's, until its next
+	// call to Next or Feed. Copy it to keep it longer.
 	Data []byte
 }
 
@@ -205,14 +207,10 @@ func (fh fileHeader) checkCapLen(capLen uint32) error {
 	return nil
 }
 
-// Reader parses a pcap capture held entirely in memory: the input is read
-// into one arena up front and Next sub-slices it per record, so iterating
-// a capture performs no per-packet allocation.
-type Reader struct {
-	fileHeader
-	buf []byte
-	off int
-}
+// Reader parses a pcap capture held entirely in memory: Next sub-slices
+// the input per record, so iterating a capture performs no per-packet
+// allocation. It is a ChunkReader fed the whole capture at once.
+type Reader struct{ c ChunkReader }
 
 // NewReader drains r into the arena, parses the global header and returns
 // a Reader positioned at the first record.
@@ -234,42 +232,27 @@ func NewBytesReader(data []byte) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{fileHeader: fh, buf: data, off: fileHeaderLen}, nil
+	return &Reader{ChunkReader{fileHeader: fh, headerDone: true, buf: data[fileHeaderLen:]}}, nil
 }
 
 // LinkType returns the capture's link-layer type.
-func (r *Reader) LinkType() uint32 { return r.linkType }
+func (r *Reader) LinkType() uint32 { return r.c.linkType }
 
 // SnapLen returns the capture's snap length.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
+func (r *Reader) SnapLen() uint32 { return r.c.snapLen }
 
 // Next returns the next record, or io.EOF at a clean end of file.
 // A record header that promises more bytes than the file contains yields
 // ErrTruncated, so partially written captures are detected rather than
 // silently shortened. The record's Data sub-slices the reader's arena.
 func (r *Reader) Next() (Record, error) {
-	if r.off == len(r.buf) {
-		return Record{}, io.EOF
+	rec, ok, err := r.c.Next()
+	if !ok && err == nil {
+		if err = r.c.TailErr(); err == nil {
+			err = io.EOF
+		}
 	}
-	if len(r.buf)-r.off < recordHeaderLen {
-		return Record{}, fmt.Errorf("%w: record header: unexpected EOF", ErrTruncated)
-	}
-	hdr := r.buf[r.off:]
-	capLen := r.u32(hdr[8:])
-	origLen := r.u32(hdr[12:])
-	if err := r.checkCapLen(capLen); err != nil {
-		return Record{}, err
-	}
-	if len(r.buf)-r.off-recordHeaderLen < int(capLen) {
-		return Record{}, fmt.Errorf("%w: record body: unexpected EOF", ErrTruncated)
-	}
-	start := r.off + recordHeaderLen
-	r.off = start + int(capLen)
-	return Record{
-		Timestamp: r.recordTime(hdr),
-		OrigLen:   int(origLen),
-		Data:      r.buf[start:r.off:r.off],
-	}, nil
+	return rec, err
 }
 
 // ReadAll drains the reader into a slice. It returns records read so far
@@ -288,53 +271,39 @@ func (r *Reader) ReadAll() ([]Record, error) {
 	}
 }
 
-// ChunkReader is the incremental reader for live feeds: pcap bytes are
-// appended in chunks of any size — down to a single byte — and Next
-// returns each record as soon as its last byte has arrived. Returned
-// records sub-slice the reader's internal buffer; the buffer is never
-// compacted in place, so outstanding Data slices stay valid for the
-// reader's lifetime.
+// ChunkReader is the incremental reader for live feeds: pcap bytes
+// arrive in chunks of any size, down to a single byte, and Next returns
+// each record, parsed in place from the caller's chunk, as soon as its
+// last byte has arrived. Out of whole records, Next copies the unparsed
+// tail (part of the file header or of one record) into a small carry
+// buffer before it reports that it needs more bytes, so the caller may
+// then reuse its chunk. Data stays valid until the next Next or Feed.
 type ChunkReader struct {
 	fileHeader
 	headerDone bool
-	buf        []byte
+	buf        []byte // the caller's latest chunk, parsed in place from off
 	off        int
-	err        error
+	// carry holds fed bytes that come before buf[off:], read from coff:
+	// a record cut at the end of a chunk, or the rest of a chunk fed over
+	// before Next drained it. It is empty when nothing is carried.
+	carry []byte
+	coff  int
+	err   error
 }
 
 // NewChunkReader returns an empty incremental reader awaiting the global
 // file header.
 func NewChunkReader() *ChunkReader { return &ChunkReader{} }
 
-// Feed appends capture bytes (copying them — the caller may reuse its
-// buffer). Safe to call with any chunking, including mid-header and
-// mid-record splits.
+// Feed hands the reader the next capture bytes, split anywhere. They are
+// parsed in place: the caller leaves data unchanged until Next reports
+// that it needs more bytes or fails. A Feed before that point copies
+// what is left of the previous chunk into the carry buffer.
 func (c *ChunkReader) Feed(data []byte) {
-	if c.err != nil {
-		return
+	if c.err == nil {
+		c.carry = append(c.carry, c.buf[c.off:]...)
+		c.buf, c.off = data, 0
 	}
-	// Retire the consumed prefix by moving the live tail to a fresh
-	// buffer (never in place: outstanding Data sub-slices must survive).
-	if c.off >= 4096 && c.off >= len(c.buf)-c.off {
-		fresh := make([]byte, len(c.buf)-c.off, len(c.buf)-c.off+len(data)+4096)
-		copy(fresh, c.buf[c.off:])
-		c.buf, c.off = fresh, 0
-	}
-	c.buf = append(c.buf, data...)
-}
-
-// FeedOwned transfers ownership of data to the reader: when nothing is
-// buffered the slice is adopted directly with no copy — the whole-capture
-// fast path the one-shot wrapper uses — and otherwise it falls back to
-// Feed. The caller must not mutate data afterwards.
-func (c *ChunkReader) FeedOwned(data []byte) {
-	if c.err == nil && c.Buffered() == 0 {
-		// Cap to length so a later Feed appends into a fresh array rather
-		// than the caller's spare capacity.
-		c.buf, c.off = data[:len(data):len(data)], 0
-		return
-	}
-	c.Feed(data)
 }
 
 // LinkType returns the capture's link-layer type (valid once the file
@@ -346,51 +315,76 @@ func (c *ChunkReader) LinkType() uint32 { return c.linkType }
 func (c *ChunkReader) SnapLen() uint32 { return c.snapLen }
 
 // Buffered reports the number of fed bytes not yet consumed by Next.
-func (c *ChunkReader) Buffered() int { return len(c.buf) - c.off }
+func (c *ChunkReader) Buffered() int { return len(c.carry) - c.coff + len(c.buf) - c.off }
 
 // HeaderDone reports whether the global file header has been consumed.
 func (c *ChunkReader) HeaderDone() bool { return c.headerDone }
 
 // Next returns the next complete record. ok is false when more bytes are
-// needed; a malformed header yields an error, after which the reader is
-// stuck (matching Reader's fail-stop behaviour).
+// needed, and then the reader no longer refers to the chunk. A malformed
+// header yields an error, after which the reader is stuck (matching
+// Reader's fail-stop behaviour).
 func (c *ChunkReader) Next() (rec Record, ok bool, err error) {
-	if c.err != nil {
-		return Record{}, false, c.err
-	}
-	if !c.headerDone {
-		if c.Buffered() < fileHeaderLen {
-			return Record{}, false, nil
+	if b := c.buf[c.off:]; len(b) >= recordHeaderLen && c.headerDone && len(c.carry) == 0 {
+		// The in-chunk path: a whole record inside the caller's chunk.
+		capLen, origLen := c.u32(b[8:]), c.u32(b[12:])
+		if n := recordHeaderLen + int(capLen); n <= len(b) && c.checkCapLen(capLen) == nil {
+			c.off += n
+			return Record{Timestamp: c.recordTime(b), OrigLen: int(origLen), Data: b[recordHeaderLen:n:n]}, true, nil
 		}
-		fh, err := parseFileHeader(c.buf[c.off:])
+	}
+	// Else one item (the file header, then records) at a time, carry first.
+	for c.err == nil {
+		b := c.buf[c.off:]
+		if len(c.carry) > 0 {
+			b = c.carry[c.coff:]
+		}
+		n, err := c.itemLen(b)
 		if err != nil {
 			c.err = err
-			return Record{}, false, err
+			break
 		}
-		c.fileHeader = fh
-		c.off += fileHeaderLen
-		c.headerDone = true
+		if n > len(b) {
+			// Cut: carry the chunk's part, or top the carried one up.
+			rest := c.buf[c.off:]
+			if len(c.carry) > 0 {
+				rest = rest[:min(n-len(b), len(rest))]
+			}
+			if len(rest) == 0 {
+				break
+			}
+			c.carry = append(c.carry, rest...)
+			c.off += len(rest)
+			continue
+		}
+		if len(c.carry) == 0 {
+			c.off += n
+		} else if c.coff += n; c.coff == len(c.carry) {
+			c.carry, c.coff = c.carry[:0], 0
+		}
+		if c.headerDone {
+			return Record{Timestamp: c.recordTime(b), OrigLen: int(c.u32(b[12:])), Data: b[recordHeaderLen:n:n]}, true, nil
+		}
+		if c.fileHeader, c.err = parseFileHeader(b); c.err == nil {
+			c.headerDone = true
+		}
 	}
-	if c.Buffered() < recordHeaderLen {
-		return Record{}, false, nil
+	c.buf, c.off = nil, 0
+	return Record{}, false, c.err
+}
+
+// itemLen is the length of the item at the front of b as far as b tells:
+// the file header's until it is read, then a record's, counting only its
+// header until that is whole.
+func (c *ChunkReader) itemLen(b []byte) (int, error) {
+	switch {
+	case !c.headerDone:
+		return fileHeaderLen, nil
+	case len(b) < recordHeaderLen:
+		return recordHeaderLen, nil
 	}
-	hdr := c.buf[c.off:]
-	capLen := c.u32(hdr[8:])
-	if err := c.checkCapLen(capLen); err != nil {
-		c.err = err
-		return Record{}, false, err
-	}
-	if c.Buffered() < recordHeaderLen+int(capLen) {
-		return Record{}, false, nil
-	}
-	origLen := c.u32(hdr[12:])
-	start := c.off + recordHeaderLen
-	c.off = start + int(capLen)
-	return Record{
-		Timestamp: c.recordTime(hdr),
-		OrigLen:   int(origLen),
-		Data:      c.buf[start:c.off:c.off],
-	}, true, nil
+	capLen := c.u32(b[8:])
+	return recordHeaderLen + int(capLen), c.checkCapLen(capLen)
 }
 
 // TailErr reports whether the feed ended on a clean record boundary: nil

@@ -218,8 +218,8 @@ func TestEmptyFileWithHeader(t *testing.T) {
 }
 
 // buildCapture renders n deterministic frames for the ChunkReader tests.
-func buildCapture(t *testing.T, n int) ([]byte, [][]byte) {
-	t.Helper()
+func buildCapture(tb testing.TB, n int) ([]byte, [][]byte) {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	var frames [][]byte
@@ -230,81 +230,146 @@ func buildCapture(t *testing.T, n int) ([]byte, [][]byte) {
 		}
 		frames = append(frames, f)
 		if err := w.WritePacket(time.Unix(1700000000+int64(i), 0), f); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return buf.Bytes(), frames
 }
 
-// TestChunkReaderMatchesReaderAtAnyGranularity feeds the same capture in
-// chunks of various sizes — including single bytes — and requires the
-// exact record sequence the batch Reader produces.
-func TestChunkReaderMatchesReaderAtAnyGranularity(t *testing.T) {
-	data, frames := buildCapture(t, 40)
-	for _, chunk := range []int{1, 7, 1000, len(data)} {
-		cr := NewChunkReader()
-		var recs []Record
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			cr.Feed(data[off:end])
-			for {
-				rec, ok, err := cr.Next()
-				if err != nil {
-					t.Fatalf("chunk %d: %v", chunk, err)
-				}
-				if !ok {
-					break
-				}
-				recs = append(recs, rec)
-			}
-		}
-		if err := cr.TailErr(); err != nil {
-			t.Fatalf("chunk %d: TailErr = %v", chunk, err)
-		}
-		if len(recs) != len(frames) {
-			t.Fatalf("chunk %d: %d records, want %d", chunk, len(recs), len(frames))
-		}
-		for i, rec := range recs {
-			if !bytes.Equal(rec.Data, frames[i]) {
-				t.Fatalf("chunk %d: record %d data mismatch", chunk, i)
-			}
-			if !rec.Timestamp.Equal(time.Unix(1700000000+int64(i), 0)) {
-				t.Fatalf("chunk %d: record %d timestamp %v", chunk, i, rec.Timestamp)
-			}
-		}
-	}
-}
-
-// TestChunkReaderDataStable pins the no-in-place-compaction guarantee:
-// record Data obtained early must survive arbitrarily many later feeds.
-func TestChunkReaderDataStable(t *testing.T) {
-	data, frames := buildCapture(t, 200)
-	cr := NewChunkReader()
-	var held []Record
-	for off := 0; off < len(data); off += 512 {
-		end := off + 512
-		if end > len(data) {
-			end = len(data)
-		}
-		cr.Feed(data[off:end])
+// drainChunks feeds data to cr in chunks of the given size, each copied
+// into one reused buffer that is overwritten once Next has drained it,
+// and hands every record to check as Next returns it: Data is only
+// promised until the next Next or Feed.
+func drainChunks(cr *ChunkReader, data []byte, size int, check func(Record)) error {
+	buf := make([]byte, size)
+	for off := 0; off < len(data); off += size {
+		chunk := buf[:copy(buf, data[off:min(off+size, len(data))])]
+		cr.Feed(chunk)
 		for {
 			rec, ok, err := cr.Next()
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if !ok {
 				break
 			}
-			held = append(held, rec)
+			check(rec)
+		}
+		for i := range chunk {
+			chunk[i] = 0xee
 		}
 	}
-	for i, rec := range held {
-		if !bytes.Equal(rec.Data, frames[i]) {
-			t.Fatalf("record %d data corrupted by later feeds", i)
+	return nil
+}
+
+// TestChunkReaderMatchesReaderAtAnyGranularity feeds the same capture in
+// chunks of various sizes — including single bytes — and requires the
+// exact record sequence the batch Reader produces, each record compared
+// as Next returns it.
+func TestChunkReaderMatchesReaderAtAnyGranularity(t *testing.T) {
+	data, _ := buildCapture(t, 40)
+	rd, err := NewBytesReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{1, 7, 1000, len(data)} {
+		cr := NewChunkReader()
+		i := 0
+		err := drainChunks(cr, data, chunk, func(rec Record) {
+			if i >= len(want) || !sameRecord(rec, want[i]) {
+				t.Fatalf("chunk %d: record %d differs from the Reader's", chunk, i)
+			}
+			i++
+		})
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
 		}
+		if err := cr.TailErr(); err != nil {
+			t.Fatalf("chunk %d: TailErr = %v", chunk, err)
+		}
+		if i != len(want) {
+			t.Fatalf("chunk %d: %d records, want %d", chunk, i, len(want))
+		}
+	}
+}
+
+// sameRecord reports whether two records carry the same timestamp,
+// original length and bytes.
+func sameRecord(a, b Record) bool {
+	return a.Timestamp.Equal(b.Timestamp) && a.OrigLen == b.OrigLen && bytes.Equal(a.Data, b.Data)
+}
+
+// TestChunkReaderDataStable pins the in-place contract: a caller that
+// reuses one chunk buffer and overwrites it as soon as Next reports that
+// it needs more bytes still reads every record intact — a record cut at
+// a chunk's end was carried before the overwrite — and a whole record
+// aliases the caller's chunk rather than a copy.
+func TestChunkReaderDataStable(t *testing.T) {
+	data, frames := buildCapture(t, 200)
+	for _, size := range []int{512, 1500, 64 << 10} {
+		cr := NewChunkReader()
+		i := 0
+		err := drainChunks(cr, data, size, func(rec Record) {
+			if !bytes.Equal(rec.Data, frames[i]) {
+				t.Fatalf("chunk %d: record %d corrupted", size, i)
+			}
+			i++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i != len(frames) || cr.Buffered() != 0 {
+			t.Fatalf("chunk %d: %d records, %d bytes left, want %d and 0", size, i, cr.Buffered(), len(frames))
+		}
+	}
+	cr := NewChunkReader()
+	cr.Feed(data)
+	rec, ok, err := cr.Next()
+	if !ok || err != nil {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if &rec.Data[0] != &data[24+16] {
+		t.Error("a record inside the chunk was copied")
+	}
+}
+
+// TestChunkReaderFeedWithoutDrain feeds a second chunk before Next has
+// drained the first: the first chunk's rest is carried, so overwriting
+// it after the second Feed loses nothing.
+func TestChunkReaderFeedWithoutDrain(t *testing.T) {
+	data, frames := buildCapture(t, 20)
+	half := len(data) / 2
+	first := append([]byte(nil), data[:half]...)
+	cr := NewChunkReader()
+	cr.Feed(first)
+	if _, ok, err := cr.Next(); !ok || err != nil {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	cr.Feed(data[half:])
+	for i := range first {
+		first[i] = 0xee
+	}
+	for i := 1; ; i++ {
+		rec, ok, err := cr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != len(frames) {
+				t.Fatalf("%d records, want %d", i, len(frames))
+			}
+			break
+		}
+		if !bytes.Equal(rec.Data, frames[i]) {
+			t.Fatalf("record %d corrupted", i)
+		}
+	}
+	if err := cr.TailErr(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -377,42 +442,87 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestChunkReaderFeedOwned pins the adoption fast path: an owned
-// whole-capture feed parses identically to copied feeds and performs no
-// buffer copy (records alias the caller's array).
-func TestChunkReaderFeedOwned(t *testing.T) {
-	data, frames := buildCapture(t, 10)
-	cr := NewChunkReader()
-	cr.FeedOwned(data)
-	for i := 0; ; i++ {
-		rec, ok, err := cr.Next()
-		if err != nil {
-			t.Fatal(err)
+// FuzzChunkReader is the differential check of the incremental reader.
+// Arbitrary bytes are fed in chunks that cuts picks, one byte per chunk
+// (what is left goes in one last chunk): the low seven bits give the
+// chunk's size, zero included, and a set top bit feeds the next chunk
+// before this one is drained. Chunks alternate between two reused
+// buffers, each overwritten as soon as the reader may let go of it:
+// after the drain, or after the next Feed for a chunk fed over. The
+// records, each compared as Next returns it, must be exactly the batch
+// Reader's over the same bytes, with the same outcome: an error or
+// none, ErrTruncated or not. No input may panic either reader.
+func FuzzChunkReader(f *testing.F) {
+	data, _ := buildCapture(f, 6)
+	for _, cut := range []int{len(data), len(data) - 1, len(data) - 100, 24 + 16 + 3, 24 + 9, 24, 10, 0} {
+		f.Add([]byte{1, 7, 0, 200, 16, 24}, data[:cut])
+	}
+	f.Add([]byte{}, data)
+	// The first chunk is fed over while nothing is carried yet.
+	f.Add([]byte{0x80 | 64, 100}, data)
+	f.Add([]byte{3, 255, 255}, append([]byte{0xd4, 0xc3, 0xb2, 0xa1}, data[4:]...)) // read little-endian
+	huge := append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(huge[24+8:], 1<<30) // capture length past the snap length
+	f.Add([]byte{30, 30}, huge)
+	f.Fuzz(func(t *testing.T, cuts, data []byte) {
+		var want []Record
+		rd, wantErr := NewBytesReader(data)
+		if wantErr == nil {
+			want, wantErr = rd.ReadAll()
 		}
-		if !ok {
-			if i != len(frames) {
-				t.Fatalf("parsed %d records, want %d", i, len(frames))
+		cr := NewChunkReader()
+		var bufs [2][]byte
+		held := -1 // the buffer of a chunk fed over before its drain
+		var gotErr error
+		n := 0
+		for off, k := 0, 0; off < len(data) && gotErr == nil; k++ {
+			size, drain := len(data)-off, true
+			if k < len(cuts) {
+				size, drain = min(size, int(cuts[k]&0x7f)), cuts[k]&0x80 == 0
 			}
-			break
+			buf := append(bufs[k%2][:0], data[off:off+size]...)
+			bufs[k%2] = buf
+			off += size
+			cr.Feed(buf)
+			if held >= 0 {
+				flip(bufs[held]) // this Feed carried what was left of it
+				held = -1
+			}
+			if !drain && off < len(data) {
+				held = k % 2
+				continue
+			}
+			for {
+				rec, ok, err := cr.Next()
+				if err != nil {
+					gotErr = err
+					break
+				}
+				if !ok {
+					break
+				}
+				if n >= len(want) || !sameRecord(rec, want[n]) {
+					t.Fatalf("record %d differs from the Reader's (%d records)", n, len(want))
+				}
+				n++
+			}
+			flip(buf)
 		}
-		if !bytes.Equal(rec.Data, frames[i]) {
-			t.Fatalf("record %d data mismatch", i)
+		if gotErr == nil {
+			gotErr = cr.TailErr()
 		}
-		if len(rec.Data) > 0 && &rec.Data[0] != &data[recOffset(data, rec.Data)] {
-			t.Fatalf("record %d data was copied", i)
+		if n != len(want) {
+			t.Fatalf("%d records, the Reader read %d", n, len(want))
 		}
-	}
-	if err := cr.TailErr(); err != nil {
-		t.Fatal(err)
-	}
+		if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrTruncated) != errors.Is(wantErr, ErrTruncated) {
+			t.Fatalf("error %v, the Reader's %v", gotErr, wantErr)
+		}
+	})
 }
 
-// recOffset locates sub's backing offset within data (sub must alias it).
-func recOffset(data, sub []byte) int {
-	for i := range data {
-		if &data[i] == &sub[0] {
-			return i
-		}
+// flip overwrites a chunk the reader has let go of.
+func flip(b []byte) {
+	for i := range b {
+		b[i] ^= 0xff
 	}
-	return -1
 }

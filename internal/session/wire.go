@@ -22,8 +22,9 @@ import (
 //	tls1.3 | tls1.3+pad-to-N | tls1.3+pad-random-N
 //	quic | quic+default-1350 | quic+fixed-N | quic+pad-full-N | quic+pad-random-N+K
 //
-// with N > 0 and K >= 0. A policy shapes only the layer it belongs to,
-// so Run rejects padding under TLS 1.2 or QUIC and sizing under TCP
+// with 0 < N <= 16384 for TLS padding, 0 < N <= 65527 for QUIC
+// datagrams and 0 <= K <= 16. A policy shapes only the layer it belongs
+// to, so Run rejects padding under TLS 1.2 or QUIC and sizing under TCP
 // rather than ignore it.
 type Wire struct {
 	// Transport selects TLS records over TCP (the zero value) or QUIC
@@ -47,6 +48,21 @@ type Wire struct {
 	// zero value packs datagrams up to the default 1350-byte cap.
 	Sizing quicrec.SizingPolicy
 }
+
+// The largest sizes a Wire may name; ParseWire and Run reject larger
+// ones, which no session could run.
+const (
+	// maxPadding bounds a TLS 1.3 padding parameter at a record's 2^14
+	// bytes of plaintext and padding (RFC 8446 §5.4); the encoder clamps
+	// every pad to the record limit anyway.
+	maxPadding = 1 << 14
+	// maxDatagram bounds a QUIC datagram size: the largest UDP payload a
+	// QUIC endpoint may accept (RFC 9000 §18.2).
+	maxDatagram = 65527
+	// maxDummies bounds pad-random's dummy datagrams per write, well past
+	// the 2 the shaping sweep uses.
+	maxDummies = 16
+)
 
 // String renders the wire label: the stack, then "+policy" when a
 // shaping policy is in force. QUIC always names its sizing policy, the
@@ -74,7 +90,7 @@ func (w Wire) Envelope() int {
 
 // ParseWire is String's inverse. It also accepts "quic" for the default
 // sizing policy, and rejects any label whose policy does not fit its
-// stack or whose size is not positive.
+// stack or whose size is not positive or above its bound.
 func ParseWire(s string) (Wire, error) {
 	stack, policy, shaped := strings.Cut(s, "+")
 	var w Wire
@@ -147,8 +163,9 @@ func labelInt(s string, found bool) (int, bool) {
 	return n, found && err == nil && strconv.Itoa(n) == s
 }
 
-// validate rejects a Wire whose policy does not fit its stack, or whose
-// policy parameters String could not render back to the same value.
+// validate rejects a Wire whose policy does not fit its stack, whose
+// policy parameters String could not render back to the same value, or
+// whose sizes exceed maxPadding, maxDatagram or maxDummies.
 func (w Wire) validate() error {
 	tcp := w.Transport == quicrec.TransportTCP
 	switch {
@@ -170,25 +187,25 @@ func (w Wire) validate() error {
 	case tlsrec.PadNone:
 		ok = p.Param == 0
 	case tlsrec.PadToMultiple, tlsrec.PadRandom:
-		ok = p.Param > 0
+		ok = p.Param > 0 && p.Param <= maxPadding
 	}
 	if !ok {
-		return fmt.Errorf("invalid record padding %+v (pad-to and pad-random need a positive size; none takes none)",
-			w.Padding)
+		return fmt.Errorf("invalid record padding %+v (pad-to and pad-random need a size in 1..%d; none takes none)",
+			w.Padding, maxPadding)
 	}
 	switch p := w.Sizing; p.Mode {
 	case quicrec.SizeDefault:
 		ok = p.N == 0 && p.K == 0
 	case quicrec.SizeFixed, quicrec.SizePadFull:
-		ok = p.N > 0 && p.K == 0
+		ok = p.N > 0 && p.N <= maxDatagram && p.K == 0
 	case quicrec.SizePadRandom:
-		ok = p.N > 0 && p.K >= 0
+		ok = p.N > 0 && p.N <= maxDatagram && p.K >= 0 && p.K <= maxDummies
 	default:
 		ok = false
 	}
 	if !ok {
-		return fmt.Errorf("invalid datagram sizing %+v (fixed, pad-full and pad-random need a positive size, "+
-			"pad-random a dummy bound >= 0; the default takes neither)", w.Sizing)
+		return fmt.Errorf("invalid datagram sizing %+v (fixed, pad-full and pad-random need a size in 1..%d, "+
+			"pad-random a dummy bound in 0..%d; the default takes neither)", w.Sizing, maxDatagram, maxDummies)
 	}
 	return nil
 }

@@ -27,11 +27,17 @@ func TestParseWireRoundTrip(t *testing.T) {
 		{"tls1.3+pad-to-256", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(256)}},
 		{"tls1.3+pad-random-128", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(128)}},
 		{"tls1.3+pad-random-512", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(512)}},
+		{"tls1.3+pad-to-4096", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(4096)}},
+		{"tls1.3+pad-to-16384", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(maxPadding)}},
+		{"tls1.3+pad-random-16384", Wire{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(maxPadding)}},
 		{"quic+default-1350", Wire{Transport: quicrec.TransportQUIC}},
 		{"quic+fixed-1200", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.Fixed(1200)}},
 		{"quic+pad-full-1350", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadFull(1350)}},
 		{"quic+pad-full-1252", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadFull(1252)}},
 		{"quic+pad-random-1350+2", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, 2)}},
+		{"quic+fixed-65527", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.Fixed(maxDatagram)}},
+		{"quic+pad-random-65527+16", Wire{Transport: quicrec.TransportQUIC,
+			Sizing: quicrec.PadRandom(maxDatagram, maxDummies)}},
 	} {
 		got, err := ParseWire(tc.label)
 		if err != nil {
@@ -62,7 +68,8 @@ func TestParseWireDefaultSizing(t *testing.T) {
 }
 
 // TestParseWireRejects: a policy on a stack it does not shape, a size
-// that is not positive, and anything outside the grammar.
+// that is not positive or above its bound, and anything outside the
+// grammar.
 func TestParseWireRejects(t *testing.T) {
 	for _, label := range []string{
 		"", "tls", "tls1.4", "TLS1.3", "tcp", "quic+", "tls1.3+",
@@ -75,6 +82,11 @@ func TestParseWireRejects(t *testing.T) {
 		"quic+default", "quic+default-1200", "quic+pad-random-1350",
 		"tls1.3+pad-to-064", "tls1.3+pad-to-+64", "quic+fixed-1200x", "tls1.3+pad-to-64+pad-to-64",
 		"tls1.3+pad-to-99999999999999999999",
+		// Sizes no session can run: a pad-random parameter of MaxInt made
+		// the padding draw panic, and K*N overflowed the band envelope.
+		"tls1.3+pad-random-9223372036854775807", "quic+pad-random-1350+9223372036854775807",
+		"tls1.3+pad-to-16385", "tls1.3+pad-random-16385",
+		"quic+fixed-65528", "quic+pad-full-65528", "quic+pad-random-65528+2", "quic+pad-random-1350+17",
 	} {
 		if w, err := ParseWire(label); err == nil {
 			t.Errorf("ParseWire(%q) = %+v, want an error", label, w)
@@ -96,6 +108,8 @@ func TestRunRejectsMismatchedWire(t *testing.T) {
 		{Record: tlsrec.RecordTLS13, Sizing: quicrec.Fixed(1200)},
 		{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(-64)},
 		{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, -1)},
+		{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(maxPadding + 1)},
+		{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, maxDummies+1)},
 	} {
 		_, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
 			Condition: profiles.Fig2Ubuntu, Seed: 1, Wire: w, OmitServerPayload: true})
@@ -108,13 +122,15 @@ func TestRunRejectsMismatchedWire(t *testing.T) {
 }
 
 // FuzzParseWire: no input panics the parser, and every label it accepts
-// passes Run's validation and re-parses from its String form to an equal
-// Wire.
+// passes Run's validation, re-parses from its String form to an equal
+// Wire, has a non-negative band Envelope, and draws its record padding
+// without a panic.
 func FuzzParseWire(f *testing.F) {
 	for _, seed := range []string{
 		"tls1.2", "tls1.3", "tls1.3+pad-to-64", "tls1.3+pad-random-512",
 		"quic", "quic+default-1350", "quic+fixed-1200", "quic+pad-full-1350",
 		"quic+pad-random-1350+2", "tls1.2+pad-to-64", "quic+pad-random-0+0",
+		"tls1.3+pad-random-9223372036854775807", "quic+pad-random-1350+9223372036854775807",
 	} {
 		f.Add(seed)
 	}
@@ -132,6 +148,15 @@ func FuzzParseWire(f *testing.F) {
 		}
 		if again != w {
 			t.Fatalf("ParseWire(%q) = %+v, but its String %q re-parses to %+v", label, w, w.String(), again)
+		}
+		if env := w.Envelope(); env < 0 {
+			t.Fatalf("ParseWire(%q).Envelope() = %d", label, env)
+		}
+		rng := wire.NewRNG(1)
+		for n := 0; n < 3; n++ {
+			if pad := w.Padding.PadBytes(n*1000, rng); pad < 0 || pad > max(w.Padding.Envelope(), 0) {
+				t.Fatalf("ParseWire(%q).Padding.PadBytes = %d outside 0..%d", label, pad, w.Padding.Envelope())
+			}
 		}
 	})
 }

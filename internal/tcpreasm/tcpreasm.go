@@ -13,6 +13,12 @@
 //   - at an equal offset the longer buffered segment is kept;
 //   - when no buffered segment starts at the delivery point but some
 //     cover it, the one with the lowest offset is trimmed and delivered.
+//
+// An in-order payload is delivered as is, aliasing whatever memory it
+// arrived in. The stream copies only the out-of-order bytes it must hold
+// until the gap before them fills. A consumer that reuses its packet
+// buffers therefore reads and releases each delivered chunk before it
+// reuses the memory behind it.
 package tcpreasm
 
 import (
@@ -37,7 +43,6 @@ type Chunk struct {
 type Stream struct {
 	Key layers.FlowKey
 
-	noCopy   bool // payloads are stable: buffer them without copying
 	discard  bool // rolling-window eviction: count bytes, buffer nothing
 	synSeen  bool
 	isn      uint32 // initial sequence number (of SYN)
@@ -59,15 +64,10 @@ type pendingSeg struct {
 	data []byte
 }
 
-// NewStream returns an empty stream for one direction. stable declares
-// that every payload fed to it aliases memory that outlives the stream,
-// so it is buffered without copying (Assembler.SetStablePayloads). A
-// consumer that already keeps per-conversation state owns its two
-// streams through this constructor and feeds them directly, skipping the
-// Assembler's lookup.
-func NewStream(key layers.FlowKey, stable bool) *Stream {
-	return &Stream{Key: key, noCopy: stable}
-}
+// NewStream returns an empty stream for one direction. A consumer that
+// already keeps per-conversation state owns its two streams through this
+// constructor and feeds them directly, skipping the Assembler's lookup.
+func NewStream(key layers.FlowKey) *Stream { return &Stream{Key: key} }
 
 // Chunks returns the in-order chunks delivered and not yet released.
 func (s *Stream) Chunks() []Chunk { return s.chunks }
@@ -93,10 +93,11 @@ func (s *Stream) DeliveredChunks(since int) []Chunk {
 
 // ReleaseThrough drops every delivered chunk with absolute index < n. It
 // is the rolling-window consumer's half of the DeliveredChunks cursor
-// contract: once a chunk has been scanned, releasing it lets the memory
-// behind it (the feed buffer, a frame copy) be reclaimed, so a monitor
-// can run indefinitely without retaining the whole stream. Releasing past
-// the delivered count is clamped.
+// contract: once a chunk has been scanned, releasing it drops the
+// stream's hold on the memory behind it (the caller's buffer, an
+// out-of-order copy), so a monitor can run indefinitely without
+// retaining the whole stream. Releasing past the delivered count is
+// clamped.
 func (s *Stream) ReleaseThrough(n int) {
 	k := n - s.released
 	if k <= 0 {
@@ -242,31 +243,23 @@ func (s *Stream) Feed(p *layers.Packet) {
 		payload = payload[s.nextRel-rel:]
 		rel = s.nextRel
 	}
-	if rel == s.nextRel && len(s.pending) == 0 {
-		// In order with nothing buffered: the common case delivers at once.
-		s.deliver(p.Timestamp, s.own(payload))
+	if rel == s.nextRel {
+		// In order: delivered as is, then whatever it joins up in pending.
+		s.deliver(p.Timestamp, payload)
+		s.drain()
 		return
 	}
 	i, found := slices.BinarySearchFunc(s.pending, rel, atOffset)
 	if found && len(s.pending[i].data) >= len(payload) {
 		return // duplicate of a buffered segment
 	}
-	seg := pendingSeg{off: rel, time: p.Timestamp, data: s.own(payload)}
+	// Out of order: held past the call, so this is the one copy.
+	seg := pendingSeg{off: rel, time: p.Timestamp, data: append([]byte(nil), payload...)}
 	if found {
 		s.pending[i] = seg // superseded by the longer arrival
 	} else {
 		s.pending = slices.Insert(s.pending, i, seg)
 	}
-	s.drain()
-}
-
-// own returns a payload the stream may keep: the caller's slice when
-// payloads are stable, a copy otherwise.
-func (s *Stream) own(payload []byte) []byte {
-	if s.noCopy {
-		return payload
-	}
-	return append([]byte(nil), payload...)
 }
 
 // deliver appends data as the chunk at the delivery point.
@@ -309,7 +302,6 @@ func atOffset(p pendingSeg, off int64) int { return cmp.Compare(p.off, off) }
 // Assembler demultiplexes packets into per-direction streams.
 type Assembler struct {
 	streams map[layers.FlowKey]*Stream
-	noCopy  bool
 }
 
 // NewAssembler returns an empty assembler.
@@ -317,13 +309,12 @@ func NewAssembler() *Assembler {
 	return &Assembler{streams: make(map[layers.FlowKey]*Stream)}
 }
 
-// SetStablePayloads declares that every payload fed from now on aliases
-// memory that outlives the assembler (an arena-backed pcap read, a
-// grow-only feed buffer), so reassembly may take ownership of the decoded
-// payload slices instead of copying each into its buffer — the zero-copy
-// contract the attack's read path relies on. Affects streams created
-// after the call.
-func (a *Assembler) SetStablePayloads(stable bool) { a.noCopy = stable }
+// SetStablePayloads does nothing: every stream delivers in-order
+// payloads without a copy and copies only the out-of-order bytes it
+// holds, whatever memory the payloads come from.
+//
+// Deprecated: there is no copy left to declare away.
+func (a *Assembler) SetStablePayloads(bool) {}
 
 // Feed routes one decoded packet to its directional stream, creating the
 // stream on first sight, and returns the stream the packet landed in so
@@ -332,7 +323,7 @@ func (a *Assembler) Feed(p *layers.Packet) *Stream {
 	key := p.Flow()
 	st, ok := a.streams[key]
 	if !ok {
-		st = NewStream(key, a.noCopy)
+		st = NewStream(key)
 		a.streams[key] = st
 	}
 	st.Feed(p)

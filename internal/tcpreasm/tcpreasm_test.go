@@ -262,24 +262,28 @@ func TestDeliveredChunksCursor(t *testing.T) {
 	}
 }
 
-// TestStablePayloadsNotCopied verifies the zero-copy ownership mode:
-// buffered out-of-order payloads alias the caller's memory.
+// TestStablePayloadsNotCopied pins the copy contract: an in-order chunk
+// aliases the payload it was fed from, and an out-of-order payload is
+// copied when it is buffered, so the caller overwriting its buffer right
+// after the call does not reach the stream.
 func TestStablePayloadsNotCopied(t *testing.T) {
 	a := NewAssembler()
-	a.SetStablePayloads(true)
 	a.Feed(seg(1000, layers.TCPSyn, nil, 0))
-	payload := []byte("world")
-	a.Feed(seg(1007, layers.TCPAck, payload, 1)) // buffered: gap before it
-	a.Feed(seg(1001, layers.TCPAck, []byte("hello "), 2))
+	buf := []byte("world")
+	a.Feed(seg(1007, layers.TCPAck, buf, 1)) // buffered: gap before it
+	copy(buf, "XXXXX")
+	hello := []byte("hello ")
+	a.Feed(seg(1001, layers.TCPAck, hello, 2))
 	st := a.Stream(key)
 	if got := string(st.Bytes()); got != "hello world" {
 		t.Fatalf("stream = %q", got)
 	}
-	// The delivered chunk must alias the original payload backing array.
 	chunks := st.Chunks()
-	last := chunks[len(chunks)-1]
-	if &last.Data[0] != &payload[0] {
-		t.Error("stable payload was copied")
+	if &chunks[0].Data[0] != &hello[0] {
+		t.Error("in-order payload was copied")
+	}
+	if last := chunks[len(chunks)-1]; &last.Data[0] == &buf[0] {
+		t.Error("buffered out-of-order payload aliases the caller's buffer")
 	}
 }
 
@@ -326,7 +330,6 @@ func TestReleaseThroughCursor(t *testing.T) {
 // FIN completion so transport-state finalization keeps working.
 func TestDiscardStopsBuffering(t *testing.T) {
 	a := NewAssembler()
-	a.SetStablePayloads(true)
 	a.Feed(seg(1000, layers.TCPSyn, nil, 0))
 	a.Feed(seg(1001, layers.TCPAck, []byte("hello "), 1))
 	a.Feed(seg(1010, layers.TCPAck, []byte("xx"), 2)) // pending behind a gap
@@ -412,7 +415,6 @@ func TestGapFillLinear(t *testing.T) {
 	const n, size = 16000, 100
 	payload := bytes.Repeat([]byte("x"), size)
 	a := NewAssembler()
-	a.SetStablePayloads(true)
 	a.Feed(seg(1000, layers.TCPSyn, nil, 0))
 	for i := 1; i <= n; i++ {
 		a.Feed(seg(1001+uint32(i*size), layers.TCPAck, payload, 1))

@@ -1,11 +1,13 @@
 package whitemirror
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"reflect"
 	"testing"
 
+	"repro/internal/layers"
 	"repro/internal/pcapio"
 )
 
@@ -64,6 +66,39 @@ func feedPackets(t *testing.T, atk *Attacker, data []byte, win *MonitorWindow, e
 		}
 		if r.err = m.FeedPacket(rec.Timestamp, rec.Data); r.err != nil {
 			return r
+		}
+	}
+	r.inf, r.err = m.Close()
+	return r
+}
+
+// feedReused drives a fresh Monitor, with events, over data through one
+// reused buffer that is overwritten after every call: in Feed calls of
+// chunk bytes, or frame by frame through FeedPacket when chunk is 0.
+func feedReused(t *testing.T, atk *Attacker, data []byte, chunk int, win *MonitorWindow) monitorRun {
+	t.Helper()
+	var r monitorRun
+	m := newRunMonitor(atk, win, true, &r)
+	var buf []byte
+	feed := func(b []byte, call func([]byte) error) bool {
+		buf = append(buf[:0], b...)
+		r.err = call(buf)
+		for i := range buf {
+			buf[i] = 0xa5
+		}
+		return r.err == nil
+	}
+	if chunk == 0 {
+		for _, rec := range readFrames(t, data) {
+			if !feed(rec.Data, func(b []byte) error { return m.FeedPacket(rec.Timestamp, b) }) {
+				return r
+			}
+		}
+	} else {
+		for off := 0; off < len(data); off += chunk {
+			if !feed(data[off:min(off+chunk, len(data))], m.Feed) {
+				return r
+			}
 		}
 	}
 	r.inf, r.err = m.Close()
@@ -190,6 +225,91 @@ func TestShardEquivalence(t *testing.T) {
 						break
 					}
 				}
+			}
+		}
+	}
+}
+
+// reorderSegments rewrites a capture so that every nth payload-carrying
+// TCP segment of each direction trades places with the one before it in
+// that direction, the frames' timestamps staying where they were, and
+// returns it with the number of trades.
+func reorderSegments(t *testing.T, data []byte, nth int) ([]byte, int) {
+	t.Helper()
+	recs := readFrames(t, data)
+	frames := make([][]byte, len(recs))
+	prev := map[layers.FlowKey]int{}
+	seen := map[layers.FlowKey]int{}
+	trades := 0
+	for i, rec := range recs {
+		frames[i] = rec.Data
+		p, err := layers.DecodePacket(rec.Timestamp, rec.Data)
+		if err != nil || p.Proto != layers.IPProtocolTCP || len(p.Payload) == 0 {
+			continue
+		}
+		k := p.Flow()
+		if seen[k]++; seen[k]%nth == 0 {
+			frames[i], frames[prev[k]] = frames[prev[k]], frames[i]
+			trades++
+		}
+		prev[k] = i
+	}
+	var buf bytes.Buffer
+	w := pcapio.NewWriter(&buf)
+	for i, rec := range recs {
+		if err := w.WritePacket(rec.Timestamp, frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes(), trades
+}
+
+// TestMonitorFeedReusesCallerBuffers pins the promise both entry points
+// make, that the caller may reuse its buffer as soon as the call
+// returns, where the fuzzer does not reach: a whole interleaved capture
+// whose reassembly must hold out-of-order bytes (every 40th segment of a
+// direction arrives ahead of the one before it). Fed through one buffer
+// overwritten after every call — in 64 KiB, 1,500-byte and 7-byte Feed
+// chunks, and frame by frame through FeedPacket — in batch and window
+// mode, the monitor must emit the events and Close result of one whole
+// Feed of the same capture.
+func TestMonitorFeedReusesCallerBuffers(t *testing.T) {
+	tr, err := Simulate(SessionOptions{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := TrainAttacker(TrainingOptions{Seed: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := CapturePcapMulti(tr, 21, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, trades := reorderSegments(t, multi, 40)
+	if trades == 0 {
+		t.Fatal("no segment was reordered")
+	}
+	for _, w := range []struct {
+		name string
+		win  *MonitorWindow
+	}{{"batch", nil}, {"window", &MonitorWindow{}}} {
+		want := feedChunks(atk, data, len(data), w.win, true)
+		if want.err != nil || want.inf == nil || len(want.events) == 0 {
+			t.Fatalf("%s: whole Feed: %v, %d events", w.name, want.err, len(want.events))
+		}
+		for _, feed := range []struct {
+			name  string
+			chunk int
+		}{{"64 KiB Feed", 64 << 10}, {"1500-byte Feed", 1500}, {"7-byte Feed", 7}, {"FeedPacket", 0}} {
+			got := feedReused(t, atk, data, feed.chunk, w.win)
+			switch {
+			case got.err != nil:
+				t.Errorf("%s %s: %v", w.name, feed.name, got.err)
+			case !reflect.DeepEqual(got.inf, want.inf):
+				t.Errorf("%s %s: Close result diverged from the whole Feed", w.name, feed.name)
+			case !reflect.DeepEqual(got.events, want.events):
+				t.Errorf("%s %s: %d events diverged from the whole Feed's %d", w.name, feed.name, len(got.events), len(want.events))
 			}
 		}
 	}
