@@ -275,10 +275,12 @@ type benchFile struct {
 }
 
 // decoderBenchEntries measures the decoding engine's two unit costs —
-// building the per-graph path table (paid once per graph thanks to
-// memoization) and one bulk-inference constrained decode against the
-// shared table — so the perf file carries the numbers the attack
-// throughput depends on.
+// building the per-graph path table with its shared-prefix counts (paid
+// once per graph thanks to memoization) and one bulk-inference
+// constrained decode against the shared table, which aligns each
+// distinct report prefix once and allocates only the hypotheses it
+// returns — so the perf file carries the numbers the attack throughput
+// depends on.
 func decoderBenchEntries() ([]benchEntry, error) {
 	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{Seed: 21})
 	if err != nil {

@@ -3,8 +3,7 @@ package attack
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -174,10 +173,19 @@ type TablePath struct {
 // vector with its expected report sequence and cumulative playback-time
 // offsets. Built once per (graph, maxChoices) and shared across bulk
 // inferences — the pre-table decoder re-enumerated 2^depth paths on every
-// call.
+// call. Build tables with NewPathTable or PathTableFor; a table is
+// read-only once built, because the aligners rely on its shared-prefix
+// counts matching Paths.
 type PathTable struct {
 	MaxChoices int
 	Paths      []TablePath
+
+	// shared[i] counts the leading Events walk i shares with walk i-1.
+	// Walks are enumerated depth first, so the counts form an implicit
+	// prefix trie: walk i adds one node per event past shared[i]. At
+	// Bandersnatch's depth 9 the 196 walks hold 2,640 events but only
+	// 390 distinct prefixes, and both aligners score each prefix once.
+	shared []int
 }
 
 // Timing-model constants for expected-event offsets. The session clock
@@ -229,6 +237,15 @@ func NewPathTable(g *script.Graph, maxChoices int) (*PathTable, error) {
 	if len(t.Paths) == 0 {
 		return nil, fmt.Errorf("attack: graph has no complete paths within %d choices", maxChoices)
 	}
+	t.shared = make([]int, len(t.Paths))
+	for i := 1; i < len(t.Paths); i++ {
+		prev, cur := t.Paths[i-1].Events, t.Paths[i].Events
+		n := 0
+		for n < len(prev) && n < len(cur) && prev[n] == cur[n] {
+			n++
+		}
+		t.shared[i] = n
+	}
 	return t, nil
 }
 
@@ -246,29 +263,49 @@ var pathTableCache struct {
 
 const pathTableCacheLimit = 16
 
-// pathTableKey fingerprints everything the table depends on: the start
-// segment, every segment's duration and successors, each choice's
-// branches and decision window, and the enumeration depth.
-func pathTableKey(g *script.Graph, maxChoices int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\x00%s\x00%d\x00", g.Title, g.Start, maxChoices)
+// appendPathTableKey appends the fingerprint of everything the table
+// depends on to dst: the start segment, every segment's duration and
+// successors, each choice's branches and decision window, and the
+// enumeration depth.
+func appendPathTableKey(dst []byte, g *script.Graph, maxChoices int) []byte {
+	dst = append(dst, g.Title...)
+	dst = append(dst, 0)
+	dst = append(dst, g.Start...)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(maxChoices), 10)
+	dst = append(dst, 0)
 	for _, s := range g.Segments() {
-		fmt.Fprintf(&b, "%s\x01%d\x01%s\x01%v\x01", s.ID, s.Duration, s.Next, s.Ending)
+		dst = append(dst, s.ID...)
+		dst = append(dst, 1)
+		dst = strconv.AppendInt(dst, int64(s.Duration), 10)
+		dst = append(dst, 1)
+		dst = append(dst, s.Next...)
+		dst = append(dst, 1)
+		dst = strconv.AppendBool(dst, s.Ending)
+		dst = append(dst, 1)
 		if c := s.Choice; c != nil {
-			fmt.Fprintf(&b, "%s\x02%s\x02%d", c.Default, c.Alternative, c.Window)
+			dst = append(dst, c.Default...)
+			dst = append(dst, 2)
+			dst = append(dst, c.Alternative...)
+			dst = append(dst, 2)
+			dst = strconv.AppendInt(dst, int64(c.Window), 10)
 		}
-		b.WriteByte(0)
+		dst = append(dst, 0)
 	}
-	return b.String()
+	return dst
 }
 
 // PathTableFor returns the shared decoding table for (g, maxChoices),
 // building it at most once per distinct graph content. The returned
-// table is read-only and safe to share across goroutines.
+// table is read-only and safe to share across goroutines. Every
+// Attacker.Infer calls it, so the key is built in a stack buffer (a
+// Bandersnatch key is 884 bytes) and a hit allocates only the graph's
+// Segments slice.
 func PathTableFor(g *script.Graph, maxChoices int) (*PathTable, error) {
-	key := pathTableKey(g, maxChoices)
+	var buf [2048]byte
+	key := appendPathTableKey(buf[:0], g, maxChoices)
 	pathTableCache.Lock()
-	if t, ok := pathTableCache.m[key]; ok {
+	if t, ok := pathTableCache.m[string(key)]; ok {
 		pathTableCache.Unlock()
 		return t, nil
 	}
@@ -281,13 +318,13 @@ func PathTableFor(g *script.Graph, maxChoices int) (*PathTable, error) {
 
 	pathTableCache.Lock()
 	defer pathTableCache.Unlock()
-	if prior, ok := pathTableCache.m[key]; ok {
+	if prior, ok := pathTableCache.m[string(key)]; ok {
 		return prior, nil // a racing builder won; keep one canonical copy
 	}
 	if pathTableCache.m == nil || len(pathTableCache.m) >= pathTableCacheLimit {
 		pathTableCache.m = make(map[string]*PathTable)
 	}
-	pathTableCache.m[key] = t
+	pathTableCache.m[string(key)] = t
 	return t, nil
 }
 
@@ -404,7 +441,9 @@ func observedEventFrom(r ClassifiedRecord, idx int, anchor time.Time) (observedE
 // session start (the first client record); pass the zero time to fall
 // back to the first classified record. The returned scores are
 // normalized per event, so the margin between ranks is a calibrated
-// decode confidence.
+// decode confidence. Walks are scored in table order, each computing
+// only the alignment rows past the event prefix it shares with the walk
+// before, so every distinct prefix is aligned once.
 func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm DecodeParams) ([]PathHypothesis, error) {
 	if len(t.Paths) == 0 {
 		return nil, fmt.Errorf("attack: empty path table")
@@ -417,31 +456,15 @@ func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm Decode
 			nHard++
 		}
 	}
-	// Scratch NW rows sized for the longest expected sequence.
+	// One NW row per event depth, sized for the longest expected sequence.
 	maxM := 0
 	for i := range t.Paths {
 		if m := len(t.Paths[i].Events); m > maxM {
 			maxM = m
 		}
 	}
-	scratch := newAligner(maxM, len(obs))
+	a := newAligner(maxM, obs, prm)
 
-	hyps := make([]PathHypothesis, len(t.Paths))
-	order := make([]int, len(t.Paths))
-	for i := range t.Paths {
-		p := &t.Paths[i]
-		raw := scratch.score(p.Events, obs, prm)
-		denom := float64(len(p.Events) + nHard)
-		if denom < 1 {
-			denom = 1
-		}
-		hyps[i] = PathHypothesis{
-			Decisions: p.Decisions,
-			Score:     raw / denom,
-			Events:    len(p.Events),
-		}
-		order[i] = i
-	}
 	// Rank best-first on the score nudged by a tiny Occam prior (1e-7 per
 	// expected event): when evidence does not discriminate — e.g. fully
 	// padded traffic, where every path ties up to float rounding — the
@@ -450,24 +473,52 @@ func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm Decode
 	// all-defaults prior instead of letting 1-ulp noise pick a walk. The
 	// nudge is orders of magnitude below any real decode margin and is
 	// excluded from the reported Score.
-	rank := func(i int) float64 { return hyps[i].Score - 1e-7*float64(hyps[i].Events) }
-	sort.SliceStable(order, func(a, b int) bool {
-		return rank(order[a]) > rank(order[b])
-	})
-	k := prm.TopK
-	if k > len(order) {
-		k = len(order)
+	k := min(prm.TopK, len(t.Paths))
+	top := make([]rankedWalk, 0, k)
+	for i := range t.Paths {
+		p := &t.Paths[i]
+		raw := a.extend(p.Events, t.shared[i], obs, prm)
+		denom := float64(len(p.Events) + nHard)
+		if denom < 1 {
+			denom = 1
+		}
+		w := rankedWalk{walk: i, score: raw / denom}
+		w.rank = w.score - 1e-7*float64(len(p.Events))
+		// Stable top-k insertion: the walk goes below every kept walk
+		// that ranks at least as high, so exact ties keep table order.
+		at := len(top)
+		for at > 0 && top[at-1].rank < w.rank {
+			at--
+		}
+		if at == k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, rankedWalk{})
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = w
 	}
 	out := make([]PathHypothesis, 0, k)
-	for _, idx := range order[:k] {
-		h := hyps[idx]
-		// Hand out a copy: the table's vectors are shared across every
-		// inference in the process and must never alias caller state.
-		h.Decisions = append([]bool(nil), h.Decisions...)
-		h.match, h.Matched = scratch.traceback(t.Paths[idx].Events, obs, prm)
+	for _, w := range top {
+		p := &t.Paths[w.walk]
+		h := PathHypothesis{
+			// Hand out a copy: the table's vectors are shared across every
+			// inference in the process and must never alias caller state.
+			Decisions: append([]bool(nil), p.Decisions...),
+			Score:     w.score,
+			Events:    len(p.Events),
+		}
+		h.match, h.Matched = a.traceback(p.Events, obs, prm)
 		out = append(out, h)
 	}
 	return out, nil
+}
+
+// rankedWalk is one table walk's normalized score and Occam-nudged rank.
+type rankedWalk struct {
+	walk        int
+	score, rank float64
 }
 
 // ConstrainedDecode scores the graph's complete decision vectors against
@@ -487,13 +538,12 @@ func ConstrainedDecode(g *script.Graph, recs []ClassifiedRecord, maxChoices int)
 
 // --- Needleman–Wunsch alignment ----------------------------------------------
 
-// aligner holds reusable scoring state: two rolling rows for the cheap
-// scoring pass, plus full score and move matrices for the ranked
-// hypotheses' tracebacks — all reused across paths within one Decode.
+// aligner holds one Decode's scoring state: the score matrix, one row per
+// expected-event depth, and the move matrix the ranked hypotheses'
+// tracebacks fill.
 type aligner struct {
-	prev, cur []float64
-	grid      []float64 // (m+1)*(n+1) score matrix, reused per traceback
-	moves     []byte    // (m+1)*(n+1) move matrix, reused per traceback
+	grid  []float64 // (maxM+1)*(n+1) score matrix
+	moves []byte    // (maxM+1)*(n+1) move matrix, reused per traceback
 }
 
 const (
@@ -502,14 +552,19 @@ const (
 	moveLeft // gap in expected (observation unexplained)
 )
 
-func newAligner(maxM, n int) *aligner {
-	full := (maxM + 1) * (n + 1)
-	return &aligner{
-		prev:  make([]float64, n+1),
-		cur:   make([]float64, n+1),
+// newAligner sizes the matrices for walks of up to maxM events against
+// obs and fills row 0, the alignment of no expected event, which every
+// walk shares.
+func newAligner(maxM int, obs []observedEvent, prm DecodeParams) *aligner {
+	full := (maxM + 1) * (len(obs) + 1)
+	a := &aligner{
 		grid:  make([]float64, full),
 		moves: make([]byte, full),
 	}
+	for j := 1; j <= len(obs); j++ {
+		a.grid[j] = a.grid[j-1] + skipObserved(obs[j-1], prm)
+	}
+	return a
 }
 
 // cell scores aligning expected event e against observation o.
@@ -543,15 +598,14 @@ func skipObserved(o observedEvent, prm DecodeParams) float64 {
 	return -prm.SoftSkipPenalty
 }
 
-// score runs the rolling-row NW pass and returns the raw alignment score.
-func (a *aligner) score(expected []ExpectedEvent, obs []observedEvent, prm DecodeParams) float64 {
-	m, n := len(expected), len(obs)
-	prev, cur := a.prev[:n+1], a.cur[:n+1]
-	prev[0] = 0
-	for j := 1; j <= n; j++ {
-		prev[j] = prev[j-1] + skipObserved(obs[j-1], prm)
-	}
-	for i := 1; i <= m; i++ {
+// extend computes rows from+1..m of the score matrix for one walk and
+// returns its raw alignment score, S[m][n]. Rows 0..from must already
+// hold the alignment of the walk's first from events: the walk scored
+// before it shares them, and Decode scores walks in table order.
+func (a *aligner) extend(expected []ExpectedEvent, from int, obs []observedEvent, prm DecodeParams) float64 {
+	n := len(obs)
+	for i := from + 1; i <= len(expected); i++ {
+		prev, cur := a.grid[(i-1)*(n+1):i*(n+1)], a.grid[i*(n+1):(i+1)*(n+1)]
 		cur[0] = prev[0] - prm.ExpectedGapPenalty
 		for j := 1; j <= n; j++ {
 			best := prev[j-1] + alignScore(expected[i-1], obs[j-1], prm)
@@ -563,94 +617,125 @@ func (a *aligner) score(expected []ExpectedEvent, obs []observedEvent, prm Decod
 			}
 			cur[j] = best
 		}
-		prev, cur = cur, prev
 	}
-	return prev[n]
+	return a.grid[len(expected)*(n+1)+n]
 }
 
 // --- Incremental prefix alignment --------------------------------------------
 //
 // The streaming monitor cannot afford to re-run the full alignment on
-// every feed: it extends the DP column-by-column instead. For each
-// candidate path the aligner keeps the Needleman–Wunsch column
-// S[0..m][j] — the score of aligning the path's first i expected events
-// against all j observations so far — and each new observation advances
-// every column by one step in O(events) per path. The recurrence, the
-// candidate order and therefore the floating-point results are identical
-// to the batch aligner's, so the column's final cell after the last
-// observation equals the batch raw score exactly; the running ranking in
-// between scores the best *prefix* of each path, which is what a partial
-// session can honestly be compared against.
+// every feed: it extends the DP column by column instead. The aligner
+// keeps one Needleman–Wunsch cell per distinct expected-event prefix —
+// S[d][j], the score of aligning a walk's first d expected events against
+// all j observations so far — which every walk through that prefix
+// shares, and each new observation advances every cell by one step, in
+// table order. The recurrence, its operand order and therefore the
+// floating-point results are identical to the batch aligner's, so a
+// walk's deepest cell after the last observation equals the batch raw
+// score exactly; the running ranking in between scores the best *prefix*
+// of each walk, which is what a partial session can honestly be compared
+// against.
 
 // prefixAligner is the incremental per-flow decoding state.
 type prefixAligner struct {
-	table  *PathTable
-	prm    DecodeParams
-	cols   [][]float64 // per path: S[0..m][observations so far]
-	scores []float64   // scratch: per-path prefix scores for one ranking
-	nObs   int
-	nHard  int
+	table *PathTable
+	prm   DecodeParams
+	root  float64   // S[0][j]: no expected event, every observation skipped
+	cells []float64 // S[d][j], one per distinct event prefix, in table order
+	// Per-depth stacks along the walk being visited: a cell's value
+	// before and after the current observation, and in ranking the best
+	// normalized cell over depths 0..d.
+	before, after, upTo []float64
+	scores              []float64 // scratch: per-walk prefix scores for one ranking
+	nHard               int
 }
 
-// newPrefixAligner initializes the zero-observation columns (every
+// newPrefixAligner initializes the zero-observation cells (every
 // expected event unmatched).
 func newPrefixAligner(t *PathTable, prm DecodeParams) *prefixAligner {
 	pa := &prefixAligner{table: t, prm: prm.withDefaults()}
-	pa.cols = make([][]float64, len(t.Paths))
+	nodes, maxM := 0, 0
 	for i := range t.Paths {
-		col := make([]float64, len(t.Paths[i].Events)+1)
-		for j := 1; j < len(col); j++ {
-			col[j] = col[j-1] - pa.prm.ExpectedGapPenalty
+		m := len(t.Paths[i].Events)
+		nodes += m - t.shared[i]
+		maxM = max(maxM, m)
+	}
+	buf := make([]float64, nodes+3*(maxM+1))
+	pa.cells, buf = buf[:nodes], buf[nodes:]
+	pa.before, pa.after, pa.upTo = buf[:maxM+1], buf[maxM+1:2*(maxM+1)], buf[2*(maxM+1):]
+	k := 0
+	for i := range t.Paths {
+		for d := t.shared[i] + 1; d <= len(t.Paths[i].Events); d++ {
+			pa.after[d] = pa.after[d-1] - pa.prm.ExpectedGapPenalty
+			pa.cells[k] = pa.after[d]
+			k++
 		}
-		pa.cols[i] = col
 	}
 	return pa
 }
 
-// observe extends every path's column with one new observation.
+// observe advances every prefix cell by one new observation. Cells are
+// visited in table order, so a cell's parent — the prefix one event
+// shorter — has always just been advanced, and the stacks hold its old
+// and new values.
 func (pa *prefixAligner) observe(o observedEvent) {
-	pa.nObs++
 	if o.hard {
 		pa.nHard++
 	}
 	skip := skipObserved(o, pa.prm)
-	for pi := range pa.table.Paths {
-		events := pa.table.Paths[pi].Events
-		col := pa.cols[pi]
-		prevDiag := col[0] // S[i-1][j-1], seeded with S[0][j-1]
-		col[0] += skip
-		for i := 1; i <= len(events); i++ {
-			oldCol := col[i] // S[i][j-1]
-			best := prevDiag + alignScore(events[i-1], o, pa.prm)
-			if up := col[i-1] - pa.prm.ExpectedGapPenalty; up > best {
+	before, after := pa.before, pa.after
+	before[0] = pa.root
+	pa.root += skip
+	after[0] = pa.root
+	k := 0
+	for i := range pa.table.Paths {
+		events := pa.table.Paths[i].Events
+		for d := pa.table.shared[i] + 1; d <= len(events); d++ {
+			old := pa.cells[k] // S[d][j-1]
+			best := before[d-1] + alignScore(events[d-1], o, pa.prm)
+			if up := after[d-1] - pa.prm.ExpectedGapPenalty; up > best {
 				best = up
 			}
-			if left := oldCol + skip; left > best {
+			if left := old + skip; left > best {
 				best = left
 			}
-			col[i] = best
-			prevDiag = oldCol
+			pa.cells[k] = best
+			before[d], after[d] = old, best
+			k++
 		}
 	}
 }
 
-// prefixScore is a path's running score: the best per-event-normalized
-// alignment over every prefix of its expected events, so a long path is
-// judged on the part of the film that has plausibly played out rather
-// than charged for reports that are not yet due.
-func (pa *prefixAligner) prefixScore(pi int) float64 {
-	col := pa.cols[pi]
-	best := math.Inf(-1)
-	for i, v := range col {
-		denom := float64(i + pa.nHard)
-		if denom < 1 {
-			denom = 1
-		}
-		if s := v / denom; s > best {
-			best = s
-		}
+// prefixScores sets each walk's running score: the best
+// per-event-normalized alignment over every prefix of its expected
+// events, so a long walk is judged on the part of the film that has
+// plausibly played out rather than charged for reports that are not yet
+// due. The running maximum per depth is taken in depth order, as over
+// one walk's own column.
+func (pa *prefixAligner) prefixScores(scores []float64) {
+	upTo := pa.upTo
+	upTo[0] = math.Inf(-1)
+	if s := pa.root / pa.denom(0); s > upTo[0] {
+		upTo[0] = s
 	}
-	return best
+	k := 0
+	for i := range pa.table.Paths {
+		events := pa.table.Paths[i].Events
+		for d := pa.table.shared[i] + 1; d <= len(events); d++ {
+			upTo[d] = upTo[d-1]
+			if s := pa.cells[k] / pa.denom(d); s > upTo[d] {
+				upTo[d] = s
+			}
+			k++
+		}
+		scores[i] = upTo[len(events)]
+	}
+}
+
+// denom normalizes a depth-d cell per event: the alignment size over d
+// expected events and every hard observation so far.
+func (pa *prefixAligner) denom(d int) float64 {
+	return max(float64(d+pa.nHard), 1)
 }
 
 // ranking returns the running best path index and the margin to the best
@@ -664,24 +749,25 @@ func (pa *prefixAligner) prefixScore(pi int) float64 {
 // non-discriminating evidence the live best hypothesis agrees with what
 // Decode will finalize.
 func (pa *prefixAligner) ranking(k int) (best int, margin float64) {
-	if cap(pa.scores) < len(pa.cols) {
-		pa.scores = make([]float64, len(pa.cols))
+	paths := pa.table.Paths
+	if cap(pa.scores) < len(paths) {
+		pa.scores = make([]float64, len(paths))
 	}
-	scores := pa.scores[:len(pa.cols)]
+	scores := pa.scores[:len(paths)]
+	pa.prefixScores(scores)
 	rank := func(pi int) float64 {
-		return scores[pi] - 1e-7*float64(len(pa.table.Paths[pi].Events))
+		return scores[pi] - 1e-7*float64(len(paths[pi].Events))
 	}
 	bestRank := math.Inf(-1)
-	for pi := range pa.cols {
-		scores[pi] = pa.prefixScore(pi)
+	for pi := range paths {
 		if r := rank(pi); r > bestRank {
 			bestRank, best = r, pi
 		}
 	}
-	bestDec := pa.table.Paths[best].Decisions
+	bestDec := paths[best].Decisions
 	rival, found := math.Inf(-1), false
-	for pi := range pa.cols {
-		if !prefixEqual(pa.table.Paths[pi].Decisions, bestDec, k) && scores[pi] > rival {
+	for pi := range paths {
+		if !prefixEqual(paths[pi].Decisions, bestDec, k) && scores[pi] > rival {
 			rival, found = scores[pi], true
 		}
 	}
@@ -712,6 +798,8 @@ func prefixEqual(a, b []bool, k int) bool {
 
 // traceback re-runs the alignment with a full move matrix and returns the
 // expected-event -> record-index match table plus the hard-match count.
+// It overwrites the score matrix's rows, so Decode calls it only once
+// every walk is scored.
 func (a *aligner) traceback(expected []ExpectedEvent, obs []observedEvent, prm DecodeParams) ([]int, int) {
 	m, n := len(expected), len(obs)
 	need := (m + 1) * (n + 1)

@@ -77,6 +77,25 @@ func TestPathTableMemoized(t *testing.T) {
 	}
 }
 
+// TestPathTableForHitAllocs pins the cost of a cache hit, which every
+// Attacker.Infer pays: the key is appended into a stack buffer and looked
+// up without a string copy, so a hit allocates only the graph's Segments
+// slice.
+func TestPathTableForHitAllocs(t *testing.T) {
+	g := script.Bandersnatch()
+	if _, err := PathTableFor(g, script.BandersnatchMaxChoices); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PathTableFor(g, script.BandersnatchMaxChoices); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a PathTableFor cache hit made %.0f allocations, want at most 1", allocs)
+	}
+}
+
 func TestPathTableFirstPathIsAllDefaults(t *testing.T) {
 	tab, err := NewPathTable(script.Bandersnatch(), script.BandersnatchMaxChoices)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -165,10 +166,12 @@ func TestMonitorEvents(t *testing.T) {
 	}
 }
 
-// TestPrefixAlignerMatchesBatchScore proves the incremental column
-// recurrence reproduces the batch aligner bit-for-bit: after absorbing
-// every observation, each path's final column cell equals the raw
-// Needleman–Wunsch score of the full alignment.
+// TestPrefixAlignerMatchesBatchScore proves the incremental cell
+// recurrence reproduces the batch aligner bit for bit: after absorbing
+// every observation, each walk's deepest live cell equals the raw
+// Needleman–Wunsch score Decode's aligner computes for the walk, and
+// both equal the per-walk oracle's. After every observation the live
+// aligner also agrees with the per-walk live oracle, ranking included.
 func TestPrefixAlignerMatchesBatchScore(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
@@ -190,21 +193,29 @@ func TestPrefixAlignerMatchesBatchScore(t *testing.T) {
 
 	prm := DecodeParams{}.withDefaults()
 	pa := newPrefixAligner(table, prm)
-	for _, ev := range events {
+	oracle := newOraclePrefixAligner(table, prm)
+	for i, ev := range events {
 		pa.observe(ev)
+		oracle.observe(ev)
+		if err := alignersAgree(pa, oracle); err != nil {
+			t.Fatalf("after observation %d: %v", i, err)
+		}
 	}
 	maxM := 0
 	for i := range table.Paths {
-		if m := len(table.Paths[i].Events); m > maxM {
-			maxM = m
-		}
+		maxM = max(maxM, len(table.Paths[i].Events))
 	}
-	batch := newAligner(maxM, len(events))
+	batch := newAligner(maxM, events, prm)
+	live := liveFinalCells(pa)
 	for pi := range table.Paths {
-		want := batch.score(table.Paths[pi].Events, events, prm)
-		got := pa.cols[pi][len(table.Paths[pi].Events)]
-		if got != want {
-			t.Fatalf("path %d: incremental %v != batch %v", pi, got, want)
+		expected := table.Paths[pi].Events
+		raw := batch.extend(expected, table.shared[pi], events, prm)
+		want := oracleScore(expected, events, prm)
+		if math.Float64bits(raw) != math.Float64bits(want) {
+			t.Fatalf("walk %d: batch %v != oracle %v", pi, raw, want)
+		}
+		if math.Float64bits(live[pi]) != math.Float64bits(raw) {
+			t.Fatalf("walk %d: incremental %v != batch %v", pi, live[pi], raw)
 		}
 	}
 }
