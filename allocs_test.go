@@ -18,7 +18,8 @@ import (
 // in the 64 KiB Feed chunks of a rolling-window Monitor with an event
 // callback, the shape wmattack -live runs. The first three must also
 // cost under one allocation per ten packets; the live row is exempt,
-// because every event it delivers is an allocation of its own.
+// because every event it delivers is an allocation of its own. The
+// session is seed 21's 3-choice walk.
 func TestMonitorAllocsPerPacket(t *testing.T) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {

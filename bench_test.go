@@ -170,7 +170,8 @@ func BenchmarkScenario_TLS13(b *testing.B) {
 // BenchmarkPipeline_AttackThroughput measures the attack pipeline itself
 // (pcap parse → reassembly → record extraction → classification →
 // decode) on one pre-rendered capture, the figure a deployment would
-// care about.
+// care about. Its fixture is the seed-21 session, a 3-choice walk, so
+// its decode step is the cheapest in the table.
 func BenchmarkPipeline_AttackThroughput(b *testing.B) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {
@@ -243,6 +244,7 @@ func BenchmarkScenario_QUIC(b *testing.B) {
 // on an interleaved multi-flow capture (the session plus six noise
 // flows) streamed through a Monitor in one Feed: the per-flow costs a
 // link tap adds over the single-flow BenchmarkPipeline_AttackThroughput.
+// The session is the same seed-21 3-choice walk.
 func BenchmarkPipeline_AttackThroughputMulti(b *testing.B) {
 	tr, err := Simulate(SessionOptions{Seed: 21})
 	if err != nil {
@@ -288,11 +290,32 @@ func BenchmarkPipeline_PathTableBuild(b *testing.B) {
 // cost: time-aware alignment of every candidate walk, no path
 // re-enumeration. Walks share the alignment rows of their common report
 // prefixes, so the 196 Bandersnatch walks cost 390 rows rather than
-// 2,640, and only the top-k hypotheses returned are allocated.
+// 2,640, and only the top-k hypotheses returned are allocated. Its
+// fixture is the seed-21 session, a 3-choice walk (the shortest shape in
+// the table, 3 report observations); BenchmarkPipeline_ConstrainedDecodeLong
+// prices the same decode at full length.
 func BenchmarkPipeline_ConstrainedDecode(b *testing.B) {
-	tr, err := Simulate(SessionOptions{Seed: 21})
+	benchConstrainedDecode(b, 21, 3)
+}
+
+// BenchmarkPipeline_ConstrainedDecodeLong is BenchmarkPipeline_ConstrainedDecode
+// on the seed-1 session, an 8-choice walk with 10 report observations,
+// so a decoder regression that grows with session length shows at full
+// size rather than at the 3-choice walk's third of it.
+func BenchmarkPipeline_ConstrainedDecodeLong(b *testing.B) {
+	benchConstrainedDecode(b, 1, 8)
+}
+
+// benchConstrainedDecode times PathTable.Decode on the client records of
+// the session simulated from seed, whose walk must make choices choices.
+// It reports the decode's report observations (in-band records).
+func benchConstrainedDecode(b *testing.B, seed uint64, choices int) {
+	tr, err := Simulate(SessionOptions{Seed: seed})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if got := len(tr.GroundTruthDecisions()); got != choices {
+		b.Fatalf("seed %d walk makes %d choices, want %d", seed, got, choices)
 	}
 	atk, err := TrainAttacker(TrainingOptions{Seed: 22})
 	if err != nil {
@@ -303,6 +326,12 @@ func BenchmarkPipeline_ConstrainedDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	classified := attack.ClassifyRecords(recs, atk.Classifier)
+	reports := 0
+	for _, r := range classified {
+		if r.Class != attack.ClassOther {
+			reports++
+		}
+	}
 	table, err := attack.PathTableFor(atk.Graph, atk.MaxChoices)
 	if err != nil {
 		b.Fatal(err)
@@ -319,6 +348,7 @@ func BenchmarkPipeline_ConstrainedDecode(b *testing.B) {
 			b.Fatal("no hypotheses")
 		}
 	}
+	b.ReportMetric(float64(reports), "reports")
 }
 
 // BenchmarkPipeline_SessionSimulation measures end-to-end session

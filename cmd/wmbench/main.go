@@ -280,7 +280,9 @@ type benchFile struct {
 // constrained decode against the shared table, which aligns each
 // distinct report prefix once and allocates only the hypotheses it
 // returns — so the perf file carries the numbers the attack throughput
-// depends on.
+// depends on. The decode's fixture is the seed-21 session, a 3-choice
+// walk with 3 report observations, the shortest shape in the table;
+// BenchmarkPipeline_ConstrainedDecodeLong prices an 8-choice walk.
 func decoderBenchEntries() ([]benchEntry, error) {
 	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{Seed: 21})
 	if err != nil {
@@ -404,7 +406,8 @@ func datasetBenchEntries() ([]benchEntry, error) {
 // parse through constrained decode via the streaming-monitor-backed
 // InferPcap — on one pre-rendered capture. Its alloc count is the figure
 // the zero-copy read path (pcap records parsed in place, in-order
-// payloads reassembled without a copy) is accountable for.
+// payloads reassembled without a copy) is accountable for. The capture
+// is the seed-21 session, a 3-choice walk.
 func pipelineBenchEntry() (benchEntry, error) {
 	tr, err := whitemirror.Simulate(whitemirror.SessionOptions{Seed: 21})
 	if err != nil {

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -78,13 +79,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The pcap writer makes a few small writes per frame (record header,
+	// frame headers, payload); buffer them rather than pay a system call
+	// each.
+	bw := bufio.NewWriter(f)
 	if *noise > 0 {
-		err = capture.WritePcapMulti(f, tr, capture.MultiOptions{
+		err = capture.WritePcapMulti(bw, tr, capture.MultiOptions{
 			Options:    capture.Options{Seed: *seed},
 			NoiseFlows: *noise,
 		})
 	} else {
-		err = capture.WritePcap(f, tr, capture.Options{Seed: *seed})
+		err = capture.WritePcap(bw, tr, capture.Options{Seed: *seed})
+	}
+	if err == nil {
+		err = bw.Flush()
 	}
 	if err != nil {
 		f.Close()

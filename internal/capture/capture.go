@@ -10,6 +10,11 @@
 // the interleaved scenario: the interactive session plus N seeded
 // bulk-streaming noise flows sharing the capture, which is what an
 // on-path eavesdropper actually sees on a household link.
+//
+// A render holds only each frame's Ethernet, IP and transport headers,
+// ~54 bytes a frame, in one pooled arena. Payloads are written to the
+// destination straight from the trace's streams, so no payload byte is
+// copied before the destination writer copies it.
 package capture
 
 import (
@@ -100,46 +105,55 @@ type MultiOptions struct {
 	TransportSet bool
 }
 
-// frame is one synthesized packet awaiting interleave. Frame bytes live
+// frame is one synthesized packet awaiting interleave. Its headers live
 // in a shared arena (start/end offsets) so a capture costs one buffer, not
-// one allocation per packet.
+// one allocation per packet; its payload is a slice of the conversation's
+// stream, written from there without a copy.
 type frame struct {
 	ts         time.Time
 	start, end int
+	payload    []byte
 	// seqKey breaks timestamp ties so a direction's segments stay ordered.
 	seqKey int
 }
 
-// muxer accumulates every conversation's frames in one arena before the
-// final time interleave.
+// muxer accumulates every conversation's frame headers in one arena
+// before the final time interleave.
 type muxer struct {
-	arena  *wire.Writer
-	frames []frame
-	ipID   uint16
-	shift  time.Duration // applied to every frame timestamp
+	arena        *wire.Writer
+	frames       []frame
+	payloadBytes int // summed over frames
+	ipID         uint16
+	shift        time.Duration // applied to every frame timestamp
 }
 
-// add serializes one frame into the arena.
+// add serializes one TCP frame's headers into the arena.
 func (m *muxer) add(ts time.Time, key layers.FlowKey, eth layers.Ethernet,
 	tcp layers.TCP, payload []byte) error {
 	start := m.arena.Len()
-	if err := layers.AppendTCPFrame(m.arena, key, eth, tcp, payload, m.ipID); err != nil {
+	if err := layers.AppendTCPHeaders(m.arena, key, eth, tcp, payload, m.ipID); err != nil {
 		return err
 	}
-	m.ipID++
-	m.frames = append(m.frames, frame{ts: ts.Add(m.shift), start: start, end: m.arena.Len(), seqKey: len(m.frames)})
+	m.push(ts, start, payload)
 	return nil
 }
 
-// addUDP serializes one UDP frame into the arena.
+// addUDP serializes one UDP frame's headers into the arena.
 func (m *muxer) addUDP(ts time.Time, key layers.FlowKey, eth layers.Ethernet, payload []byte) error {
 	start := m.arena.Len()
-	if err := layers.AppendUDPFrame(m.arena, key, eth, payload, m.ipID); err != nil {
+	if err := layers.AppendUDPHeaders(m.arena, key, eth, payload, m.ipID); err != nil {
 		return err
 	}
-	m.ipID++
-	m.frames = append(m.frames, frame{ts: ts.Add(m.shift), start: start, end: m.arena.Len(), seqKey: len(m.frames)})
+	m.push(ts, start, payload)
 	return nil
+}
+
+// push records the frame whose headers were just appended from start.
+func (m *muxer) push(ts time.Time, start int, payload []byte) {
+	m.ipID++
+	m.payloadBytes += len(payload)
+	m.frames = append(m.frames, frame{ts: ts.Add(m.shift), start: start, end: m.arena.Len(),
+		payload: payload, seqKey: len(m.frames)})
 }
 
 // writeTo interleaves all frames by timestamp (stable on insertion order
@@ -154,14 +168,15 @@ func (m *muxer) writeTo(w io.Writer) error {
 		return m.frames[i].ts.Before(m.frames[j].ts)
 	})
 	if g, ok := w.(interface{ Grow(n int) }); ok {
-		// The frames tile the arena, so the file is the 24-byte pcap
-		// header, a 16-byte record header per frame and the arena.
-		g.Grow(24 + 16*len(m.frames) + m.arena.Len())
+		// The frames' headers tile the arena, so the file is the 24-byte
+		// pcap header, a 16-byte record header per frame, the arena and
+		// the payloads.
+		g.Grow(24 + 16*len(m.frames) + m.arena.Len() + m.payloadBytes)
 	}
 	pw := pcapio.NewWriter(w)
 	raw := m.arena.Bytes()
 	for _, f := range m.frames {
-		if err := pw.WritePacket(f.ts, raw[f.start:f.end]); err != nil {
+		if err := pw.WritePacketParts(f.ts, raw[f.start:f.end], f.payload); err != nil {
 			return err
 		}
 	}
@@ -273,10 +288,11 @@ func (o Options) withDefaults(tr *session.Trace) Options {
 	return o
 }
 
-// arenaFor sizes the shared frame arena for the given stream volume.
+// arenaFor sizes the shared header arena for the given stream volume:
+// payloads stay in the streams, so the arena holds ~54 bytes a frame.
 func arenaFor(streamBytes, writes int) (*wire.Writer, int) {
 	frameEstimate := streamBytes/1400 + writes + 16
-	return wire.GetWriter(streamBytes + 64*frameEstimate), frameEstimate
+	return wire.GetWriter(64 * frameEstimate), frameEstimate
 }
 
 // WritePcap renders tr as a pcap stream into w.

@@ -135,10 +135,12 @@ func TestWriteAndReadBack(t *testing.T) {
 }
 
 // TestGenerateToFailureLeavesPrefix pins the failure contract DATASET.md
-// states: only the in-order emit writes, so a run that fails at point i
-// leaves no manifest.json and only the points below i, even though the
-// workers have already encoded points past it. A directory squatting on
-// 004.pcap makes point 3's write fail.
+// states: only the in-order emit renames captures into place, and a
+// failed run removes the NNN.pcap.part files its workers wrote, so a run
+// that fails at point i leaves no manifest.json and only the points below
+// i, even though the workers have already written captures past it. A
+// directory squatting on 004.pcap makes the emit's rename of point 3's
+// capture fail.
 func TestGenerateToFailureLeavesPrefix(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.Mkdir(filepath.Join(dir, "004.pcap"), 0o755); err != nil {
@@ -159,6 +161,63 @@ func TestGenerateToFailureLeavesPrefix(t *testing.T) {
 	if !slices.Equal(names, want) {
 		t.Fatalf("failed run left %v, want %v", names, want)
 	}
+}
+
+// TestGenerateToWorkerFailureLeavesPrefix is the worker-side twin of
+// TestGenerateToFailureLeavesPrefix: a directory squatting on
+// 006.pcap.part makes point 5's capture write fail on its worker, while
+// other workers have written captures past it. The run must leave the
+// same prefix, no manifest, and no .part file of its own.
+func TestGenerateToWorkerFailureLeavesPrefix(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "006.pcap.part"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := GenerateTo(Config{N: 10, Seed: 5, Workers: 4}, dir, true); err == nil {
+		t.Fatal("GenerateTo succeeded with point 5's capture uncreatable")
+	}
+	want := []string{"001.json", "001.pcap", "002.json", "002.pcap", "003.json", "003.pcap",
+		"004.json", "004.pcap", "005.json", "005.pcap", "006.pcap.part"}
+	if names := dirNames(t, dir); !slices.Equal(names, want) {
+		t.Fatalf("failed run left %v, want %v", names, want)
+	}
+}
+
+// TestWriteOnClosedWriter: Write after Close fails before it creates any
+// file, so a closed corpus directory holds only what Close wrote.
+func TestWriteOnClosedWriter(t *testing.T) {
+	ds, err := Generate(Config{N: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := NewDatasetWriter(dir, ds.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(ds.Points[0]); err == nil {
+		t.Fatal("Write on a closed writer succeeded")
+	}
+	if names, want := dirNames(t, dir), []string{AttributesName, ManifestName}; !slices.Equal(names, want) {
+		t.Fatalf("closed writer's directory holds %v, want %v", names, want)
+	}
+}
+
+// dirNames lists dir's entries by name, in order.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestTableIContainsAllAxes(t *testing.T) {

@@ -15,11 +15,14 @@ import (
 // byte-identical to a single-process run of the same Config (the
 // shard-equivalence invariant; TestShardEquivalence_Dataset pins it).
 // It validates that every shard carries the same generation fingerprint,
-// that the shards cover each point index exactly once, and that every
-// copied file matches its manifest hash; one point is resident at a
-// time. When writeCSV is set, attributes.csv is rebuilt from the label
-// sidecars — identical to what the unsharded writer emits. The merged
-// manifest is returned and persisted with the shard marker cleared.
+// that the shards cover each point index exactly once, that every entry
+// names exactly the files the writer gives its index (so a manifest
+// cannot make the merge read or write outside the directories), and
+// that every copied file matches its manifest hash; one point is
+// resident at a time. When writeCSV is set, attributes.csv is rebuilt
+// from the label sidecars — identical to what the unsharded writer
+// emits. The merged manifest is returned and persisted with the shard
+// marker cleared.
 func MergeShards(out string, writeCSV bool, shardDirs ...string) (*Manifest, error) {
 	if len(shardDirs) == 0 {
 		return nil, fmt.Errorf("dataset: merge: no shard directories")
@@ -45,6 +48,10 @@ func MergeShards(out string, writeCSV bool, shardDirs ...string) (*Manifest, err
 		for _, e := range m.Points {
 			if e.Index < 0 || e.Index >= header.N {
 				return nil, fmt.Errorf("dataset: merge: %s lists point %d outside [0,%d)", dir, e.Index, header.N)
+			}
+			if stem := pointStem(nameWidth(header.N), e.Index); e.Pcap != stem+".pcap" || e.Labels != stem+".json" {
+				return nil, fmt.Errorf("dataset: merge: %s lists point %d as %q and %q, want %q and %q",
+					dir, e.Index, e.Pcap, e.Labels, stem+".pcap", stem+".json")
 			}
 			if prev, dup := byIndex[e.Index]; dup {
 				return nil, fmt.Errorf("dataset: merge: point %d appears in both %s and %s", e.Index, prev.dir, dir)

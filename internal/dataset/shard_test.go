@@ -1,12 +1,15 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -129,6 +132,57 @@ func TestMergeShardsRejectsGaps(t *testing.T) {
 	}
 }
 
+// TestMergeShardsRejectsForeignNames: a shard manifest whose entry names
+// a file other than the writer's NNN.pcap / NNN.json for its index must
+// fail the merge, naming the shard and the index, before anything is
+// read or written. A traversing name with the target's true hash and
+// size would otherwise copy a file from outside the shard to outside the
+// output directory.
+func TestMergeShardsRejectsForeignNames(t *testing.T) {
+	root := t.TempDir()
+	victim := []byte("not part of any corpus\n")
+	if err := os.MkdirAll(filepath.Join(root, "a"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "a", "victim.txt"), victim, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(victim)
+	for _, field := range []string{"pcap", "labels"} {
+		t.Run(field, func(t *testing.T) {
+			shard := filepath.Join(root, "a", "shard-"+field)
+			man, _, err := GenerateTo(Config{N: 1, Seed: 5}, shard, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &man.Points[0]
+			if field == "pcap" {
+				e.Pcap, e.PcapSHA256, e.PcapBytes = "../victim.txt", hex.EncodeToString(sum[:]), int64(len(victim))
+			} else {
+				e.Labels, e.LabelsSHA256, e.LabelsBytes = "../victim.txt", hex.EncodeToString(sum[:]), int64(len(victim))
+			}
+			if err := writeManifest(shard, man); err != nil {
+				t.Fatal(err)
+			}
+			outParent := filepath.Join(root, "b-"+field)
+			_, err = MergeShards(filepath.Join(outParent, "out"), false, shard)
+			if err == nil {
+				t.Fatal("merge of a manifest naming ../victim.txt succeeded")
+			}
+			if msg := err.Error(); !strings.Contains(msg, shard) || !strings.Contains(msg, "point 0") {
+				t.Errorf("error %q does not name the shard and the index", msg)
+			}
+			if entries, err := os.ReadDir(outParent); err == nil {
+				for _, e := range entries {
+					if e.Name() != "out" {
+						t.Errorf("merge wrote %s outside the output directory", filepath.Join(outParent, e.Name()))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestShardSpecRoundTrip covers the CLI spelling.
 func TestShardSpecRoundTrip(t *testing.T) {
 	s, err := ParseShard("2/4")
@@ -193,9 +247,10 @@ func TestGenerateConstantMemory(t *testing.T) {
 
 // TestGenerateToConstantMemory is the persisted path's sibling of
 // TestGenerateConstantMemory: GenerateTo with full payloads at two
-// workers, where the in-flight window holds encoded captures rather than
-// lean traces. A sampler watches the corpus grow on disk and, every few
-// points written, samples HeapAlloc after a forced GC.
+// workers, where each worker streams its capture to a .part file and the
+// in-flight window holds only manifest entries and sidecars. A sampler
+// watches the corpus grow on disk and, every few points renamed into
+// place, samples HeapAlloc after a forced GC.
 func TestGenerateToConstantMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak-style memory regression; skipped in -short")
@@ -252,11 +307,12 @@ func TestGenerateToConstantMemory(t *testing.T) {
 		t.Fatalf("only %d heap checkpoints sampled over %d points", len(samples), n)
 	}
 	// The bound is the in-flight window, not the corpus: StreamN holds at
-	// most 2×workers points between claim and emit, each with up to a few
-	// captures' worth of buffers (stream writers, frame arena, capture),
-	// and the writer pool keeps recycled buffers across one GC. Sixteen of
-	// the largest captures covers that with room; retaining every point's
-	// capture or trace (~11 MiB apiece) passes it well before point 48.
+	// most 2×workers points between claim and emit, and each busy worker
+	// holds up to a few captures' worth of buffers (pooled stream
+	// writers, the trace's stream copies, the header arena), which the
+	// writer pool keeps across one GC. Sixteen of the largest captures
+	// covers that with room; retaining every point's capture or trace
+	// (~11 MiB apiece) passes it well before point 48.
 	var biggest uint64
 	for _, e := range man.Points {
 		biggest = max(biggest, uint64(e.PcapBytes))

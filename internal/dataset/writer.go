@@ -1,15 +1,18 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"repro/internal/capture"
 )
@@ -111,6 +114,10 @@ func nameWidth(n int) int {
 	return 3
 }
 
+// pointStem is the shared stem of point i's two filenames, NNN.pcap and
+// NNN.json: its 1-based index zero-padded to width.
+func pointStem(width, i int) string { return fmt.Sprintf("%0*d", width, i+1) }
+
 // DatasetWriter streams a corpus to disk one point at a time: each Write
 // persists the point's capture and label sidecar and appends its
 // content-hashed manifest entry, so nothing but the manifest (a few
@@ -172,28 +179,45 @@ func NewDatasetWriter(dir string, cfg Config) (*DatasetWriter, error) {
 
 // Write persists one point as NNN.pcap + NNN.json and appends its
 // manifest entry. The point's trace must still hold its wire bytes; the
-// caller remains responsible for releasing it afterwards.
+// caller remains responsible for releasing it afterwards. A failed Write
+// leaves no NNN.pcap.part behind.
 func (w *DatasetWriter) Write(p Point) error {
+	if w.closed {
+		return fmt.Errorf("dataset: write to closed writer")
+	}
 	e, err := w.encode(p)
 	if err != nil {
 		return err
 	}
-	return w.put(e)
+	if err := w.put(e); err != nil {
+		os.Remove(e.part)
+		return err
+	}
+	return nil
 }
 
-// encodedPoint is one point ready to persist: both files' bytes plus the
-// manifest entry and attribute-table row that describe them.
+// encodedPoint is one point ready to persist: its capture, already on
+// disk under a temporary name, plus the sidecar bytes, the manifest entry
+// and the attribute-table row that describe them.
 type encodedPoint struct {
-	point        Point
-	pcap, labels []byte
-	entry        ManifestEntry
-	row          []string
+	point  Point
+	part   string // the capture's path until put renames it into place
+	labels []byte
+	entry  ManifestEntry
+	row    []string
 }
 
-// encode renders p's capture, marshals its sidecar, hashes both and
-// builds the point's manifest entry and CSV row. It reads nothing of the
-// writer but its fixed filename width, so GenerateTo runs it on the
-// StreamN workers, concurrently with put.
+// captureBufSize is the render buffer each capture streams through on
+// its way to the file and the hash: large enough that a 7 MB capture
+// takes a few dozen write calls, small enough to stay in cache between
+// the file write and the hash.
+const captureBufSize = 256 << 10
+
+// encode writes p's capture to NNN.pcap.part, hashing it as it goes,
+// marshals and hashes its sidecar, and builds the point's manifest entry
+// and CSV row. It reads nothing of the writer but its directory and
+// fixed filename width, so GenerateTo runs it on the StreamN workers,
+// concurrently with put.
 func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	if p.Trace == nil {
 		return encodedPoint{}, fmt.Errorf("dataset: point %d has no trace", p.Index)
@@ -201,28 +225,28 @@ func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	if len(p.Trace.ClientToServer.Bytes) == 0 || len(p.Trace.ServerToClient.Bytes) == 0 {
 		return encodedPoint{}, fmt.Errorf("dataset: point %d trace holds no payload bytes (generated with Config.Lean, or already Released)", p.Index)
 	}
-	name := fmt.Sprintf("%0*d", w.width, p.Index+1)
-	var pcap bytes.Buffer
-	if err := capture.WritePcap(&pcap, p.Trace, capture.Options{Seed: uint64(p.Index)}); err != nil {
-		return encodedPoint{}, fmt.Errorf("dataset: writing %s.pcap: %w", name, err)
-	}
 	meta := metadataOf(p)
 	labels, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return encodedPoint{}, fmt.Errorf("dataset: %w", err)
 	}
-	pcapSum := sha256.Sum256(pcap.Bytes())
 	labelsSum := sha256.Sum256(labels)
+	name := pointStem(w.width, p.Index)
+	part := filepath.Join(w.dir, name+".pcap.part")
+	pcapSum, pcapBytes, err := writeCapture(part, p)
+	if err != nil {
+		return encodedPoint{}, fmt.Errorf("dataset: writing %s.pcap: %w", name, err)
+	}
 	return encodedPoint{
 		point:  p,
-		pcap:   pcap.Bytes(),
+		part:   part,
 		labels: labels,
 		entry: ManifestEntry{
 			Index:        p.Index,
 			SessionID:    meta.SessionID,
 			Pcap:         name + ".pcap",
-			PcapSHA256:   hex.EncodeToString(pcapSum[:]),
-			PcapBytes:    int64(pcap.Len()),
+			PcapSHA256:   hex.EncodeToString(pcapSum),
+			PcapBytes:    pcapBytes,
 			Labels:       name + ".json",
 			LabelsSHA256: hex.EncodeToString(labelsSum[:]),
 			LabelsBytes:  int64(len(labels)),
@@ -231,14 +255,46 @@ func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	}, nil
 }
 
-// put writes an encoded point's two files and appends its manifest entry
-// and, when CSV is set, its attribute row. Points must arrive in
-// ascending index order.
-func (w *DatasetWriter) put(e encodedPoint) error {
-	if w.closed {
-		return fmt.Errorf("dataset: write to closed writer")
+// writeCapture renders p's capture into a new file at path and returns
+// the capture's SHA-256 and size. The render goes through a fixed-size
+// buffer whose every flush feeds both the file and the hash, so no
+// whole capture is ever held in memory. On failure, a panic included,
+// the file is removed.
+func writeCapture(path string, p Point) (sum []byte, size int64, err error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, 0, err
 	}
-	if err := os.WriteFile(filepath.Join(w.dir, e.entry.Pcap), e.pcap, 0o644); err != nil {
+	done := false
+	defer func() {
+		if !done {
+			f.Close()
+			os.Remove(path)
+		}
+	}()
+	h := sha256.New()
+	bw := bufio.NewWriterSize(io.MultiWriter(f, h), captureBufSize)
+	if err := capture.WritePcap(bw, p.Trace, capture.Options{Seed: uint64(p.Index)}); err != nil {
+		return nil, 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, 0, err
+	}
+	if size, err = f.Seek(0, io.SeekCurrent); err != nil {
+		return nil, 0, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, 0, err
+	}
+	done = true
+	return h.Sum(nil), size, nil
+}
+
+// put renames an encoded point's capture into place, writes its sidecar
+// and appends its manifest entry and, when CSV is set, its attribute
+// row. Points must arrive in ascending index order.
+func (w *DatasetWriter) put(e encodedPoint) error {
+	if err := os.Rename(e.part, filepath.Join(w.dir, e.entry.Pcap)); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
 	if err := os.WriteFile(filepath.Join(w.dir, e.entry.Labels), e.labels, 0o644); err != nil {
@@ -280,17 +336,19 @@ func (w *DatasetWriter) Close() error {
 func (w *DatasetWriter) Manifest() *Manifest { return &w.man }
 
 // GenerateTo streams a corpus straight to disk. The StreamN workers
-// simulate each point, encode it (render the capture, marshal the
-// sidecar, hash both) and release its trace; the in-order emit only
-// writes the two files and appends the manifest entry and CSV row. So
-// encoding uses every worker, and resident memory is bounded by the
-// in-flight window of encoded points, constant in cfg.N
+// simulate each point, encode it (render the capture through SHA-256
+// into NNN.pcap.part, marshal and hash the sidecar) and release its
+// trace; the in-order emit renames the capture into place, writes the
+// sidecar and appends the manifest entry and CSV row. So encoding uses
+// every worker, and resident memory is bounded by the in-flight window
+// of manifest entries and sidecars, constant in cfg.N
 // (TestGenerateToConstantMemory pins this). Because only the emit
-// writes, a failed run leaves no manifest and no point above the
-// failing index. The returned points carry viewer, condition and the
-// released trace — enough for TableI — and the manifest describes what
-// was written. writeCSV controls attributes.csv for full-corpus runs;
-// shard runs never write it (MergeShards rebuilds it).
+// renames, and a failed run (encode error, emit error or panic) removes
+// the .part files it wrote, a failed run leaves no manifest and no point
+// above the failing index. The returned points carry viewer, condition
+// and the released trace — enough for TableI — and the manifest
+// describes what was written. writeCSV controls attributes.csv for
+// full-corpus runs; shard runs never write it (MergeShards rebuilds it).
 func GenerateTo(cfg Config, dir string, writeCSV bool) (*Manifest, []Point, error) {
 	cfg = cfg.withDefaults()
 	w, err := NewDatasetWriter(dir, cfg)
@@ -298,15 +356,35 @@ func GenerateTo(cfg Config, dir string, writeCSV bool) (*Manifest, []Point, erro
 		return nil, nil, err
 	}
 	w.CSV = writeCSV && !cfg.Shard.enabled()
+	var (
+		mu    sync.Mutex
+		parts = map[string]bool{} // written by a worker, not yet renamed
+	)
+	defer func() {
+		// StreamN returns, or re-raises a worker's panic, only once every
+		// worker is done, so no .part file can appear after this runs.
+		// After a clean run the set is empty.
+		for part := range parts {
+			os.Remove(part)
+		}
+	}()
 	var points []Point
 	err = streamPoints(cfg, func(p Point) (encodedPoint, error) {
 		e, err := w.encode(p)
 		p.Trace.Release()
+		if err == nil {
+			mu.Lock()
+			parts[e.part] = true
+			mu.Unlock()
+		}
 		return e, err
 	}, func(e encodedPoint) error {
 		if err := w.put(e); err != nil {
 			return err
 		}
+		mu.Lock()
+		delete(parts, e.part)
+		mu.Unlock()
 		points = append(points, e.point)
 		return nil
 	})

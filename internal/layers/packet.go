@@ -127,37 +127,43 @@ func DecodeInto(p *Packet, ts time.Time, frame []byte) error {
 // IPv4 identification field so consecutive frames look realistic.
 func BuildTCPFrame(key FlowKey, eth Ethernet, tcp TCP, payload []byte, ipID uint16) ([]byte, error) {
 	w := wire.NewWriter(ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen + len(payload))
-	if err := AppendTCPFrame(w, key, eth, tcp, payload, ipID); err != nil {
+	if err := AppendTCPHeaders(w, key, eth, tcp, payload, ipID); err != nil {
 		return nil, err
 	}
+	w.Write(payload)
 	return w.Bytes(), nil
 }
 
-// AppendTCPFrame serializes the frame into an existing Writer, so callers
-// synthesizing thousands of frames (pcap capture) can pack them into one
-// arena instead of allocating per frame.
-func AppendTCPFrame(w *wire.Writer, key FlowKey, eth Ethernet, tcp TCP, payload []byte, ipID uint16) error {
+// AppendTCPHeaders appends the Ethernet, IP and TCP headers of the frame
+// BuildTCPFrame builds, without the payload. Their length and checksum
+// fields cover payload, which the caller writes right after them: capture
+// packs only headers into its frame arena and writes each payload
+// straight from the trace's stream.
+func AppendTCPHeaders(w *wire.Writer, key FlowKey, eth Ethernet, tcp TCP, payload []byte, ipID uint16) error {
+	if err := appendIPHeaders(w, key, eth, IPProtocolTCP, tcpHeaderLen+len(payload), ipID); err != nil {
+		return err
+	}
+	tcp.SrcPort, tcp.DstPort = key.SrcPort, key.DstPort
+	return tcp.appendHeader(w, key.SrcAddr, key.DstAddr, payload)
+}
+
+// appendIPHeaders appends a frame's Ethernet header and its IPv4 or IPv6
+// header (the family of key.SrcAddr) for a segLen-byte proto segment.
+func appendIPHeaders(w *wire.Writer, key FlowKey, eth Ethernet, proto IPProtocol, segLen int, ipID uint16) error {
 	switch {
 	case key.SrcAddr.Is4():
 		eth.EtherType = EtherTypeIPv4
 		eth.AppendTo(w)
-		ip := IPv4{TTL: 64, Protocol: IPProtocolTCP, ID: ipID,
+		ip := IPv4{TTL: 64, Protocol: proto, ID: ipID,
 			Flags: 0x2, // don't fragment
 			Src:   key.SrcAddr, Dst: key.DstAddr}
-		if err := ip.AppendTo(w, tcpHeaderLen+len(payload)); err != nil {
-			return err
-		}
+		return ip.AppendTo(w, segLen)
 	case key.SrcAddr.Is6():
 		eth.EtherType = EtherTypeIPv6
 		eth.AppendTo(w)
-		ip := IPv6{HopLimit: 64, NextHeader: IPProtocolTCP,
+		ip := IPv6{HopLimit: 64, NextHeader: proto,
 			Src: key.SrcAddr, Dst: key.DstAddr}
-		if err := ip.AppendTo(w, tcpHeaderLen+len(payload)); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("layers: flow key has no valid source address")
+		return ip.AppendTo(w, segLen)
 	}
-	tcp.SrcPort, tcp.DstPort = key.SrcPort, key.DstPort
-	return tcp.AppendTo(w, key.SrcAddr, key.DstAddr, payload)
+	return fmt.Errorf("layers: flow key has no valid source address")
 }

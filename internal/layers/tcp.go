@@ -64,6 +64,20 @@ const tcpHeaderLen = 20
 // checksum over the IPv4/IPv6 pseudo-header. src and dst are the IP-layer
 // addresses.
 func (t *TCP) AppendTo(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
+	if err := t.appendHeader(w, src, dst, payload); err != nil {
+		return err
+	}
+	w.Write(payload)
+	return nil
+}
+
+// appendHeader serializes the TCP header alone, its checksum covering
+// payload as if the payload followed it.
+func (t *TCP) appendHeader(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
+	sum, err := pseudoHeaderSum(src, dst, IPProtocolTCP, tcpHeaderLen+len(payload))
+	if err != nil {
+		return err
+	}
 	start := w.Len()
 	w.U16(t.SrcPort)
 	w.U16(t.DstPort)
@@ -74,30 +88,32 @@ func (t *TCP) AppendTo(w *wire.Writer, src, dst netip.Addr, payload []byte) erro
 	w.U16(t.Window)
 	w.U16(0) // checksum placeholder
 	w.U16(t.Urgent)
-	w.Write(payload)
+	sum = wire.AddChecksum(sum, w.Bytes()[start:])
+	w.SetU16(start+16, wire.FinishChecksum(wire.AddChecksum(sum, payload)))
+	return nil
+}
 
-	segLen := tcpHeaderLen + len(payload)
+// pseudoHeaderSum starts a TCP or UDP checksum: the partial sum over the
+// IPv4 or IPv6 pseudo-header of a segLen-byte proto segment from src to
+// dst. Segment headers and payload are folded in after it.
+func pseudoHeaderSum(src, dst netip.Addr, proto IPProtocol, segLen int) (uint32, error) {
 	var sum uint32
 	switch {
 	case src.Is4() && dst.Is4():
 		s4, d4 := src.As4(), dst.As4()
 		sum = wire.AddChecksum(sum, s4[:])
 		sum = wire.AddChecksum(sum, d4[:])
-		sum = wire.AddChecksum(sum, []byte{0, uint8(IPProtocolTCP),
-			byte(segLen >> 8), byte(segLen)})
+		return wire.AddChecksum(sum, []byte{0, uint8(proto),
+			byte(segLen >> 8), byte(segLen)}), nil
 	case src.Is6() && dst.Is6():
 		s6, d6 := src.As16(), dst.As16()
 		sum = wire.AddChecksum(sum, s6[:])
 		sum = wire.AddChecksum(sum, d6[:])
-		sum = wire.AddChecksum(sum, []byte{
+		return wire.AddChecksum(sum, []byte{
 			byte(segLen >> 24), byte(segLen >> 16), byte(segLen >> 8), byte(segLen),
-			0, 0, 0, uint8(IPProtocolTCP)})
-	default:
-		return fmt.Errorf("layers: mismatched address families %v / %v", src, dst)
+			0, 0, 0, uint8(proto)}), nil
 	}
-	sum = wire.AddChecksum(sum, w.Bytes()[start:])
-	w.SetU16(start+16, wire.FinishChecksum(sum))
-	return nil
+	return 0, fmt.Errorf("layers: mismatched address families %v / %v", src, dst)
 }
 
 // DecodeTCP parses a TCP header and returns it with the payload bytes.

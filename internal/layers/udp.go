@@ -23,34 +23,28 @@ const udpHeaderLen = 8
 // checksum over the IPv4/IPv6 pseudo-header. src and dst are the IP-layer
 // addresses.
 func (u *UDP) AppendTo(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
-	start := w.Len()
+	if err := u.appendHeader(w, src, dst, payload); err != nil {
+		return err
+	}
+	w.Write(payload)
+	return nil
+}
+
+// appendHeader serializes the UDP header alone, its length and checksum
+// covering payload as if the payload followed it.
+func (u *UDP) appendHeader(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
 	segLen := udpHeaderLen + len(payload)
+	sum, err := pseudoHeaderSum(src, dst, IPProtocolUDP, segLen)
+	if err != nil {
+		return err
+	}
+	start := w.Len()
 	w.U16(u.SrcPort)
 	w.U16(u.DstPort)
 	w.U16(uint16(segLen))
 	w.U16(0) // checksum placeholder
-	w.Write(payload)
-
-	var sum uint32
-	switch {
-	case src.Is4() && dst.Is4():
-		s4, d4 := src.As4(), dst.As4()
-		sum = wire.AddChecksum(sum, s4[:])
-		sum = wire.AddChecksum(sum, d4[:])
-		sum = wire.AddChecksum(sum, []byte{0, uint8(IPProtocolUDP),
-			byte(segLen >> 8), byte(segLen)})
-	case src.Is6() && dst.Is6():
-		s6, d6 := src.As16(), dst.As16()
-		sum = wire.AddChecksum(sum, s6[:])
-		sum = wire.AddChecksum(sum, d6[:])
-		sum = wire.AddChecksum(sum, []byte{
-			byte(segLen >> 24), byte(segLen >> 16), byte(segLen >> 8), byte(segLen),
-			0, 0, 0, uint8(IPProtocolUDP)})
-	default:
-		return fmt.Errorf("layers: mismatched address families %v / %v", src, dst)
-	}
 	sum = wire.AddChecksum(sum, w.Bytes()[start:])
-	ck := wire.FinishChecksum(sum)
+	ck := wire.FinishChecksum(wire.AddChecksum(sum, payload))
 	if ck == 0 {
 		ck = 0xffff // RFC 768: transmitted all-ones when the sum is zero
 	}
@@ -85,36 +79,22 @@ func DecodeUDP(data []byte) (UDP, []byte, error) {
 // The address family of key.SrcAddr selects the IP version.
 func BuildUDPFrame(key FlowKey, eth Ethernet, payload []byte, ipID uint16) ([]byte, error) {
 	w := wire.NewWriter(ethernetHeaderLen + ipv4HeaderLen + udpHeaderLen + len(payload))
-	if err := AppendUDPFrame(w, key, eth, payload, ipID); err != nil {
+	if err := AppendUDPHeaders(w, key, eth, payload, ipID); err != nil {
 		return nil, err
 	}
+	w.Write(payload)
 	return w.Bytes(), nil
 }
 
-// AppendUDPFrame serializes the frame into an existing Writer, the
-// arena-packing form capture uses when rendering thousands of datagrams.
-func AppendUDPFrame(w *wire.Writer, key FlowKey, eth Ethernet, payload []byte, ipID uint16) error {
-	switch {
-	case key.SrcAddr.Is4():
-		eth.EtherType = EtherTypeIPv4
-		eth.AppendTo(w)
-		ip := IPv4{TTL: 64, Protocol: IPProtocolUDP, ID: ipID,
-			Flags: 0x2, // don't fragment
-			Src:   key.SrcAddr, Dst: key.DstAddr}
-		if err := ip.AppendTo(w, udpHeaderLen+len(payload)); err != nil {
-			return err
-		}
-	case key.SrcAddr.Is6():
-		eth.EtherType = EtherTypeIPv6
-		eth.AppendTo(w)
-		ip := IPv6{HopLimit: 64, NextHeader: IPProtocolUDP,
-			Src: key.SrcAddr, Dst: key.DstAddr}
-		if err := ip.AppendTo(w, udpHeaderLen+len(payload)); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("layers: flow key has no valid source address")
+// AppendUDPHeaders appends the Ethernet, IP and UDP headers of the frame
+// BuildUDPFrame builds, without the payload. Their length and checksum
+// fields cover payload, which the caller writes right after them: capture
+// packs only headers into its frame arena and writes each payload
+// straight from the trace's stream.
+func AppendUDPHeaders(w *wire.Writer, key FlowKey, eth Ethernet, payload []byte, ipID uint16) error {
+	if err := appendIPHeaders(w, key, eth, IPProtocolUDP, udpHeaderLen+len(payload), ipID); err != nil {
+		return err
 	}
 	u := UDP{SrcPort: key.SrcPort, DstPort: key.DstPort}
-	return u.AppendTo(w, key.SrcAddr, key.DstAddr, payload)
+	return u.appendHeader(w, key.SrcAddr, key.DstAddr, payload)
 }

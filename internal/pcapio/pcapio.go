@@ -66,6 +66,9 @@ type Writer struct {
 	snapLen uint32
 	nanos   bool
 	wrote   bool
+	// rec is the record-header scratch: a local array passed to the
+	// io.Writer would escape, one allocation per packet.
+	rec [recordHeaderLen]byte
 }
 
 // WriterOption customises a Writer.
@@ -120,14 +123,24 @@ func (w *Writer) WriteHeader() error {
 
 // WritePacket appends one frame with the given capture timestamp.
 func (w *Writer) WritePacket(ts time.Time, frame []byte) error {
+	return w.WritePacketParts(ts, frame, nil)
+}
+
+// WritePacketParts appends one frame given in two parts, head then
+// payload, exactly as WritePacket would append them joined, so a caller
+// that holds a frame's headers apart from its payload never copies the
+// two together. The snap length truncates the joined frame.
+func (w *Writer) WritePacketParts(ts time.Time, head, payload []byte) error {
 	if err := w.WriteHeader(); err != nil {
 		return err
 	}
-	capLen := len(frame)
+	origLen := len(head) + len(payload)
+	capLen := origLen
 	if uint32(capLen) > w.snapLen {
 		capLen = int(w.snapLen)
 	}
-	var hdr [recordHeaderLen]byte
+	head = head[:min(len(head), capLen)]
+	payload = payload[:capLen-len(head)]
 	sec := ts.Unix()
 	var sub int64
 	if w.nanos {
@@ -135,15 +148,21 @@ func (w *Writer) WritePacket(ts time.Time, frame []byte) error {
 	} else {
 		sub = int64(ts.Nanosecond() / 1000)
 	}
+	hdr := w.rec[:]
 	binary.BigEndian.PutUint32(hdr[0:], uint32(sec))
 	binary.BigEndian.PutUint32(hdr[4:], uint32(sub))
 	binary.BigEndian.PutUint32(hdr[8:], uint32(capLen))
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(frame)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(hdr[12:], uint32(origLen))
+	if _, err := w.w.Write(hdr); err != nil {
 		return fmt.Errorf("pcapio: writing record header: %w", err)
 	}
-	if _, err := w.w.Write(frame[:capLen]); err != nil {
+	if _, err := w.w.Write(head); err != nil {
 		return fmt.Errorf("pcapio: writing record data: %w", err)
+	}
+	if len(payload) > 0 {
+		if _, err := w.w.Write(payload); err != nil {
+			return fmt.Errorf("pcapio: writing record data: %w", err)
+		}
 	}
 	return nil
 }

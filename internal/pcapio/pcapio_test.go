@@ -181,6 +181,32 @@ func TestSnapLenTruncation(t *testing.T) {
 	}
 }
 
+// TestWritePacketPartsMatchesJoinedFrame: a frame written as head and
+// payload parts is byte for byte the frame written joined, at every cut
+// and at snap lengths that truncate inside the head, at the seam and
+// inside the payload.
+func TestWritePacketPartsMatchesJoinedFrame(t *testing.T) {
+	frame := make([]byte, 100)
+	for i := range frame {
+		frame[i] = byte(i)
+	}
+	ts := time.Unix(1_600_000_000, 123_456_000)
+	for _, snap := range []uint32{8, 54, 60, 100, 262144} {
+		for _, cut := range []int{0, 1, 54, 99, 100} {
+			var joined, parts bytes.Buffer
+			if err := NewWriter(&joined, WithSnapLen(snap)).WritePacket(ts, frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewWriter(&parts, WithSnapLen(snap)).WritePacketParts(ts, frame[:cut], frame[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(joined.Bytes(), parts.Bytes()) {
+				t.Errorf("snap %d, cut %d: parts wrote %x, joined %x", snap, cut, parts.Bytes(), joined.Bytes())
+			}
+		}
+	}
+}
+
 func TestBogusCaptureLengthRejected(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, WithSnapLen(128))

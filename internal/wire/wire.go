@@ -288,12 +288,13 @@ func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 }
 
-// CopyBytes returns an exact-size copy of the accumulated bytes, so a
-// pooled Writer can be recycled while the caller keeps the data.
+// CopyBytes returns a copy of the accumulated bytes, so a pooled Writer
+// can be recycled while the caller keeps the data. The append allocates
+// without zeroing the part the copy fills, which make+copy would clear
+// first; only the allocator's size-class rounding past the end may be
+// spare capacity.
 func (w *Writer) CopyBytes() []byte {
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
-	return out
+	return append([]byte{}, w.buf...)
 }
 
 // maxPooledWriterCap bounds how large a buffer the pool retains; anything
