@@ -25,20 +25,20 @@ import (
 
 // oracleScore is one walk's raw alignment score by the rolling-row pass,
 // computed from row 0.
-func oracleScore(expected []ExpectedEvent, obs []observedEvent, prm DecodeParams) float64 {
+func oracleScore(expected []ExpectedEvent, obs []observedEvent) float64 {
 	m, n := len(expected), len(obs)
 	prev, cur := make([]float64, n+1), make([]float64, n+1)
 	for j := 1; j <= n; j++ {
-		prev[j] = prev[j-1] + skipObserved(obs[j-1], prm)
+		prev[j] = prev[j-1] + skipObserved(obs[j-1])
 	}
 	for i := 1; i <= m; i++ {
-		cur[0] = prev[0] - prm.ExpectedGapPenalty
+		cur[0] = prev[0] - expectedGapPenalty
 		for j := 1; j <= n; j++ {
-			best := prev[j-1] + alignScore(expected[i-1], obs[j-1], prm)
-			if up := prev[j] - prm.ExpectedGapPenalty; up > best {
+			best := prev[j-1] + alignScore(expected[i-1], obs[j-1])
+			if up := prev[j] - expectedGapPenalty; up > best {
 				best = up
 			}
-			if left := cur[j-1] + skipObserved(obs[j-1], prm); left > best {
+			if left := cur[j-1] + skipObserved(obs[j-1]); left > best {
 				best = left
 			}
 			cur[j] = best
@@ -51,7 +51,6 @@ func oracleScore(expected []ExpectedEvent, obs []observedEvent, prm DecodeParams
 // oracleDecode is PathTable.Decode with every walk scored by oracleScore
 // and the table ranked with sort.SliceStable.
 func oracleDecode(t *PathTable, recs []ClassifiedRecord, anchor time.Time, prm DecodeParams) []PathHypothesis {
-	prm = prm.withDefaults()
 	obs := observedEvents(recs, anchor)
 	nHard := 0
 	for _, o := range obs {
@@ -73,7 +72,7 @@ func oracleDecode(t *PathTable, recs []ClassifiedRecord, anchor time.Time, prm D
 		}
 		hyps[i] = PathHypothesis{
 			Decisions: p.Decisions,
-			Score:     oracleScore(p.Events, obs, prm) / denom,
+			Score:     oracleScore(p.Events, obs) / denom,
 			Events:    len(p.Events),
 		}
 		order[i] = i
@@ -84,11 +83,11 @@ func oracleDecode(t *PathTable, recs []ClassifiedRecord, anchor time.Time, prm D
 	})
 	full := (maxM + 1) * (len(obs) + 1)
 	a := &aligner{grid: make([]float64, full), moves: make([]byte, full)}
-	out := make([]PathHypothesis, 0, prm.TopK)
-	for _, idx := range order[:min(prm.TopK, len(order))] {
+	out := make([]PathHypothesis, 0, prm.topK())
+	for _, idx := range order[:min(prm.topK(), len(order))] {
 		h := hyps[idx]
 		h.Decisions = append([]bool(nil), h.Decisions...)
-		h.match, h.Matched = a.traceback(t.Paths[idx].Events, obs, prm)
+		h.match, h.Matched = a.traceback(t.Paths[idx].Events, obs)
 		out = append(out, h)
 	}
 	return out
@@ -98,18 +97,17 @@ func oracleDecode(t *PathTable, recs []ClassifiedRecord, anchor time.Time, prm D
 // cols[w][d] is S[d][j] for walk w.
 type oraclePrefixAligner struct {
 	table *PathTable
-	prm   DecodeParams
 	cols  [][]float64
 	nHard int
 }
 
-func newOraclePrefixAligner(t *PathTable, prm DecodeParams) *oraclePrefixAligner {
-	pa := &oraclePrefixAligner{table: t, prm: prm.withDefaults()}
+func newOraclePrefixAligner(t *PathTable) *oraclePrefixAligner {
+	pa := &oraclePrefixAligner{table: t}
 	pa.cols = make([][]float64, len(t.Paths))
 	for i := range t.Paths {
 		col := make([]float64, len(t.Paths[i].Events)+1)
 		for j := 1; j < len(col); j++ {
-			col[j] = col[j-1] - pa.prm.ExpectedGapPenalty
+			col[j] = col[j-1] - expectedGapPenalty
 		}
 		pa.cols[i] = col
 	}
@@ -120,7 +118,7 @@ func (pa *oraclePrefixAligner) observe(o observedEvent) {
 	if o.hard {
 		pa.nHard++
 	}
-	skip := skipObserved(o, pa.prm)
+	skip := skipObserved(o)
 	for pi := range pa.table.Paths {
 		events := pa.table.Paths[pi].Events
 		col := pa.cols[pi]
@@ -128,8 +126,8 @@ func (pa *oraclePrefixAligner) observe(o observedEvent) {
 		col[0] += skip
 		for i := 1; i <= len(events); i++ {
 			oldCol := col[i] // S[i][j-1]
-			best := prevDiag + alignScore(events[i-1], o, pa.prm)
-			if up := col[i-1] - pa.prm.ExpectedGapPenalty; up > best {
+			best := prevDiag + alignScore(events[i-1], o)
+			if up := col[i-1] - expectedGapPenalty; up > best {
 				best = up
 			}
 			if left := oldCol + skip; left > best {
@@ -404,8 +402,7 @@ func FuzzPathTableAlign(f *testing.F) {
 				t.Fatalf("TopK %d: %v", topK, err)
 			}
 		}
-		prm := DecodeParams{}.withDefaults()
-		live, oracle := newPrefixAligner(table, prm), newOraclePrefixAligner(table, prm)
+		live, oracle := newPrefixAligner(table), newOraclePrefixAligner(table)
 		if err := alignersAgree(live, oracle); err != nil {
 			t.Fatalf("before any observation: %v", err)
 		}

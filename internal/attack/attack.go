@@ -140,8 +140,8 @@ type Attacker struct {
 	Graph *script.Graph
 	// MaxChoices bounds path enumeration depth for constrained decoding.
 	MaxChoices int
-	// Decode tunes the constrained decoder's alignment score; the zero
-	// value selects DefaultDecodeParams.
+	// Decode bounds the constrained decoder's ranked hypothesis list; the
+	// zero value keeps the top 3.
 	Decode DecodeParams
 }
 
@@ -201,14 +201,10 @@ func (a *Attacker) Infer(obs *Observation) (*Inference, error) {
 	if a.Graph == nil {
 		return inf, nil
 	}
-	maxChoices := a.MaxChoices
-	if maxChoices <= 0 {
-		maxChoices = 16
-	}
 	// Score every candidate path against the observation using the
 	// memoized per-graph table; the ranked list and margin are reported
 	// even when the plain decode wins.
-	table, err := PathTableFor(a.Graph, maxChoices)
+	table, err := a.pathTable()
 	if err != nil {
 		return inf, err
 	}
@@ -245,6 +241,16 @@ func (a *Attacker) Infer(obs *Observation) (*Inference, error) {
 	inf.Path = p
 	inf.Choices = rebuildChoices(table, best, classified)
 	return inf, nil
+}
+
+// pathTable is the memoized decoding table for the attacker's graph,
+// enumerated to MaxChoices decisions (16 when unset).
+func (a *Attacker) pathTable() (*PathTable, error) {
+	maxChoices := a.MaxChoices
+	if maxChoices <= 0 {
+		maxChoices = 16
+	}
+	return PathTableFor(a.Graph, maxChoices)
 }
 
 // rebuildChoices reconstructs the choice sequence for a constrained

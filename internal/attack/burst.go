@@ -44,29 +44,11 @@ type Burst struct {
 // monitor's burst stream provably identical to a batch pass over the
 // same capture.
 //
-// The zero value is ready to use with the default gap and size floor.
+// The zero value is ready to use; it segments by DefaultBurstGap and
+// DefaultBurstMinBytes.
 type BurstSegmenter struct {
-	// Gap overrides DefaultBurstGap when positive.
-	Gap time.Duration
-	// MinBytes overrides DefaultBurstMinBytes when positive.
-	MinBytes int
-
 	open Burst
 	last time.Time // arrival time of the last contributing datagram
-}
-
-func (s *BurstSegmenter) gap() time.Duration {
-	if s.Gap > 0 {
-		return s.Gap
-	}
-	return DefaultBurstGap
-}
-
-func (s *BurstSegmenter) minBytes() int {
-	if s.MinBytes > 0 {
-		return s.MinBytes
-	}
-	return DefaultBurstMinBytes
 }
 
 // Feed observes one datagram of size n arriving at ts. It returns the
@@ -81,11 +63,11 @@ func (s *BurstSegmenter) minBytes() int {
 func (s *BurstSegmenter) Feed(ts time.Time, n int) (Burst, bool) {
 	var closed Burst
 	var ok bool
-	if s.open.Datagrams > 0 && ts.Sub(s.last) > s.gap() {
+	if s.open.Datagrams > 0 && ts.Sub(s.last) > DefaultBurstGap {
 		closed, ok = s.open, true
 		s.open = Burst{}
 	}
-	if n >= s.minBytes() {
+	if n >= DefaultBurstMinBytes {
 		if s.open.Datagrams == 0 {
 			s.open = Burst{Start: ts, End: ts}
 		}

@@ -69,9 +69,10 @@ func TestBurstGapStraddlesDeliberationWindow(t *testing.T) {
 	// Two report writes separated by a deliberation pause barely above
 	// the gap threshold must stay two bursts; the same writes squeezed
 	// just inside the threshold merge into one. This pins the boundary
-	// semantics: the gap is exclusive (spacing == Gap keeps a burst open).
-	gap := 25 * time.Millisecond
-	s := &BurstSegmenter{Gap: gap}
+	// semantics: the gap is exclusive (spacing == DefaultBurstGap keeps a
+	// burst open).
+	gap := DefaultBurstGap
+	s := &BurstSegmenter{}
 	above := feedAll(s, [][2]int64{
 		{0, 2242},
 		{int64(gap/time.Microsecond) + 1, 3061},
@@ -83,7 +84,7 @@ func TestBurstGapStraddlesDeliberationWindow(t *testing.T) {
 		t.Errorf("bursts = %+v", above)
 	}
 
-	s2 := &BurstSegmenter{Gap: gap}
+	s2 := &BurstSegmenter{}
 	at := feedAll(s2, [][2]int64{
 		{0, 2242},
 		{int64(gap / time.Microsecond), 3061},

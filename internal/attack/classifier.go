@@ -145,15 +145,15 @@ func abs(x int) int {
 	return x
 }
 
+// bandMargin widens each learned band by this many bytes on both sides.
+// It covers the session-token length jitter observed across browsers (the
+// paper's Figure 2 bands are up to ~30 bytes wide), so a band learned from
+// few examples still generalizes; Train's pollution check rejects the
+// margin if it swallows "other" traffic.
+const bandMargin = 24
+
 // IntervalBandTrainer learns the bands from labeled examples.
 type IntervalBandTrainer struct {
-	// Margin widens each learned band by this many bytes on both sides.
-	// The default of 24 covers the session-token length jitter observed
-	// across browsers (the paper's Figure 2 bands are up to ~30 bytes
-	// wide), so a band learned from few examples still generalizes; the
-	// pollution check below rejects the margin if it swallows "other"
-	// traffic.
-	Margin int
 	// PadEnvelope widens each band by the wire's envelope
 	// (session.Wire.Envelope): the most bytes the shaping policy in force
 	// can add to one record under TLS 1.3 padding, or to one write's
@@ -170,11 +170,7 @@ type IntervalBandTrainer struct {
 
 // Train implements Trainer.
 func (t *IntervalBandTrainer) Train(examples []Example) (Classifier, error) {
-	margin := t.Margin
-	if margin == 0 {
-		margin = 24
-	}
-	widen := margin + t.PadEnvelope
+	widen := bandMargin + t.PadEnvelope
 	t1 := lengthsOf(examples, ClassType1)
 	t2 := lengthsOf(examples, ClassType2)
 	if len(t1) == 0 || len(t2) == 0 {

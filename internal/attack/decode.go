@@ -328,58 +328,37 @@ func PathTableFor(g *script.Graph, maxChoices int) (*PathTable, error) {
 	return t, nil
 }
 
-// DecodeParams tune the alignment score. The zero value selects the
-// defaults, so callers can set individual knobs without spelling out the
-// rest.
+// DecodeParams tune Decode's output.
 type DecodeParams struct {
 	// TopK bounds the ranked hypothesis list Decode returns (default 3).
 	TopK int
-	// ExpectedGapPenalty is charged per expected report that no
-	// observation accounts for — kept mild, because band drift and
-	// classifier slips legitimately hide true events (default 0.4).
-	ExpectedGapPenalty float64
-	// ObservedGapPenalty is charged per unexplained hard observation,
-	// scaled by its confidence: a path that cannot account for an in-band
-	// report it supposedly produced is probably wrong (default 1.5).
-	ObservedGapPenalty float64
-	// MismatchPenalty is charged when an expected report aligns against
-	// an observation of the other class (default 1.5).
-	MismatchPenalty float64
-	// SoftSkipPenalty is charged per unexplained soft observation —
-	// nearly free, soft evidence is speculative (default 0.02).
-	SoftSkipPenalty float64
 }
 
-// DefaultDecodeParams returns the tuned defaults.
-func DefaultDecodeParams() DecodeParams {
-	return DecodeParams{
-		TopK:               3,
-		ExpectedGapPenalty: 0.4,
-		ObservedGapPenalty: 1.5,
-		MismatchPenalty:    1.5,
-		SoftSkipPenalty:    0.02,
-	}
-}
-
-func (p DecodeParams) withDefaults() DecodeParams {
-	d := DefaultDecodeParams()
+// topK resolves TopK's default.
+func (p DecodeParams) topK() int {
 	if p.TopK <= 0 {
-		p.TopK = d.TopK
+		return 3
 	}
-	if p.ExpectedGapPenalty <= 0 {
-		p.ExpectedGapPenalty = d.ExpectedGapPenalty
-	}
-	if p.ObservedGapPenalty <= 0 {
-		p.ObservedGapPenalty = d.ObservedGapPenalty
-	}
-	if p.MismatchPenalty <= 0 {
-		p.MismatchPenalty = d.MismatchPenalty
-	}
-	if p.SoftSkipPenalty <= 0 {
-		p.SoftSkipPenalty = d.SoftSkipPenalty
-	}
-	return p
+	return p.TopK
 }
+
+// The alignment score's penalties.
+const (
+	// expectedGapPenalty is charged per expected report that no
+	// observation accounts for — kept mild, because band drift and
+	// classifier slips legitimately hide true events.
+	expectedGapPenalty = 0.4
+	// observedGapPenalty is charged per unexplained hard observation,
+	// scaled by its confidence: a path that cannot account for an in-band
+	// report it supposedly produced is probably wrong.
+	observedGapPenalty = 1.5
+	// mismatchPenalty is charged when an expected report aligns against
+	// an observation of the other class.
+	mismatchPenalty = 1.5
+	// softSkipPenalty is charged per unexplained soft observation —
+	// nearly free, soft evidence is speculative.
+	softSkipPenalty = 0.02
+)
 
 // observedEvent is a type-1 or type-2 observation with confidence and a
 // capture-time offset from the session anchor.
@@ -448,7 +427,6 @@ func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm Decode
 	if len(t.Paths) == 0 {
 		return nil, fmt.Errorf("attack: empty path table")
 	}
-	prm = prm.withDefaults()
 	obs := observedEvents(recs, anchor)
 	nHard := 0
 	for _, o := range obs {
@@ -463,7 +441,7 @@ func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm Decode
 			maxM = m
 		}
 	}
-	a := newAligner(maxM, obs, prm)
+	a := newAligner(maxM, obs)
 
 	// Rank best-first on the score nudged by a tiny Occam prior (1e-7 per
 	// expected event): when evidence does not discriminate — e.g. fully
@@ -473,11 +451,11 @@ func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm Decode
 	// all-defaults prior instead of letting 1-ulp noise pick a walk. The
 	// nudge is orders of magnitude below any real decode margin and is
 	// excluded from the reported Score.
-	k := min(prm.TopK, len(t.Paths))
+	k := min(prm.topK(), len(t.Paths))
 	top := make([]rankedWalk, 0, k)
 	for i := range t.Paths {
 		p := &t.Paths[i]
-		raw := a.extend(p.Events, t.shared[i], obs, prm)
+		raw := a.extend(p.Events, t.shared[i], obs)
 		denom := float64(len(p.Events) + nHard)
 		if denom < 1 {
 			denom = 1
@@ -509,7 +487,7 @@ func (t *PathTable) Decode(recs []ClassifiedRecord, anchor time.Time, prm Decode
 			Score:     w.score,
 			Events:    len(p.Events),
 		}
-		h.match, h.Matched = a.traceback(p.Events, obs, prm)
+		h.match, h.Matched = a.traceback(p.Events, obs)
 		out = append(out, h)
 	}
 	return out, nil
@@ -555,24 +533,24 @@ const (
 // newAligner sizes the matrices for walks of up to maxM events against
 // obs and fills row 0, the alignment of no expected event, which every
 // walk shares.
-func newAligner(maxM int, obs []observedEvent, prm DecodeParams) *aligner {
+func newAligner(maxM int, obs []observedEvent) *aligner {
 	full := (maxM + 1) * (len(obs) + 1)
 	a := &aligner{
 		grid:  make([]float64, full),
 		moves: make([]byte, full),
 	}
 	for j := 1; j <= len(obs); j++ {
-		a.grid[j] = a.grid[j-1] + skipObserved(obs[j-1], prm)
+		a.grid[j] = a.grid[j-1] + skipObserved(obs[j-1])
 	}
 	return a
 }
 
 // cell scores aligning expected event e against observation o.
-func alignScore(e ExpectedEvent, o observedEvent, prm DecodeParams) float64 {
+func alignScore(e ExpectedEvent, o observedEvent) float64 {
 	if e.Class != o.class {
 		// Soft observations mismatch mildly: they were never confidently
 		// claimed to be reports at all.
-		return -prm.MismatchPenalty * o.conf
+		return -mismatchPenalty * o.conf
 	}
 	return o.conf * timeFactor(e, o)
 }
@@ -591,28 +569,28 @@ func timeFactor(e ExpectedEvent, o observedEvent) float64 {
 }
 
 // skipObserved is the cost of leaving observation o unexplained.
-func skipObserved(o observedEvent, prm DecodeParams) float64 {
+func skipObserved(o observedEvent) float64 {
 	if o.hard {
-		return -prm.ObservedGapPenalty * o.conf
+		return -observedGapPenalty * o.conf
 	}
-	return -prm.SoftSkipPenalty
+	return -softSkipPenalty
 }
 
 // extend computes rows from+1..m of the score matrix for one walk and
 // returns its raw alignment score, S[m][n]. Rows 0..from must already
 // hold the alignment of the walk's first from events: the walk scored
 // before it shares them, and Decode scores walks in table order.
-func (a *aligner) extend(expected []ExpectedEvent, from int, obs []observedEvent, prm DecodeParams) float64 {
+func (a *aligner) extend(expected []ExpectedEvent, from int, obs []observedEvent) float64 {
 	n := len(obs)
 	for i := from + 1; i <= len(expected); i++ {
 		prev, cur := a.grid[(i-1)*(n+1):i*(n+1)], a.grid[i*(n+1):(i+1)*(n+1)]
-		cur[0] = prev[0] - prm.ExpectedGapPenalty
+		cur[0] = prev[0] - expectedGapPenalty
 		for j := 1; j <= n; j++ {
-			best := prev[j-1] + alignScore(expected[i-1], obs[j-1], prm)
-			if up := prev[j] - prm.ExpectedGapPenalty; up > best {
+			best := prev[j-1] + alignScore(expected[i-1], obs[j-1])
+			if up := prev[j] - expectedGapPenalty; up > best {
 				best = up
 			}
-			if left := cur[j-1] + skipObserved(obs[j-1], prm); left > best {
+			if left := cur[j-1] + skipObserved(obs[j-1]); left > best {
 				best = left
 			}
 			cur[j] = best
@@ -639,7 +617,6 @@ func (a *aligner) extend(expected []ExpectedEvent, from int, obs []observedEvent
 // prefixAligner is the incremental per-flow decoding state.
 type prefixAligner struct {
 	table *PathTable
-	prm   DecodeParams
 	root  float64   // S[0][j]: no expected event, every observation skipped
 	cells []float64 // S[d][j], one per distinct event prefix, in table order
 	// Per-depth stacks along the walk being visited: a cell's value
@@ -652,8 +629,8 @@ type prefixAligner struct {
 
 // newPrefixAligner initializes the zero-observation cells (every
 // expected event unmatched).
-func newPrefixAligner(t *PathTable, prm DecodeParams) *prefixAligner {
-	pa := &prefixAligner{table: t, prm: prm.withDefaults()}
+func newPrefixAligner(t *PathTable) *prefixAligner {
+	pa := &prefixAligner{table: t}
 	nodes, maxM := 0, 0
 	for i := range t.Paths {
 		m := len(t.Paths[i].Events)
@@ -666,7 +643,7 @@ func newPrefixAligner(t *PathTable, prm DecodeParams) *prefixAligner {
 	k := 0
 	for i := range t.Paths {
 		for d := t.shared[i] + 1; d <= len(t.Paths[i].Events); d++ {
-			pa.after[d] = pa.after[d-1] - pa.prm.ExpectedGapPenalty
+			pa.after[d] = pa.after[d-1] - expectedGapPenalty
 			pa.cells[k] = pa.after[d]
 			k++
 		}
@@ -682,7 +659,7 @@ func (pa *prefixAligner) observe(o observedEvent) {
 	if o.hard {
 		pa.nHard++
 	}
-	skip := skipObserved(o, pa.prm)
+	skip := skipObserved(o)
 	before, after := pa.before, pa.after
 	before[0] = pa.root
 	pa.root += skip
@@ -692,8 +669,8 @@ func (pa *prefixAligner) observe(o observedEvent) {
 		events := pa.table.Paths[i].Events
 		for d := pa.table.shared[i] + 1; d <= len(events); d++ {
 			old := pa.cells[k] // S[d][j-1]
-			best := before[d-1] + alignScore(events[d-1], o, pa.prm)
-			if up := after[d-1] - pa.prm.ExpectedGapPenalty; up > best {
+			best := before[d-1] + alignScore(events[d-1], o)
+			if up := after[d-1] - expectedGapPenalty; up > best {
 				best = up
 			}
 			if left := old + skip; left > best {
@@ -800,7 +777,7 @@ func prefixEqual(a, b []bool, k int) bool {
 // expected-event -> record-index match table plus the hard-match count.
 // It overwrites the score matrix's rows, so Decode calls it only once
 // every walk is scored.
-func (a *aligner) traceback(expected []ExpectedEvent, obs []observedEvent, prm DecodeParams) ([]int, int) {
+func (a *aligner) traceback(expected []ExpectedEvent, obs []observedEvent) ([]int, int) {
 	m, n := len(expected), len(obs)
 	need := (m + 1) * (n + 1)
 	if cap(a.moves) < need {
@@ -811,19 +788,19 @@ func (a *aligner) traceback(expected []ExpectedEvent, obs []observedEvent, prm D
 	at := func(i, j int) int { return i*(n+1) + j }
 
 	for j := 1; j <= n; j++ {
-		row[at(0, j)] = row[at(0, j-1)] + skipObserved(obs[j-1], prm)
+		row[at(0, j)] = row[at(0, j-1)] + skipObserved(obs[j-1])
 		moves[at(0, j)] = moveLeft
 	}
 	for i := 1; i <= m; i++ {
-		row[at(i, 0)] = row[at(i-1, 0)] - prm.ExpectedGapPenalty
+		row[at(i, 0)] = row[at(i-1, 0)] - expectedGapPenalty
 		moves[at(i, 0)] = moveUp
 		for j := 1; j <= n; j++ {
-			best := row[at(i-1, j-1)] + alignScore(expected[i-1], obs[j-1], prm)
+			best := row[at(i-1, j-1)] + alignScore(expected[i-1], obs[j-1])
 			move := moveDiag
-			if up := row[at(i-1, j)] - prm.ExpectedGapPenalty; up > best {
+			if up := row[at(i-1, j)] - expectedGapPenalty; up > best {
 				best, move = up, moveUp
 			}
-			if left := row[at(i, j-1)] + skipObserved(obs[j-1], prm); left > best {
+			if left := row[at(i, j-1)] + skipObserved(obs[j-1]); left > best {
 				best, move = left, moveLeft
 			}
 			row[at(i, j)] = best

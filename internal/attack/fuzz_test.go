@@ -170,7 +170,13 @@ func tinyCaptureFrames(tb testing.TB) []fuzzFrame {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	rd, err := pcapio.NewBytesReader(buf.Bytes())
+	return pcapFrames(tb, buf.Bytes())
+}
+
+// pcapFrames returns a capture's frames with their timestamps.
+func pcapFrames(tb testing.TB, data []byte) []fuzzFrame {
+	tb.Helper()
+	rd, err := pcapio.NewBytesReader(data)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -217,12 +223,15 @@ func FuzzMonitorFeedPacket(f *testing.F) {
 	f.Add(uint16(pcapHeaderBytes+len(hand[0].data)+8), encodeFuzzFrames(hand)) // cut in the second record header
 
 	atk := trainedAttacker(f, profiles.Fig2Ubuntu, []uint64{101})
+	// Inputs rarely hold sweepInterval frames, so the window's idle
+	// timeout is short enough that any clock jump of 500 ms (5 of the
+	// input's 100 ms ticks) sweeps.
 	modes := []struct {
 		name string
 		win  *Window
 	}{
 		{"batch", nil},
-		{"window", &Window{IdleTimeout: 10 * time.Second, SweepInterval: 4}},
+		{"window", &Window{IdleTimeout: 2 * time.Second}},
 	}
 	f.Fuzz(func(t *testing.T, split uint16, in []byte) {
 		frames := decodeFuzzFrames(in)

@@ -59,7 +59,6 @@ type Monitor struct {
 	atk     *Attacker
 	onEvent func(Event) // when set, also runs the live hypothesis engine
 	win     *Window
-	prm     DecodeParams
 
 	cr  *pcapio.ChunkReader
 	pkt layers.Packet // every frame decodes into this one Packet
@@ -106,8 +105,8 @@ type verdict struct {
 // sessionVerdict ranks a flow's inference by its best hypothesis
 // (matched in-band observations, then score); without a graph the
 // flow's in-band count stands in for matched.
-func sessionVerdict(f *monFlow, inf *Inference, hards int) *verdict {
-	v := &verdict{inf: inf, flow: f.clientKey, matched: hards}
+func sessionVerdict(f *monFlow, inf *Inference) *verdict {
+	v := &verdict{inf: inf, flow: f.clientKey, matched: f.hards}
 	if len(inf.Hypotheses) > 0 {
 		v.matched, v.score = inf.Hypotheses[0].Matched, inf.Hypotheses[0].Score
 	}
@@ -142,91 +141,66 @@ func (v *verdict) weight() int64 {
 }
 
 // Window configures the monitor's rolling-window mode: bounded-memory
-// operation over an indefinite link tap. The zero value of each field
-// selects its default.
+// operation over an indefinite link tap.
 type Window struct {
 	// IdleTimeout finalizes a flow when no packet has arrived on it for
 	// this long on the capture clock (the high-water frame timestamp, so
-	// replayed captures age exactly as live links do). Default 90s.
+	// replayed captures age exactly as live links do). Zero selects the
+	// default of 90s.
 	IdleTimeout time.Duration
-	// RejectAfterRecords is the number of classified client application
-	// records with zero in-band reports after which a flow is rejected:
-	// its record descriptors are released and it enters bounded re-check
-	// probation. Default 128.
-	RejectAfterRecords int
-	// RejectQuiet is the rate-based rejection rule — the figure a
-	// deployed tap actually reasons in is reports per minute of capture
-	// clock, not records. A flow that has classified application records
-	// for this long (measured on the capture clock from its first
-	// classified record) without a single in-band report is rejected no
-	// matter how few records it produced, which is what evicts slow-drip
-	// noise the count rule would tolerate for many minutes. The count
-	// rule stays in force as a floor for dense flows (whichever threshold
-	// is crossed first rejects), and RejectQuietMinRecords guards the
-	// clock rule against near-silent flows. An interactive session's
-	// first report lands well inside the window (~49s after the first
-	// record under the calibrated profiles; a late report still
-	// rehabilitates). Zero selects the default of 150s; negative disables
-	// the clock rule, leaving count-only rejection.
-	RejectQuiet time.Duration
-	// RejectQuietMinRecords is the least number of classified client
-	// application records before RejectQuiet may reject a flow, so a
-	// conversation that has barely spoken is not condemned by the clock
-	// alone. Default 12.
-	RejectQuietMinRecords int
-	// RecheckEvery is the number of further application records between
-	// re-checks of a rejected flow. Default 64. In-probation re-checks
-	// also fire once per RejectQuiet interval of capture clock, so a
-	// slow-drip flow's bounded probation ends in bounded time, not just
-	// in a bounded record count.
-	RecheckEvery int
-	// RecheckBudget is how many re-check rounds a rejected flow gets
-	// before terminal eviction (its reassembly stops buffering entirely).
-	// A flow that produces an in-band report during probation is
-	// rehabilitated immediately, outside the re-check cadence. Default 4.
-	RecheckBudget int
-	// SweepInterval is how many ingested packets pass between idle
-	// sweeps. Default 256. A sweep also fires early whenever the capture
-	// clock jumps by a quarter of IdleTimeout since the last sweep — the
-	// packet-count cadence alone would let a sparse tap (one packet after
-	// a long silence) keep idle flows alive arbitrarily long, so the
-	// clock-jump rule is what actually bounds expiry latency; lowering
-	// SweepInterval only tightens the dense-traffic cadence.
-	SweepInterval int
 }
 
-// withDefaults resolves zero fields.
+// withDefaults resolves a zero IdleTimeout.
 func (w Window) withDefaults() Window {
 	if w.IdleTimeout <= 0 {
 		w.IdleTimeout = 90 * time.Second
 	}
-	if w.RejectAfterRecords <= 0 {
-		w.RejectAfterRecords = 128
-	}
-	switch {
-	case w.RejectQuiet < 0:
-		w.RejectQuiet = 0 // disabled: count-only rejection
-	case w.RejectQuiet == 0:
-		w.RejectQuiet = 150 * time.Second
-	}
-	if w.RejectQuietMinRecords <= 0 {
-		w.RejectQuietMinRecords = 12
-	}
-	if w.RecheckEvery <= 0 {
-		w.RecheckEvery = 64
-	}
-	if w.RecheckBudget <= 0 {
-		w.RecheckBudget = 4
-	}
-	if w.SweepInterval <= 0 {
-		w.SweepInterval = defaultSweepInterval
-	}
 	return w
 }
 
-// defaultSweepInterval is the default packet count between idle sweeps
-// (Window.SweepInterval).
-const defaultSweepInterval = 256
+// The rolling window's noise-rejection thresholds. A flow whose client
+// side classifies application records without a single in-band report is
+// rejected by whichever rule trips first: its record descriptors are
+// released and it enters bounded re-check probation; a flow that produces
+// an in-band report during probation is rehabilitated at once, outside
+// the re-check cadence.
+const (
+	// rejectAfterRecords is the count rule, the floor for dense flows:
+	// this many reportless client application records reject a flow.
+	rejectAfterRecords = 128
+	// rejectQuiet is the rate-based clock rule — the figure a deployed
+	// tap actually reasons in is reports per minute of capture clock, not
+	// records. A flow that has classified application records for this
+	// long (measured on the capture clock from its first classified
+	// record) without a single in-band report is rejected no matter how
+	// few records it produced, which is what evicts slow-drip noise the
+	// count rule would tolerate for many minutes. An interactive
+	// session's first report lands well inside it (~49s after the first
+	// record under the calibrated profiles; a late report still
+	// rehabilitates).
+	rejectQuiet = 150 * time.Second
+	// rejectQuietMinRecords is the least number of classified client
+	// application records before rejectQuiet may reject a flow, so a
+	// conversation that has barely spoken is not condemned by the clock
+	// alone.
+	rejectQuietMinRecords = 12
+	// recheckEvery is the number of further application records between
+	// re-checks of a rejected flow. Re-checks also fire once per
+	// rejectQuiet of capture clock, so a slow-drip flow's bounded
+	// probation ends in bounded time, not just in a bounded record count.
+	recheckEvery = 64
+	// recheckBudget is how many re-check rounds a rejected flow gets
+	// before terminal eviction (its reassembly stops buffering entirely).
+	recheckBudget = 4
+)
+
+// sweepInterval is how many ingested packets pass between idle sweeps in
+// window mode. A sweep also fires early whenever the capture clock jumps
+// by a quarter of IdleTimeout since the last sweep — the packet-count
+// cadence alone would let a sparse tap (one packet after a long silence)
+// keep idle flows alive arbitrarily long, so the clock-jump rule is what
+// actually bounds expiry latency.
+const sweepInterval = 256
 
 // minSessionHards is the least in-band report count for a finalizing flow
 // to be inferred as an interactive session rather than expired as noise —
@@ -246,14 +220,12 @@ type MonitorOptions struct {
 	// OnEvent, when non-nil, receives typed events synchronously as they
 	// fire during Feed/FeedPacket/Close. It also enables the live
 	// per-record hypothesis engine (ChoiceInferred events); without it the
-	// monitor only tracks flow state, which keeps the one-shot wrapper as
-	// cheap as the old batch path.
+	// monitor still classifies each client record as it completes and
+	// counts its in-band reports, but keeps no live hypothesis.
 	OnEvent func(Event)
 	// Window, when non-nil, turns on the rolling-window mode: released
 	// record descriptors, per-flow FIN/RST/idle finalization, and
-	// noise-flow eviction. Per-record classification runs even without OnEvent (the
-	// window needs the counters), but the hypothesis engine still needs
-	// the callback.
+	// noise-flow eviction.
 	Window *Window
 	// Shards is ignored: a Monitor always runs on the caller's goroutine.
 	//
@@ -443,7 +415,8 @@ type monFlow struct {
 	nextRecheckT time.Time // capture-clock deadline of the next probation check
 	rechecks     int       // probation rounds left before terminal eviction
 
-	// Live decode state (populated only when the monitor has OnEvent).
+	// Live decode state, kept per client record in every mode; pa only
+	// when the monitor has OnEvent.
 	anchor       time.Time
 	classified   int // client application records classified so far
 	hards        int // in-band (type-1/type-2) records among them
@@ -456,7 +429,6 @@ func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
 	m := &Monitor{
 		atk:     a,
 		onEvent: opts.OnEvent,
-		prm:     a.Decode.withDefaults(),
 		flows:   make(map[layers.FlowKey]*monFlow),
 	}
 	if opts.Window != nil {
@@ -563,7 +535,7 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 }
 
 // sweepDue advances the sweep cadence by one packet and reports whether
-// an idle sweep should run now: every Window.SweepInterval packets, or
+// an idle sweep should run now: every sweepInterval packets, or
 // sooner when the capture clock has jumped a quarter of the idle timeout
 // since the last sweep, so a sparse tap (one packet after a long
 // silence) still ages flows out promptly.
@@ -572,7 +544,7 @@ func (m *Monitor) sweepDue() bool {
 	if m.sweptAt.IsZero() {
 		m.sweptAt = m.clock
 	}
-	if m.sinceSweep < m.win.SweepInterval && m.clock.Sub(m.sweptAt) < m.win.IdleTimeout/4 {
+	if m.sinceSweep < sweepInterval && m.clock.Sub(m.sweptAt) < m.win.IdleTimeout/4 {
 		return false
 	}
 	m.sinceSweep, m.sweptAt = 0, m.clock
@@ -807,16 +779,14 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 		}
 		return
 	}
-	w := m.win
 	if !f.rejected {
 		// Two rejection triggers: the count rule (dense flows trip it in
 		// seconds) and the clock rule (a slow drip of reportless records
-		// trips it after RejectQuiet of capture time, long before its
+		// trips it after rejectQuiet of capture time, long before its
 		// record count would).
-		quiet := w.RejectQuiet > 0 && !f.firstAppAt.IsZero() &&
-			f.classified >= w.RejectQuietMinRecords &&
-			m.clock.Sub(f.firstAppAt) >= w.RejectQuiet
-		if f.classified >= w.RejectAfterRecords || quiet {
+		quiet := !f.firstAppAt.IsZero() && f.classified >= rejectQuietMinRecords &&
+			m.clock.Sub(f.firstAppAt) >= rejectQuiet
+		if f.classified >= rejectAfterRecords || quiet {
 			// Before the descriptors go: if no session has been seen yet,
 			// this flow may still end up the batch-rule fallback target
 			// (largest conversation of a reportless capture), so its decode
@@ -825,11 +795,9 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 			m.stashFallback(f)
 			f.rejected = true
 			m.rejectedNow++
-			f.rechecks = w.RecheckBudget
-			f.nextRecheck = f.classified + w.RecheckEvery
-			if w.RejectQuiet > 0 {
-				f.nextRecheckT = m.clock.Add(w.RejectQuiet)
-			}
+			f.rechecks = recheckBudget
+			f.nextRecheck = f.classified + recheckEvery
+			f.nextRecheckT = m.clock.Add(rejectQuiet)
 			dropRecs()
 		}
 		return
@@ -839,14 +807,10 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 	// fire on whichever cadence — record count or capture clock — comes
 	// first, so slow drips cannot stretch probation indefinitely.
 	dropRecs()
-	recheckDue := f.classified >= f.nextRecheck ||
-		(!f.nextRecheckT.IsZero() && !m.clock.Before(f.nextRecheckT))
-	if recheckDue {
+	if f.classified >= f.nextRecheck || !m.clock.Before(f.nextRecheckT) {
 		f.rechecks--
-		f.nextRecheck = f.classified + w.RecheckEvery
-		if w.RejectQuiet > 0 {
-			f.nextRecheckT = m.clock.Add(w.RejectQuiet)
-		}
+		f.nextRecheck = f.classified + recheckEvery
+		f.nextRecheckT = m.clock.Add(rejectQuiet)
 		if f.rechecks <= 0 {
 			f.rejected = false
 			m.rejectedNow--
@@ -911,7 +875,7 @@ func (m *Monitor) sweep(exempt layers.FlowKey) {
 // sessionReady reports whether a flow has the in-band evidence to finalize
 // as an interactive session.
 func (m *Monitor) sessionReady(f *monFlow) bool {
-	return !f.dead && f.viable() && m.hardCount(f) >= minSessionHards
+	return !f.dead && f.viable() && f.hards >= minSessionHards
 }
 
 // finalizeFlow concludes one flow and removes it from the monitor. A viable
@@ -925,7 +889,7 @@ func (m *Monitor) finalizeFlow(f *monFlow, at time.Time, reason string) {
 	m.flushQUIC(f)
 	if m.sessionReady(f) {
 		if inf, err := m.atk.Infer(f.observation()); err == nil {
-			m.noteFinal(sessionVerdict(f, inf, m.hardCount(f)))
+			m.noteFinal(sessionVerdict(f, inf))
 			return
 		}
 	}
@@ -1015,16 +979,11 @@ func (f *monFlow) direction(k layers.FlowKey) (*monDir, bool) {
 }
 
 // onClientRecord absorbs one completed client-side record: anchor the
-// session clock, classify application data, emit detection and running
-// choice events, and extend the live alignment. Without an event callback
-// or a rolling window none of that state is observable before Close
-// (which classifies through Infer anyway), so the whole step is skipped
-// and the one-shot wrapper stays as cheap as the old batch path. With a
-// window but no callback only the counters the window needs are kept.
+// session clock, classify application data and count its in-band reports
+// (the counters every close rule and the window read), emit detection and
+// running choice events, and extend the live alignment. Without an event
+// callback only the counters are kept.
 func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
-	if m.onEvent == nil && m.win == nil {
-		return
-	}
 	if f.anchor.IsZero() {
 		f.anchor = rec.Time // first client record — the decode anchor
 	}
@@ -1061,8 +1020,8 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 		}
 	}
 	if m.onEvent == nil || f.rejected {
-		// Window-only bookkeeping, or a flow in rejected probation whose
-		// hypothesis engine is paused: counters are all that is needed.
+		// No callback, or a flow in rejected probation whose hypothesis
+		// engine is paused: counters are all that is needed.
 		return
 	}
 	ev, ok := observedEventFrom(cr, idx, f.anchor)
@@ -1071,7 +1030,7 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	}
 	if t := m.liveTable(); t != nil {
 		if f.pa == nil {
-			f.pa = newPrefixAligner(t, m.prm)
+			f.pa = newPrefixAligner(t)
 		}
 		f.pa.observe(ev)
 	}
@@ -1114,11 +1073,7 @@ func (m *Monitor) liveTable() *PathTable {
 		return m.table
 	}
 	m.tableTried = true
-	maxChoices := m.atk.MaxChoices
-	if maxChoices <= 0 {
-		maxChoices = 16
-	}
-	t, err := PathTableFor(m.atk.Graph, maxChoices)
+	t, err := m.atk.pathTable()
 	if err != nil {
 		return nil // fall back to the plain running decode
 	}
@@ -1235,12 +1190,11 @@ func (m *Monitor) closeBatch() (*Inference, error) {
 		if largest == nil || f.heavier(largest) {
 			largest = f
 		}
-		hards := m.hardCount(f)
-		if hards == 0 {
+		if f.hards == 0 {
 			continue
 		}
 		if inf, err := m.atk.Infer(f.observation()); err == nil {
-			if v := sessionVerdict(f, inf, hards); best == nil || v.beatsByKey(best) {
+			if v := sessionVerdict(f, inf); best == nil || v.beatsByKey(best) {
 				best = v
 			}
 		}
@@ -1333,34 +1287,6 @@ func (m *Monitor) finalizeLargest(f *monFlow) {
 		m.noteFinal(&verdict{inf: inf, flow: f.clientKey})
 		m.dropFlow(f)
 	}
-}
-
-// hardCount returns the number of in-band (type-1/type-2) client records
-// on a flow. With a live event callback or a rolling window the running
-// counter is already maintained; otherwise — records were not classified
-// during the feed to keep the one-shot path cheap — the client records
-// are classified here, once, for the close-time selection that needs
-// them.
-func (m *Monitor) hardCount(f *monFlow) int {
-	if m.onEvent != nil || m.win != nil {
-		return f.hards
-	}
-	n := 0
-	var recs []tlsrec.Record
-	if f.quic != nil {
-		recs = f.quic.recs
-	} else {
-		recs = f.client.sc.Records()
-	}
-	for _, r := range recs {
-		if r.Type != tlsrec.ContentApplicationData {
-			continue
-		}
-		if cls, _ := m.atk.Classifier.Classify(r.Length); cls == ClassType1 || cls == ClassType2 {
-			n++
-		}
-	}
-	return n
 }
 
 // totalBytes is the conversation's delivered byte count, both directions.

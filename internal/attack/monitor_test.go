@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +16,8 @@ import (
 	"repro/internal/pcapio"
 	"repro/internal/profiles"
 	"repro/internal/session"
+	"repro/internal/tlsrec"
+	"repro/internal/wire"
 )
 
 // capturedSession renders one session to pcap bytes.
@@ -191,9 +194,8 @@ func TestPrefixAlignerMatchesBatchScore(t *testing.T) {
 		t.Fatal("no observations in session")
 	}
 
-	prm := DecodeParams{}.withDefaults()
-	pa := newPrefixAligner(table, prm)
-	oracle := newOraclePrefixAligner(table, prm)
+	pa := newPrefixAligner(table)
+	oracle := newOraclePrefixAligner(table)
 	for i, ev := range events {
 		pa.observe(ev)
 		oracle.observe(ev)
@@ -205,12 +207,12 @@ func TestPrefixAlignerMatchesBatchScore(t *testing.T) {
 	for i := range table.Paths {
 		maxM = max(maxM, len(table.Paths[i].Events))
 	}
-	batch := newAligner(maxM, events, prm)
+	batch := newAligner(maxM, events)
 	live := liveFinalCells(pa)
 	for pi := range table.Paths {
 		expected := table.Paths[pi].Events
-		raw := batch.extend(expected, table.shared[pi], events, prm)
-		want := oracleScore(expected, events, prm)
+		raw := batch.extend(expected, table.shared[pi], events)
+		want := oracleScore(expected, events)
 		if math.Float64bits(raw) != math.Float64bits(want) {
 			t.Fatalf("walk %d: batch %v != oracle %v", pi, raw, want)
 		}
@@ -414,14 +416,133 @@ func TestMonitorWindowIdleExpiry(t *testing.T) {
 	}
 }
 
+// reportlessFrames builds a TLS 1.2 conversation by hand that never
+// sends an in-band report: the client on port opens to 443 with SYN and
+// SYN-ACK, each side sends one handshake record, then the client sends n
+// application records of 300 bytes, one to a segment, the first at start
+// and each spacing after the one before. A bare client ACK lands 1 ms
+// before each record, so the rejection rules are also checked just short
+// of every record's time. The handshake runs in the 100 ms before start.
+// Frame 5+2i carries application record i+1.
+func reportlessFrames(tb testing.TB, port uint16, start time.Time, spacing time.Duration, n int) []fuzzFrame {
+	tb.Helper()
+	key := handKey(port)
+	record := func(typ tlsrec.ContentType, size int) []byte {
+		w := wire.NewWriter(5 + size)
+		tlsrec.AppendRecord(w, typ, tlsrec.VersionTLS12, make([]byte, size))
+		return w.Bytes()
+	}
+	hello, app := record(tlsrec.ContentHandshake, 100), record(tlsrec.ContentApplicationData, 300)
+	var frames []fuzzFrame
+	add := func(at time.Time, k layers.FlowKey, tcp layers.TCP, payload []byte) {
+		frame, err := layers.BuildTCPFrame(k, layers.Ethernet{}, tcp, payload, uint16(len(frames)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, fuzzFrame{at, frame})
+	}
+	hs := start.Add(-100 * time.Millisecond)
+	cSeq, sSeq := uint32(2), uint32(2)
+	add(hs, key, handSyn, nil)
+	add(hs.Add(10*time.Millisecond), key.Reverse(), handSynAck, nil)
+	add(hs.Add(20*time.Millisecond), key, layers.TCP{Seq: cSeq, Ack: sSeq, Flags: layers.TCPPsh | layers.TCPAck}, hello)
+	cSeq += uint32(len(hello))
+	add(hs.Add(30*time.Millisecond), key.Reverse(), layers.TCP{Seq: sSeq, Ack: cSeq, Flags: layers.TCPPsh | layers.TCPAck}, hello)
+	sSeq += uint32(len(hello))
+	for i := range n {
+		at := start.Add(time.Duration(i) * spacing)
+		add(at.Add(-time.Millisecond), key, layers.TCP{Seq: cSeq, Ack: sSeq, Flags: layers.TCPAck}, nil)
+		add(at, key, layers.TCP{Seq: cSeq, Ack: sSeq, Flags: layers.TCPPsh | layers.TCPAck}, app)
+		cSeq += uint32(len(app))
+	}
+	return frames
+}
+
+// mergeFrames merges extra frames into frames by timestamp, frames first
+// on ties.
+func mergeFrames(frames []fuzzFrame, extra ...[]fuzzFrame) []fuzzFrame {
+	for _, e := range extra {
+		frames = append(frames, e...)
+	}
+	slices.SortStableFunc(frames, func(a, b fuzzFrame) int { return a.ts.Compare(b.ts) })
+	return frames
+}
+
+// TestMonitorWindowRejectionThresholds pins the noise-rejection
+// thresholds a deployed Monitor runs at, on hand-built reportless flows
+// fed frame by frame into a Window{} monitor:
+//
+//   - dense, 100 ms apart: the count rule rejects on record 128
+//     (rejectAfterRecords), and recheckBudget re-checks recheckEvery
+//     records apart evict the flow with 384 records, 38.3 s after its
+//     first;
+//   - drip, 10 s apart: the clock rule rejects on record 16, rejectQuiet
+//     (150 s) after the first and not on the ACK 1 ms before, and
+//     re-checks rejectQuiet apart evict it with 76 records at 12m30s,
+//     every count below rejectAfterRecords;
+//   - near-silent, 20 s apart: 11 records over 200 s are never rejected
+//     (rejectQuietMinRecords), and the 12th rejects.
+func TestMonitorWindowRejectionThresholds(t *testing.T) {
+	atk := &Attacker{Classifier: otherOnlyClassifier{}}
+	start := time.Unix(1700000000, 0)
+	cases := []struct {
+		name     string
+		spacing  time.Duration
+		records  int
+		rejectOn int           // the application record that rejects the flow
+		evicted  int           // Records of its "rejected" FlowExpired; 0: none
+		evictAt  time.Duration // that event's At, after the first record
+	}{
+		{"dense", 100 * time.Millisecond, 400, 128, 384, 38300 * time.Millisecond},
+		{"drip", 10 * time.Second, 80, 16, 76, 12*time.Minute + 30*time.Second},
+		{"near-silent", 20 * time.Second, 12, 12, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var evictions []FlowExpired
+			m := NewMonitor(atk, MonitorOptions{Window: &Window{}, OnEvent: func(ev Event) {
+				if e, ok := ev.(FlowExpired); ok && e.Reason == "rejected" {
+					evictions = append(evictions, e)
+				}
+			}})
+			for i, fr := range reportlessFrames(t, 45000, start, tc.spacing, tc.records) {
+				if err := m.FeedPacket(fr.ts, fr.data); err != nil {
+					t.Fatal(err)
+				}
+				// Frames 4+2k and 5+2k are record k+1's ACK and the record.
+				rec := (i - 3) / 2
+				want := 0
+				if i >= 5+2*(tc.rejectOn-1) && (tc.evicted == 0 || rec < tc.evicted) {
+					want = 1
+				}
+				if got := m.Stats().RejectedFlows; got != want {
+					t.Fatalf("frame %d (record %d at %v): RejectedFlows %d, want %d",
+						i, rec, fr.ts.Sub(start), got, want)
+				}
+			}
+			switch {
+			case tc.evicted == 0 && len(evictions) != 0:
+				t.Errorf("evicted as rejected: %+v", evictions)
+			case tc.evicted != 0 && len(evictions) != 1:
+				t.Errorf("%d rejected evictions, want 1", len(evictions))
+			case tc.evicted != 0:
+				if e := evictions[0]; e.Records != tc.evicted || e.At.Sub(start) != tc.evictAt {
+					t.Errorf("evicted with Records %d at %v, want %d at %v",
+						e.Records, e.At.Sub(start), tc.evicted, tc.evictAt)
+				}
+			}
+		})
+	}
+}
+
 // TestMonitorWindowRejectsNoiseFlows is the eviction regression from the
-// rolling-window work: noise flows the monitor has (implicitly) rejected
-// must stop accumulating state. 16 concurrent bulk-streaming flows ride
-// along one interactive session; with a window configured, every noise
-// flow must enter rejected probation once it has produced enough
-// reportless records, most must be terminally evicted after the bounded
-// re-check, the monitor's retained memory must stay far below the stream
-// volume, and the interactive session must still be found and decoded.
+// rolling-window work: noise flows the monitor has rejected must stop
+// accumulating state. 16 concurrent bulk-streaming flows ride along one
+// interactive session, and four hand-built dense reportless flows join
+// them at intervals across it; with a window configured, each dense flow
+// must be rejected and terminally evicted after the bounded re-check, the
+// monitor's retained memory must stay far below the stream volume, and
+// the interactive session must still be found and decoded.
 func TestMonitorWindowRejectsNoiseFlows(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
@@ -433,22 +554,26 @@ func TestMonitorWindowRejectsNoiseFlows(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	frames := pcapFrames(t, buf.Bytes())
+	dense := map[uint16]bool{}
+	var extra [][]fuzzFrame
+	for i := range 4 {
+		port := uint16(45000 + i)
+		dense[port] = true
+		at := frames[0].ts.Add(time.Duration(30+90*i) * time.Second)
+		extra = append(extra, reportlessFrames(t, port, at, 100*time.Millisecond, 400))
+	}
+	data := fuzzPcap(t, mergeFrames(frames, extra...))
 
-	// The first in-band report arrives ~record 12 on interactive flows
-	// (see the soak defaults); 20 keeps the session clear of rejection
-	// while noise flows trip it quickly.
-	win := &Window{IdleTimeout: 120 * time.Second,
-		RejectAfterRecords: 20, RecheckEvery: 8, RecheckBudget: 2}
 	var finals []SessionFinalized
-	var rejectedEvictions int
-	m := NewMonitor(atk, MonitorOptions{Window: win, OnEvent: func(ev Event) {
+	evicted := map[uint16]int{} // dense port -> Records at its rejected eviction
+	m := NewMonitor(atk, MonitorOptions{Window: &Window{IdleTimeout: 120 * time.Second}, OnEvent: func(ev Event) {
 		switch e := ev.(type) {
 		case SessionFinalized:
 			finals = append(finals, e)
 		case FlowExpired:
-			if e.Reason == "rejected" {
-				rejectedEvictions++
+			if e.Reason == "rejected" && dense[e.Flow.SrcPort] {
+				evicted[e.Flow.SrcPort] = e.Records
 			}
 		}
 	}})
@@ -490,23 +615,26 @@ func TestMonitorWindowRejectsNoiseFlows(t *testing.T) {
 	// Eviction really happened, and really bounded memory: the capture
 	// carries 17 flows of media-scale traffic, the monitor must retain a
 	// small fraction of it at any instant.
-	if rejectedEvictions < 8 {
-		t.Errorf("only %d noise flows terminally evicted, want >= 8 of 16", rejectedEvictions)
+	for port := range dense {
+		if evicted[port] != rejectAfterRecords+recheckBudget*recheckEvery {
+			t.Errorf("dense flow :%d: rejected eviction at %d records, want %d", port, evicted[port],
+				rejectAfterRecords+recheckBudget*recheckEvery)
+		}
 	}
 	if peak > int64(len(data))/8 {
 		t.Errorf("peak retained %d bytes on a %d-byte capture; window is not releasing", peak, len(data))
 	}
-	t.Logf("capture %d bytes, peak retained %d, rejected evictions %d", len(data), peak, rejectedEvictions)
+	t.Logf("capture %d bytes, peak retained %d, dense evictions %v", len(data), peak, evicted)
 }
 
 // TestMonitorWindowRejectsSlowDripNoise pins the rate-based rejection
-// rule: a reportless flow that drips records too slowly to ever reach the
-// count threshold must still be rejected — and terminally evicted — once
-// it has been quiet for RejectQuiet of capture clock, because a deployed
-// tap reasons in reports per minute, not in record counts. The
-// bulk-streaming noise flows of an interleaved capture are exactly that
-// shape: ~1 client record every few seconds, far below RejectAfterRecords
-// over a whole session.
+// rule inside a real interleaved capture: a reportless flow that drips
+// records too slowly to ever reach the count threshold must still be
+// rejected — and terminally evicted — once it has been quiet for
+// rejectQuiet of capture clock, because a deployed tap reasons in
+// reports per minute, not in record counts. A hand-built drip of one
+// record every 10 s rides along a session and six bulk-streaming noise
+// flows, and the session must come through unharmed.
 func TestMonitorWindowRejectsSlowDripNoise(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
@@ -518,19 +646,14 @@ func TestMonitorWindowRejectsSlowDripNoise(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	const dripPort = 45100
+	frames := pcapFrames(t, buf.Bytes())
+	drip := reportlessFrames(t, dripPort, frames[0].ts.Add(10*time.Second), 10*time.Second, 80)
+	data := fuzzPcap(t, mergeFrames(frames, drip))
 
-	// A count threshold no drip flow can reach, so any rejection observed
-	// is the clock rule's doing; one probation round keeps eviction inside
-	// the capture.
-	win := &Window{
-		RejectAfterRecords: 100000,
-		RejectQuiet:        60 * time.Second, RejectQuietMinRecords: 4,
-		RecheckBudget: 1,
-	}
 	var finals []SessionFinalized
 	var rejected []FlowExpired
-	m := NewMonitor(atk, MonitorOptions{Window: win, OnEvent: func(ev Event) {
+	m := NewMonitor(atk, MonitorOptions{Window: &Window{}, OnEvent: func(ev Event) {
 		switch e := ev.(type) {
 		case SessionFinalized:
 			finals = append(finals, e)
@@ -542,14 +665,18 @@ func TestMonitorWindowRejectsSlowDripNoise(t *testing.T) {
 	}})
 	inf := feedMonitor(t, m, data, 256<<10)
 
-	if len(rejected) == 0 {
-		t.Fatal("no slow-drip flow was rejected by the quiet-period rule")
-	}
+	dripEvicted := false
 	for _, e := range rejected {
-		if e.Records >= win.RejectAfterRecords {
-			t.Errorf("flow %v evicted with %d records — the count rule fired, not the clock rule",
-				e.Flow, e.Records)
+		if e.Flow.SrcPort != dripPort {
+			continue
 		}
+		dripEvicted = true
+		if e.Records >= rejectAfterRecords {
+			t.Errorf("drip flow evicted with %d records — the count rule fired, not the clock rule", e.Records)
+		}
+	}
+	if !dripEvicted {
+		t.Fatal("the slow-drip flow was not evicted by the quiet-period rule")
 	}
 	// The interactive session is unharmed: its first report lands well
 	// inside the quiet window, so it finalizes and decodes fully.
@@ -567,7 +694,7 @@ func TestMonitorWindowRejectsSlowDripNoise(t *testing.T) {
 	if correct != total {
 		t.Errorf("decode under quiet-period rejection: %d/%d choices", correct, total)
 	}
-	t.Logf("%d slow-drip flows rejected (records per flow: %v)", len(rejected), recordCounts(rejected))
+	t.Logf("%d flows evicted as rejected (records per flow: %v)", len(rejected), recordCounts(rejected))
 }
 
 // recordCounts extracts the per-flow classified-record counts of expiry
@@ -592,23 +719,41 @@ func (otherOnlyClassifier) Name() string { return "other-only" }
 // rolling-window mode: when no flow ever classifies an in-band report
 // (wrong training condition, defended traffic), Close must still attack
 // the capture's largest conversation — byte-identical to InferPcap —
-// rather than expiring everything and erroring. The quiet-period
-// rejection rule is disabled here so the flow survives to Close with its
-// full observation; the companion test below covers the rejected case.
+// rather than expiring everything and erroring. The capture is cut at
+// 140 s of capture clock, short of rejectQuiet and of rejectAfterRecords
+// client records, so the flow reaches Close with its full observation;
+// the companion test below covers the rejected case.
 func TestMonitorWindowFallbackWithoutReports(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
 	blind := *atk
 	blind.Classifier = otherOnlyClassifier{}
 	tr := runSession(t, 565, cond)
-	data := capturedSession(t, tr, 29)
+	frames := pcapFrames(t, capturedSession(t, tr, 29))
+	end := frames[0].ts.Add(140 * time.Second)
+	cut := slices.IndexFunc(frames, func(fr fuzzFrame) bool { return !fr.ts.Before(end) })
+	if cut < 0 {
+		t.Fatal("session shorter than the cut")
+	}
+	data := fuzzPcap(t, frames[:cut])
 
 	want, err := blind.InferPcap(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMonitor(&blind, MonitorOptions{Window: &Window{RejectQuiet: -1}})
-	got := feedMonitor(t, m, data, 128<<10)
+	m := NewMonitor(&blind, MonitorOptions{Window: &Window{}})
+	for off := 0; off < len(data); off += 128 << 10 {
+		if err := m.Feed(data[off:min(off+128<<10, len(data))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.RejectedFlows != 0 || st.ExpiredFlows != 0 {
+		t.Fatalf("cut capture tripped rejection: %+v", st)
+	}
+	got, err := m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("windowed fallback inference differs from batch InferPcap")
 	}
@@ -616,20 +761,20 @@ func TestMonitorWindowFallbackWithoutReports(t *testing.T) {
 
 // TestMonitorWindowFallbackSurvivesRejection extends the zero-report
 // fallback to the long-flow case: a reportless conversation that crosses
-// the rejection threshold — and is even terminally evicted before its FIN
-// — must still yield a largest-conversation inference at Close (decoded
-// over the pre-rejection prefix), never an error.
+// the rejection threshold — its records past rejection are released —
+// must still yield a largest-conversation inference at Close (decoded
+// over the pre-rejection prefix), never an error. The flow's re-checks
+// run past the session's end, so it is not evicted;
+// TestMonitorWindowRejectionThresholds covers eviction.
 func TestMonitorWindowFallbackSurvivesRejection(t *testing.T) {
 	cond := profiles.Fig2Ubuntu
 	atk := trainedAttacker(t, cond, []uint64{101, 102, 103})
 	blind := *atk
 	blind.Classifier = otherOnlyClassifier{}
-	tr := runSession(t, 556, cond) // 140 app records: crosses every threshold below
+	tr := runSession(t, 556, cond) // 140 app records over ~7 min: the clock rule rejects it
 	data := capturedSession(t, tr, 31)
 
-	m := NewMonitor(&blind, MonitorOptions{
-		Window: &Window{RejectAfterRecords: 20, RecheckEvery: 8, RecheckBudget: 2},
-	})
+	m := NewMonitor(&blind, MonitorOptions{Window: &Window{}})
 	inf := feedMonitor(t, m, data, 128<<10)
 	if inf == nil {
 		t.Fatal("no inference")
@@ -882,7 +1027,7 @@ var (
 //
 //   - wheel epoch: Y is first seen half a second after X. The wheel ticks
 //     on the grid anchored at the first decoded packet, so Y idles out on
-//     the sweep one second after X's.
+//     the sweep one second after X's, the sweep the packet count brings.
 //   - port reuse: X resets and its 5-tuple opens a new conversation after
 //     Y was first seen; at Close the still-open flows expire in first-seen
 //     order, Y before the new X.
@@ -898,6 +1043,15 @@ func TestShardEquivalenceHandBuilt(t *testing.T) {
 		tcp layers.TCP
 	}
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	// The 64.2 s SYN sweeps on its clock jump; the 65.2 s ack is the
+	// 256th packet after it, so it sweeps on the count. The 255 acks
+	// before it are spelled out, not derived from sweepInterval, so the
+	// case also pins the deployed cadence.
+	epoch := []step{{0, x, handSyn}, {ms(500), y, handSyn}, {ms(64200), z, handSyn}}
+	for range 255 {
+		epoch = append(epoch, step{ms(64700), z, handAck})
+	}
+	epoch = append(epoch, step{ms(65200), z, handAck})
 	cases := []struct {
 		name  string
 		win   Window
@@ -906,8 +1060,8 @@ func TestShardEquivalenceHandBuilt(t *testing.T) {
 	}{
 		{
 			name:  "wheel epoch",
-			win:   Window{IdleTimeout: 64 * time.Second, SweepInterval: 1},
-			steps: []step{{0, x, handSyn}, {ms(500), y, handSyn}, {ms(64200), z, handSyn}, {ms(64700), z, handAck}, {ms(65200), z, handAck}},
+			win:   Window{IdleTimeout: 64 * time.Second},
+			steps: epoch,
 			want:  []string{"idle X 1m4.2s", "idle Y 1m5.2s", "close Z 1m5.2s"},
 		},
 		{

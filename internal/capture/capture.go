@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cdn"
@@ -113,8 +113,6 @@ type frame struct {
 	ts         time.Time
 	start, end int
 	payload    []byte
-	// seqKey breaks timestamp ties so a direction's segments stay ordered.
-	seqKey int
 }
 
 // muxer accumulates every conversation's frame headers in one arena
@@ -153,20 +151,16 @@ func (m *muxer) push(ts time.Time, start int, payload []byte) {
 	m.ipID++
 	m.payloadBytes += len(payload)
 	m.frames = append(m.frames, frame{ts: ts.Add(m.shift), start: start, end: m.arena.Len(),
-		payload: payload, seqKey: len(m.frames)})
+		payload: payload})
 }
 
-// writeTo interleaves all frames by timestamp (stable on insertion order
-// within a tie) and emits the pcap file. A destination that can grow,
-// such as a bytes.Buffer, is grown once to the exact file size first,
-// instead of doubling its way up through the multi-megabyte capture.
+// writeTo interleaves all frames by timestamp, stable on insertion order
+// within a tie so a direction's segments stay ordered, and emits the pcap
+// file. A destination that can grow, such as a bytes.Buffer, is grown
+// once to the exact file size first, instead of doubling its way up
+// through the multi-megabyte capture.
 func (m *muxer) writeTo(w io.Writer) error {
-	sort.SliceStable(m.frames, func(i, j int) bool {
-		if m.frames[i].ts.Equal(m.frames[j].ts) {
-			return m.frames[i].seqKey < m.frames[j].seqKey
-		}
-		return m.frames[i].ts.Before(m.frames[j].ts)
-	})
+	slices.SortStableFunc(m.frames, func(a, b frame) int { return a.ts.Compare(b.ts) })
 	if g, ok := w.(interface{ Grow(n int) }); ok {
 		// The frames' headers tile the arena, so the file is the 24-byte
 		// pcap header, a 16-byte record header per frame, the arena and
