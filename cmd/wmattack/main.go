@@ -16,9 +16,11 @@
 // attacks the capture. In -live mode the capture is fed to the
 // streaming monitor in chunks and detection/choice events print as they
 // fire, which is how the attack behaves against a link tap; the monitor
-// runs in rolling-window mode by default (-window=false reverts to
-// retain-everything), so flows finalize individually on FIN/RST or the
-// -idle timeout and memory stays bounded however long the capture is. If
+// runs in rolling-window mode by default, so flows finalize individually
+// on FIN/RST or the -idle timeout and memory stays bounded however long
+// the capture is. With -window=false every flow stays open until the
+// capture ends, and Close concludes each one by the same rule, printing
+// its FINALIZED or FLOW EXPIRED line then; the inference is the same. If
 // a ground-truth sidecar from wmsession exists next to the pcap, the
 // inference is scored against it.
 //
@@ -56,7 +58,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1000, "training seed")
 		live     = flag.Bool("live", false, "feed the capture in chunks through the streaming monitor and print events as they fire")
 		chunkKiB = flag.Int("chunk", 64, "live-mode feed chunk size in KiB")
-		window   = flag.Bool("window", true, "live mode: rolling-window operation (bounded memory, per-flow FIN/RST/idle finalization)")
+		window   = flag.Bool("window", true, "live mode: rolling-window operation (bounded memory, per-flow FIN/RST/idle finalization); false keeps every flow open until the capture ends")
 		idle     = flag.Duration("idle", 90*time.Second, "live window mode: idle timeout before a silent flow finalizes")
 		wireSpec = flag.String("wire", "tls1.2", "train under the capture's wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
 	)

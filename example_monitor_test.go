@@ -9,13 +9,14 @@ import (
 // interactive session interleaved with two bulk-streaming noise flows —
 // is fed to a Monitor in chunks, the way an on-path eavesdropper tails a
 // link, and events fire as the attack progresses. Close returns the same
-// Inference the one-shot InferPcap produces.
+// Inference the one-shot InferPcap produces, the very pointer that the
+// attacked flow's SessionFinalized carried.
 func ExampleNewMonitor() {
 	tr, _ := Simulate(SessionOptions{Seed: 1, Condition: ConditionUbuntu})
 	pcapBytes, _ := CapturePcapMulti(tr, 1, 2) // 2 concurrent noise flows
 	atk, _ := TrainAttacker(TrainingOptions{Condition: ConditionUbuntu, Seed: 99})
 
-	var finalized FlowKey
+	finalized := map[*Inference]FlowKey{}
 	m := NewMonitor(atk, MonitorOptions{OnEvent: func(ev MonitorEvent) {
 		switch e := ev.(type) {
 		case FlowDetected:
@@ -23,7 +24,7 @@ func ExampleNewMonitor() {
 		case ChoiceInferred:
 			// Running decisions and DecodeMargin are available here.
 		case SessionFinalized:
-			finalized = e.Flow
+			finalized[e.Inference] = e.Flow // one per flow with reports
 		}
 	}})
 	const chunk = 64 << 10 // feed 64 KiB at a time
@@ -41,7 +42,7 @@ func ExampleNewMonitor() {
 			correct++
 		}
 	}
-	fmt.Printf("attacked flow: %s, choices recovered: %d/%d\n", finalized, correct, total)
+	fmt.Printf("attacked flow: %s, choices recovered: %d/%d\n", finalized[inf], correct, total)
 	// Output: attacked flow: 192.168.1.23:51732 > 198.51.100.7:443, choices recovered: 8/8
 }
 
@@ -115,13 +116,14 @@ func ExampleNewMonitor_quic() {
 		Wire: quic, Sessions: 10,
 	})
 
-	var observed, finalized FlowKey
+	var observed FlowKey
+	finalized := map[*Inference]FlowKey{}
 	m := NewMonitor(atk, MonitorOptions{OnEvent: func(ev MonitorEvent) {
 		switch e := ev.(type) {
 		case QUICFlowObserved:
 			observed = e.Flow // long-header packet: a QUIC handshake on the link
 		case SessionFinalized:
-			finalized = e.Flow
+			finalized[e.Inference] = e.Flow
 		}
 	}})
 	if err := m.Feed(pcapBytes); err != nil {
@@ -138,7 +140,7 @@ func ExampleNewMonitor_quic() {
 		}
 	}
 	fmt.Printf("QUIC flows seen: %v, attacked flow: %s, choices recovered: %d/%d\n",
-		observed != FlowKey{}, finalized, correct, total)
+		observed != FlowKey{}, finalized[inf], correct, total)
 	// Output: QUIC flows seen: true, attacked flow: udp 192.168.1.23:51732 > 198.51.100.7:443, choices recovered: 8/8
 }
 
@@ -152,10 +154,10 @@ func ExampleNewMonitor_tls13() {
 		Condition: ConditionUbuntu, Seed: 99, Wire: padded,
 	})
 
-	var finalized FlowKey
+	finalized := map[*Inference]FlowKey{}
 	m := NewMonitor(atk, MonitorOptions{OnEvent: func(ev MonitorEvent) {
 		if e, ok := ev.(SessionFinalized); ok {
-			finalized = e.Flow
+			finalized[e.Inference] = e.Flow
 		}
 	}})
 	if err := m.Feed(pcapBytes); err != nil {
@@ -171,6 +173,6 @@ func ExampleNewMonitor_tls13() {
 			correct++
 		}
 	}
-	fmt.Printf("attacked flow: %s, choices recovered: %d/%d\n", finalized, correct, total)
+	fmt.Printf("attacked flow: %s, choices recovered: %d/%d\n", finalized[inf], correct, total)
 	// Output: attacked flow: 192.168.1.23:51732 > 198.51.100.7:443, choices recovered: 8/8
 }

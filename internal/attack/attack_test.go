@@ -347,43 +347,54 @@ func TestScoreDecisions(t *testing.T) {
 	}
 }
 
-// TestMonitorErrorsAtEveryShardCount pins the Monitor's error handling:
-// a non-pcap input (refused by Feed) and a capture cut mid-record
-// (refused by Close) fail with the same error through InferPcap as
-// through Feed + Close, and a closed monitor refuses both feed entry
-// points.
-func TestMonitorErrorsAtEveryShardCount(t *testing.T) {
+// TestMonitorErrors pins the Monitor's error handling: a non-pcap input
+// (refused by Feed), a capture cut mid-record (refused by Close) and a
+// capture on which every Infer fails (an attacker whose MaxChoices is too
+// short for any complete walk of the graph: Close reports Infer's error,
+// not ErrNoTLSConversation) fail with the same error through InferPcap as
+// through Feed + Close, in batch and window mode, and a closed monitor
+// refuses both feed entry points.
+func TestMonitorErrors(t *testing.T) {
 	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
 	full := capturedSession(t, runSession(t, 7, profiles.Fig2Ubuntu), 7)
+	shallow := *atk
+	shallow.MaxChoices = 1
 	for _, tc := range []struct {
 		name string
+		atk  *Attacker
 		data []byte
 	}{
-		{"not a pcap", bytes.Repeat([]byte("not a pcap "), 4)},
-		{"cut mid-record", full[:len(full)-1]},
+		{"not a pcap", atk, bytes.Repeat([]byte("not a pcap "), 4)},
+		{"cut mid-record", atk, full[:len(full)-1]},
+		{"Infer fails", &shallow, full},
 	} {
-		_, want := atk.InferPcap(tc.data)
+		_, want := tc.atk.InferPcap(tc.data)
 		if want == nil {
 			t.Fatalf("%s: InferPcap accepted the capture", tc.name)
 		}
-		m := NewMonitor(atk, MonitorOptions{})
-		feedErr := m.Feed(tc.data)
-		_, closeErr := m.Close()
-		got := closeErr
-		if feedErr != nil {
-			got = feedErr
-		}
-		if got == nil || got.Error() != want.Error() {
-			t.Errorf("%s: Feed + Close error %v, want %v", tc.name, got, want)
-		}
-		if closeErr == nil || closeErr.Error() != want.Error() {
-			t.Errorf("%s: Close error %v, want %v", tc.name, closeErr, want)
-		}
-		if err := m.Feed(full); err == nil {
-			t.Errorf("%s: Feed after Close succeeded", tc.name)
-		}
-		if err := m.FeedPacket(time.Unix(0, 0), make([]byte, 1200)); err == nil {
-			t.Errorf("%s: FeedPacket after Close succeeded", tc.name)
+		for _, mode := range []struct {
+			name string
+			win  *Window
+		}{{"batch", nil}, {"window", &Window{}}} {
+			m := NewMonitor(tc.atk, MonitorOptions{Window: mode.win})
+			feedErr := m.Feed(tc.data)
+			_, closeErr := m.Close()
+			got := closeErr
+			if feedErr != nil {
+				got = feedErr
+			}
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("%s/%s: Feed + Close error %v, want %v", tc.name, mode.name, got, want)
+			}
+			if closeErr == nil || closeErr.Error() != want.Error() {
+				t.Errorf("%s/%s: Close error %v, want %v", tc.name, mode.name, closeErr, want)
+			}
+			if err := m.Feed(full); err == nil {
+				t.Errorf("%s/%s: Feed after Close succeeded", tc.name, mode.name)
+			}
+			if err := m.FeedPacket(time.Unix(0, 0), make([]byte, 1200)); err == nil {
+				t.Errorf("%s/%s: FeedPacket after Close succeeded", tc.name, mode.name)
+			}
 		}
 	}
 }

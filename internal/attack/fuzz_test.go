@@ -75,7 +75,10 @@ type fuzzOutcome struct {
 	closeErr string
 }
 
-// runFuzzMonitor feeds a fresh monitor through feed and closes it.
+// runFuzzMonitor feeds a fresh monitor through feed and closes it, and
+// checks what callers of Close rely on: no flow is left open, the Stats
+// counters match the SessionFinalized and FlowExpired events, and a
+// successful Close returns the Inference of exactly one SessionFinalized.
 func runFuzzMonitor(t *testing.T, atk *Attacker, win *Window, feed func(*Monitor) error) fuzzOutcome {
 	t.Helper()
 	var out fuzzOutcome
@@ -90,6 +93,29 @@ func runFuzzMonitor(t *testing.T, atk *Attacker, win *Window, feed func(*Monitor
 	out.inf = inf
 	if err != nil {
 		out.closeErr = err.Error()
+	}
+	var finalized, expired, carriers int
+	for _, ev := range out.events {
+		switch e := ev.(type) {
+		case SessionFinalized:
+			finalized++
+			if e.Inference == inf {
+				carriers++
+			}
+		case FlowExpired:
+			expired++
+		}
+	}
+	st := m.Stats()
+	if st.Flows != 0 {
+		t.Fatalf("%d flows still tracked after Close", st.Flows)
+	}
+	if st.FinalizedSessions != finalized || st.ExpiredFlows != expired {
+		t.Fatalf("Stats counts %d finalized and %d expired, events %d and %d",
+			st.FinalizedSessions, st.ExpiredFlows, finalized, expired)
+	}
+	if err == nil && carriers != 1 {
+		t.Fatalf("%d SessionFinalized events carry the Inference Close returned, want 1", carriers)
 	}
 	return out
 }
@@ -196,7 +222,8 @@ func pcapFrames(tb testing.TB, data []byte) []fuzzFrame {
 // No input may panic it, feeding the same input twice must give the same
 // events and Close result, and the same frames written as pcap bytes and
 // fed through Feed in two pieces, cut at the offset split picks, must
-// give them too. Every feed goes through a reused buffer that is
+// give them too. Every run must also keep Close's contract (see
+// runFuzzMonitor). Every feed goes through a reused buffer that is
 // overwritten after each call.
 func FuzzMonitorFeedPacket(f *testing.F) {
 	// Frames spread evenly over a real capture, one to a seed, each cut
@@ -207,7 +234,7 @@ func FuzzMonitorFeedPacket(f *testing.F) {
 	for i := 0; i < len(frames); i += 1 + len(frames)/7 {
 		f.Add(uint16(pcapHeaderBytes+len(frames[i].data)/2), encodeFuzzFrames(frames[i:i+1]))
 	}
-	// The hand-built open and reset of TestShardEquivalenceHandBuilt.
+	// The hand-built open and reset of TestMonitorExpiryHandBuilt.
 	x := handKey(40000)
 	var hand []fuzzFrame
 	for i, st := range []struct {

@@ -1,9 +1,10 @@
 package attack
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/layers"
@@ -37,16 +38,19 @@ import (
 // concurrent bulk-streaming noise.
 //
 // In every mode reassembled chunks are released the moment the record
-// scanner has read them, since the attack needs only record headers. By
-// default the monitor retains every flow's record descriptors until
-// Close — the batch-equivalence contract needs the full observation. A
-// real deployment watches a link tap for hours; MonitorOptions.Window
-// turns on the rolling-window mode for that regime: flows finalize
-// individually on FIN/RST or an idle timeout (emitting SessionFinalized
-// or FlowExpired as they go), and noise flows that never produce an
-// in-band report are rejected and eventually evicted, so one monitor
-// runs indefinitely in memory bounded by the set of concurrently live
-// conversations rather than by uptime.
+// scanner has read them, and each flow keeps one store of record
+// descriptors: its client records (TCP) or burst pseudo-records (QUIC),
+// the observation the attack decodes. Server descriptors are dropped as
+// they are scanned, since the attack never reads them. By default every
+// flow stays open until Close, so the decode sees each flow's whole
+// observation. A real deployment watches a link tap for hours;
+// MonitorOptions.Window turns on the rolling-window mode for that
+// regime: flows finalize individually on FIN/RST or an idle timeout
+// (emitting SessionFinalized or FlowExpired as they go), and noise flows
+// that never produce an in-band report are rejected and eventually
+// evicted, so one monitor runs indefinitely in memory bounded by the set
+// of concurrently live conversations rather than by uptime. Close applies
+// one rule in both modes to the flows still open.
 //
 // A Monitor runs on the caller's goroutine: Feed and FeedPacket parse,
 // decode and process their packets before they return, and OnEvent runs
@@ -72,19 +76,21 @@ type Monitor struct {
 	sweptAt    time.Time // capture clock of the last idle sweep
 	sweeps     int64     // idle sweeps run
 
-	finalized   int   // SessionFinalized emitted (window mode)
-	expired     int   // FlowExpired emitted (window mode)
+	finalized   int   // SessionFinalized emitted
+	expired     int   // FlowExpired emitted
 	rejectedNow int   // flows currently in rejected probation
 	sweepTouch  int64 // wheel entries examined across all sweeps
 
-	// Window-mode verdicts: the best finalized session, and the
-	// largest-flow fallback — until a session finalizes, the largest
-	// viable flow to expire keeps its inference, preserving the batch rule
-	// that a capture with no classified reports still attacks its biggest
-	// conversation. It costs one Infer per new-largest expiry. settled
-	// stops fallback stashing once a session has finalized.
+	// Verdicts: the best finalized session, and the largest-flow
+	// fallback — until a session finalizes, the largest viable flow to
+	// expire keeps its inference, so a capture with no classified reports
+	// still attacks its biggest conversation. It costs one Infer per
+	// new-largest expiry. settled stops fallback stashing once a session
+	// has finalized. inferErr is the first error Infer returned, which
+	// Close reports when no flow yielded an inference.
 	best, fallback *verdict
 	settled        bool
+	inferErr       error
 
 	table      *PathTable // lazily built when the attacker has a graph
 	tableTried bool       // one-shot: a failed build is not retried per record
@@ -121,15 +127,6 @@ func (v *verdict) beats(o *verdict) bool {
 		return v.matched > o.matched
 	}
 	return v.score > o.score
-}
-
-// beatsByKey is the batch close's session rule: beats, with equals
-// broken by the lower client key.
-func (v *verdict) beatsByKey(o *verdict) bool {
-	if v.matched == o.matched && v.score == o.score {
-		return v.flow.String() < o.flow.String()
-	}
-	return v.beats(o)
 }
 
 // weight is a fallback's byte volume; no fallback weighs 0.
@@ -203,12 +200,11 @@ const (
 const sweepInterval = 256
 
 // minSessionHards is the least in-band report count for a finalizing flow
-// to be inferred as an interactive session rather than expired as noise —
-// 1, the same admission rule the batch close applies, so a windowed
-// run never discards a flow the batch path would have attacked. (An
-// accidental band collision on a bulk flow does cost one Infer and a
-// low-matched SessionFinalized; selection by (matched, score) still
-// rejects it as the final answer.)
+// to be inferred as an interactive session rather than expired as noise:
+// 1, so no flow with a report is discarded unattacked, whether it
+// finalizes mid-feed or at Close. (An accidental band collision on a bulk
+// flow does cost one Infer and a low-matched SessionFinalized; selection
+// by (matched, score) still rejects it as the final answer.)
 const minSessionHards = 1
 
 // recordFootprint approximates one retained record descriptor's heap cost
@@ -223,9 +219,10 @@ type MonitorOptions struct {
 	// monitor still classifies each client record as it completes and
 	// counts its in-band reports, but keeps no live hypothesis.
 	OnEvent func(Event)
-	// Window, when non-nil, turns on the rolling-window mode: released
-	// record descriptors, per-flow FIN/RST/idle finalization, and
-	// noise-flow eviction.
+	// Window, when non-nil, turns on the rolling-window mode: per-flow
+	// FIN/RST/idle finalization, and rejection and eviction of noise
+	// flows. Without it every flow stays open until Close, which then
+	// concludes them all by the rule both modes share.
 	Window *Window
 	// Shards is ignored: a Monitor always runs on the caller's goroutine.
 	//
@@ -274,11 +271,14 @@ type ChoiceInferred struct {
 	DecodeMargin float64
 }
 
-// SessionFinalized fires with a flow's final inference: from Close in
-// batch mode, and additionally per flow in rolling-window mode the moment
-// the flow finalizes (FIN/RST exchange or idle timeout) — a mid-session
+// SessionFinalized fires with a flow's final inference, once per flow
+// that concludes as a session: at Close, for every flow still open that
+// carries in-band reports (or, when no flow does, for the largest
+// conversation), and in rolling-window mode also the moment a flow
+// finalizes on a FIN/RST exchange or an idle timeout — a mid-session
 // expiry carries the partial path decoded so far with its
-// confirmed-prefix DecodeMargin.
+// confirmed-prefix DecodeMargin. The Inference Close returns is the very
+// pointer one of these events carried.
 type SessionFinalized struct {
 	// Flow is the client→server flow key of the attacked conversation.
 	Flow layers.FlowKey
@@ -287,9 +287,10 @@ type SessionFinalized struct {
 	Inference *Inference
 }
 
-// FlowExpired fires in rolling-window mode when a flow leaves the monitor
-// without finalizing as an interactive session: its close arrived, it
-// idled out, or rejection probation settled.
+// FlowExpired fires when a flow leaves the monitor without finalizing as
+// an interactive session: at Close in both modes (Reason "close"), and in
+// rolling-window mode when its FIN/RST exchange arrives, it idles out, or
+// rejection probation settles.
 type FlowExpired struct {
 	// Flow is the client→server flow key when the client side was seen,
 	// else the canonical conversation key.
@@ -338,13 +339,14 @@ type MonitorStats struct {
 	LiveFlows int
 	// RejectedFlows are flows currently in rejected probation.
 	RejectedFlows int
-	// FinalizedSessions counts SessionFinalized events so far.
+	// FinalizedSessions counts SessionFinalized events so far, in both
+	// modes.
 	FinalizedSessions int
-	// ExpiredFlows counts FlowExpired events so far.
+	// ExpiredFlows counts FlowExpired events so far, in both modes.
 	ExpiredFlows int
 	// RetainedBytes approximates the monitor's retained buffer memory:
-	// reassembly chunks and pending segments, record descriptors, and the
-	// carried partial record of the pcap feed.
+	// reassembly chunks and pending segments, the flows' client record
+	// descriptors, and the carried partial record of the pcap feed.
 	RetainedBytes int64
 	// Sweeps counts idle sweeps run so far (window mode).
 	Sweeps int64
@@ -367,28 +369,23 @@ type ShardStats struct {
 }
 
 // monDir is one direction of a monitored conversation: the reassembly
-// stream, the chunk cursor into it, and the record scanner riding on top.
+// stream, the chunk cursor into it, and the record scanner riding on top,
+// drained after every packet.
 type monDir struct {
 	stream   *tcpreasm.Stream
 	consumed int // chunks consumed from the stream (absolute index)
 	sc       *tlsrec.RecordScanner
-	taken    int // complete records taken from the scanner (absolute index)
 }
 
 // quicFlow is the QUIC/UDP replacement for the two reassembly directions:
-// direction bookkeeping, the client-side burst segmenter, and the
-// pseudo-records its completed bursts produce.
+// direction bookkeeping and the client-side burst segmenter.
 type quicFlow struct {
-	sniffed    bool // first datagram examined
-	observed   bool // QUICFlowObserved emitted
-	haveClient bool
-	haveServer bool
-	serverKey  layers.FlowKey
-	seg        BurstSegmenter
-	// recs are the completed client bursts as pseudo-records: Length is
-	// the burst's summed datagram bytes, Time its first arrival. They are
-	// what observation() hands the attacker in place of scanned records.
-	recs        []tlsrec.Record
+	sniffed     bool // first datagram examined
+	observed    bool // QUICFlowObserved emitted
+	haveClient  bool
+	haveServer  bool
+	serverKey   layers.FlowKey
+	seg         BurstSegmenter
 	clientBytes int64
 	serverBytes int64
 }
@@ -415,13 +412,23 @@ type monFlow struct {
 	nextRecheckT time.Time // capture-clock deadline of the next probation check
 	rechecks     int       // probation rounds left before terminal eviction
 
+	// recs is the flow's observation: every client record (TCP) or
+	// completed burst as a pseudo-record (QUIC; Length is the burst's
+	// summed datagram bytes, Time its first arrival), less what noise
+	// rejection dropped.
+	recs []tlsrec.Record
+
 	// Live decode state, kept per client record in every mode; pa only
 	// when the monitor has OnEvent.
-	anchor       time.Time
-	classified   int // client application records classified so far
-	hards        int // in-band (type-1/type-2) records among them
-	plainChoices []InferredChoice
-	pa           *prefixAligner
+	anchor     time.Time
+	classified int // client application records classified so far
+	hards      int // in-band (type-1/type-2) records among them
+	// The plain running decode ChoiceInferred reports without a graph: a
+	// type-1 opens a choice (choices counts them) taken by default, and
+	// a type-2 before the next type-1 flips the latest to non-default.
+	choices       int
+	latestDefault bool
+	pa            *prefixAligner
 }
 
 // NewMonitor returns a streaming monitor for a trained attacker.
@@ -590,19 +597,22 @@ func (m *Monitor) ingest(p *layers.Packet, canon layers.FlowKey) {
 		// Not TLS: the conversation can never be attacked, so stop
 		// buffering it in every mode (its data is never read again).
 		m.deadenFlow(f)
-	} else if !f.dead {
+	} else {
+		// Take the records this packet completed, then drop them from the
+		// scanner: client records live on in f.recs, and server records
+		// are never read.
 		recs := dir.sc.Records()
-		if base := dir.sc.Released(); dir.taken < base+len(recs) {
-			for _, r := range recs[dir.taken-base:] {
-				if isClient {
-					m.onClientRecord(f, r)
-				}
+		if isClient && !f.dead {
+			for _, r := range recs {
+				m.onClientRecord(f, r)
 			}
-			dir.taken = base + len(recs)
 		}
+		dir.sc.ReleaseRecords(dir.sc.Released() + len(recs))
 	}
 	if m.win != nil {
-		m.maintainFlow(f, dir, isClient)
+		if isClient {
+			m.noiseTick(f)
+		}
 		m.maybeFinalize(f, ts)
 	}
 }
@@ -682,17 +692,14 @@ func (m *Monitor) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
 		}
 	}
 	if m.win != nil {
-		m.noiseTick(f, func() { q.recs = q.recs[:0] })
+		m.noiseTick(f)
 	}
 }
 
-// quicBurst records one completed client burst as a pseudo-record and
-// runs it through the same classify/detect/decode step a scanned TLS
-// record takes.
+// quicBurst runs one completed client burst, as a pseudo-record of its
+// summed size, through the same step a scanned TLS record takes.
 func (m *Monitor) quicBurst(f *monFlow, b Burst) {
-	rec := tlsrec.Record{Type: tlsrec.ContentApplicationData, Length: b.Bytes, Time: b.Start}
-	f.quic.recs = append(f.quic.recs, rec)
-	m.onClientRecord(f, rec)
+	m.onClientRecord(f, tlsrec.Record{Type: tlsrec.ContentApplicationData, Length: b.Bytes, Time: b.Start})
 }
 
 // flushQUIC closes a QUIC flow's open burst — the flow is ending, so the
@@ -725,7 +732,7 @@ func (f *monFlow) quicDirection(k layers.FlowKey) bool {
 }
 
 // deadenFlow marks a conversation as unattackable and evicts its buffers:
-// reassembly stops retaining payloads and already-scanned descriptors are
+// reassembly stops retaining payloads and its record descriptors are
 // dropped. Candidate selection is unaffected — the flow was never viable.
 func (m *Monitor) deadenFlow(f *monFlow) {
 	if f.dead {
@@ -740,32 +747,14 @@ func (m *Monitor) deadenFlow(f *monFlow) {
 		if d.stream != nil {
 			d.stream.Discard()
 		}
-		if d.sc != nil {
-			d.sc.ReleaseRecords(d.sc.Released() + len(d.sc.Records()))
-		}
 	}
-	if f.quic != nil {
-		f.quic.recs = nil
-	}
-}
-
-// maintainFlow is the rolling-window bookkeeping after one packet: the
-// server side's record descriptors (which the attack never reads) are
-// dropped, and the client side drives the noise-rejection state machine.
-func (m *Monitor) maintainFlow(f *monFlow, dir *monDir, isClient bool) {
-	if !isClient {
-		dir.sc.ReleaseRecords(dir.sc.Released() + len(dir.sc.Records()))
-		return
-	}
-	m.noiseTick(f, func() { dir.sc.ReleaseRecords(dir.taken) })
+	f.recs = nil
 }
 
 // noiseTick drives the zero-report rejection state machine for one flow's
-// client side after a packet on it. dropRecs releases the flow's retained
-// client record descriptors — scanner records for TCP, burst
-// pseudo-records for QUIC — which is the only transport-specific part of
-// the machine.
-func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
+// client side after a packet on it, dropping the flow's retained record
+// descriptors when it rejects the flow and while probation lasts.
+func (m *Monitor) noiseTick(f *monFlow) {
 	if f.dead {
 		return
 	}
@@ -798,7 +787,7 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 			f.rechecks = recheckBudget
 			f.nextRecheck = f.classified + recheckEvery
 			f.nextRecheckT = m.clock.Add(rejectQuiet)
-			dropRecs()
+			f.recs = f.recs[:0]
 		}
 		return
 	}
@@ -806,7 +795,7 @@ func (m *Monitor) noiseTick(f *monFlow, dropRecs func()) {
 	// re-check budget with still zero reports, evict terminally. Re-checks
 	// fire on whichever cadence — record count or capture clock — comes
 	// first, so slow drips cannot stretch probation indefinitely.
-	dropRecs()
+	f.recs = f.recs[:0]
 	if f.classified >= f.nextRecheck || !m.clock.Before(f.nextRecheckT) {
 		f.rechecks--
 		f.nextRecheck = f.classified + recheckEvery
@@ -856,7 +845,7 @@ func (m *Monitor) sweep(exempt layers.FlowKey) {
 	for _, e := range m.wheel.advance(m.clock) {
 		m.sweepTouch++
 		f := e.flow
-		if m.flows[f.canonical] != f {
+		if !m.isOpen(f) {
 			continue // dropped since scheduling; stale entry
 		}
 		if f.lastSeen.IsZero() || f.lastSeen.Add(m.win.IdleTimeout).After(m.clock) || f.canonical == exempt {
@@ -888,7 +877,7 @@ func (m *Monitor) finalizeFlow(f *monFlow, at time.Time, reason string) {
 	// A QUIC flow's last write never sees the gap that would close it.
 	m.flushQUIC(f)
 	if m.sessionReady(f) {
-		if inf, err := m.atk.Infer(f.observation()); err == nil {
+		if inf := m.infer(f); inf != nil {
 			m.noteFinal(sessionVerdict(f, inf))
 			return
 		}
@@ -925,9 +914,22 @@ func (m *Monitor) stashFallback(f *monFlow) {
 	if m.settled || !f.viable() || f.totalBytes() <= m.fallback.weight() {
 		return
 	}
-	if inf, err := m.atk.Infer(f.observation()); err == nil {
+	if inf := m.infer(f); inf != nil {
 		m.fallback = &verdict{inf: inf, flow: f.clientKey, bytes: f.totalBytes()}
 	}
+}
+
+// infer runs the attack on f's observation. A failure yields nil, and the
+// first one is kept for Close to report.
+func (m *Monitor) infer(f *monFlow) *Inference {
+	inf, err := m.atk.Infer(&Observation{ClientRecords: f.recs})
+	if err != nil {
+		if m.inferErr == nil {
+			m.inferErr = err
+		}
+		return nil
+	}
+	return inf
 }
 
 // dropFlow releases a flow's reassembly state and forgets it. A later
@@ -978,12 +980,13 @@ func (f *monFlow) direction(k layers.FlowKey) (*monDir, bool) {
 	}
 }
 
-// onClientRecord absorbs one completed client-side record: anchor the
-// session clock, classify application data and count its in-band reports
-// (the counters every close rule and the window read), emit detection and
-// running choice events, and extend the live alignment. Without an event
-// callback only the counters are kept.
+// onClientRecord absorbs one completed client-side record: keep it in the
+// flow's observation, anchor the session clock, classify application data
+// and count its in-band reports (the counters Close and the window read),
+// emit detection and running choice events, and extend the live
+// alignment. Without an event callback only the counters are kept.
 func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
+	f.recs = append(f.recs, rec)
 	if f.anchor.IsZero() {
 		f.anchor = rec.Time // first client record — the decode anchor
 	}
@@ -1005,18 +1008,11 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 			f.detected = true
 			m.emit(FlowDetected{Flow: f.clientKey, At: rec.Time, Length: rec.Length, Class: cr.Class})
 		}
-		// Plain running decode: a type-1 opens a choice, a type-2 before
-		// the next type-1 flips the latest one to non-default.
-		switch cr.Class {
-		case ClassType1:
-			f.plainChoices = append(f.plainChoices, InferredChoice{
-				Index: len(f.plainChoices), TookDefault: true, QuestionAt: rec.Time,
-			})
-		case ClassType2:
-			if n := len(f.plainChoices); n > 0 {
-				f.plainChoices[n-1].TookDefault = false
-				f.plainChoices[n-1].DecidedAt = rec.Time
-			}
+		if cr.Class == ClassType1 {
+			f.choices++
+			f.latestDefault = true
+		} else {
+			f.latestDefault = false
 		}
 	}
 	if m.onEvent == nil || f.rejected {
@@ -1034,7 +1030,7 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 		}
 		f.pa.observe(ev)
 	}
-	if !hard || len(f.plainChoices) == 0 {
+	if !hard || f.choices == 0 {
 		// An orphan type-2 (no type-1 opened a choice yet) is a classifier
 		// slip — the plain decode ignores it, and there is no choice to
 		// report an event about.
@@ -1043,14 +1039,14 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 	ci := ChoiceInferred{
 		Flow:   f.clientKey,
 		At:     rec.Time,
-		Choice: len(f.plainChoices) - 1,
+		Choice: f.choices - 1,
 	}
 	if f.pa != nil {
 		// A type-1 report confirms every *earlier* choice (had the viewer
 		// gone non-default at the latest one, its type-2 would still be
 		// pending); a type-2 confirms its own choice too. The margin is
 		// computed over exactly the confirmed prefix.
-		confirmed := len(f.plainChoices)
+		confirmed := f.choices
 		if cr.Class == ClassType1 {
 			confirmed--
 		}
@@ -1060,8 +1056,8 @@ func (m *Monitor) onClientRecord(f *monFlow, rec tlsrec.Record) {
 		if ci.Choice >= 0 && ci.Choice < len(ci.Decisions) {
 			ci.TookDefault = ci.Decisions[ci.Choice]
 		}
-	} else if ci.Choice >= 0 {
-		ci.TookDefault = f.plainChoices[ci.Choice].TookDefault
+	} else {
+		ci.TookDefault = f.latestDefault
 	}
 	m.emit(ci)
 }
@@ -1079,20 +1075,6 @@ func (m *Monitor) liveTable() *PathTable {
 	}
 	m.table = t
 	return t
-}
-
-// observation assembles the attacker's view of one monitored flow. For a
-// QUIC flow the client "records" are its burst pseudo-records; the server
-// direction contributes only its existence (the attack never reads server
-// record contents anyway).
-func (f *monFlow) observation() *Observation {
-	if f.quic != nil {
-		return &Observation{ClientRecords: f.quic.recs}
-	}
-	return &Observation{
-		ClientRecords: f.client.sc.Records(),
-		ServerRecords: f.server.sc.Records(),
-	}
 }
 
 // viable reports whether a flow is a complete, attackable conversation:
@@ -1126,34 +1108,41 @@ func (m *Monitor) Stats() MonitorStats {
 			if d.stream != nil {
 				st.RetainedBytes += d.stream.BufferedBytes()
 			}
-			if d.sc != nil {
-				st.RetainedBytes += int64(len(d.sc.Records())) * recordFootprint
-			}
 		}
-		if f.quic != nil {
-			st.RetainedBytes += int64(len(f.quic.recs)) * recordFootprint
-		}
+		st.RetainedBytes += int64(len(f.recs)) * recordFootprint
 	}
 	return st
 }
 
 // Close finalizes the monitor: it verifies the feed ended on a clean pcap
-// boundary, picks the best candidate flow, runs the full inference on it,
-// emits SessionFinalized and returns the Inference. For single-TLS-flow
-// captures the result is byte-identical to the batch Attacker.InferPcap;
-// among multiple candidates the flow whose records the script graph
-// explains best wins (falling back to the largest flow when no in-band
-// reports classified anywhere). In rolling-window mode every still-open
-// flow finalizes first — emitting its own SessionFinalized or FlowExpired
-// — and the best inference across the whole run is returned.
+// boundary, concludes every flow still open, and returns the Inference of
+// the attacked flow. One rule applies in both modes. The flows still open
+// conclude in first-seen order (the order the timing wheel uses, so a
+// 5-tuple reused after its first conversation ended closes after the
+// flows first seen before its reuse), in three steps, after every open
+// QUIC burst closes (the silence that would have closed it will never be
+// observed):
 //
-// Flows still open at Close finalize or expire in first-seen order — the
-// order the timing wheel uses — so a 5-tuple reused after its first
-// conversation ended closes after the flows first seen before its reuse.
-// Sessions rank by (matched, score). In window mode the earlier of two
-// equal sessions wins, and the largest-flow fallback takes only strictly
-// more bytes; in batch mode equal sessions and equal-size flows break by
-// client key.
+//  1. every viable flow with in-band reports is inferred and emits a
+//     SessionFinalized;
+//  2. if no session has finalized over the whole feed, the largest viable
+//     conversation still open is attacked and emits a SessionFinalized,
+//     unless a flow that already concluded without a session carried at
+//     least as many bytes;
+//  3. every other flow emits FlowExpired with Reason "close".
+//
+// Sessions rank by (matched, score), and of equals the first finalized
+// wins; of equal-size conversations the first seen is attacked, and one
+// of zero bytes is not. With still no session, the largest flow that
+// expired earlier is the answer and emits its SessionFinalized now. For a
+// single-conversation capture the result is byte-identical to the
+// one-shot Attacker.InferPcap.
+//
+// The returned *Inference is the very pointer the attacked flow's
+// SessionFinalized carried, so an OnEvent callback names the attacked
+// flow by e.Inference == inf. When no flow yielded an Inference, Close
+// returns the first error Infer returned, or ErrNoTLSConversation when
+// there was no conversation to attack.
 func (m *Monitor) Close() (*Inference, error) {
 	if m.closed {
 		return nil, errors.New("attack: monitor already closed")
@@ -1164,78 +1153,20 @@ func (m *Monitor) Close() (*Inference, error) {
 			m.err = wrapReadErr(m.cr.HeaderDone(), err)
 		}
 	}
-	switch {
-	case m.err != nil:
+	if m.err != nil {
 		return nil, m.err
-	case m.win != nil:
-		return m.closeWindowed()
-	default:
-		return m.closeBatch()
 	}
-}
-
-// closeBatch is the batch close: open QUIC bursts close (the silence that
-// would have closed them will never be observed), every flow with
-// in-band reports is inferred and ranked as a session, and the best one
-// wins; else the largest viable conversation is attacked (the batch
-// rule). Close emits the one SessionFinalized.
-func (m *Monitor) closeBatch() (*Inference, error) {
-	var best *verdict
-	var largest *monFlow
-	for _, f := range m.openFlows() {
+	open := m.openFlows()
+	for _, f := range open {
 		m.flushQUIC(f)
-		if !f.viable() {
-			continue
-		}
-		if largest == nil || f.heavier(largest) {
-			largest = f
-		}
-		if f.hards == 0 {
-			continue
-		}
-		if inf, err := m.atk.Infer(f.observation()); err == nil {
-			if v := sessionVerdict(f, inf); best == nil || v.beatsByKey(best) {
-				best = v
-			}
-		}
 	}
-	if best == nil {
-		if largest == nil {
-			return nil, ErrNoTLSConversation
-		}
-		inf, err := m.atk.Infer(largest.observation())
-		if err != nil {
-			return nil, err
-		}
-		best = &verdict{inf: inf, flow: largest.clientKey}
-	}
-	m.emit(SessionFinalized{Flow: best.flow, Inference: best.inf})
-	return best.inf, nil
-}
-
-// heavier ranks largest-flow candidates in the batch close: more bytes,
-// then the lower client key.
-func (f *monFlow) heavier(o *monFlow) bool {
-	if b, ob := f.totalBytes(), o.totalBytes(); b != ob {
-		return b > ob
-	}
-	return f.clientKey.String() < o.clientKey.String()
-}
-
-// closeWindowed drains the window at end of feed in three steps: flows
-// with in-band evidence finalize as sessions; if none has finalized, the
-// largest still-open conversation is attacked — the batch fallback for
-// captures whose reports never classified — unless an already-expired
-// flow outweighs it; everything else expires with reason "close". With
-// still no session, the largest expired viable flow is the answer.
-func (m *Monitor) closeWindowed() (*Inference, error) {
-	m.closeFlows(m.sessionReady)
+	m.closeFlows(open, m.sessionReady)
 	if m.best == nil {
-		if f := m.largestOpen(); f != nil && f.totalBytes() > m.fallback.weight() {
+		if f := m.largestOpen(open); f != nil && f.totalBytes() > m.fallback.weight() {
 			m.finalizeLargest(f)
 		}
 	}
-	m.closeFlows(func(*monFlow) bool { return true })
+	m.closeFlows(open, func(*monFlow) bool { return true })
 	if m.best != nil {
 		return m.best.inf, nil
 	}
@@ -1243,6 +1174,9 @@ func (m *Monitor) closeWindowed() (*Inference, error) {
 		m.finalized++
 		m.emit(SessionFinalized{Flow: v.flow, Inference: v.inf})
 		return v.inf, nil
+	}
+	if m.inferErr != nil {
+		return nil, m.inferErr
 	}
 	return nil, ErrNoTLSConversation
 }
@@ -1253,27 +1187,29 @@ func (m *Monitor) openFlows() []*monFlow {
 	for _, f := range m.flows {
 		fs = append(fs, f)
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].firstSeq < fs[j].firstSeq })
+	slices.SortFunc(fs, func(a, b *monFlow) int { return cmp.Compare(a.firstSeq, b.firstSeq) })
 	return fs
 }
 
-// closeFlows finalizes, in first-seen order, every open flow that keep
+// isOpen reports whether f is still tracked, not yet concluded.
+func (m *Monitor) isOpen(f *monFlow) bool { return m.flows[f.canonical] == f }
+
+// closeFlows finalizes, in order, every flow of fs still open that keep
 // accepts, with reason "close".
-func (m *Monitor) closeFlows(keep func(*monFlow) bool) {
-	for _, f := range m.openFlows() {
-		if keep(f) {
+func (m *Monitor) closeFlows(fs []*monFlow, keep func(*monFlow) bool) {
+	for _, f := range fs {
+		if m.isOpen(f) && keep(f) {
 			m.finalizeFlow(f, m.clock, "close")
 		}
 	}
 }
 
-// largestOpen is the largest still-open viable flow, the first seen of
-// equals — the candidate for the batch largest-conversation fallback at
-// close.
-func (m *Monitor) largestOpen() *monFlow {
+// largestOpen is the largest viable flow of fs still open, the first of
+// equals — the candidate for the largest-conversation fallback at close.
+func (m *Monitor) largestOpen(fs []*monFlow) *monFlow {
 	var largest *monFlow
-	for _, f := range m.openFlows() {
-		if !f.dead && f.viable() && (largest == nil || f.totalBytes() > largest.totalBytes()) {
+	for _, f := range fs {
+		if m.isOpen(f) && !f.dead && f.viable() && (largest == nil || f.totalBytes() > largest.totalBytes()) {
 			largest = f
 		}
 	}
@@ -1283,7 +1219,7 @@ func (m *Monitor) largestOpen() *monFlow {
 // finalizeLargest runs the largest-conversation attack on one still-open
 // flow and finalizes it. A failed Infer leaves the flow to expire.
 func (m *Monitor) finalizeLargest(f *monFlow) {
-	if inf, err := m.atk.Infer(f.observation()); err == nil {
+	if inf := m.infer(f); inf != nil {
 		m.noteFinal(&verdict{inf: inf, flow: f.clientKey})
 		m.dropFlow(f)
 	}

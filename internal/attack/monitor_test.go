@@ -1021,7 +1021,7 @@ var (
 	handRst    = layers.TCP{Seq: 2, Flags: layers.TCPRst}
 )
 
-// TestShardEquivalenceHandBuilt replays hand-built SYN/ACK/RST sequences
+// TestMonitorExpiryHandBuilt replays hand-built SYN/ACK/RST sequences
 // through FeedPacket and requires the expected expiry events and
 // ErrNoTLSConversation from Close.
 //
@@ -1031,7 +1031,11 @@ var (
 //   - port reuse: X resets and its 5-tuple opens a new conversation after
 //     Y was first seen; at Close the still-open flows expire in first-seen
 //     order, Y before the new X.
-func TestShardEquivalenceHandBuilt(t *testing.T) {
+//   - batch port reuse: the same packets with no window. Nothing
+//     finalizes before Close, so X is one conversation first seen before
+//     Y, and both expire at Close in that order. X's handshake carried no
+//     bytes, so it is no conversation to attack.
+func TestMonitorExpiryHandBuilt(t *testing.T) {
 	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
 	base := time.Unix(1700000000, 0)
 	x, y, z := handKey(40000), handKey(40001), handKey(50000)
@@ -1052,30 +1056,36 @@ func TestShardEquivalenceHandBuilt(t *testing.T) {
 		epoch = append(epoch, step{ms(64700), z, handAck})
 	}
 	epoch = append(epoch, step{ms(65200), z, handAck})
+	reuse := []step{{0, x, handSyn}, {0, x.Reverse(), handSynAck}, {ms(1000), y, handSyn}, {ms(2000), x, handRst}, {ms(3000), x, handSyn}}
 	cases := []struct {
 		name  string
-		win   Window
+		win   *Window
 		steps []step
 		want  []string // FlowExpired events: reason, flow, capture offset
 	}{
 		{
 			name:  "wheel epoch",
-			win:   Window{IdleTimeout: 64 * time.Second},
+			win:   &Window{IdleTimeout: 64 * time.Second},
 			steps: epoch,
 			want:  []string{"idle X 1m4.2s", "idle Y 1m5.2s", "close Z 1m5.2s"},
 		},
 		{
 			name:  "port reuse",
-			win:   Window{},
-			steps: []step{{0, x, handSyn}, {0, x.Reverse(), handSynAck}, {ms(1000), y, handSyn}, {ms(2000), x, handRst}, {ms(3000), x, handSyn}},
+			win:   &Window{},
+			steps: reuse,
 			want:  []string{"rst X 2s", "close Y 3s", "close X 3s"},
+		},
+		{
+			name:  "batch port reuse",
+			steps: reuse,
+			want:  []string{"close X 3s", "close Y 3s"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []string
 			m := NewMonitor(atk, MonitorOptions{
-				Window: &tc.win,
+				Window: tc.win,
 				OnEvent: func(ev Event) {
 					e, ok := ev.(FlowExpired)
 					if !ok {
@@ -1100,5 +1110,55 @@ func TestShardEquivalenceHandBuilt(t *testing.T) {
 				t.Errorf("events %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// reportOnlyClassifier places every application record in the type-1
+// band, so each of reportlessFrames' records reads as an in-band report.
+type reportOnlyClassifier struct{}
+
+func (reportOnlyClassifier) Classify(int) (Class, float64) { return ClassType1, 1 }
+
+func (reportOnlyClassifier) Name() string { return "type-1-only" }
+
+// TestMonitorCloseEqualSessionsFirstSeen pins Close's tie rule in batch
+// mode: two flows carrying the same in-band record sequence, the first
+// seen on the higher client port, both finalize as sessions at Close in
+// first-seen order, and of the two equals the first seen is attacked.
+// Close returns the very Inference its SessionFinalized carried.
+func TestMonitorCloseEqualSessionsFirstSeen(t *testing.T) {
+	atk := *trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
+	atk.Classifier = reportOnlyClassifier{}
+	start := time.Unix(1700000000, 0)
+	frames := mergeFrames(reportlessFrames(t, 40001, start, time.Second, 3),
+		reportlessFrames(t, 40000, start.Add(500*time.Millisecond), time.Second, 3))
+	var finals []SessionFinalized
+	m := NewMonitor(&atk, MonitorOptions{OnEvent: func(ev Event) {
+		if e, ok := ev.(SessionFinalized); ok {
+			finals = append(finals, e)
+		}
+	}})
+	for _, fr := range frames {
+		if err := m.FeedPacket(fr.ts, fr.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inf, err := m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ports []uint16
+	for _, e := range finals {
+		ports = append(ports, e.Flow.SrcPort)
+	}
+	if !slices.Equal(ports, []uint16{40001, 40000}) {
+		t.Fatalf("SessionFinalized on ports %v, want [40001 40000]", ports)
+	}
+	h0, h1 := finals[0].Inference.Hypotheses, finals[1].Inference.Hypotheses
+	if len(h0) == 0 || len(h1) == 0 || h0[0].Matched != h1[0].Matched || h0[0].Score != h1[0].Score {
+		t.Fatal("the two sessions do not tie on (matched, score)")
+	}
+	if inf != finals[0].Inference {
+		t.Error("Close did not return the first-seen session's Inference")
 	}
 }

@@ -120,8 +120,8 @@ type captureScore struct {
 
 // attackCapture renders tr with noiseFlows interleaved noise flows under
 // capture seed capSeed, feeds the capture through a Monitor in 256 KiB
-// chunks, and scores the result: whether the monitor finalized on the
-// client endpoint, and how many of tr's choices it recovered.
+// chunks, and scores the result: whether the flow the monitor attacked is
+// the client endpoint's, and how many of tr's choices it recovered.
 func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capSeed uint64) (captureScore, error) {
 	var buf bytes.Buffer
 	if err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
@@ -130,10 +130,12 @@ func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capS
 	}); err != nil {
 		return captureScore{}, err
 	}
-	var finalized *attack.SessionFinalized
+	// Close returns the Inference its attacked flow's SessionFinalized
+	// carried, which names that flow among all the sessions concluded.
+	finalized := map[*attack.Inference]attack.SessionFinalized{}
 	m := attack.NewMonitor(atk, attack.MonitorOptions{OnEvent: func(ev attack.Event) {
 		if f, ok := ev.(attack.SessionFinalized); ok {
-			finalized = &f
+			finalized[f.Inference] = f
 		}
 	}})
 	data := buf.Bytes()
@@ -149,8 +151,8 @@ func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capS
 	}
 	ep := capture.DefaultEndpoints()
 	sc := captureScore{margin: inf.DecodeMargin, clientBytes: int64(len(tr.ClientToServer.Bytes))}
-	sc.detected = finalized != nil &&
-		finalized.Flow.SrcAddr == ep.ClientAddr && finalized.Flow.SrcPort == ep.ClientPort
+	attacked, ok := finalized[inf]
+	sc.detected = ok && attacked.Flow.SrcAddr == ep.ClientAddr && attacked.Flow.SrcPort == ep.ClientPort
 	sc.correct, sc.total = attack.ScoreDecisions(inf.Decisions, tr.GroundTruthDecisions())
 	return sc, nil
 }

@@ -152,12 +152,13 @@ func TestMonitorChunkEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardEquivalence pins feed-path equivalence for events and both
-// modes: on clean single-session captures and on interleaved multi-flow
-// captures, in batch and rolling-window mode, a Monitor fed in 63 KiB
-// chunks (not a packet boundary), as one whole Feed and frame by frame
-// through FeedPacket emits the identical event stream and Close result.
-func TestShardEquivalence(t *testing.T) {
+// TestMonitorFeedPathEquivalence pins feed-path equivalence for events
+// and both modes: on clean single-session captures and on interleaved
+// multi-flow captures, in batch and rolling-window mode, a Monitor fed in
+// 63 KiB chunks (not a packet boundary), as one whole Feed and frame by
+// frame through FeedPacket emits the identical event stream and Close
+// result.
+func TestMonitorFeedPathEquivalence(t *testing.T) {
 	ds, err := GenerateDataset(6, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +345,7 @@ func TestInterleavedDetectionRegression(t *testing.T) {
 		}
 
 		var detectedInteractive bool
-		var finalized *SessionFinalized
+		finals := map[*Inference]SessionFinalized{}
 		m := NewMonitor(atk, MonitorOptions{OnEvent: func(ev MonitorEvent) {
 			switch e := ev.(type) {
 			case FlowDetected:
@@ -352,7 +353,7 @@ func TestInterleavedDetectionRegression(t *testing.T) {
 					detectedInteractive = true
 				}
 			case SessionFinalized:
-				finalized = &e
+				finals[e.Inference] = e
 			}
 		}})
 		const chunk = 128 << 10
@@ -372,8 +373,8 @@ func TestInterleavedDetectionRegression(t *testing.T) {
 		if !detectedInteractive {
 			t.Errorf("seed %d: interactive flow never detected among noise", seed)
 		}
-		if finalized == nil || finalized.Flow.SrcPort != 51732 {
-			t.Fatalf("seed %d: finalized on %v, want the interactive flow", seed, finalized)
+		if finalized, ok := finals[inf]; !ok || finalized.Flow.SrcPort != 51732 {
+			t.Fatalf("seed %d: attacked %v, want the interactive flow", seed, finalized.Flow)
 		}
 		if !reflect.DeepEqual(inf.Decisions, cleanInf.Decisions) {
 			t.Errorf("seed %d: interleaved decode %v differs from clean decode %v",

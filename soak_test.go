@@ -71,11 +71,11 @@ func TestMonitorSoakBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestMonitorSoakSharded is determinism at soak scale: the same
+// TestMonitorSoakDeterministic is determinism at soak scale: the same
 // 20-session continuous tap streamed twice through a fresh rolling-window
 // monitor must give the byte-identical event stream, and every session
 // must decode byte-identically to its one-shot baseline both times.
-func TestMonitorSoakSharded(t *testing.T) {
+func TestMonitorSoakDeterministic(t *testing.T) {
 	sessions := 20
 	if testing.Short() {
 		sessions = 6

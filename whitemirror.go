@@ -75,11 +75,14 @@ type (
 	FlowDetected = attack.FlowDetected
 	// ChoiceInferred fires per in-band report with the running decode.
 	ChoiceInferred = attack.ChoiceInferred
-	// SessionFinalized fires with a flow's final inference: from Close,
-	// and per flow at FIN/RST/idle finalization in rolling-window mode.
+	// SessionFinalized fires with a flow's final inference, once per flow
+	// that concludes as a session: at Close in both modes, and per flow
+	// at FIN/RST/idle finalization in rolling-window mode. Close returns
+	// the very *Inference the attacked flow's event carried.
 	SessionFinalized = attack.SessionFinalized
-	// FlowExpired fires in rolling-window mode when a flow is evicted
-	// without finalizing as a session.
+	// FlowExpired fires when a flow concludes without finalizing as a
+	// session: at Close in both modes, and on FIN/RST, idle or rejection
+	// in rolling-window mode.
 	FlowExpired = attack.FlowExpired
 	// QUICFlowObserved fires once per UDP flow whose first datagram
 	// carries a QUIC long header; the monitor tracks the flow by burst
@@ -106,10 +109,10 @@ func ParseWire(label string) (Wire, error) { return session.ParseWire(label) }
 // monitor accepts pcap bytes in chunks of any size (Feed) or captured
 // frames one at a time (FeedPacket), emits events through opts.OnEvent,
 // and Close returns the Inference for the best candidate flow —
-// byte-identical to Attacker.InferPcap for single-conversation captures.
-// Set opts.Window for the rolling-window link-tap regime: bounded memory
-// over an indefinite feed, with flows finalizing individually on FIN/RST
-// or idle.
+// byte-identical to Attacker.InferPcap for single-conversation captures —
+// by one rule in both modes. Set opts.Window for the rolling-window
+// link-tap regime: bounded memory over an indefinite feed, with flows
+// finalizing individually on FIN/RST or idle.
 func NewMonitor(a *Attacker, opts MonitorOptions) *Monitor {
 	return attack.NewMonitor(a, opts)
 }
