@@ -43,8 +43,11 @@ func TestDatasetGenerateDeterministicAcrossWorkers(t *testing.T) {
 			if !bytes.Equal(a.Trace.ClientToServer.Bytes, b.Trace.ClientToServer.Bytes) {
 				t.Fatalf("workers=%d: point %d client stream differs", w, i)
 			}
-			if !bytes.Equal(a.Trace.ServerToClient.Bytes, b.Trace.ServerToClient.Bytes) {
-				t.Fatalf("workers=%d: point %d server stream differs", w, i)
+			if len(a.Trace.ServerRecords) == 0 {
+				t.Fatalf("point %d has no server records", i)
+			}
+			if !reflect.DeepEqual(a.Trace.ServerRecords, b.Trace.ServerRecords) {
+				t.Fatalf("workers=%d: point %d server records differ", w, i)
 			}
 			if !reflect.DeepEqual(a.Trace.GroundTruthDecisions(), b.Trace.GroundTruthDecisions()) {
 				t.Fatalf("workers=%d: point %d decisions differ", w, i)
@@ -110,9 +113,11 @@ func TestAccuracyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSimulateLeanMatchesMaterialized pins the lean-session contract: a
-// profiling session without the server payload must agree with the full
-// simulation on everything except the materialized bytes.
+// TestSimulateLeanMatchesMaterialized pins the lean-session contract. A
+// TCP session never materializes its server bytes (ServerRecords
+// describes them), so a lean TCP trace equals a full one. A lean QUIC
+// session drops only the server datagram bytes: everything else agrees
+// with the full run, whose datagrams cover its whole server stream.
 func TestSimulateLeanMatchesMaterialized(t *testing.T) {
 	full, err := Simulate(SessionOptions{Seed: 31})
 	if err != nil {
@@ -122,29 +127,44 @@ func TestSimulateLeanMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(full.ClientToServer.Bytes, lean.ClientToServer.Bytes) {
-		t.Error("client streams differ between lean and materialized runs")
+	if !reflect.DeepEqual(full, lean) {
+		t.Error("lean and materialized TCP traces differ")
 	}
-	if len(lean.ServerToClient.Bytes) != 0 {
-		t.Errorf("lean run materialized %d server bytes", len(lean.ServerToClient.Bytes))
+	if full.ServerToClient.Bytes != nil {
+		t.Errorf("TCP trace materialized %d server bytes", len(full.ServerToClient.Bytes))
 	}
-	if !reflect.DeepEqual(full.ServerRecords, lean.ServerRecords) {
-		t.Error("server record ground truth differs between lean and materialized runs")
-	}
-	if !reflect.DeepEqual(full.GroundTruthDecisions(), lean.GroundTruthDecisions()) {
-		t.Error("decisions differ between lean and materialized runs")
-	}
-	// The record ground truth must be exactly what parsing the
-	// materialized stream recovers.
-	parsed := full.ServerRecords
-	if len(parsed) == 0 {
+	if len(full.ServerRecords) == 0 {
 		t.Fatal("no server records collected")
 	}
-	total := 0
-	for _, r := range parsed {
-		total += r.WireLen()
-	}
-	if total != len(full.ServerToClient.Bytes) {
-		t.Errorf("server records cover %d bytes, stream has %d", total, len(full.ServerToClient.Bytes))
-	}
+
+	t.Run("quic", func(t *testing.T) {
+		quic := mustWire(t, "quic")
+		full, err := Simulate(SessionOptions{Seed: 31, Wire: quic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lean, err := Simulate(SessionOptions{Seed: 31, Wire: quic, Lean: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(full.ClientToServer.Bytes, lean.ClientToServer.Bytes) {
+			t.Error("client streams differ between lean and materialized runs")
+		}
+		if len(lean.ServerToClient.Bytes) != 0 {
+			t.Errorf("lean run materialized %d server bytes", len(lean.ServerToClient.Bytes))
+		}
+		if !reflect.DeepEqual(full.ServerToClient.Datagrams, lean.ServerToClient.Datagrams) {
+			t.Error("server datagram descriptors differ between lean and materialized runs")
+		}
+		if !reflect.DeepEqual(full.GroundTruthDecisions(), lean.GroundTruthDecisions()) {
+			t.Error("decisions differ between lean and materialized runs")
+		}
+		total := 0
+		for _, d := range full.ServerToClient.Datagrams {
+			total += d.Size
+		}
+		if total == 0 || total != len(full.ServerToClient.Bytes) {
+			t.Errorf("server datagrams cover %d bytes, stream has %d", total, len(full.ServerToClient.Bytes))
+		}
+	})
 }

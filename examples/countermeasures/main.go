@@ -118,11 +118,7 @@ func observe(tr *session.Trace) *attack.Observation {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sRecs, _, err := tlsrec.ParseStream(tr.ServerToClient.Bytes, tr.ServerToClient.TimeAt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return &attack.Observation{ClientRecords: cRecs, ServerRecords: sRecs}
+	return &attack.Observation{ClientRecords: cRecs, ServerRecords: tr.ServerRecords}
 }
 
 func questionTimes(tr *session.Trace) []time.Time {

@@ -121,19 +121,16 @@ func TestAttackAcrossConditions(t *testing.T) {
 	}
 }
 
-// observationFromTrace builds an Observation directly from stream bytes,
-// bypassing pcap (faster for repeated tests).
+// observationFromTrace builds an Observation directly from the client
+// stream bytes and the server records, bypassing pcap (faster for
+// repeated tests).
 func observationFromTrace(t *testing.T, tr *session.Trace) *Observation {
 	t.Helper()
 	cRecs, _, err := tlsrec.ParseStream(tr.ClientToServer.Bytes, tr.ClientToServer.TimeAt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sRecs, _, err := tlsrec.ParseStream(tr.ServerToClient.Bytes, tr.ServerToClient.TimeAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Observation{ClientRecords: cRecs, ServerRecords: sRecs}
+	return &Observation{ClientRecords: cRecs, ServerRecords: tr.ServerRecords}
 }
 
 func TestTrainingSetLabels(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/profiles"
 	"repro/internal/script"
 	"repro/internal/session"
-	"repro/internal/tlsrec"
 	"repro/internal/viewer"
 	"repro/internal/wire"
 )
@@ -151,11 +150,7 @@ func TestIsVideoStreamOnRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := tlsrec.ParseStream(tr.ServerToClient.Bytes, tr.ServerToClient.TimeAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := FromServerRecords(recs, "bandersnatch")
+	s := FromServerRecords(tr.ServerRecords, "bandersnatch")
 	isVideo, large := IsVideoStream(s)
 	if !isVideo {
 		t.Errorf("video session not recognized as video (%d large ADUs)", large)

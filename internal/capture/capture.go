@@ -11,10 +11,16 @@
 // bulk-streaming noise flows sharing the capture, which is what an
 // on-path eavesdropper actually sees on a household link.
 //
-// A render holds only each frame's Ethernet, IP and transport headers,
-// ~54 bytes a frame, in one pooled arena. Payloads are written to the
-// destination straight from the trace's streams, so no payload byte is
-// copied before the destination writer copies it.
+// A render holds each frame's Ethernet, IP and transport headers, ~54
+// bytes a frame, in one pooled arena. Client payloads and QUIC datagrams
+// are written to the destination straight from the trace's streams, so
+// none of their bytes is copied before the destination writer copies it.
+// A TCP server direction has no bytes: its segments are rendered from
+// Trace.ServerRecords, whose bodies are all zero. A segment inside record
+// bodies takes its payload from one shared block of zeros and adds
+// nothing to its checksum; a segment holding a record header, or
+// ChangeCipherSpec's one-byte message, is rendered into the arena beside
+// its headers.
 package capture
 
 import (
@@ -108,7 +114,9 @@ type MultiOptions struct {
 // frame is one synthesized packet awaiting interleave. Its headers live
 // in a shared arena (start/end offsets) so a capture costs one buffer, not
 // one allocation per packet; its payload is a slice of the conversation's
-// stream, written from there without a copy.
+// stream or of zeroBlock, written from there without a copy. A rendered
+// server segment's payload follows its headers inside [start, end), and
+// payload is nil.
 type frame struct {
 	ts         time.Time
 	start, end int
@@ -120,19 +128,60 @@ type frame struct {
 type muxer struct {
 	arena        *wire.Writer
 	frames       []frame
-	payloadBytes int // summed over frames
+	seg          []byte // a rendered server segment, before it joins arena
+	payloadBytes int    // summed over frames
 	ipID         uint16
 	shift        time.Duration // applied to every frame timestamp
 }
 
-// add serializes one TCP frame's headers into the arena.
-func (m *muxer) add(ts time.Time, key layers.FlowKey, eth layers.Ethernet,
-	tcp layers.TCP, payload []byte) error {
+// add serializes one payload-less TCP frame (handshake, FIN) into the
+// arena.
+func (m *muxer) add(ts time.Time, key layers.FlowKey, eth layers.Ethernet, tcp layers.TCP) error {
 	start := m.arena.Len()
-	if err := layers.AppendTCPHeaders(m.arena, key, eth, tcp, payload, m.ipID); err != nil {
+	if err := layers.AppendTCPHeaders(m.arena, key, eth, tcp, 0, 0, m.ipID); err != nil {
 		return err
 	}
-	m.push(ts, start, payload)
+	m.push(ts, start, nil)
+	return nil
+}
+
+// zeroBlock is the payload of every server segment that lies inside
+// record bodies. AppendTCPHeaders rejects a segment too long for its IP
+// length field before the block is sliced, so every segment fits it.
+var zeroBlock [0xffff]byte
+
+// addSegment serializes the data segment carrying bytes [off, off+n) of
+// s: a slice of its bytes, or, for a direction described by its records,
+// zeroBlock or a copy rendered into the arena after its headers.
+func (m *muxer) addSegment(ts time.Time, key layers.FlowKey, eth layers.Ethernet,
+	tcp layers.TCP, s *tcpStream, off, n int) error {
+	var payload []byte // nil stands for n zero bytes, which sum to 0
+	if s.Bytes != nil {
+		payload = s.Bytes[off : off+n]
+	} else if recs := s.prefixed(off, n); len(recs) > 0 {
+		// Zeros, with the record prefixes that fall in the segment.
+		m.seg = slices.Grow(m.seg[:0], n)[:n]
+		clear(m.seg)
+		for _, r := range recs {
+			pre, pn := r.WirePrefix()
+			so := int(r.StreamOffset)
+			copy(m.seg[max(so-off, 0):], pre[max(off-so, 0):pn])
+		}
+		payload = m.seg
+	}
+	start := m.arena.Len()
+	if err := layers.AppendTCPHeaders(m.arena, key, eth, tcp, n, wire.AddChecksum(0, payload), m.ipID); err != nil {
+		return err
+	}
+	switch {
+	case payload == nil:
+		m.push(ts, start, zeroBlock[:n])
+	case s.Bytes == nil: // m.seg, which the next rendered segment reuses
+		m.arena.Write(payload)
+		m.push(ts, start, nil)
+	default:
+		m.push(ts, start, payload)
+	}
 	return nil
 }
 
@@ -179,10 +228,12 @@ func (m *muxer) writeTo(w io.Writer) error {
 
 // addConversation synthesizes one full conversation into the muxer. A
 // direction carrying datagram descriptors renders as a QUIC/UDP exchange
-// (one frame per datagram, no TCP ceremony); otherwise the byte stream is
+// (one frame per datagram, no TCP ceremony); otherwise each direction is
 // cut into TCP segments with a three-way handshake, both directions' data
-// segments and a FIN exchange. finAt is when the FIN exchange starts.
-func (m *muxer) addConversation(cl, sv session.DirStream, ep Endpoints,
+// segments and a FIN exchange. The client direction is cut from its
+// bytes; the server direction from its bytes if it has them, else from
+// svRecs. finAt is when the FIN exchange starts.
+func (m *muxer) addConversation(cl, sv session.DirStream, svRecs []tlsrec.Record, ep Endpoints,
 	mtu int, finAt time.Time, rng *wire.RNG) error {
 	if cl.Datagrams != nil {
 		return m.addQUICConversation(cl, sv, ep)
@@ -204,24 +255,24 @@ func (m *muxer) addConversation(cl, sv session.DirStream, ep Endpoints,
 	// Three-way handshake slightly before the first TLS byte.
 	hs := start.Add(-30 * time.Millisecond)
 	if err := m.add(hs, c2s, cEth,
-		layers.TCP{Seq: cISN, Flags: layers.TCPSyn, Window: 64240}, nil); err != nil {
+		layers.TCP{Seq: cISN, Flags: layers.TCPSyn, Window: 64240}); err != nil {
 		return err
 	}
 	if err := m.add(hs.Add(10*time.Millisecond), s2c, sEth,
-		layers.TCP{Seq: sISN, Ack: cISN + 1, Flags: layers.TCPSyn | layers.TCPAck, Window: 65160}, nil); err != nil {
+		layers.TCP{Seq: sISN, Ack: cISN + 1, Flags: layers.TCPSyn | layers.TCPAck, Window: 65160}); err != nil {
 		return err
 	}
 	if err := m.add(hs.Add(20*time.Millisecond), c2s, cEth,
-		layers.TCP{Seq: cISN + 1, Ack: sISN + 1, Flags: layers.TCPAck, Window: 64240}, nil); err != nil {
+		layers.TCP{Seq: cISN + 1, Ack: sISN + 1, Flags: layers.TCPAck, Window: 64240}); err != nil {
 		return err
 	}
 
 	// Data segments for each direction.
-	cEnd, err := m.segmentDirection(cl, c2s, cEth, cISN+1, sISN+1, mss, rng)
+	cEnd, err := m.segmentDirection(&tcpStream{DirStream: cl}, c2s, cEth, cISN+1, sISN+1, mss, rng)
 	if err != nil {
 		return err
 	}
-	sEnd, err := m.segmentDirection(sv, s2c, sEth, sISN+1, cISN+1, mss, rng)
+	sEnd, err := m.segmentDirection(&tcpStream{DirStream: sv, recs: svRecs}, s2c, sEth, sISN+1, cISN+1, mss, rng)
 	if err != nil {
 		return err
 	}
@@ -229,11 +280,11 @@ func (m *muxer) addConversation(cl, sv session.DirStream, ep Endpoints,
 	// FIN exchange after the last data in either direction.
 	fin := finAt.Add(50 * time.Millisecond)
 	if err := m.add(fin, c2s, cEth,
-		layers.TCP{Seq: cEnd, Ack: sEnd, Flags: layers.TCPFin | layers.TCPAck, Window: 64240}, nil); err != nil {
+		layers.TCP{Seq: cEnd, Ack: sEnd, Flags: layers.TCPFin | layers.TCPAck, Window: 64240}); err != nil {
 		return err
 	}
 	return m.add(fin.Add(12*time.Millisecond), s2c, sEth,
-		layers.TCP{Seq: sEnd, Ack: cEnd + 1, Flags: layers.TCPFin | layers.TCPAck, Window: 65160}, nil)
+		layers.TCP{Seq: sEnd, Ack: cEnd + 1, Flags: layers.TCPFin | layers.TCPAck, Window: 65160})
 }
 
 // addQUICConversation renders a QUIC conversation: exactly one UDP frame
@@ -282,24 +333,31 @@ func (o Options) withDefaults(tr *session.Trace) Options {
 	return o
 }
 
-// arenaFor sizes the shared header arena for the given stream volume:
-// payloads stay in the streams, so the arena holds ~54 bytes a frame.
-func arenaFor(streamBytes, writes int) (*wire.Writer, int) {
-	frameEstimate := streamBytes/1400 + writes + 16
-	return wire.GetWriter(64 * frameEstimate), frameEstimate
+// arenaFor sizes the frame list and the shared frame arena for the given
+// stream volume. Frames: a segment per MSS of stream, 1/32 more for the
+// segments jitter cuts short, one more per write mark. Arena: ~54 header
+// bytes a frame, plus a rendered segment of up to an MTU for each server
+// record, whose header lands in one (no more than the stream in all).
+func arenaFor(streamBytes, writes, records, mtu int) (*wire.Writer, int) {
+	// A TCP render refuses an MTU below 576 and a QUIC one ignores the
+	// MTU, so the clamp only keeps the estimate sane until then.
+	segs := streamBytes / (max(mtu, 576) - 40)
+	frameEstimate := segs + segs/32 + writes + 16
+	return wire.GetWriter(64*frameEstimate + min(records*mtu, streamBytes)), frameEstimate
 }
 
 // WritePcap renders tr as a pcap stream into w.
 func WritePcap(w io.Writer, tr *session.Trace, opts Options) error {
 	opts = opts.withDefaults(tr)
-	streamBytes := len(tr.ClientToServer.Bytes) + len(tr.ServerToClient.Bytes)
+	streamBytes := streamLen(tr.ClientToServer, nil) + streamLen(tr.ServerToClient, tr.ServerRecords)
 	arena, frameEstimate := arenaFor(streamBytes,
 		len(tr.ClientToServer.Writes)+len(tr.ServerToClient.Writes)+
-			len(tr.ClientToServer.Datagrams)+len(tr.ServerToClient.Datagrams))
+			len(tr.ClientToServer.Datagrams)+len(tr.ServerToClient.Datagrams),
+		len(tr.ServerRecords), opts.MTU)
 	defer wire.PutWriter(arena)
 	m := &muxer{arena: arena, frames: make([]frame, 0, frameEstimate), ipID: 1, shift: opts.TimeOffset}
 	rng := wire.NewRNG(opts.Seed + 0x9e37)
-	if err := m.addConversation(tr.ClientToServer, tr.ServerToClient,
+	if err := m.addConversation(tr.ClientToServer, tr.ServerToClient, tr.ServerRecords,
 		opts.Endpoints, opts.MTU, tr.Result.EndedAt, rng); err != nil {
 		return err
 	}
@@ -324,9 +382,10 @@ func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
 	// Synthesize the noise flows first so the arena can be sized for the
 	// whole capture.
 	noise := make([]noiseFlow, opts.NoiseFlows)
-	streamBytes := len(tr.ClientToServer.Bytes) + len(tr.ServerToClient.Bytes)
+	streamBytes := streamLen(tr.ClientToServer, nil) + streamLen(tr.ServerToClient, tr.ServerRecords)
 	writes := len(tr.ClientToServer.Writes) + len(tr.ServerToClient.Writes) +
 		len(tr.ClientToServer.Datagrams) + len(tr.ServerToClient.Datagrams)
+	records := len(tr.ServerRecords)
 	for i := range noise {
 		seed := opts.Seed ^ uint64(0xbeef+i*7919)
 		if transport == quicrec.TransportQUIC {
@@ -334,21 +393,22 @@ func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
 		} else {
 			noise[i] = synthNoiseFlow(seed, start, end, recVer)
 		}
-		streamBytes += len(noise[i].client.Bytes) + len(noise[i].server.Bytes)
+		streamBytes += streamLen(noise[i].client, nil) + streamLen(noise[i].server, noise[i].serverRecs)
 		writes += len(noise[i].client.Writes) + len(noise[i].server.Writes) +
 			len(noise[i].client.Datagrams) + len(noise[i].server.Datagrams)
+		records += len(noise[i].serverRecs)
 	}
 
-	arena, frameEstimate := arenaFor(streamBytes, writes)
+	arena, frameEstimate := arenaFor(streamBytes, writes, records, opts.MTU)
 	defer wire.PutWriter(arena)
 	m := &muxer{arena: arena, frames: make([]frame, 0, frameEstimate), ipID: 1, shift: opts.TimeOffset}
 	rng := wire.NewRNG(opts.Seed + 0x9e37)
-	if err := m.addConversation(tr.ClientToServer, tr.ServerToClient,
+	if err := m.addConversation(tr.ClientToServer, tr.ServerToClient, tr.ServerRecords,
 		opts.Endpoints, opts.MTU, end, rng); err != nil {
 		return err
 	}
 	for i := range noise {
-		if err := m.addConversation(noise[i].client, noise[i].server,
+		if err := m.addConversation(noise[i].client, noise[i].server, noise[i].serverRecs,
 			noiseEndpoints(opts.Endpoints, i), opts.MTU, noise[i].endedAt, rng.Fork(uint64(i+1))); err != nil {
 			return err
 		}
@@ -356,9 +416,11 @@ func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
 	return m.writeTo(w)
 }
 
-// noiseFlow is one synthesized background conversation.
+// noiseFlow is one synthesized background conversation. A TCP flow's
+// server direction is its records, as a session trace's is.
 type noiseFlow struct {
 	client, server session.DirStream
+	serverRecs     []tlsrec.Record
 	endedAt        time.Time
 }
 
@@ -385,7 +447,7 @@ func synthNoiseFlow(seed uint64, start, end time.Time, ver tlsrec.RecordVersion)
 
 	var f noiseFlow
 	cBuf := wire.NewWriter(64 << 10)
-	sBuf := wire.NewWriter(4 << 20)
+	sBuf := wire.NewDiscardWriter() // keeps the server offsets exact
 
 	// The flow opens within the first seconds of the capture window.
 	t := start.Add(time.Duration(rng.IntRange(200, 4000)) * time.Millisecond)
@@ -393,7 +455,7 @@ func synthNoiseFlow(seed uint64, start, end time.Time, ver tlsrec.RecordVersion)
 	cEnc.HandshakeTranscript(cBuf, t, rng.IntRange(280, 560))
 	st := t.Add(path.RTT() / 2)
 	f.server.Writes = append(f.server.Writes, session.WriteMark{Offset: 0, Time: st})
-	sEnc.HandshakeTranscript(sBuf, st, 3700)
+	f.serverRecs = sEnc.HandshakeTranscript(sBuf, st, 3700)
 
 	for t.Before(end) {
 		// Client request. Mostly ordinary sizes; occasionally one that
@@ -413,14 +475,13 @@ func synthNoiseFlow(seed uint64, start, end time.Time, ver tlsrec.RecordVersion)
 		resp := rng.IntRange(30_000, 120_000) + cdn.ResponseOverhead
 		f.server.Writes = append(f.server.Writes,
 			session.WriteMark{Offset: int64(sBuf.Len()), Time: respAt})
-		sEnc.WriteApplicationData(sBuf, respAt, resp)
+		f.serverRecs = append(f.serverRecs, sEnc.WriteApplicationData(sBuf, respAt, resp)...)
 		done := path.Transfer(respAt, resp)
 
 		// Next request after the player drains some buffer.
 		t = done.Add(time.Duration(rng.IntRange(3000, 9000)) * time.Millisecond)
 	}
-	f.client.Bytes = cBuf.CopyBytes()
-	f.server.Bytes = sBuf.CopyBytes()
+	f.client.Bytes = cBuf.Bytes()
 	f.endedAt = t
 	return f
 }
@@ -486,47 +547,83 @@ func synthNoiseFlowQUIC(seed uint64, start, end time.Time) noiseFlow {
 
 		t = done.Add(time.Duration(rng.IntRange(3000, 9000)) * time.Millisecond)
 	}
-	f.client.Bytes = cBuf.CopyBytes()
-	f.server.Bytes = sBuf.CopyBytes()
+	f.client.Bytes = cBuf.Bytes()
+	f.server.Bytes = sBuf.Bytes()
 	f.endedAt = t
 	return f
 }
 
-// segmentDirection cuts one direction's byte stream into MSS-bounded
-// segments timestamped from the write schedule. Returns the next sequence
-// number after the stream.
-func (m *muxer) segmentDirection(d session.DirStream, key layers.FlowKey, eth layers.Ethernet,
+// tcpStream is one TCP direction's payload source. A direction with
+// bytes (the client side, whose record bodies are PRNG noise) is cut
+// from them. A direction without bytes (the server side) is described by
+// recs: a server Encryptor zero-fills every body, so the stream is zero
+// apart from each record's wire prefix (tlsrec.Record.WirePrefix).
+type tcpStream struct {
+	session.DirStream
+	recs []tlsrec.Record
+	next int // first record whose prefix may reach the next segment
+}
+
+// streamLen is a TCP direction's length in bytes: its bytes, or the span
+// of recs when it has none.
+func streamLen(d session.DirStream, recs []tlsrec.Record) int {
+	if d.Bytes != nil || len(recs) == 0 {
+		return len(d.Bytes)
+	}
+	last := recs[len(recs)-1]
+	return int(last.StreamOffset) + last.WireLen()
+}
+
+// prefixed returns the records whose wire prefix overlaps the stream
+// span [off, off+n). Segments are cut in stream order, so s.next skips
+// the records whose prefix ends before off for good.
+func (s *tcpStream) prefixed(off, n int) []tlsrec.Record {
+	for ; s.next < len(s.recs); s.next++ {
+		if _, pn := s.recs[s.next].WirePrefix(); int(s.recs[s.next].StreamOffset)+pn > off {
+			break
+		}
+	}
+	end := s.next
+	for end < len(s.recs) && int(s.recs[end].StreamOffset) < off+n {
+		end++
+	}
+	return s.recs[s.next:end]
+}
+
+// segmentDirection cuts one direction's stream into MSS-bounded segments
+// timestamped from the write schedule. Returns the next sequence number
+// after the stream.
+func (m *muxer) segmentDirection(s *tcpStream, key layers.FlowKey, eth layers.Ethernet,
 	isn, peerSeq uint32, mss int, rng *wire.RNG) (uint32, error) {
-	stream := d.Bytes
+	size := streamLen(s.DirStream, s.recs)
 	off := 0
 	seq := isn
-	for off < len(stream) {
+	for off < size {
 		n := mss
 		// Real senders flush on application write boundaries: end the
 		// segment early at the next write mark so segment boundaries and
 		// timestamps line up with application behaviour.
-		ts := d.TimeAt(int64(off))
-		if nextOff, ok := nextMark(d, int64(off)); ok && nextOff-int64(off) < int64(n) {
+		ts := s.TimeAt(int64(off))
+		if nextOff, ok := nextMark(s.DirStream, int64(off)); ok && nextOff-int64(off) < int64(n) {
 			n = int(nextOff - int64(off))
 		}
-		if off+n > len(stream) {
-			n = len(stream) - off
+		if off+n > size {
+			n = size - off
 		}
 		// Occasional sub-MSS flush (ack-clocking artefacts).
 		if n == mss && rng.Bool(0.02) {
 			n = rng.IntRange(mss/2, mss)
 		}
-		payload := stream[off : off+n]
 		flags := layers.TCPAck
 		// PSH on write boundaries (the last segment of an application
 		// write), approximated by checking whether the next byte starts a
 		// new write.
-		if nextOff, ok := nextMark(d, int64(off)); !ok || nextOff == int64(off+n) {
+		if nextOff, ok := nextMark(s.DirStream, int64(off)); !ok || nextOff == int64(off+n) {
 			flags |= layers.TCPPsh
 		}
-		if err := m.add(ts, key, eth, layers.TCP{
+		if err := m.addSegment(ts, key, eth, layers.TCP{
 			Seq: seq, Ack: peerSeq, Flags: flags, Window: 64240,
-		}, payload); err != nil {
+		}, s, off, n); err != nil {
 			return 0, err
 		}
 		seq += uint32(n)

@@ -3,6 +3,7 @@ package capture
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/layers"
@@ -81,9 +82,32 @@ func TestPcapRoundTripsClientStream(t *testing.T) {
 		t.Errorf("client stream mismatch: got %d bytes, want %d",
 			len(c2s.Bytes()), len(tr.ClientToServer.Bytes))
 	}
-	if !bytes.Equal(s2c.Bytes(), tr.ServerToClient.Bytes) {
-		t.Errorf("server stream mismatch: got %d bytes, want %d",
-			len(s2c.Bytes()), len(tr.ServerToClient.Bytes))
+	// The server stream is rendered from the trace's records: it must
+	// parse back to exactly them, with every body byte zero apart from
+	// ChangeCipherSpec's message.
+	recs, rest, err := tlsrec.ParseStream(s2c.Bytes(), nil)
+	if err != nil || rest != 0 {
+		t.Fatalf("server stream: %v, %d bytes unparsed", err, rest)
+	}
+	if len(recs) != len(tr.ServerRecords) {
+		t.Fatalf("server stream parses to %d records, trace has %d", len(recs), len(tr.ServerRecords))
+	}
+	for i, r := range recs {
+		w := tr.ServerRecords[i]
+		if r.Type != w.Type || r.Version != w.Version || r.Length != w.Length || r.StreamOffset != w.StreamOffset {
+			t.Fatalf("server record %d: %v %#04x len %d at %d, trace has %v %#04x len %d at %d", i,
+				r.Type, uint16(r.Version), r.Length, r.StreamOffset, w.Type, uint16(w.Version), w.Length, w.StreamOffset)
+		}
+		body := r.Body
+		if r.Type == tlsrec.ContentChangeCipherSpec {
+			if !bytes.Equal(body, []byte{1}) {
+				t.Fatalf("server record %d: ChangeCipherSpec body % x", i, body)
+			}
+			continue
+		}
+		if j := slices.IndexFunc(body, func(b byte) bool { return b != 0 }); j >= 0 {
+			t.Fatalf("server record %d: body byte %d is %#02x", i, j, body[j])
+		}
 	}
 }
 

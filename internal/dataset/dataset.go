@@ -145,13 +145,14 @@ type Config struct {
 	// every shard, so each point's bytes are identical at any shard
 	// count. The zero value generates the full corpus.
 	Shard Shard
-	// Lean omits server payload bytes from generated traces
-	// (session.Config.OmitServerPayload): record and datagram geometry,
-	// client bytes and ground truth stay exact while the large server
-	// payloads are never materialized. Lean corpora feed size-only
-	// consumers — attackers, Table 1, decode experiments — at a fraction
-	// of the memory; they cannot be persisted by DatasetWriter, which
-	// needs the payload bytes to synthesize captures.
+	// Lean omits a QUIC trace's server datagram bytes
+	// (session.Config.OmitServerPayload): datagram geometry, client bytes
+	// and ground truth stay exact while the large server payloads are
+	// never materialized. A TCP trace never materializes its server bytes
+	// (Trace.ServerRecords describes them), so Lean changes nothing there.
+	// Lean corpora feed size-only consumers — attackers, Table 1, decode
+	// experiments; DatasetWriter refuses to persist them, since a QUIC
+	// capture needs the server datagram bytes.
 	Lean bool
 }
 

@@ -245,6 +245,42 @@ func TestGenerateConstantMemory(t *testing.T) {
 	t.Logf("heap checkpoints (bytes): first=%d base=%d last=%d", samples[0], base, samples[len(samples)-1])
 }
 
+// TestGenerateToAllocationPerCaptureByte bounds what GenerateTo
+// allocates against the capture bytes it writes, once a first call has
+// filled the buffer pools and the encoding cache. A TCP server direction
+// is rendered from its records, so a point allocates its client stream
+// and descriptors, a small share of its capture; materializing or
+// copying the server stream again (~0.9 bytes per capture byte) fails
+// the bound. The race detector drops pooled buffers at random, which
+// the bound does not allow for, so the test runs without it.
+func TestGenerateToAllocationPerCaptureByte(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bound; the race detector drops sync.Pool buffers at random")
+	}
+	cfg := Config{N: 12, Seed: 5, Workers: 1}
+	if _, _, err := GenerateTo(cfg, t.TempDir(), true); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	man, _, err := GenerateTo(cfg, t.TempDir(), true)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written int64
+	for _, e := range man.Points {
+		written += e.PcapBytes
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	perByte := float64(alloc) / float64(written)
+	t.Logf("allocated %.2f MiB for %.2f MiB of captures over %d points: %.3f bytes per capture byte",
+		float64(alloc)/(1<<20), float64(written)/(1<<20), len(man.Points), perByte)
+	if perByte >= 0.25 {
+		t.Fatalf("GenerateTo allocated %.3f bytes per capture byte written, want under 0.25", perByte)
+	}
+}
+
 // TestGenerateToConstantMemory is the persisted path's sibling of
 // TestGenerateConstantMemory: GenerateTo with full payloads at two
 // workers, where each worker streams its capture to a .part file and the

@@ -143,8 +143,8 @@ type DatasetWriter struct {
 // NewDatasetWriter creates dir (if needed) and returns a writer that
 // lays out the corpus format documented in DATASET.md. cfg must be the
 // generation config — the writer normalizes it and stamps the manifest
-// header from it. Lean configs are rejected: captures need the payload
-// bytes.
+// header from it. Lean configs are rejected: a QUIC capture needs the
+// server datagram bytes Lean drops.
 func NewDatasetWriter(dir string, cfg Config) (*DatasetWriter, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Lean {
@@ -222,8 +222,13 @@ func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	if p.Trace == nil {
 		return encodedPoint{}, fmt.Errorf("dataset: point %d has no trace", p.Index)
 	}
-	if len(p.Trace.ClientToServer.Bytes) == 0 || len(p.Trace.ServerToClient.Bytes) == 0 {
-		return encodedPoint{}, fmt.Errorf("dataset: point %d trace holds no payload bytes (generated with Config.Lean, or already Released)", p.Index)
+	// A server direction is its bytes, or else its records, as capture
+	// renders it: a TCP trace has only records and a QUIC trace only
+	// datagram bytes. Release drops both, and a lean QUIC trace lacks the
+	// bytes.
+	tr := p.Trace
+	if len(tr.ClientToServer.Bytes) == 0 || (len(tr.ServerToClient.Bytes) == 0 && len(tr.ServerRecords) == 0) {
+		return encodedPoint{}, fmt.Errorf("dataset: point %d trace holds no payload (generated with Config.Lean, or already Released)", p.Index)
 	}
 	meta := metadataOf(p)
 	labels, err := json.MarshalIndent(meta, "", "  ")

@@ -31,10 +31,11 @@ func sharedEncoding(g *script.Graph, seed uint64) *media.Encoding {
 	return media.EncodeCached(g, media.DefaultLadder, seed)
 }
 
-// runOne simulates a single session. Experiment traces never leave the
-// driver (no pcap serialization), so the server payload is not
-// materialized — the trace's offsets, timings and record ground truth are
-// exact either way.
+// runOne simulates a single session. Unless opts says otherwise, a QUIC
+// session's server datagram bytes are not materialized: only a pcap
+// render reads them, and the trace's offsets, timings and descriptors
+// are exact either way. A TCP session never materializes its server
+// bytes; capture renders them from the records.
 func runOne(g *script.Graph, enc *media.Encoding, v viewer.Viewer,
 	cond profiles.Condition, seed uint64, opts func(*session.Config)) (*session.Trace, error) {
 	cfg := session.Config{
@@ -81,8 +82,8 @@ func profileSessions(g *script.Graph, enc *media.Encoding, cond profiles.Conditi
 // the pcap path, which the attack tests exercise; the experiment drivers
 // skip pcap serialization for speed). The client stream is parsed as an
 // eavesdropper would see it; the server direction reuses the trace's
-// record ground truth, which is byte-for-byte what parsing the (possibly
-// unmaterialized) server stream recovers.
+// record ground truth, which is exactly what parsing the rendered server
+// stream recovers.
 func observationOf(tr *session.Trace) (*attack.Observation, error) {
 	cRecs, _, err := tlsrec.ParseStream(tr.ClientToServer.Bytes, tr.ClientToServer.TimeAt)
 	if err != nil {

@@ -74,13 +74,12 @@ func Interleaved(sessions int, noiseCounts []int, seed uint64) (*InterleavedResu
 		return nil, err
 	}
 
-	// Simulate the test sessions once (full-fidelity: the server payload
-	// must be materialized for pcap rendering) and attack each under every
+	// Simulate the test sessions once (TLS over TCP: capture renders the
+	// server direction from its records) and attack each under every
 	// noise level, so levels differ only in the interleaved noise.
 	pop := viewer.SamplePopulation(sessions, root.Stream(77))
 	traces, err := parallel.MapN(0, sessions, func(s int) (*session.Trace, error) {
-		return runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59),
-			func(cfg *session.Config) { cfg.OmitServerPayload = false })
+		return runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59), nil)
 	})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,6 @@ import (
 	"repro/internal/pcapio"
 	"repro/internal/profiles"
 	"repro/internal/script"
-	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/viewer"
 	"repro/internal/wire"
@@ -129,8 +128,7 @@ func Soak(sessions, noiseFlows int, seed uint64) (*SoakResult, error) {
 	}
 	expects := make([]expect, 0, sessions)
 	for s := 0; s < sessions; s++ {
-		tr, err := runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59),
-			func(cfg *session.Config) { cfg.OmitServerPayload = false })
+		tr, err := runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +196,11 @@ func Soak(sessions, noiseFlows int, seed uint64) (*SoakResult, error) {
 		}
 		data, buf = nil, bytes.Buffer{} // drop the capture before sampling the heap
 		_ = data
+		// Two GCs: one leaves the pooled buffers it drops from sync.Pool
+		// in the pool's victim cache, and the second frees them, so the
+		// sample does not depend on when the pool last turned over.
 		var ms runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		res.HeapBySession = append(res.HeapBySession, ms.HeapAlloc)

@@ -127,7 +127,7 @@ func DecodeInto(p *Packet, ts time.Time, frame []byte) error {
 // IPv4 identification field so consecutive frames look realistic.
 func BuildTCPFrame(key FlowKey, eth Ethernet, tcp TCP, payload []byte, ipID uint16) ([]byte, error) {
 	w := wire.NewWriter(ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen + len(payload))
-	if err := AppendTCPHeaders(w, key, eth, tcp, payload, ipID); err != nil {
+	if err := AppendTCPHeaders(w, key, eth, tcp, len(payload), wire.AddChecksum(0, payload), ipID); err != nil {
 		return nil, err
 	}
 	w.Write(payload)
@@ -136,15 +136,17 @@ func BuildTCPFrame(key FlowKey, eth Ethernet, tcp TCP, payload []byte, ipID uint
 
 // AppendTCPHeaders appends the Ethernet, IP and TCP headers of the frame
 // BuildTCPFrame builds, without the payload. Their length and checksum
-// fields cover payload, which the caller writes right after them: capture
-// packs only headers into its frame arena and writes each payload
-// straight from the trace's stream.
-func AppendTCPHeaders(w *wire.Writer, key FlowKey, eth Ethernet, tcp TCP, payload []byte, ipID uint16) error {
-	if err := appendIPHeaders(w, key, eth, IPProtocolTCP, tcpHeaderLen+len(payload), ipID); err != nil {
+// fields cover a payloadLen-byte payload whose partial sum (AddChecksum
+// from 0) is payloadSum, and which the caller writes right after them:
+// capture packs only headers into its frame arena and writes each
+// payload straight from the trace's stream. An all-zero payload sums to
+// 0, so its checksum costs nothing per payload byte.
+func AppendTCPHeaders(w *wire.Writer, key FlowKey, eth Ethernet, tcp TCP, payloadLen int, payloadSum uint32, ipID uint16) error {
+	if err := appendIPHeaders(w, key, eth, IPProtocolTCP, tcpHeaderLen+payloadLen, ipID); err != nil {
 		return err
 	}
 	tcp.SrcPort, tcp.DstPort = key.SrcPort, key.DstPort
-	return tcp.appendHeader(w, key.SrcAddr, key.DstAddr, payload)
+	return tcp.appendHeader(w, key.SrcAddr, key.DstAddr, payloadLen, payloadSum)
 }
 
 // appendIPHeaders appends a frame's Ethernet header and its IPv4 or IPv6

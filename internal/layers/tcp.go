@@ -64,17 +64,18 @@ const tcpHeaderLen = 20
 // checksum over the IPv4/IPv6 pseudo-header. src and dst are the IP-layer
 // addresses.
 func (t *TCP) AppendTo(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
-	if err := t.appendHeader(w, src, dst, payload); err != nil {
+	if err := t.appendHeader(w, src, dst, len(payload), wire.AddChecksum(0, payload)); err != nil {
 		return err
 	}
 	w.Write(payload)
 	return nil
 }
 
-// appendHeader serializes the TCP header alone, its checksum covering
-// payload as if the payload followed it.
-func (t *TCP) appendHeader(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
-	sum, err := pseudoHeaderSum(src, dst, IPProtocolTCP, tcpHeaderLen+len(payload))
+// appendHeader serializes the TCP header alone, its checksum covering a
+// payloadLen-byte payload whose partial sum (AddChecksum from 0) is
+// payloadSum, as if the payload followed it.
+func (t *TCP) appendHeader(w *wire.Writer, src, dst netip.Addr, payloadLen int, payloadSum uint32) error {
+	sum, err := pseudoHeaderSum(payloadSum, src, dst, IPProtocolTCP, tcpHeaderLen+payloadLen)
 	if err != nil {
 		return err
 	}
@@ -88,16 +89,14 @@ func (t *TCP) appendHeader(w *wire.Writer, src, dst netip.Addr, payload []byte) 
 	w.U16(t.Window)
 	w.U16(0) // checksum placeholder
 	w.U16(t.Urgent)
-	sum = wire.AddChecksum(sum, w.Bytes()[start:])
-	w.SetU16(start+16, wire.FinishChecksum(wire.AddChecksum(sum, payload)))
+	w.SetU16(start+16, wire.FinishChecksum(wire.AddChecksum(sum, w.Bytes()[start:])))
 	return nil
 }
 
-// pseudoHeaderSum starts a TCP or UDP checksum: the partial sum over the
-// IPv4 or IPv6 pseudo-header of a segLen-byte proto segment from src to
-// dst. Segment headers and payload are folded in after it.
-func pseudoHeaderSum(src, dst netip.Addr, proto IPProtocol, segLen int) (uint32, error) {
-	var sum uint32
+// pseudoHeaderSum folds into sum the IPv4 or IPv6 pseudo-header of a
+// segLen-byte proto segment from src to dst, the part of a TCP or UDP
+// checksum the segment's own bytes do not cover.
+func pseudoHeaderSum(sum uint32, src, dst netip.Addr, proto IPProtocol, segLen int) (uint32, error) {
 	switch {
 	case src.Is4() && dst.Is4():
 		s4, d4 := src.As4(), dst.As4()

@@ -34,7 +34,7 @@ func (u *UDP) AppendTo(w *wire.Writer, src, dst netip.Addr, payload []byte) erro
 // covering payload as if the payload followed it.
 func (u *UDP) appendHeader(w *wire.Writer, src, dst netip.Addr, payload []byte) error {
 	segLen := udpHeaderLen + len(payload)
-	sum, err := pseudoHeaderSum(src, dst, IPProtocolUDP, segLen)
+	sum, err := pseudoHeaderSum(0, src, dst, IPProtocolUDP, segLen)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,9 @@
 // with behavioural attributes watches the interactive title under an
 // operational condition, the player exchanges chunk requests, state
 // reports and media with the CDN across the emulated network, and both
-// directions of the TLS byte stream are materialized with per-write
-// timestamps. The output Trace carries labeled ground truth (which
+// directions of the wire are recorded with per-write timestamps: the
+// client's bytes, and the server's TLS records (or, over QUIC, its
+// datagram bytes). The output Trace carries labeled ground truth (which
 // client records are type-1/type-2 and which choices were made) so the
 // attack's output can be scored.
 package session
@@ -76,7 +77,9 @@ type LabeledWrite struct {
 // to frame UDP packets).
 type DirStream struct {
 	// Bytes is the TLS record byte stream (TCP) or the concatenated QUIC
-	// packet bytes (QUIC).
+	// packet bytes (QUIC). It is nil for a TCP trace's server direction:
+	// its record bodies are all zero, so Trace.ServerRecords describes it
+	// and capture renders it from them.
 	Bytes []byte
 	// Writes gives (stream offset, time) checkpoints: bytes at or after
 	// Offset were written at Time. Offsets are strictly increasing.
@@ -138,9 +141,11 @@ type Trace struct {
 	// application write, in time order.
 	ClientWrites []LabeledWrite
 	// ServerRecords is the ground-truth record sequence of the server
-	// direction — identical to what parsing ServerToClient.Bytes recovers,
-	// but available even when the payload was not materialized
-	// (Config.OmitServerPayload).
+	// direction of a TCP trace: each record's type, version, length,
+	// stream offset and write time. It is the one description of that
+	// direction's bytes, which are the records' headers, zero bodies and
+	// ChangeCipherSpec's one-byte message (tlsrec.Record.WirePrefix);
+	// parsing those bytes recovers exactly these records.
 	ServerRecords []tlsrec.Record
 	// Result is the player-level ground truth (path, choices, stalls).
 	Result player.Result
@@ -151,16 +156,17 @@ func (t *Trace) GroundTruthDecisions() []bool {
 	return append([]bool(nil), t.Result.Path.Decisions...)
 }
 
-// Release drops the trace's materialized wire data — both directions'
-// byte streams, write schedules, datagram frames, the labeled client
-// writes and the server record ground truth — so the memory (tens of
-// megabytes per full-fidelity session) can be reclaimed the moment a
-// consumer has serialized or scored the trace. The player-level ground
-// truth (Result, GroundTruthDecisions) and the identity fields survive,
-// which is exactly what corpus sidecar metadata needs after the pcap has
-// been flushed. Streaming consumers (dataset.GenerateTo) call this per
-// point to hold resident memory constant in corpus size; a released
-// trace cannot be serialized again.
+// Release drops the trace's wire data — both directions' byte streams,
+// write schedules, datagram frames, the labeled client writes and the
+// server records — so the memory (the client stream and a few hundred
+// kilobytes of descriptors for a TCP session, tens of megabytes of
+// server datagrams for a full-fidelity QUIC one) can be reclaimed the
+// moment a consumer has serialized or scored the trace. The
+// player-level ground truth (Result, GroundTruthDecisions) and the
+// identity fields survive, which is exactly what corpus sidecar metadata
+// needs after the pcap has been flushed. Streaming consumers
+// (dataset.GenerateTo) call this per point to hold resident memory
+// constant in corpus size; a released trace cannot be serialized again.
 func (t *Trace) Release() {
 	t.ClientToServer = DirStream{}
 	t.ServerToClient = DirStream{}
@@ -190,11 +196,13 @@ type Config struct {
 	// encryption (countermeasure evaluation). It returns the possibly
 	// split plaintext sizes to write.
 	Defense func(label WriteLabel, plain int) []int
-	// OmitServerPayload skips materializing the server direction's byte
-	// stream (tens of megabytes of opaque media bodies per session); the
-	// trace still carries exact offsets, timings and ServerRecords.
-	// Profiling and experiment workloads that never serialize the trace to
-	// pcap set this — it removes the dominant memory cost of a session.
+	// OmitServerPayload skips materializing a QUIC session's server
+	// datagram bytes (tens of megabytes of PRNG-filled media per session);
+	// the trace still carries exact offsets, timings and datagram
+	// descriptors. Profiling and experiment workloads that never serialize
+	// the trace to pcap set this — it removes the dominant memory cost of
+	// a QUIC session. A TCP session never materializes its server bytes
+	// (ServerRecords describes them), so the option changes nothing there.
 	OmitServerPayload bool
 	// Wire is the stack both directions speak and the shaping policy in
 	// force (zero: TLS 1.2 over TCP, unshaped). Run rejects a policy that
@@ -224,17 +232,18 @@ func Run(cfg Config) (*Trace, error) {
 	recVer := w.Record.WireVersion()
 	rng := wire.NewRNG(cfg.Seed)
 
-	// Stream buffers. The client direction is small and always pooled.
-	// The server direction carries tens of megabytes of opaque media
-	// bodies: lean sessions skip materializing it entirely (a discard
-	// Writer keeps the offsets exact), full-fidelity sessions borrow a
-	// pooled arena and the trace keeps an exact-size copy.
+	// Stream buffers. The client direction is small, PRNG-filled and
+	// always pooled; the trace keeps an exact-size copy. The server
+	// direction carries tens of megabytes of media. Its TLS record bodies
+	// are zero, so a TCP trace keeps only ServerRecords and a discard
+	// Writer keeps their offsets exact. QUIC server datagrams are
+	// PRNG-filled: a full-fidelity QUIC session borrows a pooled arena
+	// and keeps a copy, a lean one discards them too.
 	cBuf := wire.GetWriter(1 << 20)
 	defer wire.PutWriter(cBuf)
-	var sBuf *wire.Writer
-	if cfg.OmitServerPayload {
-		sBuf = wire.NewDiscardWriter()
-	} else {
+	sBuf := wire.NewDiscardWriter()
+	keepServer := w.Transport == quicrec.TransportQUIC && !cfg.OmitServerPayload
+	if keepServer {
 		sBuf = wire.GetWriter(20 << 20)
 		defer wire.PutWriter(sBuf)
 	}
@@ -256,7 +265,8 @@ func Run(cfg Config) (*Trace, error) {
 		cEnc:     tlsrec.NewEncryptor(prof.Suite, prof.Splitter, recVer, rng.Fork(4)),
 		// The server direction carries megabytes of media; its bodies are
 		// opaque to every analysis (only lengths and timing are used), so
-		// they are zero-filled (nil rng) to keep simulation fast.
+		// they are zero-filled (nil rng) and ServerRecords alone
+		// describes the stream.
 		sEnc:    tlsrec.NewEncryptor(prof.Suite, prof.Splitter, recVer, nil),
 		viewer:  cfg.Viewer,
 		decider: rng.Fork(6),
@@ -308,7 +318,9 @@ func Run(cfg Config) (*Trace, error) {
 	}
 	env.trace.Result = res
 	env.trace.ClientToServer.Bytes = env.cBuf.CopyBytes()
-	env.trace.ServerToClient.Bytes = env.sBuf.CopyBytes()
+	if keepServer {
+		env.trace.ServerToClient.Bytes = env.sBuf.CopyBytes()
+	}
 	return env.trace, nil
 }
 
@@ -345,7 +357,7 @@ func (e *simEnv) appendClientDGs(dgs []quicrec.Datagram) []quicrec.Datagram {
 
 // appendServerDGs is the server-direction counterpart. Descriptors are
 // kept even in lean mode (a discard writer still advances Len), exactly
-// as ServerRecords survives OmitServerPayload on the TCP path.
+// as ServerRecords describes a TCP server direction.
 func (e *simEnv) appendServerDGs(dgs []quicrec.Datagram) []quicrec.Datagram {
 	stampOffsets(dgs, int64(e.sBuf.Len()))
 	e.trace.ServerToClient.Datagrams = append(e.trace.ServerToClient.Datagrams, dgs...)

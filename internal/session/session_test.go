@@ -34,13 +34,14 @@ func testTrace(t *testing.T, seed uint64, cond profiles.Condition) *Trace {
 
 func TestRunProducesBothStreams(t *testing.T) {
 	tr := testTrace(t, 1, profiles.Fig2Ubuntu)
-	if len(tr.ClientToServer.Bytes) == 0 || len(tr.ServerToClient.Bytes) == 0 {
+	if len(tr.ClientToServer.Bytes) == 0 || len(tr.ServerRecords) == 0 {
 		t.Fatal("empty stream(s)")
 	}
 	// Server direction must dwarf the client direction (video download).
-	if len(tr.ServerToClient.Bytes) < 10*len(tr.ClientToServer.Bytes) {
+	last := tr.ServerRecords[len(tr.ServerRecords)-1]
+	if span := int(last.StreamOffset) + last.WireLen(); span < 10*len(tr.ClientToServer.Bytes) {
 		t.Errorf("s2c %d bytes vs c2s %d: media volume implausible",
-			len(tr.ServerToClient.Bytes), len(tr.ClientToServer.Bytes))
+			span, len(tr.ClientToServer.Bytes))
 	}
 }
 

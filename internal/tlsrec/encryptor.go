@@ -142,7 +142,7 @@ func (e *Encryptor) HandshakeTranscript(w *wire.Writer, ts time.Time, helloLen i
 		Length: helloLen, Time: ts, StreamOffset: off})
 
 	off = int64(w.Len())
-	AppendRecord(w, ContentChangeCipherSpec, e.Version, []byte{1})
+	AppendRecord(w, ContentChangeCipherSpec, e.Version, []byte{changeCipherSpecMessage})
 	out = append(out, Record{Type: ContentChangeCipherSpec, Version: e.Version,
 		Length: 1, Time: ts, StreamOffset: off})
 
@@ -183,7 +183,7 @@ func (e *Encryptor) handshake13(w *wire.Writer, ts time.Time, helloLen int) []Re
 		Length: plain, Time: ts, StreamOffset: off})
 
 	off = int64(w.Len())
-	AppendRecord(w, ContentChangeCipherSpec, VersionTLS12, []byte{1})
+	AppendRecord(w, ContentChangeCipherSpec, VersionTLS12, []byte{changeCipherSpecMessage})
 	out = append(out, Record{Type: ContentChangeCipherSpec, Version: VersionTLS12,
 		Length: 1, Time: ts, StreamOffset: off})
 

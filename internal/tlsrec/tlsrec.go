@@ -140,6 +140,25 @@ type Record struct {
 // WireLen is the record's total on-wire size including the header.
 func (r Record) WireLen() int { return headerLen + r.Length }
 
+// changeCipherSpecMessage is the ChangeCipherSpec protocol's one message
+// byte (RFC 5246 §7.1), the whole body of a ChangeCipherSpec record.
+const changeCipherSpecMessage = 1
+
+// WirePrefix returns the leading wire bytes of r as an Encryptor without
+// an rng frames it, and how many of b they fill: the 5-byte header, then
+// a ChangeCipherSpec record's message byte. Every later byte of such a
+// record is zero, so its record list alone reproduces the stream.
+func (r Record) WirePrefix() (b [headerLen + 1]byte, n int) {
+	b[0] = uint8(r.Type)
+	b[1], b[2] = uint8(r.Version>>8), uint8(r.Version)
+	b[3], b[4] = uint8(r.Length>>8), uint8(r.Length)
+	if r.Type == ContentChangeCipherSpec && r.Length > 0 {
+		b[5] = changeCipherSpecMessage
+		return b, headerLen + 1
+	}
+	return b, headerLen
+}
+
 // AppendRecord frames body as a single record. It panics if body exceeds
 // MaxRecordPayload, which indicates a splitter bug upstream.
 func AppendRecord(w *wire.Writer, typ ContentType, ver Version, body []byte) {

@@ -1,6 +1,7 @@
 package tlsrec
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -336,5 +337,41 @@ func TestEncryptorLargeWriteSplits(t *testing.T) {
 	}
 	if pt != 50000 {
 		t.Errorf("recovered plaintext total = %d, want 50000", pt)
+	}
+}
+
+// TestWirePrefixRebuildsZeroBodyStream checks that the record list of an
+// Encryptor without an rng rebuilds its stream byte for byte from the
+// records' wire prefixes, under both record layers and with padding.
+func TestWirePrefixRebuildsZeroBodyStream(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ver  Version
+		pad  PaddingPolicy
+	}{
+		{"tls1.2", VersionTLS12, PaddingPolicy{}},
+		{"tls1.3+pad-to-64", VersionTLS13, PadToMultipleOf(64)},
+		{"tls1.3+pad-random-512", VersionTLS13, PaddingPolicy{Mode: PadRandom, Param: 512}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEncryptor(SuiteAESGCM128TLS12, DefaultSplitter, tc.ver, nil)
+			e.Server = true
+			e.SetPadding(tc.pad, wire.NewRNG(5))
+			w := wire.NewWriter(1 << 20)
+			ts := time.Unix(1700000000, 0)
+			recs := e.HandshakeTranscript(w, ts, 3700)
+			for _, n := range []int{1, 700, 16384, 50000, 90} {
+				recs = append(recs, e.WriteApplicationData(w, ts, n)...)
+			}
+			last := recs[len(recs)-1]
+			rebuilt := make([]byte, int(last.StreamOffset)+last.WireLen())
+			for _, r := range recs {
+				pre, n := r.WirePrefix()
+				copy(rebuilt[r.StreamOffset:], pre[:n])
+			}
+			if !bytes.Equal(rebuilt, w.Bytes()) {
+				t.Fatalf("records rebuild %d bytes that differ from the %d-byte stream", len(rebuilt), w.Len())
+			}
+		})
 	}
 }

@@ -150,11 +150,13 @@ type SessionOptions struct {
 	Encoding *media.Encoding
 	// DisablePrefetch turns off default-branch prefetching.
 	DisablePrefetch bool
-	// Lean skips materializing the server direction's byte stream — tens
-	// of megabytes of opaque media bodies per session — while keeping the
-	// trace's offsets, timings and record ground truth exact. Use it for
+	// Lean skips materializing a QUIC session's server datagram bytes —
+	// tens of megabytes of opaque media per session — while keeping the
+	// trace's offsets, timings and datagram descriptors exact. Use it for
 	// workloads that never render the trace to pcap (training, bulk
-	// experiments); CapturePcap requires a non-lean trace.
+	// experiments); CapturePcap requires a non-lean QUIC trace. A TCP
+	// session never materializes its server bytes (Trace.ServerRecords
+	// describes them), so a lean TCP trace equals a full one.
 	Lean bool
 	// Wire is the stack the session speaks (default TLS 1.2 over TCP)
 	// and the shaping policy in force.
@@ -198,9 +200,6 @@ func Simulate(opts SessionOptions) (*Trace, error) {
 // CapturePcap renders a trace as a libpcap capture in memory.
 func CapturePcap(tr *Trace, seed uint64) ([]byte, error) {
 	var buf bytes.Buffer
-	// Presize: stream bytes + per-packet pcap/frame headers (~70 each).
-	streamBytes := len(tr.ClientToServer.Bytes) + len(tr.ServerToClient.Bytes)
-	buf.Grow(streamBytes + 70*(streamBytes/1400+16))
 	if err := capture.WritePcap(&buf, tr, capture.Options{Seed: seed}); err != nil {
 		return nil, err
 	}
@@ -220,8 +219,6 @@ func WritePcap(w io.Writer, tr *Trace, seed uint64) error {
 // among the noise.
 func CapturePcapMulti(tr *Trace, seed uint64, noiseFlows int) ([]byte, error) {
 	var buf bytes.Buffer
-	streamBytes := len(tr.ClientToServer.Bytes) + len(tr.ServerToClient.Bytes)
-	buf.Grow((noiseFlows + 1) * (streamBytes + 70*(streamBytes/1400+16)))
 	err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
 		Options:    capture.Options{Seed: seed},
 		NoiseFlows: noiseFlows,
