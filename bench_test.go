@@ -11,10 +11,14 @@ package whitemirror
 // and the rendered reports land in EXPERIMENTS.md via cmd/wmbench.
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/capture"
 	"repro/internal/experiments"
+	"repro/internal/pcapio"
 	"repro/internal/script"
 	"repro/internal/tlsrec"
 )
@@ -266,6 +270,77 @@ func BenchmarkPipeline_AttackThroughputMulti(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipeline_AttackThroughputInterleaved measures InferPcap on a
+// capture whose consecutive packets never share a conversation: the
+// seed-21 session rendered twice, from two client ports, its frames
+// merged strictly one for one. The Monitor routes each packet through
+// the flow of the packet before it when they match, so this capture
+// takes the other path, a canonical key and a flow-table lookup, on
+// every packet. Both conversations carry the same records, and of equal
+// sessions the first seen is attacked.
+func BenchmarkPipeline_AttackThroughputInterleaved(b *testing.B) {
+	tr, err := Simulate(SessionOptions{Seed: 21})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var renders [2][]pcapio.Record
+	for i := range renders {
+		ep := capture.DefaultEndpoints()
+		ep.ClientPort += uint16(i)
+		var buf bytes.Buffer
+		if err := capture.WritePcap(&buf, tr, capture.Options{Endpoints: ep, Seed: 21}); err != nil {
+			b.Fatal(err)
+		}
+		rd, err := pcapio.NewBytesReader(buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if renders[i], err = rd.ReadAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(renders[0]) != len(renders[1]) {
+		b.Fatalf("renders hold %d and %d frames", len(renders[0]), len(renders[1]))
+	}
+	var buf bytes.Buffer
+	w := pcapio.NewWriter(&buf)
+	if err := w.WriteHeader(); err != nil {
+		b.Fatal(err)
+	}
+	for i, a := range renders[0] {
+		// The renders differ only in the client port, so frame i of each
+		// carries the same timestamp and the merge stays in time order.
+		c := renders[1][i]
+		if !c.Timestamp.Equal(a.Timestamp) {
+			b.Fatalf("frame %d: renders stamped %v and %v", i, a.Timestamp, c.Timestamp)
+		}
+		for _, pkt := range []pcapio.Record{a, c} {
+			if err := w.WritePacket(pkt.Timestamp, pkt.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pcapBytes := buf.Bytes()
+	atk, err := TrainAttacker(TrainingOptions{Seed: 22})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inf, err := atk.InferPcap(pcapBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if want := tr.GroundTruthDecisions(); !slices.Equal(inf.Decisions, want) {
+		b.Fatalf("InferPcap decisions %v, want %v", inf.Decisions, want)
+	}
+	b.SetBytes(int64(len(pcapBytes)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := atk.InferPcap(pcapBytes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,9 @@
 // Command wmlint is the repo's invariant multichecker: it runs the
 // internal/lint analyzer suite — detrand (no nondeterminism sources in
 // determinism-critical packages), spanown (no retention of pcapio arena
-// spans), atomiccursor (no plain access to atomically-accessed fields),
-// eventcase (exhaustive Monitor event switches) and doccheck (documented
-// exported surface) — alongside go vet, over the packages matching its
-// arguments.
+// spans), eventcase (exhaustive Monitor event switches) and doccheck
+// (documented exported surface) — alongside go vet, over the packages
+// matching its arguments.
 //
 //	go run ./cmd/wmlint ./...          # the CI lint-invariants job
 //	go run ./cmd/wmlint -novet ./internal/attack
@@ -33,8 +32,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: wmlint [-novet] [packages]\n\n"+
 			"Runs go vet plus the repo's invariant analyzers (detrand, spanown,\n"+
-			"atomiccursor, eventcase, doccheck) over the given package patterns\n"+
-			"(default ./...).\n\n")
+			"eventcase, doccheck) over the given package patterns (default ./...).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -217,6 +217,28 @@ func pcapFrames(tb testing.TB, data []byte) []fuzzFrame {
 	return frames
 }
 
+// handStep is one hand-built frame: a payload-less TCP header on key,
+// at an offset from fuzzEpoch.
+type handStep struct {
+	at  time.Duration
+	key layers.FlowKey
+	tcp layers.TCP
+}
+
+// handFrames builds the frames of steps.
+func handFrames(tb testing.TB, steps []handStep) []fuzzFrame {
+	tb.Helper()
+	frames := make([]fuzzFrame, len(steps))
+	for i, st := range steps {
+		frame, err := layers.BuildTCPFrame(st.key, layers.Ethernet{}, st.tcp, nil, uint16(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames[i] = fuzzFrame{fuzzEpoch.Add(st.at), frame}
+	}
+	return frames
+}
+
 // FuzzMonitorFeedPacket drives the Monitor's frame entry point with
 // arbitrary frame sequences, in batch mode and in a short rolling window.
 // No input may panic it, feeding the same input twice must give the same
@@ -235,19 +257,29 @@ func FuzzMonitorFeedPacket(f *testing.F) {
 		f.Add(uint16(pcapHeaderBytes+len(frames[i].data)/2), encodeFuzzFrames(frames[i:i+1]))
 	}
 	// The hand-built open and reset of TestMonitorExpiryHandBuilt.
-	x := handKey(40000)
-	var hand []fuzzFrame
-	for i, st := range []struct {
-		key layers.FlowKey
-		tcp layers.TCP
-	}{{x, handSyn}, {x.Reverse(), handSynAck}, {x, handRst}} {
-		frame, err := layers.BuildTCPFrame(st.key, layers.Ethernet{}, st.tcp, nil, uint16(i))
-		if err != nil {
-			f.Fatal(err)
-		}
-		hand = append(hand, fuzzFrame{fuzzEpoch.Add(time.Duration(i) * time.Second), frame})
-	}
+	x, y := handKey(40000), handKey(40001)
+	hand := handFrames(f, []handStep{{0, x, handSyn}, {time.Second, x.Reverse(), handSynAck}, {2 * time.Second, x, handRst}})
 	f.Add(uint16(pcapHeaderBytes+len(hand[0].data)+8), encodeFuzzFrames(hand)) // cut in the second record header
+	// Orders that move the Monitor off the flow of the packet before: two
+	// conversations alternating packet by packet; a 5-tuple reused in the
+	// packet right after its RST, and right after both FINs; a flow the
+	// window's idle sweep drops (the 3 s SYN sweeps on its clock jump)
+	// whose 5-tuple returns in the next packet; a clock that runs
+	// backwards.
+	clientFin := layers.TCP{Seq: 2, Ack: 2, Flags: layers.TCPFin | layers.TCPAck}
+	serverFin := layers.TCP{Seq: 2, Ack: 3, Flags: layers.TCPFin | layers.TCPAck}
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	for _, steps := range [][]handStep{
+		{{0, x, handSyn}, {0, y, handSyn}, {ms(100), x.Reverse(), handSynAck}, {ms(100), y.Reverse(), handSynAck},
+			{ms(200), x, handAck}, {ms(200), y, handAck}, {ms(300), x, handRst}, {ms(300), y, handRst}},
+		{{0, x, handSyn}, {ms(100), x.Reverse(), handSynAck}, {ms(200), x, handRst}, {ms(300), x, handSyn}},
+		{{0, x, handSyn}, {ms(100), x.Reverse(), handSynAck}, {ms(200), x, clientFin}, {ms(300), x.Reverse(), serverFin}, {ms(400), x, handSyn}},
+		{{0, x, handSyn}, {ms(100), x.Reverse(), handSynAck}, {ms(3000), y, handSyn}, {ms(3000), x, handSyn}},
+		{{ms(1000), x, handSyn}, {ms(900), x.Reverse(), handSynAck}, {0, y, handSyn}, {ms(500), x, handAck}, {ms(-200), y, handRst}},
+	} {
+		frames := handFrames(f, steps)
+		f.Add(uint16(pcapHeaderBytes+len(frames[0].data)+len(frames[1].data)/2), encodeFuzzFrames(frames))
+	}
 
 	atk := trainedAttacker(f, profiles.Fig2Ubuntu, []uint64{101})
 	// Inputs rarely hold sweepInterval frames, so the window's idle

@@ -68,6 +68,7 @@ type Monitor struct {
 	pkt layers.Packet // every frame decodes into this one Packet
 
 	flows map[layers.FlowKey]*monFlow // keyed by canonical conversation key
+	last  *monFlow                    // flow of the last packet routed; nil once dropped
 	wheel *timeWheel                  // idle-expiry deadlines (window mode), from the first decoded packet
 
 	clock      time.Time // high-water capture timestamp
@@ -394,6 +395,7 @@ type quicFlow struct {
 // non-nil for UDP flows; then the monDir pair stays unused.
 type monFlow struct {
 	canonical layers.FlowKey
+	reverse   layers.FlowKey // canonical.Reverse(); a packet keyed either way is this flow's
 	clientKey layers.FlowKey
 	client    monDir
 	server    monDir
@@ -519,9 +521,20 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 	}
 	p := &m.pkt
 	if err := layers.DecodeInto(p, ts, frame); err != nil {
-		return // non-IP, neither TCP nor UDP, or truncated
+		return // non-IP, neither TCP nor UDP, an IP fragment, or truncated
 	}
-	canon, _ := p.Flow().Canonical()
+	// Consecutive packets mostly belong to one conversation, so the flow
+	// of the last packet routed is tried first; only a packet of another
+	// conversation pays for its canonical key and the map. The memo
+	// always names an open flow: dropFlow forgets it, and the sweep below
+	// exempts this packet's own flow.
+	key := p.Flow()
+	f := m.last
+	var canon layers.FlowKey
+	if f == nil || (key != f.canonical && key != f.reverse) {
+		canon, _ = key.Canonical()
+		f = m.flows[canon] // nil for a new conversation
+	}
 	if m.win != nil {
 		if m.wheel == nil {
 			// The wheel's tick grid is anchored at the first decoded packet.
@@ -534,11 +547,19 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 			// packet's own flow is exempt: its arrival is the traffic that
 			// disproves idleness, even if the timestamp gap alone says
 			// otherwise.
-			m.sweep(canon)
+			m.sweep(f)
 		}
 	}
 	m.seq++
-	m.ingest(p, canon)
+	if f == nil {
+		f = m.newFlow(canon, ts)
+	}
+	m.last = f
+	if p.Proto == layers.IPProtocolUDP {
+		m.ingestDatagram(p, f, key)
+	} else {
+		m.ingest(p, f, key)
+	}
 }
 
 // sweepDue advances the sweep cadence by one packet and reports whether
@@ -559,17 +580,12 @@ func (m *Monitor) sweepDue() bool {
 	return true
 }
 
-// ingest runs one decoded packet through reassembly, scanning and window
-// maintenance. canon is the packet's canonical conversation key.
-func (m *Monitor) ingest(p *layers.Packet, canon layers.FlowKey) {
-	if p.Proto == layers.IPProtocolUDP {
-		m.ingestDatagram(p, canon)
-		return
-	}
+// ingest runs one decoded TCP packet through reassembly, scanning and
+// window maintenance. f is the packet's flow and key its directional
+// key.
+func (m *Monitor) ingest(p *layers.Packet, f *monFlow, key layers.FlowKey) {
 	ts := p.Timestamp
-	f := m.flowFor(canon, ts)
 	f.lastSeen = ts
-	key := p.Flow()
 	dir, isClient := f.direction(key)
 	if dir.stream == nil {
 		dir.stream = tcpreasm.NewStream(key)
@@ -617,20 +633,18 @@ func (m *Monitor) ingest(p *layers.Packet, canon layers.FlowKey) {
 	}
 }
 
-// flowFor finds or creates the tracked flow for a canonical key,
-// scheduling its idle-expiry wheel entry in window mode.
-func (m *Monitor) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
-	f, ok := m.flows[canon]
-	if !ok {
-		f = &monFlow{canonical: canon, firstSeq: m.seq}
-		if canon.Proto == layers.IPProtocolUDP {
-			f.quic = &quicFlow{}
-		}
-		m.flows[canon] = f
-		if m.wheel != nil {
-			f.ent = &twEntry{deadline: ts.Add(m.win.IdleTimeout), ord: f.firstSeq, flow: f}
-			m.wheel.schedule(f.ent)
-		}
+// newFlow starts tracking the conversation of a canonical key, first
+// seen at packet m.seq, scheduling its idle-expiry wheel entry in window
+// mode.
+func (m *Monitor) newFlow(canon layers.FlowKey, ts time.Time) *monFlow {
+	f := &monFlow{canonical: canon, reverse: canon.Reverse(), firstSeq: m.seq}
+	if canon.Proto == layers.IPProtocolUDP {
+		f.quic = &quicFlow{}
+	}
+	m.flows[canon] = f
+	if m.wheel != nil {
+		f.ent = &twEntry{deadline: ts.Add(m.win.IdleTimeout), ord: f.firstSeq, flow: f}
+		m.wheel.schedule(f.ent)
 	}
 	return f
 }
@@ -642,10 +656,10 @@ func (m *Monitor) flowFor(canon layers.FlowKey, ts time.Time) *monFlow {
 // excluded from burst segmentation; client short-header datagrams drive
 // the burst segmenter, and each completed burst replays through the
 // record pipeline as a pseudo-record of the burst's summed size. Nothing
-// beyond sizes and times is retained.
-func (m *Monitor) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
+// beyond sizes and times is retained. f is the datagram's flow and key
+// its directional key.
+func (m *Monitor) ingestDatagram(p *layers.Packet, f *monFlow, key layers.FlowKey) {
 	ts := p.Timestamp
-	f := m.flowFor(canon, ts)
 	f.lastSeen = ts
 	if f.dead {
 		return
@@ -663,17 +677,17 @@ func (m *Monitor) ingestDatagram(p *layers.Packet, canon layers.FlowKey) {
 			return
 		}
 	}
-	isClient := f.quicDirection(p.Flow())
+	isClient := f.quicDirection(key)
 	if isClient {
 		if !q.haveClient {
 			q.haveClient = true
-			f.clientKey = p.Flow()
+			f.clientKey = key
 		}
 		q.clientBytes += int64(len(p.Payload))
 	} else {
 		if !q.haveServer {
 			q.haveServer = true
-			q.serverKey = p.Flow()
+			q.serverKey = key
 		}
 		q.serverBytes += int64(len(p.Payload))
 	}
@@ -836,19 +850,19 @@ func (m *Monitor) maybeFinalize(f *monFlow, at time.Time) {
 // refreshed deadline; entries whose flow is already gone are dropped
 // (dropFlow leaves them in the wheel for exactly this lazy check).
 //
-// exempt is the canonical key of the packet that triggered the sweep: its
-// own flow is never expired by it, even when the packet's timestamp jump
-// exceeds the idle timeout — the flow is provably not idle, its next
-// packet is already in hand. Expiry order is the flow's first-seen order
-// (twEntry.ord).
-func (m *Monitor) sweep(exempt layers.FlowKey) {
+// exempt is the flow of the packet that triggered the sweep (nil when
+// the packet opens a new conversation): it is never expired by it, even
+// when the packet's timestamp jump exceeds the idle timeout — the flow is
+// provably not idle, its next packet is already in hand. Expiry order is
+// the flow's first-seen order (twEntry.ord).
+func (m *Monitor) sweep(exempt *monFlow) {
 	for _, e := range m.wheel.advance(m.clock) {
 		m.sweepTouch++
 		f := e.flow
 		if !m.isOpen(f) {
 			continue // dropped since scheduling; stale entry
 		}
-		if f.lastSeen.IsZero() || f.lastSeen.Add(m.win.IdleTimeout).After(m.clock) || f.canonical == exempt {
+		if f.lastSeen.IsZero() || f.lastSeen.Add(m.win.IdleTimeout).After(m.clock) || f == exempt {
 			// Re-arm at the refreshed deadline. For the exempt flow this
 			// may still be in the past (its packet has not landed yet);
 			// schedule clamps past deadlines one tick out, and the next
@@ -932,10 +946,14 @@ func (m *Monitor) infer(f *monFlow) *Inference {
 	return inf
 }
 
-// dropFlow releases a flow's reassembly state and forgets it. A later
-// packet on the same 5-tuple starts a fresh conversation, which is how
-// port reuse on a long tap should read.
+// dropFlow releases a flow's reassembly state and forgets it, in the
+// flow table and in the last-packet memo. A later packet on the same
+// 5-tuple starts a fresh conversation, which is how port reuse on a long
+// tap should read.
 func (m *Monitor) dropFlow(f *monFlow) {
+	if m.last == f {
+		m.last = nil
+	}
 	if f.rejected {
 		f.rejected = false
 		m.rejectedNow--

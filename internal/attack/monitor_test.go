@@ -1037,30 +1037,24 @@ var (
 //     bytes, so it is no conversation to attack.
 func TestMonitorExpiryHandBuilt(t *testing.T) {
 	atk := trainedAttacker(t, profiles.Fig2Ubuntu, []uint64{101})
-	base := time.Unix(1700000000, 0)
 	x, y, z := handKey(40000), handKey(40001), handKey(50000)
 	names := map[layers.FlowKey]string{x: "X", y: "Y", z: "Z"}
 
-	type step struct {
-		at  time.Duration
-		key layers.FlowKey
-		tcp layers.TCP
-	}
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	// The 64.2 s SYN sweeps on its clock jump; the 65.2 s ack is the
 	// 256th packet after it, so it sweeps on the count. The 255 acks
 	// before it are spelled out, not derived from sweepInterval, so the
 	// case also pins the deployed cadence.
-	epoch := []step{{0, x, handSyn}, {ms(500), y, handSyn}, {ms(64200), z, handSyn}}
+	epoch := []handStep{{0, x, handSyn}, {ms(500), y, handSyn}, {ms(64200), z, handSyn}}
 	for range 255 {
-		epoch = append(epoch, step{ms(64700), z, handAck})
+		epoch = append(epoch, handStep{ms(64700), z, handAck})
 	}
-	epoch = append(epoch, step{ms(65200), z, handAck})
-	reuse := []step{{0, x, handSyn}, {0, x.Reverse(), handSynAck}, {ms(1000), y, handSyn}, {ms(2000), x, handRst}, {ms(3000), x, handSyn}}
+	epoch = append(epoch, handStep{ms(65200), z, handAck})
+	reuse := []handStep{{0, x, handSyn}, {0, x.Reverse(), handSynAck}, {ms(1000), y, handSyn}, {ms(2000), x, handRst}, {ms(3000), x, handSyn}}
 	cases := []struct {
 		name  string
 		win   *Window
-		steps []step
+		steps []handStep
 		want  []string // FlowExpired events: reason, flow, capture offset
 	}{
 		{
@@ -1091,15 +1085,11 @@ func TestMonitorExpiryHandBuilt(t *testing.T) {
 					if !ok {
 						t.Fatalf("unexpected %T", ev)
 					}
-					got = append(got, fmt.Sprintf("%s %s %v", e.Reason, names[e.Flow], e.At.Sub(base)))
+					got = append(got, fmt.Sprintf("%s %s %v", e.Reason, names[e.Flow], e.At.Sub(fuzzEpoch)))
 				},
 			})
-			for i, st := range tc.steps {
-				frame, err := layers.BuildTCPFrame(st.key, layers.Ethernet{}, st.tcp, nil, uint16(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.FeedPacket(base.Add(st.at), frame); err != nil {
+			for _, fr := range handFrames(t, tc.steps) {
+				if err := m.FeedPacket(fr.ts, fr.data); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1110,6 +1100,38 @@ func TestMonitorExpiryHandBuilt(t *testing.T) {
 				t.Errorf("events %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestMonitorSkipsIPv4Fragments feeds a conversation's packets as IPv4
+// fragments, first fragments (MF set, offset 0) and later ones (offset
+// 185), in both directions, each carrying a TLS record. The Monitor
+// reassembles no IP, so no fragment is a whole segment, and none may
+// open a flow.
+func TestMonitorSkipsIPv4Fragments(t *testing.T) {
+	x := handKey(40000)
+	w := wire.NewWriter(305)
+	tlsrec.AppendRecord(w, tlsrec.ContentApplicationData, tlsrec.VersionTLS12, make([]byte, 300))
+	m := NewMonitor(&Attacker{Classifier: otherOnlyClassifier{}}, MonitorOptions{})
+	base := time.Unix(1700000000, 0)
+	const fragField = 14 + 6 // IPv4 flags and fragment offset, after the Ethernet header
+	for i, st := range []handStep{{0, x, handSyn}, {10 * time.Millisecond, x.Reverse(), handSynAck}, {20 * time.Millisecond, x, handAck}} {
+		for _, frag := range [][2]byte{{0x20, 0}, {0, 185}} {
+			frame, err := layers.BuildTCPFrame(st.key, layers.Ethernet{}, st.tcp, w.Bytes(), uint16(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame[fragField], frame[fragField+1] = frag[0], frag[1]
+			if err := m.FeedPacket(base.Add(st.at), frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := m.Stats().Flows; n != 0 {
+		t.Fatalf("fragments opened %d flows, want 0", n)
+	}
+	if _, err := m.Close(); err != ErrNoTLSConversation {
+		t.Errorf("Close error %v, want %v", err, ErrNoTLSConversation)
 	}
 }
 

@@ -2,7 +2,9 @@ package layers_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -67,33 +69,217 @@ func handBuiltFrames(tb testing.TB) []testFrame {
 		{"ipv6/tcp", v6tcp, nil},
 		{"icmp", patch(v4tcp, ipStart+9, 1), layers.ErrUnsupported},
 		{"ipv6 payload past frame", v6tcp[:len(v6tcp)-1], layers.ErrTruncated},
+		// Offset 185 (in 8-byte units): its first bytes are payload,
+		// not a TCP header.
+		{"ipv4 fragment", patch(v4tcp, ipStart+7, 185), layers.ErrUnsupported},
+		{"ipv4 first fragment", patch(v4tcp, ipStart+6, 0x20), layers.ErrUnsupported}, // MF, offset 0
 		{"ipv4/tcp again", v4tcp, nil},
 	}
 }
 
-// TestDecodeIntoReuse decodes every frame into one reused Packet and
-// checks each result against a fresh DecodePacket: no field of an
-// earlier frame may survive into a later one.
+// refDecode is the reference DecodeInto must match: Ethernet, then IPv4
+// or IPv6, then TCP or UDP, each header built by value in its own
+// decoder below and copied into the Packet, plus the IPv4 fragment rule.
+// It shares no code with the package's in-place decoders, so a field
+// they read from the wrong bytes, or a bound they set wrongly, shows as
+// a difference.
+func refDecode(ts time.Time, frame []byte) (layers.Packet, error) {
+	p := layers.Packet{Timestamp: ts}
+	eth, rest, err := refEthernet(frame)
+	if err != nil {
+		return p, err
+	}
+	p.Eth = eth
+	var proto layers.IPProtocol
+	switch eth.EtherType {
+	case layers.EtherTypeIPv4:
+		if p.IP4, rest, err = refIPv4(rest); err != nil {
+			return p, err
+		}
+		if p.IP4.Flags&0x1 != 0 || p.IP4.FragOff != 0 {
+			return p, fmt.Errorf("%w: IPv4 fragment (offset %d, MF %d)",
+				layers.ErrUnsupported, p.IP4.FragOff, p.IP4.Flags&0x1)
+		}
+		p.IPVersion, proto = 4, p.IP4.Protocol
+	case layers.EtherTypeIPv6:
+		if p.IP6, rest, err = refIPv6(rest); err != nil {
+			return p, err
+		}
+		p.IPVersion, proto = 6, p.IP6.NextHeader
+	default:
+		return p, fmt.Errorf("%w: ethertype %#04x", layers.ErrUnsupported, uint16(eth.EtherType))
+	}
+	switch proto {
+	case layers.IPProtocolTCP:
+		p.TCP, p.Payload, err = refTCP(rest)
+	case layers.IPProtocolUDP:
+		p.UDP, p.Payload, err = refUDP(rest)
+	default:
+		return p, fmt.Errorf("%w: IP protocol %d", layers.ErrUnsupported, proto)
+	}
+	p.Proto = proto
+	return p, err
+}
+
+func refEthernet(data []byte) (layers.Ethernet, []byte, error) {
+	if len(data) < 14 {
+		return layers.Ethernet{}, nil, fmt.Errorf("%w: ethernet header needs %d bytes, have %d",
+			layers.ErrTruncated, 14, len(data))
+	}
+	var e layers.Ethernet
+	copy(e.Dst[:], data[0:6])
+	copy(e.Src[:], data[6:12])
+	e.EtherType = layers.EtherType(uint16(data[12])<<8 | uint16(data[13]))
+	return e, data[14:], nil
+}
+
+func refIPv4(data []byte) (layers.IPv4, []byte, error) {
+	if len(data) < 20 {
+		return layers.IPv4{}, nil, fmt.Errorf("%w: IPv4 header needs %d bytes, have %d",
+			layers.ErrTruncated, 20, len(data))
+	}
+	vihl := data[0]
+	if vihl>>4 != 4 {
+		return layers.IPv4{}, nil, fmt.Errorf("%w: version %d", layers.ErrBadVersion, vihl>>4)
+	}
+	hdrLen := int(vihl&0x0f) * 4
+	if hdrLen < 20 {
+		return layers.IPv4{}, nil, fmt.Errorf("layers: IPv4 IHL %d below minimum", hdrLen)
+	}
+	if len(data) < hdrLen {
+		return layers.IPv4{}, nil, fmt.Errorf("%w: IPv4 options extend past packet", layers.ErrTruncated)
+	}
+	ip := layers.IPv4{
+		TOS:      data[1],
+		TotalLen: binary.BigEndian.Uint16(data[2:]),
+		ID:       binary.BigEndian.Uint16(data[4:]),
+		Flags:    data[6] >> 5,
+		FragOff:  binary.BigEndian.Uint16(data[6:]) & 0x1fff,
+		TTL:      data[8],
+		Protocol: layers.IPProtocol(data[9]),
+		Src:      netip.AddrFrom4([4]byte(data[12:16])),
+		Dst:      netip.AddrFrom4([4]byte(data[16:20])),
+	}
+	if int(ip.TotalLen) < hdrLen || int(ip.TotalLen) > len(data) {
+		return layers.IPv4{}, nil, fmt.Errorf("%w: IPv4 total length %d vs %d captured",
+			layers.ErrTruncated, ip.TotalLen, len(data))
+	}
+	return ip, data[hdrLen:ip.TotalLen], nil
+}
+
+func refIPv6(data []byte) (layers.IPv6, []byte, error) {
+	if len(data) < 40 {
+		return layers.IPv6{}, nil, fmt.Errorf("%w: IPv6 header needs %d bytes, have %d",
+			layers.ErrTruncated, 40, len(data))
+	}
+	first := binary.BigEndian.Uint32(data)
+	if first>>28 != 6 {
+		return layers.IPv6{}, nil, fmt.Errorf("%w: version %d", layers.ErrBadVersion, first>>28)
+	}
+	ip := layers.IPv6{
+		TrafficClass: uint8(first >> 20),
+		FlowLabel:    first & 0xfffff,
+		PayloadLen:   binary.BigEndian.Uint16(data[4:]),
+		NextHeader:   layers.IPProtocol(data[6]),
+		HopLimit:     data[7],
+		Src:          netip.AddrFrom16([16]byte(data[8:24])),
+		Dst:          netip.AddrFrom16([16]byte(data[24:40])),
+	}
+	end := 40 + int(ip.PayloadLen)
+	if end > len(data) {
+		return layers.IPv6{}, nil, fmt.Errorf("%w: IPv6 payload extends past packet", layers.ErrTruncated)
+	}
+	return ip, data[40:end], nil
+}
+
+func refTCP(data []byte) (layers.TCP, []byte, error) {
+	if len(data) < 20 {
+		return layers.TCP{}, nil, fmt.Errorf("%w: TCP header needs %d bytes, have %d",
+			layers.ErrTruncated, 20, len(data))
+	}
+	t := layers.TCP{
+		SrcPort: binary.BigEndian.Uint16(data[0:]),
+		DstPort: binary.BigEndian.Uint16(data[2:]),
+		Seq:     binary.BigEndian.Uint32(data[4:]),
+		Ack:     binary.BigEndian.Uint32(data[8:]),
+		Flags:   layers.TCPFlags(data[13]),
+		Window:  binary.BigEndian.Uint16(data[14:]),
+		Urgent:  binary.BigEndian.Uint16(data[18:]),
+	}
+	off := int(data[12]>>4) * 4
+	if off < 20 {
+		return layers.TCP{}, nil, fmt.Errorf("layers: TCP data offset %d below minimum", off)
+	}
+	if off > len(data) {
+		return layers.TCP{}, nil, fmt.Errorf("%w: TCP options extend past segment", layers.ErrTruncated)
+	}
+	return t, data[off:], nil
+}
+
+func refUDP(data []byte) (layers.UDP, []byte, error) {
+	if len(data) < 8 {
+		return layers.UDP{}, nil, fmt.Errorf("%w: UDP header needs %d bytes, have %d",
+			layers.ErrTruncated, 8, len(data))
+	}
+	u := layers.UDP{
+		SrcPort: binary.BigEndian.Uint16(data[0:]),
+		DstPort: binary.BigEndian.Uint16(data[2:]),
+		Length:  binary.BigEndian.Uint16(data[4:]),
+	}
+	if int(u.Length) < 8 {
+		return layers.UDP{}, nil, fmt.Errorf("layers: UDP length %d below header size", u.Length)
+	}
+	if int(u.Length) > len(data) {
+		return layers.UDP{}, nil, fmt.Errorf("%w: UDP length %d exceeds %d available",
+			layers.ErrTruncated, u.Length, len(data))
+	}
+	return u, data[8:u.Length], nil
+}
+
+// checkAgainstRef decodes frame through DecodeInto into p, a Packet that
+// already holds another frame, and through DecodePacket, and requires
+// both to match refDecode: the same error text, or equal Packets field
+// for field, Payload bounds included.
+func checkAgainstRef(t *testing.T, name string, p *layers.Packet, ts time.Time, frame []byte) error {
+	t.Helper()
+	want, wantErr := refDecode(ts, frame)
+	fresh, freshErr := layers.DecodePacket(ts, frame)
+	err := layers.DecodeInto(p, ts, frame)
+	for _, got := range []struct {
+		call string
+		err  error
+	}{{"DecodeInto over a used Packet", err}, {"DecodePacket", freshErr}} {
+		if (got.err == nil) != (wantErr == nil) || (got.err != nil && got.err.Error() != wantErr.Error()) {
+			t.Fatalf("%s: %s error %v, reference error %v", name, got.call, got.err, wantErr)
+		}
+	}
+	if wantErr != nil {
+		return wantErr
+	}
+	if !reflect.DeepEqual(*p, want) {
+		t.Fatalf("%s: DecodeInto over a used Packet\n%+v\nreference\n%+v", name, *p, want)
+	}
+	if !reflect.DeepEqual(*fresh, want) {
+		t.Fatalf("%s: DecodePacket\n%+v\nreference\n%+v", name, *fresh, want)
+	}
+	return nil
+}
+
+// TestDecodeIntoReuse decodes every hand-built frame, then every frame
+// of a rendered capture, into one reused Packet and checks each result
+// against refDecode: no field of an earlier frame may survive into a
+// later one, and no field may be read from the wrong bytes.
 func TestDecodeIntoReuse(t *testing.T) {
 	var p layers.Packet
 	for i, fr := range handBuiltFrames(t) {
 		ts := time.Unix(1700000000, int64(i)*1e6)
-		want, wantErr := layers.DecodePacket(ts, fr.data)
-		err := layers.DecodeInto(&p, ts, fr.data)
-		if !errors.Is(wantErr, fr.err) {
-			t.Fatalf("%s: DecodePacket error %v, want %v", fr.name, wantErr, fr.err)
+		if err := checkAgainstRef(t, fr.name, &p, ts, fr.data); !errors.Is(err, fr.err) {
+			t.Fatalf("%s: reference error %v, want %v", fr.name, err, fr.err)
 		}
-		if wantErr != nil {
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Errorf("%s: DecodeInto error %v, DecodePacket error %v", fr.name, err, wantErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: DecodeInto: %v", fr.name, err)
-		}
-		if !reflect.DeepEqual(p, *want) {
-			t.Errorf("%s: reused decode\n%+v\nwant\n%+v", fr.name, p, *want)
+	}
+	for i, frame := range captureFrames(t) {
+		if err := checkAgainstRef(t, fmt.Sprintf("capture frame %d", i), &p, time.Unix(1700000001, int64(i)), frame); err != nil {
+			t.Fatalf("capture frame %d: %v", i, err)
 		}
 	}
 }
@@ -136,8 +322,9 @@ func captureFrames(tb testing.TB) [][]byte {
 }
 
 // FuzzDecodePacket checks that no frame panics the decoder and that
-// DecodeInto, run on a Packet already holding another frame, returns
-// exactly what DecodePacket does: the same error, or an equal Packet.
+// DecodeInto, run on a Packet already holding another frame, and
+// DecodePacket both return exactly what refDecode does: the same error
+// text, or an equal Packet.
 func FuzzDecodePacket(f *testing.F) {
 	hand := handBuiltFrames(f)
 	for _, fr := range hand {
@@ -153,14 +340,7 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		want, wantErr := layers.DecodePacket(ts, frame)
 		p := *prev
-		err := layers.DecodeInto(&p, ts, frame)
-		switch {
-		case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
-			t.Fatalf("DecodeInto error %v, DecodePacket error %v", err, wantErr)
-		case err == nil && !reflect.DeepEqual(p, *want):
-			t.Fatalf("DecodeInto over a used Packet\n%+v\nwant\n%+v", p, *want)
-		}
+		checkAgainstRef(t, "fuzz input", &p, ts, frame)
 	})
 }

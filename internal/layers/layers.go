@@ -67,18 +67,17 @@ func (e *Ethernet) AppendTo(w *wire.Writer) {
 	w.U16(uint16(e.EtherType))
 }
 
-// DecodeEthernet parses an Ethernet II header and returns it with the
-// remaining payload bytes.
-func DecodeEthernet(data []byte) (Ethernet, []byte, error) {
+// decode parses an Ethernet II header into e and returns the remaining
+// payload bytes.
+func (e *Ethernet) decode(data []byte) ([]byte, error) {
 	if len(data) < ethernetHeaderLen {
-		return Ethernet{}, nil, fmt.Errorf("%w: ethernet header needs %d bytes, have %d",
+		return nil, fmt.Errorf("%w: ethernet header needs %d bytes, have %d",
 			ErrTruncated, ethernetHeaderLen, len(data))
 	}
-	var e Ethernet
-	copy(e.Dst[:], data[0:6])
-	copy(e.Src[:], data[6:12])
-	e.EtherType = EtherType(uint16(data[12])<<8 | uint16(data[13]))
-	return e, data[ethernetHeaderLen:], nil
+	e.Dst = MAC(data[0:6])
+	e.Src = MAC(data[6:12])
+	e.EtherType = EtherType(binary.BigEndian.Uint16(data[12:]))
+	return data[ethernetHeaderLen:], nil
 }
 
 // IPv4 is an IPv4 header without options (IHL is always 5 on encode;
@@ -127,42 +126,40 @@ func (ip *IPv4) AppendTo(w *wire.Writer, payloadLen int) error {
 	return nil
 }
 
-// DecodeIPv4 parses an IPv4 header and returns it with the payload bytes
+// decode parses an IPv4 header into ip and returns the payload bytes
 // (bounded by the header's total length, which guards against trailing
 // Ethernet padding reaching the TCP parser).
-func DecodeIPv4(data []byte) (IPv4, []byte, error) {
+func (ip *IPv4) decode(data []byte) ([]byte, error) {
 	if len(data) < ipv4HeaderLen {
-		return IPv4{}, nil, fmt.Errorf("%w: IPv4 header needs %d bytes, have %d",
+		return nil, fmt.Errorf("%w: IPv4 header needs %d bytes, have %d",
 			ErrTruncated, ipv4HeaderLen, len(data))
 	}
 	vihl := data[0]
 	if vihl>>4 != 4 {
-		return IPv4{}, nil, fmt.Errorf("%w: version %d", ErrBadVersion, vihl>>4)
+		return nil, fmt.Errorf("%w: version %d", ErrBadVersion, vihl>>4)
 	}
 	hdrLen := int(vihl&0x0f) * 4
 	if hdrLen < ipv4HeaderLen {
-		return IPv4{}, nil, fmt.Errorf("layers: IPv4 IHL %d below minimum", hdrLen)
+		return nil, fmt.Errorf("layers: IPv4 IHL %d below minimum", hdrLen)
 	}
 	if len(data) < hdrLen {
-		return IPv4{}, nil, fmt.Errorf("%w: IPv4 options extend past packet", ErrTruncated)
+		return nil, fmt.Errorf("%w: IPv4 options extend past packet", ErrTruncated)
 	}
-	ip := IPv4{
-		TOS:      data[1],
-		TotalLen: binary.BigEndian.Uint16(data[2:]),
-		ID:       binary.BigEndian.Uint16(data[4:]),
-		Flags:    data[6] >> 5,
-		FragOff:  binary.BigEndian.Uint16(data[6:]) & 0x1fff,
-		TTL:      data[8],
-		Protocol: IPProtocol(data[9]),
-		// data[10:12] is the checksum: simulator-written captures are trusted.
-		Src: netip.AddrFrom4([4]byte(data[12:16])),
-		Dst: netip.AddrFrom4([4]byte(data[16:20])),
-	}
+	ip.TOS = data[1]
+	ip.TotalLen = binary.BigEndian.Uint16(data[2:])
+	ip.ID = binary.BigEndian.Uint16(data[4:])
+	ip.Flags = data[6] >> 5
+	ip.FragOff = binary.BigEndian.Uint16(data[6:]) & 0x1fff
+	ip.TTL = data[8]
+	ip.Protocol = IPProtocol(data[9])
+	// data[10:12] is the checksum: simulator-written captures are trusted.
+	ip.Src = netip.AddrFrom4([4]byte(data[12:16]))
+	ip.Dst = netip.AddrFrom4([4]byte(data[16:20]))
 	if int(ip.TotalLen) < hdrLen || int(ip.TotalLen) > len(data) {
-		return IPv4{}, nil, fmt.Errorf("%w: IPv4 total length %d vs %d captured",
+		return nil, fmt.Errorf("%w: IPv4 total length %d vs %d captured",
 			ErrTruncated, ip.TotalLen, len(data))
 	}
-	return ip, data[hdrLen:ip.TotalLen], nil
+	return data[hdrLen:ip.TotalLen], nil
 }
 
 // IPv6 is a fixed IPv6 header (no extension headers).
@@ -197,28 +194,26 @@ func (ip *IPv6) AppendTo(w *wire.Writer, payloadLen int) error {
 	return nil
 }
 
-// DecodeIPv6 parses a fixed IPv6 header and returns it with the payload.
-func DecodeIPv6(data []byte) (IPv6, []byte, error) {
+// decode parses a fixed IPv6 header into ip and returns the payload.
+func (ip *IPv6) decode(data []byte) ([]byte, error) {
 	if len(data) < ipv6HeaderLen {
-		return IPv6{}, nil, fmt.Errorf("%w: IPv6 header needs %d bytes, have %d",
+		return nil, fmt.Errorf("%w: IPv6 header needs %d bytes, have %d",
 			ErrTruncated, ipv6HeaderLen, len(data))
 	}
 	first := binary.BigEndian.Uint32(data)
 	if first>>28 != 6 {
-		return IPv6{}, nil, fmt.Errorf("%w: version %d", ErrBadVersion, first>>28)
+		return nil, fmt.Errorf("%w: version %d", ErrBadVersion, first>>28)
 	}
-	ip := IPv6{
-		TrafficClass: uint8(first >> 20),
-		FlowLabel:    first & 0xfffff,
-		PayloadLen:   binary.BigEndian.Uint16(data[4:]),
-		NextHeader:   IPProtocol(data[6]),
-		HopLimit:     data[7],
-		Src:          netip.AddrFrom16([16]byte(data[8:24])),
-		Dst:          netip.AddrFrom16([16]byte(data[24:40])),
-	}
+	ip.TrafficClass = uint8(first >> 20)
+	ip.FlowLabel = first & 0xfffff
+	ip.PayloadLen = binary.BigEndian.Uint16(data[4:])
+	ip.NextHeader = IPProtocol(data[6])
+	ip.HopLimit = data[7]
+	ip.Src = netip.AddrFrom16([16]byte(data[8:24]))
+	ip.Dst = netip.AddrFrom16([16]byte(data[24:40]))
 	end := ipv6HeaderLen + int(ip.PayloadLen)
 	if end > len(data) {
-		return IPv6{}, nil, fmt.Errorf("%w: IPv6 payload extends past packet", ErrTruncated)
+		return nil, fmt.Errorf("%w: IPv6 payload extends past packet", ErrTruncated)
 	}
-	return ip, data[ipv6HeaderLen:end], nil
+	return data[ipv6HeaderLen:end], nil
 }

@@ -24,7 +24,8 @@ func TestEthernetRoundTrip(t *testing.T) {
 	e := Ethernet{Dst: srvMAC, Src: cliMAC, EtherType: EtherTypeIPv4}
 	w := wire.NewWriter(16)
 	e.AppendTo(w)
-	got, rest, err := DecodeEthernet(append(w.Bytes(), 0xaa, 0xbb))
+	var got Ethernet
+	rest, err := got.decode(append(w.Bytes(), 0xaa, 0xbb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestEthernetRoundTrip(t *testing.T) {
 }
 
 func TestEthernetTruncated(t *testing.T) {
-	_, _, err := DecodeEthernet(make([]byte, 13))
+	_, err := new(Ethernet).decode(make([]byte, 13))
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
@@ -59,7 +60,8 @@ func TestIPv4RoundTrip(t *testing.T) {
 	}
 	w.Write(payload)
 
-	got, gotPayload, err := DecodeIPv4(w.Bytes())
+	var got IPv4
+	gotPayload, err := got.decode(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestIPv4HeaderChecksumValid(t *testing.T) {
 
 func TestIPv4PaddingIgnored(t *testing.T) {
 	// Ethernet minimum-frame padding after the IP datagram must not leak
-	// into the payload: DecodeIPv4 bounds payload by TotalLen.
+	// into the payload: the IPv4 decode bounds payload by TotalLen.
 	ip := IPv4{TTL: 64, Protocol: IPProtocolTCP, Src: cli4, Dst: srv4}
 	w := wire.NewWriter(32)
 	if err := ip.AppendTo(w, 4); err != nil {
@@ -96,7 +98,7 @@ func TestIPv4PaddingIgnored(t *testing.T) {
 	}
 	w.Write([]byte{1, 2, 3, 4})
 	w.Zero(10) // padding
-	_, payload, err := DecodeIPv4(w.Bytes())
+	payload, err := new(IPv4).decode(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestIPv4RejectsWrongFamily(t *testing.T) {
 func TestIPv4BadVersion(t *testing.T) {
 	buf := make([]byte, 20)
 	buf[0] = 0x65 // version 6, IHL 5
-	_, _, err := DecodeIPv4(buf)
+	_, err := new(IPv4).decode(buf)
 	if !errors.Is(err, ErrBadVersion) {
 		t.Errorf("err = %v, want ErrBadVersion", err)
 	}
@@ -128,7 +130,7 @@ func TestIPv4TruncatedTotalLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Write([]byte{1, 2, 3}) // delivers 3
-	_, _, err := DecodeIPv4(w.Bytes())
+	_, err := new(IPv4).decode(w.Bytes())
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
@@ -143,7 +145,8 @@ func TestIPv6RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Write(payload)
-	got, gotPayload, err := DecodeIPv6(w.Bytes())
+	var got IPv6
+	gotPayload, err := got.decode(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err := tcp.AppendTo(w, cli4, srv4, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, gotPayload, err := DecodeTCP(w.Bytes())
+	var got TCP
+	gotPayload, err := got.decode(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

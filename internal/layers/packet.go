@@ -87,34 +87,45 @@ func DecodePacket(ts time.Time, frame []byte) (*Packet, error) {
 // DecodeInto is DecodePacket into caller-owned storage: it overwrites
 // every field of *p, so one Packet can be reused across frames with no
 // allocation per packet and no field surviving from the previous frame.
-// It returns the error DecodePacket would; *p is then unspecified.
-// Payload aliases frame.
+// Each header decodes straight into its field of *p. It returns the
+// error DecodePacket would; *p is then unspecified. Payload aliases
+// frame.
+//
+// An IPv4 fragment (MF set or a nonzero fragment offset) is
+// ErrUnsupported: nothing here reassembles IP, so a fragment is never a
+// whole transport segment, and a later fragment's first bytes are
+// payload, not a header. IPv6 fragments fail as an unsupported next
+// header.
 func DecodeInto(p *Packet, ts time.Time, frame []byte) error {
 	*p = Packet{Timestamp: ts}
-	eth, rest, err := DecodeEthernet(frame)
+	rest, err := p.Eth.decode(frame)
 	if err != nil {
 		return err
 	}
-	p.Eth = eth
 	var proto IPProtocol
-	switch eth.EtherType {
+	switch p.Eth.EtherType {
 	case EtherTypeIPv4:
-		p.IP4, rest, err = DecodeIPv4(rest)
+		if rest, err = p.IP4.decode(rest); err != nil {
+			return err
+		}
+		if p.IP4.Flags&0x1 != 0 || p.IP4.FragOff != 0 { // more fragments follow, or not the first
+			return fmt.Errorf("%w: IPv4 fragment (offset %d, MF %d)",
+				ErrUnsupported, p.IP4.FragOff, p.IP4.Flags&0x1)
+		}
 		p.IPVersion, proto = 4, p.IP4.Protocol
 	case EtherTypeIPv6:
-		p.IP6, rest, err = DecodeIPv6(rest)
+		if rest, err = p.IP6.decode(rest); err != nil {
+			return err
+		}
 		p.IPVersion, proto = 6, p.IP6.NextHeader
 	default:
-		return fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, uint16(eth.EtherType))
-	}
-	if err != nil {
-		return err
+		return fmt.Errorf("%w: ethertype %#04x", ErrUnsupported, uint16(p.Eth.EtherType))
 	}
 	switch proto {
 	case IPProtocolTCP:
-		p.TCP, p.Payload, err = DecodeTCP(rest)
+		p.Payload, err = p.TCP.decode(rest)
 	case IPProtocolUDP:
-		p.UDP, p.Payload, err = DecodeUDP(rest)
+		p.Payload, err = p.UDP.decode(rest)
 	default:
 		return fmt.Errorf("%w: IP protocol %d", ErrUnsupported, proto)
 	}

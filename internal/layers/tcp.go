@@ -115,28 +115,26 @@ func pseudoHeaderSum(sum uint32, src, dst netip.Addr, proto IPProtocol, segLen i
 	return 0, fmt.Errorf("layers: mismatched address families %v / %v", src, dst)
 }
 
-// DecodeTCP parses a TCP header and returns it with the payload bytes.
-func DecodeTCP(data []byte) (TCP, []byte, error) {
+// decode parses a TCP header into t and returns the payload bytes.
+func (t *TCP) decode(data []byte) ([]byte, error) {
 	if len(data) < tcpHeaderLen {
-		return TCP{}, nil, fmt.Errorf("%w: TCP header needs %d bytes, have %d",
+		return nil, fmt.Errorf("%w: TCP header needs %d bytes, have %d",
 			ErrTruncated, tcpHeaderLen, len(data))
 	}
-	t := TCP{
-		SrcPort: binary.BigEndian.Uint16(data[0:]),
-		DstPort: binary.BigEndian.Uint16(data[2:]),
-		Seq:     binary.BigEndian.Uint32(data[4:]),
-		Ack:     binary.BigEndian.Uint32(data[8:]),
-		Flags:   TCPFlags(data[13]),
-		Window:  binary.BigEndian.Uint16(data[14:]),
-		// data[16:18] is the checksum.
-		Urgent: binary.BigEndian.Uint16(data[18:]),
-	}
+	t.SrcPort = binary.BigEndian.Uint16(data[0:])
+	t.DstPort = binary.BigEndian.Uint16(data[2:])
+	t.Seq = binary.BigEndian.Uint32(data[4:])
+	t.Ack = binary.BigEndian.Uint32(data[8:])
+	t.Flags = TCPFlags(data[13])
+	t.Window = binary.BigEndian.Uint16(data[14:])
+	// data[16:18] is the checksum.
+	t.Urgent = binary.BigEndian.Uint16(data[18:])
 	off := int(data[12]>>4) * 4
 	if off < tcpHeaderLen {
-		return TCP{}, nil, fmt.Errorf("layers: TCP data offset %d below minimum", off)
+		return nil, fmt.Errorf("layers: TCP data offset %d below minimum", off)
 	}
 	if off > len(data) {
-		return TCP{}, nil, fmt.Errorf("%w: TCP options extend past segment", ErrTruncated)
+		return nil, fmt.Errorf("%w: TCP options extend past segment", ErrTruncated)
 	}
-	return t, data[off:], nil
+	return data[off:], nil
 }

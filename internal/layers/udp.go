@@ -52,27 +52,25 @@ func (u *UDP) appendHeader(w *wire.Writer, src, dst netip.Addr, payload []byte) 
 	return nil
 }
 
-// DecodeUDP parses a UDP header and returns it with the payload bytes,
+// decode parses a UDP header into u and returns the payload bytes,
 // bounded by the header's length field.
-func DecodeUDP(data []byte) (UDP, []byte, error) {
+func (u *UDP) decode(data []byte) ([]byte, error) {
 	if len(data) < udpHeaderLen {
-		return UDP{}, nil, fmt.Errorf("%w: UDP header needs %d bytes, have %d",
+		return nil, fmt.Errorf("%w: UDP header needs %d bytes, have %d",
 			ErrTruncated, udpHeaderLen, len(data))
 	}
-	u := UDP{
-		SrcPort: binary.BigEndian.Uint16(data[0:]),
-		DstPort: binary.BigEndian.Uint16(data[2:]),
-		Length:  binary.BigEndian.Uint16(data[4:]),
-		// data[6:8] is the checksum.
-	}
+	u.SrcPort = binary.BigEndian.Uint16(data[0:])
+	u.DstPort = binary.BigEndian.Uint16(data[2:])
+	u.Length = binary.BigEndian.Uint16(data[4:])
+	// data[6:8] is the checksum.
 	if int(u.Length) < udpHeaderLen {
-		return UDP{}, nil, fmt.Errorf("layers: UDP length %d below header size", u.Length)
+		return nil, fmt.Errorf("layers: UDP length %d below header size", u.Length)
 	}
 	if int(u.Length) > len(data) {
-		return UDP{}, nil, fmt.Errorf("%w: UDP length %d exceeds %d available",
+		return nil, fmt.Errorf("%w: UDP length %d exceeds %d available",
 			ErrTruncated, u.Length, len(data))
 	}
-	return u, data[udpHeaderLen:u.Length], nil
+	return data[udpHeaderLen:u.Length], nil
 }
 
 // BuildUDPFrame serializes a complete Ethernet/IPv4-or-IPv6/UDP frame.

@@ -15,7 +15,8 @@ func TestUDPRoundTrip(t *testing.T) {
 	if err := u.AppendTo(w, cli4, srv4, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, gotPayload, err := DecodeUDP(w.Bytes())
+	var got UDP
+	gotPayload, err := got.decode(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestUDPChecksumPseudoHeaderV4(t *testing.T) {
 }
 
 func TestUDPTruncated(t *testing.T) {
-	if _, _, err := DecodeUDP(make([]byte, udpHeaderLen-1)); err == nil {
+	if _, err := new(UDP).decode(make([]byte, udpHeaderLen-1)); err == nil {
 		t.Fatal("want error for short header")
 	}
 	u := UDP{SrcPort: 1, DstPort: 2}
@@ -61,7 +62,7 @@ func TestUDPTruncated(t *testing.T) {
 	if err := u.AppendTo(w, cli4, srv4, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeUDP(w.Bytes()[:udpHeaderLen+2]); err == nil {
+	if _, err := new(UDP).decode(w.Bytes()[:udpHeaderLen+2]); err == nil {
 		t.Fatal("want error when length field exceeds available bytes")
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"repro/internal/lint"
 )
 
-// TestSuiteShape pins the analyzer roster: five checkers, in reporting
+// TestSuiteShape pins the analyzer roster: four checkers, in reporting
 // order, each with a name and doc.
 func TestSuiteShape(t *testing.T) {
-	want := []string{"detrand", "spanown", "atomiccursor", "eventcase", "doccheck"}
+	want := []string{"detrand", "spanown", "eventcase", "doccheck"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

@@ -1,5 +1,5 @@
 // Package lint assembles the wmlint suite: the analyzers that prove the
-// engine's invariants (determinism, span ownership, cursor atomicity,
+// engine's invariants (determinism, span ownership,
 // event exhaustiveness, documented surface) and the driver that runs
 // them over module packages, honoring //lint:allow markers.
 //
@@ -17,7 +17,6 @@ import (
 	"io"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/atomiccursor"
 	"repro/internal/lint/detrand"
 	"repro/internal/lint/doccheck"
 	"repro/internal/lint/eventcase"
@@ -30,7 +29,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detrand.Analyzer,
 		spanown.Analyzer,
-		atomiccursor.Analyzer,
 		eventcase.Analyzer,
 		doccheck.Analyzer,
 	}
