@@ -9,9 +9,10 @@ import (
 
 // TestMonitorAllocsPerPacket bounds the Monitor's allocations per packet
 // and per byte. Every frame decodes into one reused Packet, each flow
-// owns its two reassembly streams, scanned chunks are released at once,
-// and the fed bytes are parsed in place, so what remains are per-flow
-// and per-record costs and the copies of out-of-order segments. A
+// owns its two reassembly streams, which hand in-order bytes straight to
+// their record scanners, and the fed bytes are parsed in place, so what
+// remains are per-flow and per-record costs and the copies of
+// out-of-order segments. A
 // capture must cost under 64 KiB allocated per MiB fed through InferPcap,
 // through a Monitor fed an interleaved multi-flow capture in one Feed,
 // frame by frame through FeedPacket into a rolling-window Monitor, and

@@ -47,8 +47,9 @@ func ExampleNewMonitor() {
 }
 
 // ExampleNewMonitor_rollingWindow is the link-tap configuration: with
-// MonitorOptions.Window set, consumed reassembly memory is released as it
-// is scanned and each flow concludes on its FIN/RST or idle timeout with
+// MonitorOptions.Window set, reassembly holds only out-of-order bytes
+// (in-order bytes go straight to the record scanner, as in batch mode),
+// and each flow concludes on its FIN/RST or idle timeout with
 // its own event — SessionFinalized for any flow that classified in-band
 // reports (noise flows whose requests happen to collide with a report
 // band conclude this way too, with low matched counts that lose the final

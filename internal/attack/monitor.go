@@ -37,20 +37,22 @@ import (
 // graph, which is what lets it find the interactive session among
 // concurrent bulk-streaming noise.
 //
-// In every mode reassembled chunks are released the moment the record
-// scanner has read them, and each flow keeps one store of record
-// descriptors: its client records (TCP) or burst pseudo-records (QUIC),
-// the observation the attack decodes. Server descriptors are dropped as
-// they are scanned, since the attack never reads them. By default every
-// flow stays open until Close, so the decode sees each flow's whole
-// observation. A real deployment watches a link tap for hours;
-// MonitorOptions.Window turns on the rolling-window mode for that
-// regime: flows finalize individually on FIN/RST or an idle timeout
-// (emitting SessionFinalized or FlowExpired as they go), and noise flows
-// that never produce an in-band report are rejected and eventually
-// evicted, so one monitor runs indefinitely in memory bounded by the set
-// of concurrently live conversations rather than by uptime. Close applies
-// one rule in both modes to the flows still open.
+// In every mode reassembly hands each flow's in-order TCP bytes straight
+// to that direction's record scanner as the packet carrying them is
+// ingested, so only out-of-order bytes waiting behind a gap are held, and
+// each flow keeps one store of record descriptors: its client records
+// (TCP) or burst pseudo-records (QUIC), the observation the attack
+// decodes. Server descriptors are dropped as they are scanned, since the
+// attack never reads them. By default every flow stays open until Close,
+// so the decode sees each flow's whole observation. A real deployment
+// watches a link tap for hours; MonitorOptions.Window turns on the
+// rolling-window mode for that regime: flows finalize individually on
+// FIN/RST or an idle timeout (emitting SessionFinalized or FlowExpired as
+// they go), and noise flows that never produce an in-band report are
+// rejected and eventually evicted, so one monitor runs indefinitely in
+// memory bounded by the set of concurrently live conversations rather
+// than by uptime. Close applies one rule in both modes to the flows still
+// open.
 //
 // A Monitor runs on the caller's goroutine: Feed and FeedPacket parse,
 // decode and process their packets before they return, and OnEvent runs
@@ -346,8 +348,10 @@ type MonitorStats struct {
 	// ExpiredFlows counts FlowExpired events so far, in both modes.
 	ExpiredFlows int
 	// RetainedBytes approximates the monitor's retained buffer memory:
-	// reassembly chunks and pending segments, the flows' client record
-	// descriptors, and the carried partial record of the pcap feed.
+	// the out-of-order segments reassembly holds behind a gap (in-order
+	// bytes go straight to the record scanners and are not kept), the
+	// flows' client record descriptors, and the carried partial record of
+	// the pcap feed.
 	RetainedBytes int64
 	// Sweeps counts idle sweeps run so far (window mode).
 	Sweeps int64
@@ -370,22 +374,17 @@ type ShardStats struct {
 }
 
 // monDir is one direction of a monitored conversation: the reassembly
-// stream, the chunk cursor into it, and the record scanner riding on top,
-// drained after every packet.
+// stream and the record scanner it delivers in-order bytes into.
 type monDir struct {
-	stream   *tcpreasm.Stream
-	consumed int // chunks consumed from the stream (absolute index)
-	sc       *tlsrec.RecordScanner
+	stream *tcpreasm.Stream
+	sc     *tlsrec.RecordScanner
 }
 
 // quicFlow is the QUIC/UDP replacement for the two reassembly directions:
-// direction bookkeeping and the client-side burst segmenter.
+// the client-side burst segmenter and each side's byte count.
 type quicFlow struct {
 	sniffed     bool // first datagram examined
 	observed    bool // QUICFlowObserved emitted
-	haveClient  bool
-	haveServer  bool
-	serverKey   layers.FlowKey
 	seg         BurstSegmenter
 	clientBytes int64
 	serverBytes int64
@@ -395,7 +394,11 @@ type quicFlow struct {
 // non-nil for UDP flows; then the monDir pair stays unused.
 type monFlow struct {
 	canonical layers.FlowKey
-	reverse   layers.FlowKey // canonical.Reverse(); a packet keyed either way is this flow's
+
+	// clientSide and serverSide are the orientations, against canonical,
+	// of each end's packets: Unrelated until isClient resolves one.
+	clientSide, serverSide layers.Orientation
+
 	clientKey layers.FlowKey
 	client    monDir
 	server    monDir
@@ -523,16 +526,25 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 	if err := layers.DecodeInto(p, ts, frame); err != nil {
 		return // non-IP, neither TCP nor UDP, an IP fragment, or truncated
 	}
-	// Consecutive packets mostly belong to one conversation, so the flow
-	// of the last packet routed is tried first; only a packet of another
-	// conversation pays for its canonical key and the map. The memo
-	// always names an open flow: dropFlow forgets it, and the sweep below
-	// exempts this packet's own flow.
-	key := p.Flow()
+	// Consecutive packets mostly belong to one conversation, so the
+	// packet's 5-tuple is first compared in place with the canonical key
+	// of the last packet's flow, which also gives its orientation; only a
+	// packet of another conversation builds its key and canonical key and
+	// reads the map. The memo always names an open flow: dropFlow forgets
+	// it, and the sweep below exempts this packet's own flow.
 	f := m.last
+	var o layers.Orientation
+	if f != nil {
+		o = p.Orient(&f.canonical)
+	}
 	var canon layers.FlowKey
-	if f == nil || (key != f.canonical && key != f.reverse) {
-		canon, _ = key.Canonical()
+	if o == layers.Unrelated {
+		var along bool
+		canon, along = p.Flow().Canonical()
+		o = layers.Against
+		if along {
+			o = layers.Along
+		}
 		f = m.flows[canon] // nil for a new conversation
 	}
 	if m.win != nil {
@@ -556,9 +568,9 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 	}
 	m.last = f
 	if p.Proto == layers.IPProtocolUDP {
-		m.ingestDatagram(p, f, key)
+		m.ingestDatagram(p, f, o)
 	} else {
-		m.ingest(p, f, key)
+		m.ingest(p, f, o)
 	}
 }
 
@@ -581,34 +593,26 @@ func (m *Monitor) sweepDue() bool {
 }
 
 // ingest runs one decoded TCP packet through reassembly, scanning and
-// window maintenance. f is the packet's flow and key its directional
-// key.
-func (m *Monitor) ingest(p *layers.Packet, f *monFlow, key layers.FlowKey) {
+// window maintenance. f is the packet's flow and o its orientation
+// against f.canonical.
+func (m *Monitor) ingest(p *layers.Packet, f *monFlow, o layers.Orientation) {
 	ts := p.Timestamp
 	f.lastSeen = ts
-	dir, isClient := f.direction(key)
+	isClient := f.isClient(o)
+	dir := &f.server
+	if isClient {
+		dir = &f.client
+	}
 	if dir.stream == nil {
-		dir.stream = tcpreasm.NewStream(key)
 		dir.sc = tlsrec.NewRecordScanner()
-		if isClient {
-			f.clientKey = key
-		}
+		dir.stream = tcpreasm.NewStreamTo(f.key(o), dir.sc)
 	}
-	st := dir.stream
-	st.Feed(p)
-	// Drain newly delivered chunks into the record scanner, then release
-	// them: the scanner keeps only record headers, so no mode reads a
-	// chunk twice, and no in-order chunk, which aliases the caller's
-	// bytes, outlives the packet's ingest. A scanner that has hit a
-	// framing error stays stuck (the direction is not TLS), and the
-	// conversation is never a candidate.
-	for _, ch := range st.DeliveredChunks(dir.consumed) {
-		dir.consumed++
-		if dir.sc.Err() == nil {
-			dir.sc.Feed(ch.Time, ch.Data)
-		}
-	}
-	st.ReleaseThrough(dir.consumed)
+	// Reassembly hands the bytes this packet delivers straight to the
+	// record scanner, which keeps only record headers, so no in-order
+	// payload, which aliases the caller's bytes, outlives the packet's
+	// ingest. A scanner that has hit a framing error stays stuck (the
+	// direction is not TLS), and the conversation is never a candidate.
+	dir.stream.Feed(p)
 	if dir.sc.Err() != nil {
 		// Not TLS: the conversation can never be attacked, so stop
 		// buffering it in every mode (its data is never read again).
@@ -637,7 +641,7 @@ func (m *Monitor) ingest(p *layers.Packet, f *monFlow, key layers.FlowKey) {
 // seen at packet m.seq, scheduling its idle-expiry wheel entry in window
 // mode.
 func (m *Monitor) newFlow(canon layers.FlowKey, ts time.Time) *monFlow {
-	f := &monFlow{canonical: canon, reverse: canon.Reverse(), firstSeq: m.seq}
+	f := &monFlow{canonical: canon, firstSeq: m.seq}
 	if canon.Proto == layers.IPProtocolUDP {
 		f.quic = &quicFlow{}
 	}
@@ -656,9 +660,9 @@ func (m *Monitor) newFlow(canon layers.FlowKey, ts time.Time) *monFlow {
 // excluded from burst segmentation; client short-header datagrams drive
 // the burst segmenter, and each completed burst replays through the
 // record pipeline as a pseudo-record of the burst's summed size. Nothing
-// beyond sizes and times is retained. f is the datagram's flow and key
-// its directional key.
-func (m *Monitor) ingestDatagram(p *layers.Packet, f *monFlow, key layers.FlowKey) {
+// beyond sizes and times is retained. f is the datagram's flow and o its
+// orientation against f.canonical.
+func (m *Monitor) ingestDatagram(p *layers.Packet, f *monFlow, o layers.Orientation) {
 	ts := p.Timestamp
 	f.lastSeen = ts
 	if f.dead {
@@ -677,18 +681,10 @@ func (m *Monitor) ingestDatagram(p *layers.Packet, f *monFlow, key layers.FlowKe
 			return
 		}
 	}
-	isClient := f.quicDirection(key)
+	isClient := f.isClient(o)
 	if isClient {
-		if !q.haveClient {
-			q.haveClient = true
-			f.clientKey = key
-		}
 		q.clientBytes += int64(len(p.Payload))
 	} else {
-		if !q.haveServer {
-			q.haveServer = true
-			q.serverKey = key
-		}
 		q.serverBytes += int64(len(p.Payload))
 	}
 	if len(p.Payload) > 0 && quicrec.IsLongHeader(p.Payload[0]) {
@@ -724,24 +720,6 @@ func (m *Monitor) flushQUIC(f *monFlow) {
 	}
 	if b, ok := f.quic.seg.Flush(); ok {
 		m.quicBurst(f, b)
-	}
-}
-
-// quicDirection resolves whether a directional UDP key is the client
-// side, by the same orientation rule direction() applies to TCP.
-func (f *monFlow) quicDirection(k layers.FlowKey) bool {
-	q := f.quic
-	switch {
-	case q.haveClient && f.clientKey == k:
-		return true
-	case q.haveServer && q.serverKey == k:
-		return false
-	case k.DstPort < 1024 && k.SrcPort >= 1024:
-		return true
-	case k.SrcPort < 1024 && k.DstPort >= 1024:
-		return false
-	default:
-		return !q.haveClient
 	}
 }
 
@@ -968,34 +946,42 @@ func (m *Monitor) dropFlow(f *monFlow) {
 
 // eventKey is the key flow-level events carry: client→server when known.
 func (f *monFlow) eventKey() layers.FlowKey {
-	if f.client.stream != nil {
-		return f.clientKey
-	}
-	if f.quic != nil && f.quic.haveClient {
+	if f.clientSide != layers.Unrelated {
 		return f.clientKey
 	}
 	return f.canonical
 }
 
-// direction resolves which side of the conversation a directional key is,
-// using the batch orienter's rule: the endpoint talking to a well-known
-// port is the client; with two ephemeral ports, the first direction seen
-// is taken as client→server.
-func (f *monFlow) direction(k layers.FlowKey) (*monDir, bool) {
-	switch {
-	case f.client.stream != nil && f.client.stream.Key == k:
-		return &f.client, true
-	case f.server.stream != nil && f.server.stream.Key == k:
-		return &f.server, false
-	case k.DstPort < 1024 && k.SrcPort >= 1024:
-		return &f.client, true
-	case k.SrcPort < 1024 && k.DstPort >= 1024:
-		return &f.server, false
-	case f.client.stream == nil:
-		return &f.client, true
-	default:
-		return &f.server, false
+// key is the directional key of packets of orientation o.
+func (f *monFlow) key(o layers.Orientation) layers.FlowKey {
+	if o == layers.Against {
+		return f.canonical.Reverse()
 	}
+	return f.canonical
+}
+
+// isClient reports whether packets of orientation o come from the
+// client, TCP and QUIC alike. The first packet of each orientation
+// resolves it by the batch orienter's rule: the endpoint talking to a
+// well-known port is the client; with two ephemeral ports (or two
+// well-known ones), the first orientation seen is. Neither rule can
+// change its answer later, so every later packet reads the answer back.
+func (f *monFlow) isClient(o layers.Orientation) bool {
+	switch o {
+	case f.clientSide:
+		return true
+	case f.serverSide:
+		return false
+	}
+	k := f.key(o)
+	switch {
+	case k.DstPort < 1024 && k.SrcPort >= 1024,
+		!(k.SrcPort < 1024 && k.DstPort >= 1024) && f.clientSide == layers.Unrelated:
+		f.clientSide, f.clientKey = o, k
+		return true
+	}
+	f.serverSide = o
+	return false
 }
 
 // onClientRecord absorbs one completed client-side record: keep it in the
@@ -1099,7 +1085,7 @@ func (m *Monitor) liveTable() *PathTable {
 // both directions seen and parsable as the flow's transport.
 func (f *monFlow) viable() bool {
 	if f.quic != nil {
-		return f.quic.haveClient && f.quic.haveServer
+		return f.clientSide != layers.Unrelated && f.serverSide != layers.Unrelated
 	}
 	return f.client.stream != nil && f.server.stream != nil &&
 		f.client.sc.Err() == nil && f.server.sc.Err() == nil

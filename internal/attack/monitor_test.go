@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -1132,6 +1133,135 @@ func TestMonitorSkipsIPv4Fragments(t *testing.T) {
 	}
 	if _, err := m.Close(); err != ErrNoTLSConversation {
 		t.Errorf("Close error %v, want %v", err, ErrNoTLSConversation)
+	}
+}
+
+// TestMonitorDirectionRules pins which end of a conversation the Monitor
+// takes for its client, by the batch orienter's rule: the endpoint talking
+// to a well-known port is the client; with two ephemeral ports, or two
+// well-known ones, the end whose packet arrives first is, even when that
+// is a server segment of a capture started mid-stream. Six conversations
+// (five TCP, one QUIC) are fed interleaved, three packets of one before
+// the next, and within each the ends take turns in the pattern F F O | O
+// F F | F O O, F being the end whose packet comes first: so the
+// last-flow memo misses on packets of both orientations, hits on both,
+// and resolves an end on a hit (run one's O). Each TCP end sends a
+// handshake record, then an application record a packet (the SYN case's
+// first end opens with a SYN), so F sends four application records and O
+// three. The attacker classifies no report, so Close attacks the largest
+// conversation, the first, and expires the rest, in first-seen order;
+// each event must carry the client key the rule picks and the records
+// and bytes of the right ends.
+func TestMonitorDirectionRules(t *testing.T) {
+	c, s := netip.MustParseAddr("192.168.1.10"), netip.MustParseAddr("198.51.100.7")
+	tcp := func(src netip.Addr, sport uint16, dst netip.Addr, dport uint16) layers.FlowKey {
+		return layers.FlowKey{SrcAddr: src, DstAddr: dst, SrcPort: sport, DstPort: dport}
+	}
+	quic := tcp(s, 443, c, 40004)
+	quic.Proto = layers.IPProtocolUDP
+	convs := []struct {
+		name   string
+		first  layers.FlowKey // the key of the conversation's first packet
+		syn    bool           // the first end opens with a SYN
+		size   int            // application record body bytes
+		client layers.FlowKey // what the rule makes the client→server key
+	}{
+		{"client to a well-known port", tcp(c, 40000, s, 443), false, 2000, tcp(c, 40000, s, 443)},
+		{"server from a well-known port", tcp(s, 443, c, 40001), false, 300, tcp(c, 40001, s, 443)},
+		{"ephemeral ports, client SYN first", tcp(c, 40002, s, 50000), true, 300, tcp(c, 40002, s, 50000)},
+		{"ephemeral ports mid-stream, server first", tcp(s, 50001, c, 40003), false, 300, tcp(s, 50001, c, 40003)},
+		{"443 to 443", tcp(s, 443, c, 443), false, 300, tcp(s, 443, c, 443)},
+		{"QUIC, server first", quic, false, 300, quic.Reverse()},
+	}
+	record := func(typ tlsrec.ContentType, size int) []byte {
+		w := wire.NewWriter(5 + size)
+		tlsrec.AppendRecord(w, typ, tlsrec.VersionTLS12, make([]byte, size))
+		return w.Bytes()
+	}
+	const (
+		first, other = true, false
+		tick         = 10 * time.Millisecond
+	)
+	turns := []bool{first, first, other, other, first, first, first, other, other}
+	base := time.Unix(1700000000, 0)
+	var frames []fuzzFrame
+	bytesOf := make([]int64, len(convs))
+	for run := 0; run < len(turns)/3; run++ {
+		for i, cv := range convs {
+			for j, end := range turns[run*3 : run*3+3] {
+				k, sent := cv.first, 0 // sent: packets this end sent before
+				if !end {
+					k = k.Reverse()
+				}
+				for _, e := range turns[:run*3+j] {
+					if e == end {
+						sent++
+					}
+				}
+				var frame []byte
+				var err error
+				if k.Proto == layers.IPProtocolUDP {
+					payload := make([]byte, cv.size) // short header
+					payload[0] = 0x40
+					if sent == 0 {
+						payload = []byte{0xc0, 0, 0, 0, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8} // long header, QUIC v1
+					}
+					bytesOf[i] += int64(len(payload))
+					frame, err = layers.BuildUDPFrame(k, layers.Ethernet{}, payload, uint16(len(frames)))
+				} else {
+					hdr := layers.TCP{Seq: 1000, Flags: layers.TCPAck | layers.TCPPsh}
+					var payload []byte
+					switch {
+					case cv.syn && end == first && sent == 0:
+						hdr = layers.TCP{Seq: 999, Flags: layers.TCPSyn}
+					case sent == 0 || cv.syn && end == first && sent == 1:
+						payload = record(tlsrec.ContentHandshake, 100)
+					default:
+						hdr.Seq += 105 + uint32(cv.size+5)*uint32(sent-1)
+						if cv.syn && end == first {
+							hdr.Seq -= uint32(cv.size + 5)
+						}
+						payload = record(tlsrec.ContentApplicationData, cv.size)
+					}
+					bytesOf[i] += int64(len(payload))
+					frame, err = layers.BuildTCPFrame(k, layers.Ethernet{}, hdr, payload, uint16(len(frames)))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames = append(frames, fuzzFrame{base.Add(time.Duration(len(frames)) * tick), frame})
+			}
+		}
+	}
+
+	var got []string
+	m := NewMonitor(&Attacker{Classifier: otherOnlyClassifier{}}, MonitorOptions{OnEvent: func(ev Event) {
+		if e, ok := ev.(SessionFinalized); ok {
+			got = append(got, fmt.Sprintf("finalized %v: %d records", e.Flow, len(e.Inference.Classified)))
+		}
+		if e, ok := ev.(FlowExpired); ok {
+			got = append(got, fmt.Sprintf("expired %v: %d records, %d bytes, %s", e.Flow, e.Records, e.Bytes, e.Reason))
+		}
+	}})
+	for _, fr := range frames {
+		if err := m.FeedPacket(fr.ts, fr.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Client application records: 4 when the first end is the client, 3
+	// when the other end is, 3 for the SYN case's first end (its SYN took
+	// a turn). The QUIC client's short-header datagrams arrive at 330 ms,
+	// then at 520 and 530 ms: two bursts, the second flushed at Close.
+	records := []int{4, 3, 3, 4, 4, 2}
+	want := []string{fmt.Sprintf("finalized %v: %d records", convs[0].client, records[0])}
+	for i, cv := range convs[1:] {
+		want = append(want, fmt.Sprintf("expired %v: %d records, %d bytes, close", cv.client, records[i+1], bytesOf[i+1]))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("events\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

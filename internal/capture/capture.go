@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"runtime"
 	"slices"
 	"time"
 
@@ -124,7 +125,8 @@ type frame struct {
 }
 
 // muxer accumulates every conversation's frame headers in one arena
-// before the final time interleave.
+// before the final time interleave. Renders take one from idleMuxers
+// (newMuxer) and return it (release).
 type muxer struct {
 	arena        *wire.Writer
 	frames       []frame
@@ -346,16 +348,60 @@ func arenaFor(streamBytes, writes, records, mtu int) (*wire.Writer, int) {
 	return wire.GetWriter(64*frameEstimate + min(records*mtu, streamBytes)), frameEstimate
 }
 
+// idleMuxers keeps muxers between renders, so a render reuses an earlier
+// render's frame list (~64 bytes a frame, about 0.5 MiB for one session's
+// capture) and segment scratch, as it reuses a header arena from wire's
+// pool. It keeps one muxer per CPU, no more than renders can run at once:
+// a sync.Pool's per-CPU slots and victim cache kept several idle lists
+// alive across each collection, which raised a two-worker corpus run's
+// peak live heap by 1-2 MiB.
+var idleMuxers = make(chan *muxer, runtime.GOMAXPROCS(0))
+
+// maxIdleFrames bounds the frame list an idle muxer keeps (8 MiB of
+// frames; a session's capture needs about 16k).
+const maxIdleFrames = 1 << 17
+
+// newMuxer returns an empty muxer sized for the given stream volume (see
+// arenaFor): an idle one if there is one, and its arena from wire's pool.
+// Pair with release.
+func newMuxer(streamBytes, writes, records int, opts Options) *muxer {
+	arena, frameEstimate := arenaFor(streamBytes, writes, records, opts.MTU)
+	var m *muxer
+	select {
+	case m = <-idleMuxers:
+	default:
+		m = new(muxer)
+	}
+	*m = muxer{arena: arena, frames: slices.Grow(m.frames[:0], frameEstimate), seg: m.seg,
+		ipID: 1, shift: opts.TimeOffset}
+	return m
+}
+
+// release returns m's arena to wire's pool and keeps m for the next
+// render when a slot is free. The frame list is cleared first, so an idle
+// muxer pins no trace's payloads.
+func (m *muxer) release() {
+	wire.PutWriter(m.arena)
+	clear(m.frames)
+	frames := m.frames[:0]
+	if cap(frames) > maxIdleFrames {
+		frames = nil
+	}
+	*m = muxer{frames: frames, seg: m.seg}
+	select {
+	case idleMuxers <- m:
+	default:
+	}
+}
+
 // WritePcap renders tr as a pcap stream into w.
 func WritePcap(w io.Writer, tr *session.Trace, opts Options) error {
 	opts = opts.withDefaults(tr)
-	streamBytes := streamLen(tr.ClientToServer, nil) + streamLen(tr.ServerToClient, tr.ServerRecords)
-	arena, frameEstimate := arenaFor(streamBytes,
+	m := newMuxer(streamLen(tr.ClientToServer, nil)+streamLen(tr.ServerToClient, tr.ServerRecords),
 		len(tr.ClientToServer.Writes)+len(tr.ServerToClient.Writes)+
 			len(tr.ClientToServer.Datagrams)+len(tr.ServerToClient.Datagrams),
-		len(tr.ServerRecords), opts.MTU)
-	defer wire.PutWriter(arena)
-	m := &muxer{arena: arena, frames: make([]frame, 0, frameEstimate), ipID: 1, shift: opts.TimeOffset}
+		len(tr.ServerRecords), opts)
+	defer m.release()
 	rng := wire.NewRNG(opts.Seed + 0x9e37)
 	if err := m.addConversation(tr.ClientToServer, tr.ServerToClient, tr.ServerRecords,
 		opts.Endpoints, opts.MTU, tr.Result.EndedAt, rng); err != nil {
@@ -399,9 +445,8 @@ func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
 		records += len(noise[i].serverRecs)
 	}
 
-	arena, frameEstimate := arenaFor(streamBytes, writes, records, opts.MTU)
-	defer wire.PutWriter(arena)
-	m := &muxer{arena: arena, frames: make([]frame, 0, frameEstimate), ipID: 1, shift: opts.TimeOffset}
+	m := newMuxer(streamBytes, writes, records, opts.Options)
+	defer m.release()
 	rng := wire.NewRNG(opts.Seed + 0x9e37)
 	if err := m.addConversation(tr.ClientToServer, tr.ServerToClient, tr.ServerRecords,
 		opts.Endpoints, opts.MTU, end, rng); err != nil {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -260,6 +261,12 @@ func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	}, nil
 }
 
+// idleCaptureBufs keeps writeCapture's captureBufSize buffers between
+// points, one per CPU (as many as points can be written at once; see
+// capture's idleMuxers for why not a sync.Pool), instead of allocating
+// one per point.
+var idleCaptureBufs = make(chan *bufio.Writer, runtime.GOMAXPROCS(0))
+
 // writeCapture renders p's capture into a new file at path and returns
 // the capture's SHA-256 and size. The render goes through a fixed-size
 // buffer whose every flush feeds both the file and the hash, so no
@@ -278,7 +285,20 @@ func writeCapture(path string, p Point) (sum []byte, size int64, err error) {
 		}
 	}()
 	h := sha256.New()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, h), captureBufSize)
+	var bw *bufio.Writer
+	select {
+	case bw = <-idleCaptureBufs:
+		bw.Reset(io.MultiWriter(f, h))
+	default:
+		bw = bufio.NewWriterSize(io.MultiWriter(f, h), captureBufSize)
+	}
+	defer func() {
+		bw.Reset(nil) // an idle buffer holds no file or hash
+		select {
+		case idleCaptureBufs <- bw:
+		default:
+		}
+	}()
 	if err := capture.WritePcap(bw, p.Trace, capture.Options{Seed: uint64(p.Index)}); err != nil {
 		return nil, 0, err
 	}

@@ -341,6 +341,44 @@ func FuzzDecodePacket(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p := *prev
-		checkAgainstRef(t, "fuzz input", &p, ts, frame)
+		if checkAgainstRef(t, "fuzz input", &p, ts, frame) == nil {
+			checkOrient(t, &p, prev.Flow())
+		}
 	})
+}
+
+// checkOrient holds Packet.Orient to Flow: against the packet's own key,
+// its reverse, other's key and reverse, and each of those with one field
+// changed, Orient must say Along exactly when p.Flow() is the key, and
+// Against exactly when p.Flow() is the key's reverse and not the key.
+func checkOrient(t *testing.T, p *layers.Packet, other layers.FlowKey) {
+	t.Helper()
+	own := p.Flow()
+	var keys []layers.FlowKey
+	for _, k := range []layers.FlowKey{own, own.Reverse(), other, other.Reverse()} {
+		keys = append(keys, k)
+		for i := range 5 {
+			m := k
+			switch i {
+			case 0:
+				m.Proto ^= layers.IPProtocolUDP
+			case 1:
+				m.SrcPort++
+			case 2:
+				m.DstPort = m.SrcPort
+			case 3:
+				m.SrcAddr = m.DstAddr
+			case 4:
+				m.DstAddr = m.DstAddr.Next()
+			}
+			keys = append(keys, m)
+		}
+	}
+	for _, k := range keys {
+		got := p.Orient(&k)
+		along, against := own == k, own != k && own == k.Reverse()
+		if (got == layers.Along) != along || (got == layers.Against) != against {
+			t.Fatalf("Orient(%v) of a packet keyed %v = %d, want along %v, against %v", k, own, got, along, against)
+		}
+	}
 }

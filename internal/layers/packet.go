@@ -74,6 +74,50 @@ func (p *Packet) Flow() FlowKey {
 	return k
 }
 
+// Orientation is how a packet runs against a directional flow key.
+type Orientation uint8
+
+// Orientations, as Packet.Orient reports them.
+const (
+	// Unrelated: the packet belongs to another conversation.
+	Unrelated Orientation = iota
+	// Along: the packet's key is the key itself.
+	Along
+	// Against: the packet's key is the key's reverse.
+	Against
+)
+
+// Orient reports whether p runs along k (p.Flow() == k), against it
+// (p.Flow() == k.Reverse()), or neither, without building p's key. Ports
+// are compared first, since they tell most conversations apart, then
+// addresses; k.Proto follows Flow's rule, zero for TCP. A key that is its
+// own reverse (one endpoint talking to itself) is Along.
+func (p *Packet) Orient(k *FlowKey) Orientation {
+	sport, dport, proto := p.TCP.SrcPort, p.TCP.DstPort, IPProtocol(0)
+	if p.Proto == IPProtocolUDP {
+		sport, dport, proto = p.UDP.SrcPort, p.UDP.DstPort, IPProtocolUDP
+	}
+	if k.Proto != proto {
+		return Unrelated
+	}
+	along := sport == k.SrcPort && dport == k.DstPort
+	against := sport == k.DstPort && dport == k.SrcPort
+	if !along && !against {
+		return Unrelated
+	}
+	src, dst := &p.IP6.Src, &p.IP6.Dst
+	if p.IPVersion == 4 {
+		src, dst = &p.IP4.Src, &p.IP4.Dst
+	}
+	switch {
+	case along && *src == k.SrcAddr && *dst == k.DstAddr:
+		return Along
+	case against && *src == k.DstAddr && *dst == k.SrcAddr:
+		return Against
+	}
+	return Unrelated
+}
+
 // DecodePacket parses an Ethernet/IP/{TCP,UDP} frame. Frames carrying any
 // other transport return ErrUnsupported; the caller typically skips them.
 func DecodePacket(ts time.Time, frame []byte) (*Packet, error) {

@@ -6,7 +6,8 @@
 // record timestamps can be recovered. The reassembler handles out-of-order
 // arrival, duplicate segments, overlapping retransmissions and
 // sequence-number wraparound. Overlaps resolve by three rules, so the
-// delivered chunks depend only on the order segments arrive in:
+// delivered bytes and their boundaries depend only on the order segments
+// arrive in:
 //
 //   - delivered bytes are never replaced: a segment overlapping them
 //     contributes only its new tail;
@@ -14,11 +15,15 @@
 //   - when no buffered segment starts at the delivery point but some
 //     cover it, the one with the lowest offset is trimmed and delivered.
 //
+// A stream passes each in-order run of bytes on the moment it is
+// delivered: a stream made by NewStreamTo to its Consumer's Feed (the
+// attack's record scanner reads TLS headers straight from the payload),
+// one made by NewStream as a Chunk on its chunk list (DeliveredChunks).
 // An in-order payload is delivered as is, aliasing whatever memory it
 // arrived in. The stream copies only the out-of-order bytes it must hold
-// until the gap before them fills. A consumer that reuses its packet
-// buffers therefore reads and releases each delivered chunk before it
-// reuses the memory behind it.
+// until the gap before them fills. A consumer whose caller reuses its
+// packet buffers therefore reads each delivered run, or releases each
+// chunk, before that memory is reused.
 package tcpreasm
 
 import (
@@ -39,11 +44,21 @@ type Chunk struct {
 	StreamOffset int64
 }
 
+// Consumer receives a stream's in-order bytes as they are delivered:
+// data starts at the stream offset the bytes before it end at, and ts is
+// the capture time of the segment that delivered its first byte.
+// tlsrec.RecordScanner is one. data may alias the fed packet's payload,
+// so a consumer that keeps it past the call copies it.
+type Consumer interface {
+	Feed(ts time.Time, data []byte)
+}
+
 // Stream is one direction of a TCP conversation.
 type Stream struct {
 	Key layers.FlowKey
 
-	discard  bool // rolling-window eviction: count bytes, buffer nothing
+	out      Consumer // nil: delivered bytes join chunks
+	discard  bool     // rolling-window eviction: count bytes, buffer nothing
 	synSeen  bool
 	isn      uint32 // initial sequence number (of SYN)
 	nextRel  int64  // next expected relative offset (bytes delivered)
@@ -64,10 +79,17 @@ type pendingSeg struct {
 	data []byte
 }
 
-// NewStream returns an empty stream for one direction. A consumer that
+// NewStream returns an empty stream for one direction that keeps what it
+// delivers as a chunk list (Chunks, DeliveredChunks). A consumer that
 // already keeps per-conversation state owns its two streams through this
 // constructor and feeds them directly, skipping the Assembler's lookup.
 func NewStream(key layers.FlowKey) *Stream { return &Stream{Key: key} }
+
+// NewStreamTo returns an empty stream for one direction that hands every
+// in-order run of bytes to c as it is delivered and keeps no chunk list:
+// Chunks stays empty, and BufferedBytes counts only the out-of-order
+// segments held behind a gap.
+func NewStreamTo(key layers.FlowKey, c Consumer) *Stream { return &Stream{Key: key, out: c} }
 
 // Chunks returns the in-order chunks delivered and not yet released.
 func (s *Stream) Chunks() []Chunk { return s.chunks }
@@ -119,11 +141,11 @@ func (s *Stream) ReleaseThrough(n int) {
 func (s *Stream) Released() int { return s.released }
 
 // Discard evicts the stream: every buffered chunk and pending segment is
-// released now, and future payloads are counted but never buffered (the
-// delivery cursor jumps over them, so Len stays meaningful and FIN/RST
-// completion still tracks). A rolling-window monitor uses it for flows
-// that can never be attacked — non-TLS conversations, rejected noise —
-// so their reassembly state stops growing.
+// released now, and future payloads are counted but never buffered or
+// delivered (the delivery cursor jumps over them, so Len stays meaningful
+// and FIN/RST completion still tracks). A rolling-window monitor uses it
+// for flows that can never be attacked — non-TLS conversations, rejected
+// noise — so their reassembly state stops growing.
 func (s *Stream) Discard() {
 	if s.discard {
 		return
@@ -151,7 +173,8 @@ func (s *Stream) Len() int64 { return s.nextRel }
 
 // BufferedBytes returns the payload bytes the stream currently retains:
 // unreleased delivered chunks plus out-of-order pending segments. It is
-// the figure a rolling-window monitor's memory accounting sums per flow.
+// the figure a rolling-window monitor's memory accounting sums per flow;
+// a stream with a Consumer holds only the pending segments.
 func (s *Stream) BufferedBytes() int64 {
 	var n int64
 	for _, c := range s.chunks {
@@ -195,8 +218,8 @@ func (s *Stream) relOffset(seq uint32) int64 {
 // Feed ingests one decoded segment of this direction: p.Flow() must be
 // the stream's Key. The SYN fixes the sequence origin (a mid-stream
 // capture adopts the first segment's), FIN and RST are tracked for
-// Complete and Aborted, and payload bytes are delivered in order as
-// chunks.
+// Complete and Aborted, and payload bytes are delivered in order, to the
+// stream's Consumer or as chunks, before Feed returns.
 func (s *Stream) Feed(p *layers.Packet) {
 	tcp, payload := p.TCP, p.Payload
 	if tcp.Flags&layers.TCPSyn != 0 && !s.synSeen {
@@ -262,9 +285,14 @@ func (s *Stream) Feed(p *layers.Packet) {
 	}
 }
 
-// deliver appends data as the chunk at the delivery point.
+// deliver hands data, the bytes at the delivery point, to the consumer,
+// or appends it as a chunk when the stream has none.
 func (s *Stream) deliver(ts time.Time, data []byte) {
-	s.chunks = append(s.chunks, Chunk{Time: ts, Data: data, StreamOffset: s.nextRel})
+	if s.out != nil {
+		s.out.Feed(ts, data)
+	} else {
+		s.chunks = append(s.chunks, Chunk{Time: ts, Data: data, StreamOffset: s.nextRel})
+	}
 	s.nextRel += int64(len(data))
 }
 

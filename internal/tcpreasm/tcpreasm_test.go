@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -432,4 +433,111 @@ func TestGapFillLinear(t *testing.T) {
 	if elapsed > 250*time.Millisecond {
 		t.Errorf("filling one gap behind %d segments took %v, want < 250ms", n, elapsed)
 	}
+}
+
+// recorder is a Consumer that keeps a copy of every run it is handed.
+type recorder struct{ runs []Chunk }
+
+func (r *recorder) Feed(ts time.Time, data []byte) {
+	r.runs = append(r.runs, Chunk{Time: ts, Data: append([]byte(nil), data...)})
+}
+
+// FuzzStreamDelivery generalises TestRandomizedReorderProperty. The
+// stream is cut into consecutive segments, three plan bytes each: a
+// length (1 to 256), flags, and a sort key that orders the arrivals.
+// Flags drop the segment (bit 0), send it twice (bit 1), send a copy of
+// different bytes shifted up to 7 bytes along (bit 2, the shift in bits
+// 4-6), or set FIN on it (bit 3). Stream byte isnBack is the first whose
+// sequence number wraps past 2^32. Two streams are fed the same segments,
+// after a SYN: one that delivers to a Consumer and one that keeps a chunk
+// list, read and released after every segment as a chunk consumer does.
+// After every segment the runs handed to the consumer must equal the new
+// chunks, time and bytes, and Len, Gaps, BufferedBytes and Complete must
+// agree. With nothing dropped or altered, the delivered bytes are the
+// stream.
+func FuzzStreamDelivery(f *testing.F) {
+	f.Add(uint16(0), []byte{9, 0, 0, 99, 0, 1, 255, 8, 2})            // in order, FIN last
+	f.Add(uint16(100), []byte{200, 0, 3, 200, 2, 2, 200, 0, 1})       // reordered across the wrap
+	f.Add(uint16(5), []byte{50, 0x34, 2, 50, 0, 1, 50, 0x14, 0})      // shifted copies of other bytes
+	f.Add(uint16(0xffff), []byte{30, 1, 0, 30, 0, 1, 30, 8, 2})       // first segment dropped
+	f.Add(uint16(7), []byte{3, 2, 9, 1, 6, 8, 255, 0x72, 7, 4, 0, 3}) // duplicates out of order
+	f.Fuzz(func(t *testing.T, isnBack uint16, plan []byte) {
+		type segment struct {
+			off   int
+			data  []byte
+			flags layers.TCPFlags
+			key   byte
+		}
+		var stream []byte
+		var segs []segment
+		faithful := true
+		for ; len(plan) >= 3; plan = plan[3:] {
+			n, flags, key := int(plan[0])+1, plan[1], plan[2]
+			off := len(stream)
+			for i := range n {
+				stream = append(stream, byte(off+i)*31+7)
+			}
+			tcpFlags := layers.TCPAck
+			if flags&8 != 0 {
+				tcpFlags |= layers.TCPFin
+			}
+			if flags&1 != 0 {
+				faithful = false
+			} else {
+				segs = append(segs, segment{off, stream[off:], tcpFlags, key})
+			}
+			if flags&2 != 0 {
+				segs = append(segs, segment{off, stream[off:], layers.TCPAck, key + 1})
+			}
+			if flags&4 != 0 {
+				faithful = false
+				other := make([]byte, n)
+				for i := range other {
+					other[i] = ^byte(off + i)
+				}
+				segs = append(segs, segment{off + int(flags>>4&7), other, layers.TCPAck, key + 2})
+			}
+		}
+		slices.SortStableFunc(segs, func(a, b segment) int { return int(a.key) - int(b.key) })
+
+		sink := &recorder{}
+		direct, chunked := NewStreamTo(key, sink), NewStream(key)
+		isn := ^uint32(isnBack) // the SYN's; byte 0 is isn+1
+		consumed, at := 0, int64(0)
+		var delivered []byte
+		for i, sg := range append([]segment{{flags: layers.TCPSyn}}, segs...) {
+			seq := isn
+			if sg.flags&layers.TCPSyn == 0 {
+				seq = isn + 1 + uint32(sg.off)
+			}
+			p := seg(seq, sg.flags, sg.data, i)
+			direct.Feed(p)
+			chunked.Feed(p)
+			runs := sink.runs
+			sink.runs = sink.runs[:0]
+			chunks := chunked.DeliveredChunks(consumed)
+			if len(runs) != len(chunks) {
+				t.Fatalf("segment %d: %d runs delivered, %d chunks", i, len(runs), len(chunks))
+			}
+			for j, c := range chunks {
+				if c.StreamOffset != at || !runs[j].Time.Equal(c.Time) || !bytes.Equal(runs[j].Data, c.Data) {
+					t.Fatalf("segment %d: run %d at %d = %q@%v, chunk %q@%v at %d", i, j, at,
+						runs[j].Data, runs[j].Time, c.Data, c.Time, c.StreamOffset)
+				}
+				at += int64(len(c.Data))
+				delivered = append(delivered, c.Data...)
+			}
+			consumed += len(chunks)
+			chunked.ReleaseThrough(consumed)
+			if direct.Len() != chunked.Len() || direct.Len() != at || direct.Gaps() != chunked.Gaps() ||
+				direct.BufferedBytes() != chunked.BufferedBytes() || direct.Complete() != chunked.Complete() {
+				t.Fatalf("segment %d: Len %d/%d (delivered %d), Gaps %d/%d, BufferedBytes %d/%d, Complete %v/%v",
+					i, direct.Len(), chunked.Len(), at, direct.Gaps(), chunked.Gaps(),
+					direct.BufferedBytes(), chunked.BufferedBytes(), direct.Complete(), chunked.Complete())
+			}
+		}
+		if faithful && (!bytes.Equal(delivered, stream) || direct.Gaps() != 0) {
+			t.Fatalf("delivered %d bytes with %d gaps, want the %d-byte stream", len(delivered), direct.Gaps(), len(stream))
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package tlsrec
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // buildStream frames a few records and returns the wire bytes.
-func buildStream(t *testing.T) ([]byte, []Record) {
+func buildStream(t testing.TB) ([]byte, []Record) {
 	t.Helper()
 	w := wire.NewWriter(0)
 	enc := NewEncryptor(SuiteAESGCM128TLS12, DefaultSplitter, VersionTLS12, wire.NewRNG(5))
@@ -177,4 +178,106 @@ func TestRecordScannerReleaseRecords(t *testing.T) {
 	if sc.Released() != complete {
 		t.Errorf("backwards release moved the cursor: %d", sc.Released())
 	}
+}
+
+// firstMixed is the reference for the record-generation rule ParseStream
+// does not apply: it returns the index of the first record type that
+// breaks it, or -1. The first record other than a ChangeCipherSpec after
+// the first ChangeCipherSpec decides the generation: application data
+// means TLS 1.3, after which no handshake or ChangeCipherSpec record may
+// follow.
+func firstMixed(types []ContentType) int {
+	ccs, decided, tls13 := false, false, false
+	for i, typ := range types {
+		switch {
+		case tls13 && (typ == ContentHandshake || typ == ContentChangeCipherSpec):
+			return i
+		case typ == ContentChangeCipherSpec:
+			ccs = true
+		case ccs && !decided:
+			decided, tls13 = true, typ == ContentApplicationData
+		}
+	}
+	return -1
+}
+
+// FuzzRecordScanner feeds any byte stream to a RecordScanner in pieces,
+// each cuts byte giving the next piece's length and the last piece taking
+// the rest, and stamps each piece with its own time. The scanner must
+// read what ParseStream reads from the whole stream: the same records
+// (type, version, length, stream offset, and the time of the piece
+// holding each header's first byte) and the same error text, except
+// where a record breaks the one-generation rule (firstMixed, which also
+// judges the header of a trailing partial record): there the scanner
+// stops with ErrMixedVersions and keeps only the records before it.
+func FuzzRecordScanner(f *testing.F) {
+	stream, _ := buildStream(f)
+	stream13, _ := build13Stream(f, PaddingPolicy{}, []int{400, 2188})
+	late := wire.NewWriter(64)
+	AppendRecord(late, ContentHandshake, VersionTLS12, make([]byte, 40))
+	for _, seed := range []struct{ cuts, stream []byte }{
+		{nil, stream},
+		{[]byte{1, 2, 3, 5, 7}, stream},
+		{[]byte{4, 0, 1, 200, 255}, stream[:len(stream)-3]}, // truncated body
+		{[]byte{3, 3}, stream13},
+		{[]byte{2, 9, 1}, append(append([]byte(nil), stream13...), late.Bytes()...)}, // mixed framing
+		{[]byte{1}, []byte{0x99, 0x03, 0x03, 0x00, 0x01, 0x00}},                      // unknown type
+		{[]byte{2}, []byte{22, 0x02, 0x00, 0x00, 0x01, 0x00}},                        // bad first version
+		{nil, []byte{23, 0x03, 0x03, 0xff, 0xff}},                                    // oversized length
+	} {
+		f.Add(seed.cuts, seed.stream)
+	}
+	base := time.Unix(1700000000, 0)
+	f.Fuzz(func(t *testing.T, cuts, stream []byte) {
+		// piece[j] is the piece holding stream byte j.
+		piece := make([]int, len(stream))
+		sc := NewRecordScanner()
+		for i, off := 0, 0; off < len(stream); i++ {
+			n := len(stream) - off // the last piece takes the rest
+			if i < len(cuts) {
+				n = min(int(cuts[i]), n)
+			}
+			for j := off; j < off+n; j++ {
+				piece[j] = i
+			}
+			sc.Feed(base.Add(time.Duration(i)*time.Millisecond), stream[off:off+n])
+			off += n
+		}
+
+		want, rest, wantErr := ParseStream(stream, func(off int64) time.Time {
+			return base.Add(time.Duration(piece[off]) * time.Millisecond)
+		})
+		types := make([]ContentType, 0, len(want)+1)
+		for _, r := range want {
+			types = append(types, r.Type)
+		}
+		if wantErr == nil && rest >= headerLen {
+			types = append(types, ContentType(stream[len(stream)-rest])) // a header whose body is cut off
+		}
+		mixed := firstMixed(types)
+		if mixed >= 0 {
+			want = want[:min(mixed, len(want))]
+		}
+
+		got, err := sc.Records(), sc.Err()
+		switch {
+		case mixed >= 0:
+			if !errors.Is(err, ErrMixedVersions) {
+				t.Fatalf("scanner error %v, want ErrMixedVersions at record %d", err, mixed)
+			}
+		case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("scanner error %v, ParseStream error %v", err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("scanner read %d records, ParseStream %d", len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Type != w.Type || g.Version != w.Version || g.Length != w.Length ||
+				g.StreamOffset != w.StreamOffset || !g.Time.Equal(w.Time) {
+				t.Fatalf("record %d: scanner %+v, ParseStream %+v", i, g, Record{Type: w.Type,
+					Version: w.Version, Length: w.Length, StreamOffset: w.StreamOffset, Time: w.Time})
+			}
+		}
+	})
 }

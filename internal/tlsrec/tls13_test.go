@@ -11,7 +11,7 @@ import (
 // build13Stream synthesizes a client-side TLS 1.3 flight plus a few
 // application writes and returns the wire bytes with their record ground
 // truth.
-func build13Stream(t *testing.T, pad PaddingPolicy, writes []int) ([]byte, []Record) {
+func build13Stream(t testing.TB, pad PaddingPolicy, writes []int) ([]byte, []Record) {
 	t.Helper()
 	enc := NewEncryptor(SuiteAESGCM128TLS13, DefaultSplitter, VersionTLS13, wire.NewRNG(7))
 	enc.SetPadding(pad, wire.NewRNG(11))

@@ -237,8 +237,9 @@ func validateHeader(typ ContentType, ver Version, length int, first bool) error 
 }
 
 // RecordScanner is a header-only streaming record extractor: bytes are fed
-// in arrival order (e.g. straight from TCP reassembly chunks) and only the
-// 5-byte headers are ever buffered — body bytes are counted and skipped
+// in arrival order (e.g. straight from TCP reassembly, whose streams take
+// a scanner as their tcpreasm.Consumer) and only the 5-byte headers are
+// ever buffered — body bytes are counted and skipped
 // without being copied or concatenated. This is the attack pipeline's hot
 // path: the side-channel needs lengths and times, never bodies, so a
 // multi-megabyte capture costs a record-descriptor slice and nothing else.
