@@ -99,16 +99,17 @@ func BenchmarkAblation_BaselinesIntraVideo(b *testing.B) {
 
 // BenchmarkCountermeasures regenerates the §VI countermeasure table:
 // record-length attack accuracy with the JSON padded, split and
-// compressed, against the blind-guess floor.
+// compressed, by an attacker profiled before the policy deployed and by
+// one re-profiled under it, against the blind floor.
 func BenchmarkCountermeasures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Defenses(5, 9)
+		res, err := experiments.Shaping(5, experiments.DefaultReportCells(), 9)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.PerDefense["none"], "%undefended")
-		b.ReportMetric(100*res.PerDefense["pad-to-4096"], "%padded")
-		b.ReportMetric(100*res.PriorGuess, "%prior-floor")
+		b.ReportMetric(100*res.Points[0].MeanAccuracy, "%undefended")
+		b.ReportMetric(100*res.Points[1].Stale.MeanAccuracy, "%padded")
+		b.ReportMetric(100*res.BlindFloor, "%prior-floor")
 	}
 }
 

@@ -9,6 +9,7 @@
 //	wmattack -pcap session.pcap -live          # stream the capture, print events
 //	wmattack -pcap tap.pcap -live -idle 2m     # rolling-window tap replay
 //	wmattack -pcap h3.pcap -wire quic          # burst-feature attack on a QUIC capture
+//	wmattack -pcap cm.pcap -wire tls1.2+reports-compress-55  # attacker re-profiled under a §VI policy
 //
 // Training happens in-process: the attacker profiles simulated sessions
 // under the named condition and the capture's -wire stack first (the
@@ -60,7 +61,7 @@ func main() {
 		chunkKiB = flag.Int("chunk", 64, "live-mode feed chunk size in KiB")
 		window   = flag.Bool("window", true, "live mode: rolling-window operation (bounded memory, per-flow FIN/RST/idle finalization); false keeps every flow open until the capture ends")
 		idle     = flag.Duration("idle", 90*time.Second, "live window mode: idle timeout before a silent flow finalizes")
-		wireSpec = flag.String("wire", "tls1.2", "train under the capture's wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
+		wireSpec = flag.String("wire", "tls1.2", "train under the capture's wire stack and shaping policy: tls1.2[+R] | tls1.3[+pad-to-N|+pad-random-N|+R] | quic[+fixed-N|+pad-full-N|+pad-random-N+K], R = reports-pad-N|reports-split-N|reports-compress-P")
 	)
 	flag.Parse()
 

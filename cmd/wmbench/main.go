@@ -15,21 +15,28 @@
 // defenses, timing, classifiers, prefetch, interleaved, tls13, quic,
 // soak.
 //
-// The tls13 and quic experiments run the traffic-shaping sweep
-// (experiments.Shaping) over their default cells: each cell is a wire
-// label and a noise-flow count. tls13 profiles and attacks sessions
+// The tls13, quic and defenses experiments run the traffic-shaping
+// sweep (experiments.Shaping) over their default cells: each cell is a
+// wire label and a noise-flow count. tls13 profiles and attacks sessions
 // under TLS 1.2, unpadded TLS 1.3 and the RFC 8446 padding policies
 // (pad-to-64/256, pad-random-128/512); quic under default QUIC sizing
-// at 0-2 noise flows, a 1200-byte cap and the two padding defenses.
-// Each reports detection rate, choice accuracy and client byte overhead
-// per cell:
+// at 0-2 noise flows, a 1200-byte cap and the two padding defenses;
+// defenses under TLS 1.2 and the paper's §VI report policies
+// (reports-pad-4096, reports-split-1200, reports-compress-55) at 0 noise
+// flows. Each cell is scored under two threat models: an adaptive
+// attacker re-profiled under the cell's wire (detection rate, choice
+// accuracy and client byte overhead) and a stale one profiled on the
+// bare stack before the policy deployed (detection rate and choice
+// accuracy, under a "stale_" metric prefix). The sweep's blind floor,
+// the decode of no records, is prior_floor_pct:
 //
 //	wmbench -exp tls13            # the TLS sweep at the default seed
 //	wmbench -exp quic             # the QUIC sweep
+//	wmbench -exp defenses         # the §VI countermeasure sweep
 //
 // A cell whose shaping policy makes the widened type-1/type-2 bands
-// overlap is reported as "not separable" — the attack declines to train
-// rather than misclassify.
+// overlap is reported as "not separable" — the adaptive attacker
+// declines to train rather than misclassify.
 package main
 
 import (
@@ -119,15 +126,8 @@ func runners() []runner {
 				}
 			}},
 		{"defenses",
-			func(seed uint64) (any, error) { return experiments.Defenses(5, seed) },
-			func(r any) map[string]float64 {
-				v := r.(*experiments.DefenseResult)
-				return map[string]float64{
-					"undefended_pct":  100 * v.PerDefense["none"],
-					"padded_pct":      100 * v.PerDefense["pad-to-4096"],
-					"prior_floor_pct": 100 * v.PriorGuess,
-				}
-			}},
+			func(seed uint64) (any, error) { return experiments.Shaping(5, experiments.DefaultReportCells(), seed) },
+			shapingMetrics},
 		{"timing",
 			func(seed uint64) (any, error) { return experiments.Timing(6, seed) },
 			func(r any) map[string]float64 {
@@ -189,16 +189,20 @@ func runners() []runner {
 }
 
 // shapingMetrics keys the shaping sweep's rates and byte overhead by
-// cell label, "tls1.3+pad-to-64/noise-2" becoming "tls13_pad_to_64_noise_2".
-// Untrainable cells carry zero rates by construction (the sweep returns
-// before any test session runs).
+// cell label, "tls1.3+pad-to-64/noise-2" becoming "tls13_pad_to_64_noise_2":
+// the adaptive attacker's rates, the stale attacker's under a "stale_"
+// prefix, and the sweep's blind floor as prior_floor_pct. Untrainable
+// cells carry zero adaptive rates by construction.
 func shapingMetrics(r any) map[string]float64 {
-	m := map[string]float64{}
-	for _, p := range r.(*experiments.ShapingResult).Points {
+	res := r.(*experiments.ShapingResult)
+	m := map[string]float64{"prior_floor_pct": 100 * res.BlindFloor}
+	for _, p := range res.Points {
 		key := strings.NewReplacer("/", "_", ".", "", "-", "_", "+", "_").Replace(p.Cell.Label())
 		m["detection_pct_"+key] = 100 * p.DetectionRate
 		m["accuracy_pct_"+key] = 100 * p.MeanAccuracy
 		m["overhead_pct_"+key] = p.OverheadPct
+		m["stale_detection_pct_"+key] = 100 * p.Stale.DetectionRate
+		m["stale_accuracy_pct_"+key] = 100 * p.Stale.MeanAccuracy
 	}
 	return m
 }
@@ -217,8 +221,6 @@ func report(r any) (string, error) {
 	case *experiments.DecodeRobustnessResult:
 		return v.Report, nil
 	case *experiments.BaselineResult:
-		return v.Report, nil
-	case *experiments.DefenseResult:
 		return v.Report, nil
 	case *experiments.TimingResult:
 		return v.Report, nil

@@ -23,7 +23,8 @@
 // -wire names the stack every session speaks and the shaping policy in
 // force, in the grammar DATASET.md spells out (tls1.2 by default;
 // tls1.3[+pad-to-N|+pad-random-N]; quic[+fixed-N|+pad-full-N|
-// +pad-random-N+K]); the manifest records the label.
+// +pad-random-N+K]; either TLS stack +reports-pad-N, +reports-split-N
+// or +reports-compress-P); the manifest records the label.
 package main
 
 import (
@@ -42,7 +43,7 @@ func main() {
 		out       = flag.String("out", "iitm-bandersnatch", "output directory ('' to skip persistence)")
 		csv       = flag.Bool("csv", true, "write attributes.csv alongside the dataset")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = WM_WORKERS or GOMAXPROCS)")
-		wireSpec  = flag.String("wire", "tls1.2", "wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
+		wireSpec  = flag.String("wire", "tls1.2", "wire stack and shaping policy: tls1.2[+R] | tls1.3[+pad-to-N|+pad-random-N|+R] | quic[+fixed-N|+pad-full-N|+pad-random-N+K], R = reports-pad-N|reports-split-N|reports-compress-P")
 		shardSpec = flag.String("shard", "", "generate one shard of a partitioned corpus: index/count (e.g. 0/4)")
 		merge     = flag.Bool("merge", false, "merge shard directories (positional arguments) into -out")
 	)

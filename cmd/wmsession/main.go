@@ -6,6 +6,7 @@
 //	wmsession -out session.pcap -seed 42 -os linux -browser firefox
 //	wmsession -out s13.pcap -wire tls1.3+pad-to-64   # modern record layer
 //	wmsession -out h3.pcap -wire quic+pad-full-1350  # HTTP/3 over UDP
+//	wmsession -out cm.pcap -wire tls1.2+reports-pad-4096  # §VI countermeasure
 //
 // The resulting pcap is a standard libpcap file (open it in Wireshark);
 // the sidecar records the viewer's actual choices for later scoring.
@@ -14,7 +15,9 @@
 // RFC 8446 record-padding policy (+pad-to-N, +pad-random-N), or quic —
 // QUIC v1 over UDP, record boundaries sealed inside 1-RTT packets — with
 // an optional datagram sizing policy (+fixed-N, +pad-full-N,
-// +pad-random-N+K).
+// +pad-random-N+K). Instead of record padding, either TLS stack may shape
+// its state reports, the paper's §VI countermeasures (+reports-pad-N,
+// +reports-split-N, +reports-compress-P).
 package main
 
 import (
@@ -44,7 +47,7 @@ func main() {
 		medium     = flag.String("medium", "wired", "connection: wired|wireless")
 		traffic    = flag.String("traffic", "morning", "traffic time: morning|noon|night")
 		noPrefetch = flag.Bool("no-prefetch", false, "disable default-branch prefetching")
-		wireSpec   = flag.String("wire", "tls1.2", "wire stack and shaping policy: tls1.2 | tls1.3[+pad-to-N|+pad-random-N] | quic[+fixed-N|+pad-full-N|+pad-random-N+K]")
+		wireSpec   = flag.String("wire", "tls1.2", "wire stack and shaping policy: tls1.2[+R] | tls1.3[+pad-to-N|+pad-random-N|+R] | quic[+fixed-N|+pad-full-N|+pad-random-N+K], R = reports-pad-N|reports-split-N|reports-compress-P")
 		noise      = flag.Int("noise", 0, "interleave this many concurrent bulk-streaming noise flows (they speak the session's transport)")
 	)
 	flag.Parse()

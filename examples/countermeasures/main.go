@@ -1,8 +1,9 @@
 // Countermeasures: evaluates the paper's §VI mitigations — padding,
-// splitting and compressing the interactive state-report JSON — against
-// the record-length attack, then demonstrates the residual channel the
-// paper warns about: with lengths fully padded, downlink timing and the
-// prefetch-discard volume still reveal the viewer's choices.
+// splitting and compressing the interactive state-report JSON, each a
+// report policy of the session's wire label — against the record-length
+// attack, then demonstrates the residual channel the paper warns about:
+// with lengths fully padded, downlink timing and the prefetch-discard
+// volume still reveal the viewer's choices.
 package main
 
 import (
@@ -30,7 +31,7 @@ func main() {
 	// Train the record-length attacker on undefended traffic.
 	var training []*session.Trace
 	for t := 0; t < 6; t++ {
-		tr := run(g, enc, cond, rng.Fork(uint64(t+1)), 500+uint64(t)*97, nil, false)
+		tr := run(g, enc, cond, rng.Fork(uint64(t+1)), 500+uint64(t)*97, "tls1.2", false)
 		training = append(training, tr)
 	}
 	atk, err := attack.NewAttacker(training, g, script.BandersnatchMaxChoices)
@@ -38,21 +39,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	defenses := []struct {
-		name      string
-		transform defense.Transform
-	}{
-		{"no defense", nil},
-		{"pad reports to 4096", defense.PadReports(4096)},
-		{"split reports into 1200-byte records", defense.SplitReports(1200)},
-		{"compress reports (55%)", defense.CompressReports(55, 40)},
+	defenses := []struct{ name, wire string }{
+		{"no defense", "tls1.2"},
+		{"pad reports to 4096", "tls1.2+reports-pad-4096"},
+		{"split reports into 1200-byte records", "tls1.2+reports-split-1200"},
+		{"compress reports (55%)", "tls1.2+reports-compress-55"},
 	}
 
 	fmt.Println("record-length attack vs countermeasures:")
 	for _, d := range defenses {
 		var correct, total int
 		for i := 0; i < 4; i++ {
-			tr := run(g, enc, cond, rng.Fork(uint64(100+i)), 900+uint64(i)*53, d.transform, false)
+			tr := run(g, enc, cond, rng.Fork(uint64(100+i)), 900+uint64(i)*53, d.wire, false)
 			inf, err := atk.Infer(observe(tr))
 			if err != nil {
 				total += len(tr.GroundTruthDecisions())
@@ -71,11 +69,10 @@ func main() {
 	// calibration and survives every length transform.
 	fmt.Println("\nresidual timing channel (reports padded to 4096):")
 	ta := &defense.TimingAttack{QuietBefore: 3 * time.Second, Feature: defense.FeaturePairs}
-	pad := defense.PadReports(4096)
 
 	var correct, total int
 	for i := 0; i < 4; i++ {
-		tr := run(g, enc, cond, rng.Fork(uint64(400+i)), 2500+uint64(i)*41, pad, false)
+		tr := run(g, enc, cond, rng.Fork(uint64(400+i)), 2500+uint64(i)*41, "tls1.2+reports-pad-4096", false)
 		obs := observe(tr)
 		events := ta.DetectEvents(obs.ClientRecords, obs.ServerRecords)
 		decisions := ta.ClassifyEvents(events)
@@ -96,17 +93,17 @@ func main() {
 }
 
 func run(g *script.Graph, enc *media.Encoding, cond profiles.Condition,
-	vrng *wire.RNG, seed uint64, d defense.Transform, noPrefetch bool) *session.Trace {
+	vrng *wire.RNG, seed uint64, wireLabel string, noPrefetch bool) *session.Trace {
+	w, err := session.ParseWire(wireLabel)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pop := viewer.SamplePopulation(1, vrng)
-	cfg := session.Config{
+	tr, err := session.Run(session.Config{
 		Graph: g, Encoding: enc, Viewer: pop[0], Condition: cond,
 		SessionID: fmt.Sprintf("cm-%d", seed), Seed: seed,
-		DisablePrefetch: noPrefetch,
-	}
-	if d != nil {
-		cfg.Defense = d
-	}
-	tr, err := session.Run(cfg)
+		DisablePrefetch: noPrefetch, Wire: w,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,14 +26,7 @@ func runSessionDefended(t *testing.T, seed uint64, cond profiles.Condition) *ses
 	tr, err := session.Run(session.Config{
 		Graph: g, Encoding: enc, Viewer: pop[0],
 		Condition: cond, SessionID: "defended", Seed: seed,
-		Defense: func(label session.WriteLabel, plain int) []int {
-			if label == session.LabelType1 || label == session.LabelType2 {
-				if plain < 4096 {
-					plain = 4096
-				}
-			}
-			return []int{plain}
-		},
+		Wire: session.Wire{Reports: session.ReportPolicy{Mode: session.ReportsPad, Param: 4096}},
 	})
 	if err != nil {
 		t.Fatal(err)

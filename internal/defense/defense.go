@@ -1,107 +1,17 @@
-// Package defense implements the countermeasures the paper's §VI sketches
-// against the record-length side-channel — padding the state-report JSON
-// to a constant size, splitting it into small indistinguishable records,
-// and compressing it — together with the residual *timing* side-channel
-// the paper warns about: even with record lengths neutralized, the
-// check-pointed streaming pattern (playback pause at the question, a
-// client report, and the prefetch-cancel stall on non-default choices)
-// remains visible in packet timing.
+// Package defense implements the residual *timing* side-channel the
+// paper's §VI warns about: once the state-report JSON is padded, split or
+// compressed (the report policies of session.Wire) and record lengths
+// carry no signal, the check-pointed streaming pattern (playback pause
+// at the question, a client report, and the prefetch-cancel stall on
+// non-default choices) remains visible in packet timing.
 package defense
 
 import (
 	"sort"
 	"time"
 
-	"repro/internal/session"
 	"repro/internal/tlsrec"
 )
-
-// Transform is a session.Config.Defense function.
-type Transform func(label session.WriteLabel, plain int) []int
-
-// PadReports pads type-1 and type-2 reports (and nothing else) up to a
-// constant plaintext size, erasing the length difference between them.
-func PadReports(target int) Transform {
-	return func(label session.WriteLabel, plain int) []int {
-		if label != session.LabelType1 && label != session.LabelType2 {
-			return []int{plain}
-		}
-		if plain < target {
-			plain = target
-		}
-		return []int{plain}
-	}
-}
-
-// SplitReports splits report writes into records of at most chunk bytes,
-// so their records blend with ordinary request traffic.
-func SplitReports(chunk int) Transform {
-	return func(label session.WriteLabel, plain int) []int {
-		if label != session.LabelType1 && label != session.LabelType2 {
-			return []int{plain}
-		}
-		if chunk <= 0 {
-			return []int{plain}
-		}
-		var out []int
-		for plain > 0 {
-			n := chunk
-			if n > plain {
-				n = plain
-			}
-			out = append(out, n)
-			plain -= n
-		}
-		if len(out) == 0 {
-			out = []int{0}
-		}
-		return out
-	}
-}
-
-// CompressReports models gzip of the JSON body: the high-entropy session
-// state compresses poorly but the structural boilerplate collapses, and
-// the output length becomes noisy. ratioPct is the residual size as a
-// percentage (e.g. 55 keeps 55% of the bytes); jitter adds size noise so
-// equal inputs stop producing equal outputs. A deterministic hash of the
-// plain size drives the jitter so sessions stay reproducible.
-func CompressReports(ratioPct, jitter int) Transform {
-	return func(label session.WriteLabel, plain int) []int {
-		if label != session.LabelType1 && label != session.LabelType2 {
-			return []int{plain}
-		}
-		out := plain * ratioPct / 100
-		if jitter > 0 {
-			h := uint64(plain)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
-			h ^= h >> 29
-			out += int(h % uint64(2*jitter+1))
-			out -= jitter
-		}
-		if out < 32 {
-			out = 32
-		}
-		return []int{out}
-	}
-}
-
-// Chain composes transforms left to right (the output sizes of one feed
-// the next; only the first stage sees the true label semantics, later
-// stages apply to every produced size).
-func Chain(ts ...Transform) Transform {
-	return func(label session.WriteLabel, plain int) []int {
-		sizes := []int{plain}
-		for _, t := range ts {
-			var next []int
-			for _, n := range sizes {
-				next = append(next, t(label, n)...)
-			}
-			sizes = next
-		}
-		return sizes
-	}
-}
-
-// --- The residual timing side-channel ----------------------------------------
 
 // TimingEvent is one suspected choice point recovered from timing alone.
 type TimingEvent struct {

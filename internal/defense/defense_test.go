@@ -4,82 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/session"
 	"repro/internal/tlsrec"
 )
-
-func TestPadReportsEqualizes(t *testing.T) {
-	tr := PadReports(4096)
-	a := tr(session.LabelType1, 2188)
-	b := tr(session.LabelType2, 2980)
-	if len(a) != 1 || len(b) != 1 || a[0] != b[0] || a[0] != 4096 {
-		t.Errorf("padded sizes = %v, %v, want both [4096]", a, b)
-	}
-	// Non-report traffic untouched.
-	if got := tr(session.LabelRequest, 420); got[0] != 420 {
-		t.Errorf("request padded: %v", got)
-	}
-	// Oversize inputs pass through unshrunk.
-	if got := tr(session.LabelType2, 5000); got[0] != 5000 {
-		t.Errorf("oversize report shrunk: %v", got)
-	}
-}
-
-func TestSplitReportsChunks(t *testing.T) {
-	tr := SplitReports(1000)
-	got := tr(session.LabelType2, 2980)
-	if len(got) != 3 || got[0] != 1000 || got[1] != 1000 || got[2] != 980 {
-		t.Errorf("split = %v", got)
-	}
-	var sum int
-	for _, n := range got {
-		sum += n
-	}
-	if sum != 2980 {
-		t.Errorf("split loses bytes: %d", sum)
-	}
-	if got := tr(session.LabelTelemetry, 4600); len(got) != 1 {
-		t.Errorf("telemetry split: %v", got)
-	}
-}
-
-func TestSplitReportsDegenerate(t *testing.T) {
-	if got := SplitReports(0)(session.LabelType1, 100); got[0] != 100 {
-		t.Errorf("zero chunk size mangled write: %v", got)
-	}
-}
-
-func TestCompressReportsShrinksAndJitters(t *testing.T) {
-	tr := CompressReports(55, 40)
-	a := tr(session.LabelType1, 2188)[0]
-	if a >= 2188 || a < 32 {
-		t.Errorf("compressed size = %d", a)
-	}
-	// Different inputs with the same label produce non-linear outputs.
-	b := tr(session.LabelType1, 2190)[0]
-	if a == b && tr(session.LabelType1, 2192)[0] == a {
-		t.Error("compression jitter absent")
-	}
-	// Determinism: same input, same output.
-	if tr(session.LabelType1, 2188)[0] != a {
-		t.Error("compression not deterministic")
-	}
-}
-
-func TestChainComposes(t *testing.T) {
-	tr := Chain(PadReports(4000), SplitReports(1500))
-	got := tr(session.LabelType1, 2188)
-	if len(got) != 3 { // 1500+1500+1000
-		t.Fatalf("chained = %v", got)
-	}
-	var sum int
-	for _, n := range got {
-		sum += n
-	}
-	if sum != 4000 {
-		t.Errorf("chained total = %d", sum)
-	}
-}
 
 func mkClientRecs(times ...int64) []tlsrec.Record {
 	var out []tlsrec.Record

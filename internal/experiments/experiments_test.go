@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -145,30 +146,30 @@ func TestBaselinesShape(t *testing.T) {
 	}
 }
 
+// TestDefensesShape: the §VI countermeasure sweep. The bare stack is
+// attacked near perfectly, the blind floor sits below it, and each report
+// policy pushes the stale attacker, profiled before the policy deployed,
+// down to about the floor.
 func TestDefensesShape(t *testing.T) {
-	res, err := Defenses(4, 9)
+	res, err := Shaping(4, DefaultReportCells(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	none := res.PerDefense["none"]
+	none := res.Points[0].MeanAccuracy
 	if none < 0.95 {
 		t.Errorf("undefended accuracy %.2f, want ~1", none)
 	}
 	// The blind-guess floor is well below the undefended attack (the
 	// default-branch prior is strong but not perfect).
-	if res.PriorGuess >= none {
-		t.Errorf("prior guess %.2f not below undefended attack %.2f", res.PriorGuess, none)
+	if res.BlindFloor >= none {
+		t.Errorf("blind floor %.2f not below undefended attack %.2f", res.BlindFloor, none)
 	}
-	for _, d := range []string{"pad-to-4096", "split-1200", "compress-55%"} {
-		acc, ok := res.PerDefense[d]
-		if !ok {
-			t.Fatalf("missing defense %s", d)
-		}
-		// Each defense must push the attack down to (about) the
-		// blind-guess floor: the signal is gone, only the prior remains.
-		if acc > res.PriorGuess+0.12 {
-			t.Errorf("defense %s leaves accuracy %.2f above prior floor %.2f",
-				d, acc, res.PriorGuess)
+	for _, p := range res.Points[1:] {
+		// Each defense must push the stale attack down to (about) the
+		// blind floor: the signal is gone, only the prior remains.
+		if acc := p.Stale.MeanAccuracy; acc > res.BlindFloor+0.12 {
+			t.Errorf("defense %s leaves stale accuracy %.2f above blind floor %.2f",
+				p.Cell.Wire, acc, res.BlindFloor)
 		}
 	}
 }
@@ -201,11 +202,12 @@ func TestPrefetchAblation(t *testing.T) {
 	}
 }
 
-// TestDefaultShapingCells pins the two default sweeps' cells and order:
-// wmbench's tls13 and quic rows and metric keys derive from these labels.
+// TestDefaultShapingCells pins the three default sweeps' cells and order:
+// wmbench's tls13, quic and defenses rows and metric keys derive from
+// these labels.
 func TestDefaultShapingCells(t *testing.T) {
 	var got []string
-	for _, c := range append(DefaultTLSCells(), DefaultQUICCells()...) {
+	for _, c := range slices.Concat(DefaultTLSCells(), DefaultQUICCells(), DefaultReportCells()) {
 		got = append(got, c.Label())
 	}
 	want := []string{
@@ -213,6 +215,8 @@ func TestDefaultShapingCells(t *testing.T) {
 		"tls1.3+pad-to-256/noise-2", "tls1.3+pad-random-128/noise-2", "tls1.3+pad-random-512/noise-2",
 		"quic+default-1350/noise-0", "quic+default-1350/noise-1", "quic+default-1350/noise-2",
 		"quic+fixed-1200/noise-2", "quic+pad-full-1350/noise-2", "quic+pad-random-1350+2/noise-2",
+		"tls1.2/noise-0", "tls1.2+reports-pad-4096/noise-0", "tls1.2+reports-split-1200/noise-0",
+		"tls1.2+reports-compress-55/noise-0",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("default shaping cells\n got %v\nwant %v", got, want)

@@ -86,7 +86,12 @@ func Interleaved(sessions int, noiseCounts []int, seed uint64) (*InterleavedResu
 	}
 
 	scores, err := parallel.MapN(0, len(noiseCounts)*sessions, func(i int) (captureScore, error) {
-		return attackCapture(atk, traces[i%sessions], noiseCounts[i/sessions], seed+uint64(i)*13)
+		tr := traces[i%sessions]
+		data, err := renderCapture(tr, noiseCounts[i/sessions], seed+uint64(i)*13)
+		if err != nil {
+			return captureScore{}, err
+		}
+		return attackCapture(atk, data, tr.GroundTruthDecisions())
 	})
 	if err != nil {
 		return nil, err
@@ -96,10 +101,10 @@ func Interleaved(sessions int, noiseCounts []int, seed uint64) (*InterleavedResu
 	for ni, n := range noiseCounts {
 		t := tally(scores[ni*sessions : (ni+1)*sessions])
 		res.Points = append(res.Points, InterleavedPoint{
-			NoiseFlows: n, Sessions: sessions, Detected: t.detected,
-			DetectionRate: float64(t.detected) / float64(sessions),
-			MeanAccuracy:  t.meanAccuracy,
-			MeanMargin:    t.meanMargin,
+			NoiseFlows: n, Sessions: sessions, Detected: t.Detected,
+			DetectionRate: t.DetectionRate,
+			MeanAccuracy:  t.MeanAccuracy,
+			MeanMargin:    t.MeanMargin,
 		})
 	}
 	res.Report = renderInterleaved(res)
@@ -113,22 +118,24 @@ type captureScore struct {
 	detected       bool
 	correct, total int
 	margin         float64
-	// clientBytes is the session's client-direction wire volume.
-	clientBytes int64
 }
 
-// attackCapture renders tr with noiseFlows interleaved noise flows under
-// capture seed capSeed, feeds the capture through a Monitor in 256 KiB
-// chunks, and scores the result: whether the flow the monitor attacked is
-// the client endpoint's, and how many of tr's choices it recovered.
-func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capSeed uint64) (captureScore, error) {
+// renderCapture renders tr with noiseFlows interleaved noise flows under
+// capture seed capSeed.
+func renderCapture(tr *session.Trace, noiseFlows int, capSeed uint64) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
+	err := capture.WritePcapMulti(&buf, tr, capture.MultiOptions{
 		Options:    capture.Options{Seed: capSeed},
 		NoiseFlows: noiseFlows,
-	}); err != nil {
-		return captureScore{}, err
-	}
+	})
+	return buf.Bytes(), err
+}
+
+// attackCapture feeds a rendered capture through a Monitor in 256 KiB
+// chunks and scores the result against the session's decisions: whether
+// the flow the monitor attacked is the client endpoint's, and how many
+// of the choices it recovered.
+func attackCapture(atk *attack.Attacker, data []byte, truth []bool) (captureScore, error) {
 	// Close returns the Inference its attacked flow's SessionFinalized
 	// carried, which names that flow among all the sessions concluded.
 	finalized := map[*attack.Inference]attack.SessionFinalized{}
@@ -137,7 +144,6 @@ func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capS
 			finalized[f.Inference] = f
 		}
 	}})
-	data := buf.Bytes()
 	const chunk = 256 << 10
 	for off := 0; off < len(data); off += chunk {
 		if err := m.Feed(data[off:min(off+chunk, len(data))]); err != nil {
@@ -149,43 +155,36 @@ func attackCapture(atk *attack.Attacker, tr *session.Trace, noiseFlows int, capS
 		return captureScore{}, err
 	}
 	ep := capture.DefaultEndpoints()
-	sc := captureScore{margin: inf.DecodeMargin, clientBytes: int64(len(tr.ClientToServer.Bytes))}
+	sc := captureScore{margin: inf.DecodeMargin}
 	attacked, ok := finalized[inf]
 	sc.detected = ok && attacked.Flow.SrcAddr == ep.ClientAddr && attacked.Flow.SrcPort == ep.ClientPort
-	sc.correct, sc.total = attack.ScoreDecisions(inf.Decisions, tr.GroundTruthDecisions())
+	sc.correct, sc.total = attack.ScoreDecisions(inf.Decisions, truth)
 	return sc, nil
 }
 
-// captureTally aggregates one cell's capture scores.
-type captureTally struct {
-	// detected counts detected captures; fullPaths counts captures whose
-	// whole decision vector was recovered, detected or not.
-	detected, fullPaths int
-	// meanAccuracy and meanMargin average over detected captures.
-	meanAccuracy, meanMargin float64
-	clientBytes              int64
-}
-
 // tally aggregates capture scores.
-func tally(scores []captureScore) captureTally {
-	var t captureTally
+func tally(scores []captureScore) AttackScore {
+	var t AttackScore
 	var accs, margins []float64
+	var fullPaths int
 	for _, sc := range scores {
-		t.clientBytes += sc.clientBytes
 		if sc.total > 0 && sc.correct == sc.total {
-			t.fullPaths++
+			fullPaths++
 		}
 		if !sc.detected {
 			continue
 		}
-		t.detected++
+		t.Detected++
 		if sc.total > 0 {
 			accs = append(accs, float64(sc.correct)/float64(sc.total))
 		}
 		margins = append(margins, sc.margin)
 	}
-	t.meanAccuracy = stats.Mean(accs)
-	t.meanMargin = stats.Mean(margins)
+	n := float64(len(scores))
+	t.DetectionRate = float64(t.Detected) / n
+	t.FullPathRate = float64(fullPaths) / n
+	t.MeanAccuracy = stats.Mean(accs)
+	t.MeanMargin = stats.Mean(margins)
 	return t
 }
 

@@ -1,6 +1,7 @@
 // Package spanown proves the zero-copy ownership discipline at compile
 // time: byte slices that alias the bytes being parsed — a pcapio.Record's
-// Data, a tcpreasm.Chunk's Data, a layers.Packet's Payload — are loans.
+// Data, a tcpreasm.Chunk's Data, a layers.Packet's Payload, the data a
+// tcpreasm.Consumer's Feed(time.Time, []byte) method receives — are loans.
 // They point into the caller's feed buffer or the reader's carry buffer,
 // both reused once the call returns, so a loan may be read, copied, or
 // passed down as a call argument, but never retained: storing one in a
@@ -45,7 +46,7 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkFunc(pass, fd.Body)
+				checkFunc(pass, fd)
 			}
 		}
 	}
@@ -58,9 +59,37 @@ type checker struct {
 	tainted map[types.Object]bool
 }
 
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	c := &checker{pass: pass, tainted: map[types.Object]bool{}}
-	c.walkStmts(body.List)
+	if data := feedLoan(pass, fd); data != nil {
+		c.tainted[data] = true
+	}
+	c.walkStmts(fd.Body.List)
+}
+
+// feedLoan returns the data parameter of a method shaped like
+// tcpreasm.Consumer's Feed(time.Time, []byte): a stream loans a consumer
+// its in-order bytes for the call alone, so data is a span source.
+func feedLoan(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
+	if fd.Recv == nil || fd.Name.Name != "Feed" {
+		return nil
+	}
+	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return nil
+	}
+	params := fn.Type().(*types.Signature).Params()
+	if params.Len() != 2 {
+		return nil
+	}
+	ts, ok := params.At(0).Type().(*types.Named)
+	if !ok || ts.Obj().Pkg() == nil || ts.Obj().Pkg().Path() != "time" || ts.Obj().Name() != "Time" {
+		return nil
+	}
+	if !types.Identical(params.At(1).Type(), types.NewSlice(types.Typ[types.Byte])) {
+		return nil
+	}
+	return params.At(1)
 }
 
 // walkStmts runs the forward pass over a statement list.

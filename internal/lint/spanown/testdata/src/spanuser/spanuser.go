@@ -3,6 +3,8 @@
 package spanuser
 
 import (
+	"time"
+
 	"pcapio"
 	"tcpreasm"
 )
@@ -73,4 +75,20 @@ func goCapture(rec pcapio.Record) {
 // is analyzed on its own.
 func passThrough(rec pcapio.Record) int {
 	return use(rec.Data)
+}
+
+// storingConsumer is a stream consumer that keeps the bytes it is loaned.
+type storingConsumer struct{ last []byte }
+
+// Feed retains the loan past the call.
+func (c *storingConsumer) Feed(_ time.Time, data []byte) {
+	c.last = data[1:] // want `spanown: storing an arena span in a struct field`
+}
+
+// copyingConsumer is a stream consumer that copies what it keeps.
+type copyingConsumer struct{ last []byte }
+
+// Feed copies the loan before keeping it.
+func (c *copyingConsumer) Feed(_ time.Time, data []byte) {
+	c.last = append(c.last[:0], data...)
 }

@@ -217,9 +217,10 @@ func (fh fileHeader) recordTime(hdr []byte) time.Time {
 }
 
 // checkCapLen guards against nonsense lengths from corrupt files before
-// slicing. (+64 tolerates writers that set snaplen loosely.)
+// slicing. (+64 tolerates writers that set snaplen loosely; the sum is
+// taken in uint64 so a snap length near 2^32 cannot wrap it.)
 func (fh fileHeader) checkCapLen(capLen uint32) error {
-	if fh.snapLen > 0 && capLen > fh.snapLen+64 {
+	if fh.snapLen > 0 && uint64(capLen) > uint64(fh.snapLen)+64 {
 		return fmt.Errorf("pcapio: record capture length %d exceeds snap length %d",
 			capLen, fh.snapLen)
 	}

@@ -222,6 +222,50 @@ func TestBogusCaptureLengthRejected(t *testing.T) {
 	}
 }
 
+// TestHugeSnapLenReadsRecords: a snap length within 64 of 2^32 allows
+// every record, through the batch Reader and through a ChunkReader fed
+// whole (the in-chunk path) or a few bytes at a time (the carry path).
+func TestHugeSnapLenReadsRecords(t *testing.T) {
+	for _, snap := range []uint32{0xffffffc0, 0xffffffff} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, WithSnapLen(snap))
+		frames := [][]byte{make([]byte, 54), make([]byte, 1514), {1}}
+		for i, f := range frames {
+			if err := w.WritePacket(time.Unix(1700000000+int64(i), 0), f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data := buf.Bytes()
+		r, err := NewBytesReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			rec, err := r.Next()
+			if err != nil {
+				t.Fatalf("snap %#x: Reader record %d: %v", snap, i, err)
+			}
+			if !bytes.Equal(rec.Data, f) {
+				t.Fatalf("snap %#x: Reader record %d has %d bytes, want %d", snap, i, len(rec.Data), len(f))
+			}
+		}
+		for _, size := range []int{len(data), 7} {
+			var cr ChunkReader
+			var got int
+			err := drainChunks(&cr, data, size, func(rec Record) {
+				if got < len(frames) && len(rec.Data) != len(frames[got]) {
+					t.Errorf("snap %#x, chunks of %d: record %d has %d bytes, want %d",
+						snap, size, got, len(rec.Data), len(frames[got]))
+				}
+				got++
+			})
+			if err != nil || got != len(frames) {
+				t.Fatalf("snap %#x, chunks of %d: %d records, err %v; want %d records", snap, size, got, err, len(frames))
+			}
+		}
+	}
+}
+
 func TestEmptyFileWithHeader(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

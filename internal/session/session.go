@@ -192,10 +192,6 @@ type Config struct {
 	// Start is the virtual session start (default a fixed epoch so runs
 	// are reproducible).
 	Start time.Time
-	// Defense, when non-nil, transforms client application writes before
-	// encryption (countermeasure evaluation). It returns the possibly
-	// split plaintext sizes to write.
-	Defense func(label WriteLabel, plain int) []int
 	// OmitServerPayload skips materializing a QUIC session's server
 	// datagram bytes (tens of megabytes of PRNG-filled media per session);
 	// the trace still carries exact offsets, timings and datagram
@@ -270,7 +266,7 @@ func Run(cfg Config) (*Trace, error) {
 		sEnc:    tlsrec.NewEncryptor(prof.Suite, prof.Splitter, recVer, nil),
 		viewer:  cfg.Viewer,
 		decider: rng.Fork(6),
-		defense: cfg.Defense,
+		reports: w.Reports,
 		cBuf:    cBuf,
 		sBuf:    sBuf,
 	}
@@ -335,8 +331,12 @@ type simEnv struct {
 	sEnc     *tlsrec.Encryptor
 	viewer   viewer.Viewer
 	decider  *wire.RNG
-	defense  func(WriteLabel, int) []int
 	est      abr.ThroughputEstimator
+
+	// reports is the state-report policy in force (TCP only); sizes is
+	// the scratch list of plaintext sizes one shaped write goes out as.
+	reports ReportPolicy
+	sizes   []int
 
 	// QUIC mode: when transport is TransportQUIC, cQ/sQ replace cEnc/sEnc
 	// as the wire synthesizers and the encryptors go unused.
@@ -429,20 +429,12 @@ func (e *simEnv) quicHandshake(t time.Time, helloLen int) {
 	e.clientAck(st.Add(e.uplink.RTT() / 2))
 }
 
-// writeClient encrypts one client application write, with the defense
-// transform applied if configured.
+// writeClient encrypts one client application write, shaped by the
+// report policy in force.
 func (e *simEnv) writeClient(t time.Time, label WriteLabel, plain int) {
 	e.trace.ClientToServer.mark(int64(e.cBuf.Len()), t)
 	if e.transport == quicrec.TransportQUIC {
-		var dgs []quicrec.Datagram
-		if e.defense == nil {
-			dgs = e.cQ.WriteApplicationData(e.cBuf, t, plain)
-		} else {
-			for _, n := range e.defense(label, plain) {
-				dgs = append(dgs, e.cQ.WriteApplicationData(e.cBuf, t, n)...)
-			}
-		}
-		dgs = e.appendClientDGs(dgs)
+		dgs := e.appendClientDGs(e.cQ.WriteApplicationData(e.cBuf, t, plain))
 		e.trace.ClientWrites = append(e.trace.ClientWrites, LabeledWrite{
 			Label: label, Time: t, Plain: plain, Datagrams: dgs,
 		})
@@ -451,10 +443,11 @@ func (e *simEnv) writeClient(t time.Time, label WriteLabel, plain int) {
 		return
 	}
 	var recs []tlsrec.Record
-	if e.defense == nil {
+	if e.reports.Mode == ReportsNone {
 		recs = e.cEnc.WriteApplicationData(e.cBuf, t, plain)
 	} else {
-		for _, n := range e.defense(label, plain) {
+		e.sizes = e.reports.appendSizes(e.sizes[:0], label, plain)
+		for _, n := range e.sizes {
 			recs = append(recs, e.cEnc.WriteApplicationData(e.cBuf, t, n)...)
 		}
 	}

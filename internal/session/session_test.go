@@ -1,6 +1,7 @@
 package session
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -215,30 +216,50 @@ func TestRunSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestDefenseTransformApplied: under each report policy every type-1 and
+// type-2 write goes out as the records of the reference transform's
+// sizes, and every other write as the records of its own size.
 func TestDefenseTransformApplied(t *testing.T) {
 	g := script.Bandersnatch()
 	enc := media.Encode(g, media.DefaultLadder, 42)
 	pop := viewer.SamplePopulation(1, wire.NewRNG(10))
-	// Pad every state report to 4096 bytes.
-	tr, err := Run(Config{
-		Graph: g, Encoding: enc, Viewer: pop[0],
-		Condition: profiles.Fig2Ubuntu, Seed: 10,
-		Defense: func(label WriteLabel, plain int) []int {
-			if label == LabelType1 || label == LabelType2 {
-				return []int{4096}
+	for _, label := range []string{"tls1.2+reports-pad-4096", "tls1.2+reports-split-1200", "tls1.2+reports-compress-55"} {
+		w, err := ParseWire(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Run(Config{
+			Graph: g, Encoding: enc, Viewer: pop[0],
+			Condition: profiles.Fig2Ubuntu, Seed: 10, Wire: w,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refSizes(w.Reports)
+		var reports int
+		for _, cw := range tr.ClientWrites {
+			if cw.Label == LabelHandshake {
+				continue
 			}
-			return []int{plain}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range tr.ClientWrites {
-		if w.Label == LabelType1 || w.Label == LabelType2 {
-			want := tr.Profile.Suite.CiphertextLen(4096)
-			if w.Records[0].Length != want {
-				t.Fatalf("%v record = %d, want padded %d", w.Label, w.Records[0].Length, want)
+			if cw.Label == LabelType1 || cw.Label == LabelType2 {
+				reports++
 			}
+			var want []int
+			for _, n := range ref(cw.Label, cw.Plain) {
+				for _, pt := range tr.Profile.Splitter.Split(n) {
+					want = append(want, tr.Profile.Suite.CiphertextLen(pt))
+				}
+			}
+			var got []int
+			for _, r := range cw.Records {
+				got = append(got, r.Length)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %v write of %d bytes has records %v, want %v", label, cw.Label, cw.Plain, got, want)
+			}
+		}
+		if reports == 0 {
+			t.Fatalf("%s: session sent no reports", label)
 		}
 	}
 }

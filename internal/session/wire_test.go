@@ -38,6 +38,14 @@ func TestParseWireRoundTrip(t *testing.T) {
 		{"quic+fixed-65527", Wire{Transport: quicrec.TransportQUIC, Sizing: quicrec.Fixed(maxDatagram)}},
 		{"quic+pad-random-65527+16", Wire{Transport: quicrec.TransportQUIC,
 			Sizing: quicrec.PadRandom(maxDatagram, maxDummies)}},
+		{"tls1.2+reports-pad-4096", Wire{Reports: ReportPolicy{Mode: ReportsPad, Param: 4096}}},
+		{"tls1.2+reports-split-1200", Wire{Reports: ReportPolicy{Mode: ReportsSplit, Param: 1200}}},
+		{"tls1.2+reports-compress-55", Wire{Reports: ReportPolicy{Mode: ReportsCompress, Param: 55}}},
+		{"tls1.3+reports-split-1200", Wire{Record: tlsrec.RecordTLS13,
+			Reports: ReportPolicy{Mode: ReportsSplit, Param: 1200}}},
+		{"tls1.2+reports-pad-16384", Wire{Reports: ReportPolicy{Mode: ReportsPad, Param: maxPadding}}},
+		{"tls1.3+reports-split-1", Wire{Record: tlsrec.RecordTLS13, Reports: ReportPolicy{Mode: ReportsSplit, Param: 1}}},
+		{"tls1.2+reports-compress-100", Wire{Reports: ReportPolicy{Mode: ReportsCompress, Param: 100}}},
 	} {
 		got, err := ParseWire(tc.label)
 		if err != nil {
@@ -87,6 +95,12 @@ func TestParseWireRejects(t *testing.T) {
 		"tls1.3+pad-random-9223372036854775807", "quic+pad-random-1350+9223372036854775807",
 		"tls1.3+pad-to-16385", "tls1.3+pad-random-16385",
 		"quic+fixed-65528", "quic+pad-full-65528", "quic+pad-random-65528+2", "quic+pad-random-1350+17",
+		// Report policies: TCP stacks only, one policy at a time, sizes in
+		// 1..16384 and percentages in 1..100.
+		"quic+reports-pad-4096", "tls1.3+pad-to-64+reports-pad-4096", "tls1.2+reports-pad-4096+reports-pad-4096",
+		"tls1.2+reports-pad-0", "tls1.2+reports-split-0", "tls1.2+reports-compress-0", "tls1.2+reports-pad--1",
+		"tls1.2+reports-pad-16385", "tls1.2+reports-split-16385", "tls1.2+reports-compress-101",
+		"tls1.2+reports-pad-04096", "tls1.2+reports-", "tls1.2+reports-gzip-55", "tls1.2+pad-4096",
 	} {
 		if w, err := ParseWire(label); err == nil {
 			t.Errorf("ParseWire(%q) = %+v, want an error", label, w)
@@ -110,6 +124,11 @@ func TestRunRejectsMismatchedWire(t *testing.T) {
 		{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, -1)},
 		{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadRandomUpTo(maxPadding + 1)},
 		{Transport: quicrec.TransportQUIC, Sizing: quicrec.PadRandom(1350, maxDummies+1)},
+		{Transport: quicrec.TransportQUIC, Reports: ReportPolicy{Mode: ReportsPad, Param: 4096}},
+		{Record: tlsrec.RecordTLS13, Padding: tlsrec.PadToMultipleOf(64), Reports: ReportPolicy{Mode: ReportsSplit, Param: 1200}},
+		{Reports: ReportPolicy{Mode: ReportsCompress, Param: 101}},
+		{Reports: ReportPolicy{Mode: ReportsNone, Param: 4096}},
+		{Reports: ReportPolicy{Mode: ReportsCompress + 1, Param: 1}},
 	} {
 		_, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
 			Condition: profiles.Fig2Ubuntu, Seed: 1, Wire: w, OmitServerPayload: true})
@@ -123,14 +142,16 @@ func TestRunRejectsMismatchedWire(t *testing.T) {
 
 // FuzzParseWire: no input panics the parser, and every label it accepts
 // passes Run's validation, re-parses from its String form to an equal
-// Wire, has a non-negative band Envelope, and draws its record padding
-// without a panic.
+// Wire, has a non-negative band Envelope, draws its record padding
+// without a panic, and sizes its reports non-negative.
 func FuzzParseWire(f *testing.F) {
 	for _, seed := range []string{
 		"tls1.2", "tls1.3", "tls1.3+pad-to-64", "tls1.3+pad-random-512",
 		"quic", "quic+default-1350", "quic+fixed-1200", "quic+pad-full-1350",
 		"quic+pad-random-1350+2", "tls1.2+pad-to-64", "quic+pad-random-0+0",
 		"tls1.3+pad-random-9223372036854775807", "quic+pad-random-1350+9223372036854775807",
+		"tls1.2+reports-pad-4096", "tls1.3+reports-split-1200", "tls1.2+reports-compress-55",
+		"quic+reports-pad-4096", "tls1.3+pad-to-64+reports-pad-4096",
 	} {
 		f.Add(seed)
 	}
@@ -156,6 +177,11 @@ func FuzzParseWire(f *testing.F) {
 		for n := 0; n < 3; n++ {
 			if pad := w.Padding.PadBytes(n*1000, rng); pad < 0 || pad > max(w.Padding.Envelope(), 0) {
 				t.Fatalf("ParseWire(%q).Padding.PadBytes = %d outside 0..%d", label, pad, w.Padding.Envelope())
+			}
+			for _, size := range w.Reports.appendSizes(nil, LabelType2, n*1000) {
+				if size < 0 {
+					t.Fatalf("ParseWire(%q) sends a %d-byte report as size %d", label, n*1000, size)
+				}
 			}
 		}
 	})

@@ -95,14 +95,16 @@ type (
 	// Wire is the stack a simulated service speaks and the shaping
 	// policy in force: TLS 1.2 over TCP (the zero value — the paper's
 	// 2019 stack), TLS 1.3 with optional RFC 8446 record padding, or
-	// QUIC v1 over UDP with a datagram sizing policy. Build one with
-	// ParseWire.
+	// QUIC v1 over UDP with a datagram sizing policy; either TLS stack
+	// may instead pad, split or compress its state reports, the paper's
+	// §VI countermeasures. Build one with ParseWire.
 	Wire = session.Wire
 )
 
 // ParseWire parses a wire label — "tls1.2", "tls1.3+pad-to-64",
-// "quic", "quic+pad-random-1350+2", the grammar DATASET.md spells out —
-// into the Wire that SessionOptions and TrainingOptions carry.
+// "tls1.2+reports-pad-4096", "quic", "quic+pad-random-1350+2", the
+// grammar DATASET.md spells out — into the Wire that SessionOptions and
+// TrainingOptions carry.
 func ParseWire(label string) (Wire, error) { return session.ParseWire(label) }
 
 // NewMonitor returns a streaming monitor for a trained attacker. The
