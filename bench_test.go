@@ -427,6 +427,19 @@ func benchConstrainedDecode(b *testing.B, seed uint64, choices int) {
 	b.ReportMetric(float64(reports), "reports")
 }
 
+// BenchmarkPipeline_TrainAttacker measures one attacker's profiling as
+// perfbench's attack workloads train it: Fig2Ubuntu, three lean
+// sessions simulated on one worker, seed 22, then band training. It is
+// the per-condition unit of every attack workload's set-up.
+func BenchmarkPipeline_TrainAttacker(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainAttacker(TrainingOptions{Condition: ConditionUbuntu, Sessions: 3, Seed: 22, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipeline_SessionSimulation measures end-to-end session
 // simulation cost (the dominant cost of dataset generation).
 func BenchmarkPipeline_SessionSimulation(b *testing.B) {

@@ -77,6 +77,7 @@ type Monitor struct {
 	seq        uint64    // decoded packets so far; orders flows by first sight
 	sinceSweep int       // packets since the last idle sweep
 	sweptAt    time.Time // capture clock of the last idle sweep
+	sweepBy    time.Time // sweptAt + IdleTimeout/4: the clock that forces the next sweep
 	sweeps     int64     // idle sweeps run
 
 	finalized   int   // SessionFinalized emitted
@@ -579,15 +580,22 @@ func (m *Monitor) ingestFrame(ts time.Time, frame []byte) {
 // sooner when the capture clock has jumped a quarter of the idle timeout
 // since the last sweep, so a sparse tap (one packet after a long
 // silence) still ages flows out promptly.
+//
+// The clock test is one comparison against the deadline kept beside
+// sweptAt. The clock is a high-water mark, so it never falls behind
+// sweptAt, and clock < sweptAt + IdleTimeout/4 holds exactly when
+// clock.Sub(sweptAt) < IdleTimeout/4 would, a Sub that saturates
+// included; capture timestamps carry no monotonic reading, so Sub would
+// take its checked path on every packet.
 func (m *Monitor) sweepDue() bool {
 	m.sinceSweep++
 	if m.sweptAt.IsZero() {
-		m.sweptAt = m.clock
+		m.sweptAt, m.sweepBy = m.clock, m.clock.Add(m.win.IdleTimeout/4)
 	}
-	if m.sinceSweep < sweepInterval && m.clock.Sub(m.sweptAt) < m.win.IdleTimeout/4 {
+	if m.sinceSweep < sweepInterval && m.clock.Before(m.sweepBy) {
 		return false
 	}
-	m.sinceSweep, m.sweptAt = 0, m.clock
+	m.sinceSweep, m.sweptAt, m.sweepBy = 0, m.clock, m.clock.Add(m.win.IdleTimeout/4)
 	m.sweeps++
 	return true
 }

@@ -502,6 +502,9 @@ func synthNoiseFlow(seed uint64, start, end time.Time, ver tlsrec.RecordVersion)
 	f.server.Writes = append(f.server.Writes, session.WriteMark{Offset: 0, Time: st})
 	f.serverRecs = sEnc.HandshakeTranscript(sBuf, st, 3700)
 
+	// The flow's client bytes are what a capture renders, so each
+	// request's record descriptors only pass through one reused list.
+	var reqRecs []tlsrec.Record
 	for t.Before(end) {
 		// Client request. Mostly ordinary sizes; occasionally one that
 		// lands near the report bands (session tokens, beacons).
@@ -511,7 +514,7 @@ func synthNoiseFlow(seed uint64, start, end time.Time, ver tlsrec.RecordVersion)
 		}
 		f.client.Writes = append(f.client.Writes,
 			session.WriteMark{Offset: int64(cBuf.Len()), Time: t})
-		cEnc.WriteApplicationData(cBuf, t, req)
+		reqRecs = cEnc.AppendApplicationData(reqRecs[:0], cBuf, t, req)
 
 		// Server response: a media-sized chunk behind HTTP framing (sized
 		// on the simulator's schematic media scale, so a noise flow's
@@ -520,7 +523,7 @@ func synthNoiseFlow(seed uint64, start, end time.Time, ver tlsrec.RecordVersion)
 		resp := rng.IntRange(30_000, 120_000) + cdn.ResponseOverhead
 		f.server.Writes = append(f.server.Writes,
 			session.WriteMark{Offset: int64(sBuf.Len()), Time: respAt})
-		f.serverRecs = append(f.serverRecs, sEnc.WriteApplicationData(sBuf, respAt, resp)...)
+		f.serverRecs = sEnc.AppendApplicationData(f.serverRecs, sBuf, respAt, resp)
 		done := path.Transfer(respAt, resp)
 
 		// Next request after the player drains some buffer.

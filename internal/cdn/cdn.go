@@ -43,31 +43,45 @@ func (s *Server) ChunkResponseSize(c media.Chunk) int {
 	return c.Size + ResponseOverhead
 }
 
-// HandleReport ingests one state-report body, mirroring what the real
-// service records. The parsed report is retained for ground-truth
-// cross-checks.
+// HandleReport ingests one state-report body as it arrives on the
+// socket protocol: it parses the JSON document (statejson.Parse) and
+// hands the report to Accept, returning it on success. The session
+// simulator never builds report documents, so it calls Accept directly.
 func (s *Server) HandleReport(body []byte) (statejson.Report, error) {
 	r, err := statejson.Parse(body)
 	if err != nil {
 		return statejson.Report{}, fmt.Errorf("cdn: %w", err)
 	}
+	if err := s.Accept(r); err != nil {
+		return statejson.Report{}, err
+	}
+	return r, nil
+}
+
+// Accept ingests one state report, mirroring what the real service
+// records: a type-2 report must name a choice point and select its
+// alternative, and an accepted report is retained for ground-truth
+// cross-checks (Reports). The report's State blob is not read, so a
+// report from statejson's size-only forms, whose State is empty, is
+// accepted exactly as its minted document would be.
+func (s *Server) Accept(r statejson.Report) error {
 	// A type-2 selection must name a real segment that is an alternative
 	// of the named choice point — the server-side sanity check Netflix
 	// would apply.
 	if r.Kind == statejson.Type2 {
 		seg, ok := s.Graph.Segment(script.SegmentID(r.ChoicePoint))
 		if !ok || seg.Choice == nil {
-			return statejson.Report{}, fmt.Errorf("cdn: type-2 report names non-choice segment %q", r.ChoicePoint)
+			return fmt.Errorf("cdn: type-2 report names non-choice segment %q", r.ChoicePoint)
 		}
 		if script.SegmentID(r.Selection) != seg.Choice.Alternative {
-			return statejson.Report{}, fmt.Errorf("cdn: type-2 selection %q is not the alternative of %q",
+			return fmt.Errorf("cdn: type-2 selection %q is not the alternative of %q",
 				r.Selection, r.ChoicePoint)
 		}
 	}
 	s.mu.Lock()
 	s.reports = append(s.reports, r)
 	s.mu.Unlock()
-	return r, nil
+	return nil
 }
 
 // Reports returns the ingested state reports in arrival order.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -81,6 +82,40 @@ func TestHandleReportType2Validation(t *testing.T) {
 	}
 	if _, err := s.HandleReport(body); err == nil {
 		t.Error("type-2 at a non-choice segment accepted")
+	}
+}
+
+// TestAcceptMatchesHandleReport: a size-only report passes or fails
+// Accept exactly as its minted document passes or fails HandleReport,
+// with the same error, and each accepted report is retained.
+func TestAcceptMatchesHandleReport(t *testing.T) {
+	p := profiles.Lookup(profiles.Fig2Ubuntu)
+	minted, sized := testServer(t), testServer(t)
+	mint := statejson.NewBuilder(p, "m", "sess", wire.NewRNG(3))
+	size := statejson.NewBuilder(p, "m", "sess", wire.NewRNG(3))
+	for _, c := range []struct{ cp, sel script.SegmentID }{
+		{"S0", ""}, {"S0", "S1b"}, {"S0", "S1"}, {"S1", "S2"},
+	} {
+		var body []byte
+		var r statejson.Report
+		var err error
+		if c.sel == "" {
+			body, _, err = mint.Type1(c.cp, 1000)
+			_, r, _ = size.Type1Size(c.cp, 1000)
+		} else {
+			body, _, err = mint.Type2(c.cp, c.sel, 1000)
+			_, r, _ = size.Type2Size(c.cp, c.sel, 1000)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, herr := minted.HandleReport(body)
+		if aerr := sized.Accept(r); fmt.Sprint(aerr) != fmt.Sprint(herr) {
+			t.Errorf("%s/%s: Accept error %v, HandleReport error %v", c.cp, c.sel, aerr, herr)
+		}
+	}
+	if a, h := len(sized.Reports()), len(minted.Reports()); a != 2 || h != 2 {
+		t.Errorf("retained %d accepted and %d handled reports, want 2 each", a, h)
 	}
 }
 

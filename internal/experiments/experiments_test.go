@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/session"
 )
 
 func TestTable1(t *testing.T) {
@@ -170,6 +172,12 @@ func TestDefensesShape(t *testing.T) {
 		if acc := p.Stale.MeanAccuracy; acc > res.BlindFloor+0.12 {
 			t.Errorf("defense %s leaves stale accuracy %.2f above blind floor %.2f",
 				p.Cell.Wire, acc, res.BlindFloor)
+		}
+		// Padding and splitting defeat the adaptive attacker too, and
+		// their cost is still measured: both add client bytes.
+		if m := p.Cell.Wire.Reports.Mode; (m == session.ReportsPad || m == session.ReportsSplit) && p.OverheadPct <= 0 {
+			t.Errorf("defense %s (trainable %v) shows overhead %+.1f%%, want > 0",
+				p.Cell.Wire, p.Trainable, p.OverheadPct)
 		}
 	}
 }

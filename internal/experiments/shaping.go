@@ -134,8 +134,9 @@ type ShapingPoint struct {
 	ClientBytes int64
 	// OverheadPct is ClientBytes' growth over the first trainable cell
 	// on the same stack with no policy, which carries the identical
-	// sessions unshaped (0 for that cell itself and for untrainable
-	// cells).
+	// sessions unshaped. It is measured whether or not the cell itself
+	// trains, so a policy that defeats profiling still shows its cost;
+	// it is 0 for that unshaped cell and when no such cell trained.
 	OverheadPct float64
 }
 
@@ -289,9 +290,7 @@ func Shaping(sessions int, cells []ShapingCell, seed uint64) (*ShapingResult, er
 		p := &res.Points[i]
 		for _, base := range res.Points {
 			if base.Trainable && base.Cell.Wire == bareStack(p.Cell.Wire) {
-				if p.Trainable {
-					p.OverheadPct = 100 * float64(p.ClientBytes-base.ClientBytes) / float64(base.ClientBytes)
-				}
+				p.OverheadPct = 100 * float64(p.ClientBytes-base.ClientBytes) / float64(base.ClientBytes)
 				break
 			}
 		}
@@ -308,7 +307,7 @@ func renderShaping(res *ShapingResult) string {
 	b.WriteString("stale attacker profiled on the cell's bare stack, before the policy deployed)\n")
 	rows := [][]string{}
 	for _, p := range res.Points {
-		row := []string{p.Cell.Label(), "not separable", "-", "-", "-", "-"}
+		row := []string{p.Cell.Label(), "not separable", "-", "-", "-"}
 		if p.Trainable {
 			row = []string{
 				p.Cell.Label(),
@@ -316,10 +315,10 @@ func renderShaping(res *ShapingResult) string {
 				fmt.Sprintf("%.1f%%", 100*p.MeanAccuracy),
 				fmt.Sprintf("%.0f%%", 100*p.FullPathRate),
 				fmt.Sprintf("%.3f", p.MeanMargin),
-				fmt.Sprintf("%+.1f%%", p.OverheadPct),
 			}
 		}
 		rows = append(rows, append(row,
+			fmt.Sprintf("%+.1f%%", p.OverheadPct),
 			fmt.Sprintf("%d/%d (%.0f%%)", p.Stale.Detected, p.Sessions, 100*p.Stale.DetectionRate),
 			fmt.Sprintf("%.1f%%", 100*p.Stale.MeanAccuracy)))
 	}

@@ -347,8 +347,15 @@ func (c *Conn) HandshakeTranscript(w *wire.Writer, ts time.Time, transcriptLen i
 // under the sizing policy and returns one descriptor per datagram
 // emitted — the write's burst, in capture terms. Dummy datagrams added
 // by SizePadRandom are included: the eavesdropper cannot tell them from
-// data.
+// data. It is AppendApplicationData onto a nil slice.
 func (c *Conn) WriteApplicationData(w *wire.Writer, ts time.Time, plainLen int) []Datagram {
+	return c.AppendApplicationData(nil, w, ts, plainLen)
+}
+
+// AppendApplicationData seals one write as WriteApplicationData does and
+// appends its datagram descriptors to dst, returning the extended slice.
+// The elements already in dst are left as they are.
+func (c *Conn) AppendApplicationData(dst []Datagram, w *wire.Writer, ts time.Time, plainLen int) []Datagram {
 	p := c.params
 	maxDG := p.Sizing.MaxDatagram()
 	capacity := maxDG - shortOverhead - len(c.dcid)
@@ -356,16 +363,16 @@ func (c *Conn) WriteApplicationData(w *wire.Writer, ts time.Time, plainLen int) 
 		capacity = 1
 	}
 	padFull := p.Sizing.Mode == SizePadFull || p.Sizing.Mode == SizePadRandom
-	var out []Datagram
+	first := len(dst)
 	emit := func(chunk int) {
 		pktLen := chunk + shortOverhead + len(c.dcid)
 		if padFull {
 			pktLen = maxDG
 		}
 		c.appendShort(w, pktLen)
-		out = append(out, Datagram{
+		dst = append(dst, Datagram{
 			Size: pktLen, Packets: 1,
-			Time: ts.Add(time.Duration(len(out)) * p.Spacing),
+			Time: ts.Add(time.Duration(len(dst)-first) * p.Spacing),
 		})
 	}
 	for remaining := plainLen; remaining > 0; {
@@ -384,7 +391,7 @@ func (c *Conn) WriteApplicationData(w *wire.Writer, ts time.Time, plainLen int) 
 			emit(capacity)
 		}
 	}
-	return out
+	return dst
 }
 
 // WriteAck seals a small 1-RTT packet carrying only an ACK frame — the

@@ -1,6 +1,7 @@
 package quicrec
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -237,5 +238,32 @@ func TestPacketOverhead(t *testing.T) {
 	}
 	if got := (Params{DCIDLen: 20}).PacketOverhead(); got != 39 {
 		t.Errorf("20-byte-CID overhead = %d, want 39", got)
+	}
+}
+
+// TestAppendApplicationDataMatchesWrite: the append form seals the same
+// bytes and appends exactly the datagrams WriteApplicationData returns,
+// times spaced from the write's own first datagram, leaving the list's
+// existing datagrams untouched, under a sizing policy with dummies.
+func TestAppendApplicationDataMatchesWrite(t *testing.T) {
+	params := Params{Sizing: PadRandom(1350, 2)}
+	wc, ac := NewConn(params, true, wire.NewRNG(8)), NewConn(params, true, wire.NewRNG(8))
+	ww, aw := wire.NewWriter(1<<20), wire.NewWriter(1<<20)
+	var want []Datagram
+	got := []Datagram{{Size: -1}, {Size: -2}}
+	for i, n := range []int{1, 2188, 0, 40000, 700} {
+		at := t0.Add(time.Duration(i) * time.Second)
+		want = append(want, wc.WriteApplicationData(ww, at, n)...)
+		before := slices.Clone(got)
+		got = ac.AppendApplicationData(got, aw, at, n)
+		if !slices.Equal(got[:len(before)], before) {
+			t.Fatalf("write %d changed the list's existing datagrams", i)
+		}
+	}
+	if !slices.Equal(got[2:], want) {
+		t.Fatalf("appended datagrams differ from WriteApplicationData's:\n got %+v\nwant %+v", got[2:], want)
+	}
+	if !slices.Equal(aw.Bytes(), ww.Bytes()) {
+		t.Fatal("the append form sealed different bytes")
 	}
 }

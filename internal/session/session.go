@@ -405,11 +405,11 @@ func (e *simEnv) handshake(t time.Time, helloLen int) {
 	e.trace.ClientWrites = append(e.trace.ClientWrites, LabeledWrite{
 		Label: LabelHandshake, Time: t, Plain: helloLen, Records: recs,
 	})
-	// Server side: ServerHello+cert chain (~3700B), CCS, Finished.
+	// Server side: ServerHello+cert chain (~3700B), CCS, Finished. The
+	// flight opens the server direction, so its records start the list.
 	st := t.Add(e.downlink.RTT() / 2)
 	e.trace.ServerToClient.mark(int64(e.sBuf.Len()), st)
-	srecs := e.sEnc.HandshakeTranscript(e.sBuf, st, 3700)
-	e.trace.ServerRecords = append(e.trace.ServerRecords, srecs...)
+	e.trace.ServerRecords = e.sEnc.HandshakeTranscript(e.sBuf, st, 3700)
 }
 
 // quicHandshake exchanges both QUIC handshake flights: the client's
@@ -448,7 +448,7 @@ func (e *simEnv) writeClient(t time.Time, label WriteLabel, plain int) {
 	} else {
 		e.sizes = e.reports.appendSizes(e.sizes[:0], label, plain)
 		for _, n := range e.sizes {
-			recs = append(recs, e.cEnc.WriteApplicationData(e.cBuf, t, n)...)
+			recs = e.cEnc.AppendApplicationData(recs, e.cBuf, t, n)
 		}
 	}
 	e.trace.ClientWrites = append(e.trace.ClientWrites, LabeledWrite{
@@ -459,16 +459,22 @@ func (e *simEnv) writeClient(t time.Time, label WriteLabel, plain int) {
 // FetchChunk implements player.Env: request upstream, response downstream.
 func (e *simEnv) FetchChunk(now time.Time, c media.Chunk) time.Time {
 	// Client request.
-	reqBody := e.builder.RequestBody()
-	reqArrive := e.uplink.Transfer(now, len(reqBody)+60) // + TCP/IP headers
-	e.writeClient(now, LabelRequest, len(reqBody))
+	reqLen := e.builder.RequestSize()
+	reqArrive := e.uplink.Transfer(now, reqLen+60) // + TCP/IP headers
+	e.writeClient(now, LabelRequest, reqLen)
 
 	// Server response: chunk bytes stream down the bottleneck link.
 	respSize := e.server.ChunkResponseSize(c)
 	respStart := reqArrive
 	e.trace.ServerToClient.mark(int64(e.sBuf.Len()), respStart)
 	if e.transport == quicrec.TransportQUIC {
-		dgs := e.sQ.WriteApplicationData(e.sBuf, respStart, respSize)
+		// The response's datagrams append straight to the server
+		// direction's frame list; dgs is their run at its end.
+		sd := &e.trace.ServerToClient
+		first := len(sd.Datagrams)
+		sd.Datagrams = e.sQ.AppendApplicationData(sd.Datagrams, e.sBuf, respStart, respSize)
+		dgs := sd.Datagrams[first:]
+		stampOffsets(dgs, int64(e.sBuf.Len()))
 		done := e.downlink.Transfer(respStart, respSize)
 		// Datagram departures pace the bottleneck link: restamp the
 		// synthesizer's nominal spacing across the transfer window.
@@ -476,7 +482,6 @@ func (e *simEnv) FetchChunk(now time.Time, c media.Chunk) time.Time {
 		for i := range dgs {
 			dgs[i].Time = lerpTime(respStart, span, i, len(dgs))
 		}
-		dgs = e.appendServerDGs(dgs)
 		// The client acks roughly every tenth datagram of the download.
 		for i := 9; i < len(dgs); i += 10 {
 			e.clientAck(dgs[i].Time.Add(e.uplink.RTT() / 2))
@@ -484,40 +489,41 @@ func (e *simEnv) FetchChunk(now time.Time, c media.Chunk) time.Time {
 		e.est.Observe(respSize, done.Sub(now))
 		return done
 	}
-	srecs := e.sEnc.WriteApplicationData(e.sBuf, respStart, respSize)
-	e.trace.ServerRecords = append(e.trace.ServerRecords, srecs...)
+	e.trace.ServerRecords = e.sEnc.AppendApplicationData(e.trace.ServerRecords, e.sBuf, respStart, respSize)
 	done := e.downlink.Transfer(respStart, respSize)
 	e.est.Observe(respSize, done.Sub(now))
 	return done
 }
 
 // SendReport implements player.Env for type-1/type-2/telemetry writes.
+// Only a message's length reaches the wire, so each is sized, not built,
+// and the CDN accepts the report's content directly.
 func (e *simEnv) SendReport(now time.Time, kind player.EventKind, cp, sel script.SegmentID, positionMs int64) {
 	switch kind {
 	case player.EventType1:
-		body, _, err := e.builder.Type1(cp, positionMs)
+		n, r, err := e.builder.Type1Size(cp, positionMs)
 		if err != nil {
 			panic(fmt.Sprintf("session: type-1 synthesis: %v", err))
 		}
-		if _, err := e.server.HandleReport(body); err != nil {
+		if err := e.server.Accept(r); err != nil {
 			panic(fmt.Sprintf("session: server rejected type-1: %v", err))
 		}
-		e.writeClient(now, LabelType1, len(body))
-		e.uplink.Transfer(now, len(body)+60)
+		e.writeClient(now, LabelType1, n)
+		e.uplink.Transfer(now, n+60)
 	case player.EventType2:
-		body, _, err := e.builder.Type2(cp, sel, positionMs)
+		n, r, err := e.builder.Type2Size(cp, sel, positionMs)
 		if err != nil {
 			panic(fmt.Sprintf("session: type-2 synthesis: %v", err))
 		}
-		if _, err := e.server.HandleReport(body); err != nil {
+		if err := e.server.Accept(r); err != nil {
 			panic(fmt.Sprintf("session: server rejected type-2: %v", err))
 		}
-		e.writeClient(now, LabelType2, len(body))
-		e.uplink.Transfer(now, len(body)+60)
+		e.writeClient(now, LabelType2, n)
+		e.uplink.Transfer(now, n+60)
 	case player.EventTelemetry:
-		body := e.builder.TelemetryBody()
-		e.writeClient(now, LabelTelemetry, len(body))
-		e.uplink.Transfer(now, len(body)+60)
+		n := e.builder.TelemetrySize()
+		e.writeClient(now, LabelTelemetry, n)
+		e.uplink.Transfer(now, n+60)
 	default:
 		panic(fmt.Sprintf("session: unexpected report kind %v", kind))
 	}

@@ -2,6 +2,7 @@ package statejson
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -150,5 +151,94 @@ func TestOpaqueBodiesRoundTrip(t *testing.T) {
 	}
 	if len(tel) <= len(req) {
 		t.Fatalf("telemetry (%d) should outsize requests (%d)", len(tel), len(req))
+	}
+}
+
+// TestSizeFormsMatchMintingForms: each size-only form returns the length
+// of the body its minting form builds from the same stream, the report
+// forms the same Report apart from State, and both leave the stream in
+// the same place. It runs every grid profile over random choice points
+// and selections (escapes included) and positions of every digit count,
+// plus profiles sized to hit the request floor, an empty telemetry blob
+// and a report target below the document's base, where both forms must
+// fail alike.
+func TestSizeFormsMatchMintingForms(t *testing.T) {
+	ids := wire.NewRNG(5)
+	const alphabet = "Sab019-_\"\\<>&\n\t\x01"
+	randomID := func() script.SegmentID {
+		id := make([]byte, 0, 16)
+		for n := ids.Intn(12); n > 0; n-- {
+			switch ids.Intn(8) {
+			case 0:
+				id = append(id, "\u2028é\xff"[ids.Intn(6):]...)
+			default:
+				id = append(id, alphabet[ids.Intn(len(alphabet))])
+			}
+		}
+		return script.SegmentID(id)
+	}
+
+	var profs []profiles.Profile
+	for _, cond := range profiles.Grid() {
+		profs = append(profs, profiles.Lookup(cond))
+	}
+	tiny := profs[0]
+	tiny.RequestLen, tiny.RequestJitter = 3, 2 // below the 16-byte floor
+	tiny.TelemetryLen, tiny.TelemetryJitter = 6, 4
+	tiny.Type1BodyLen, tiny.Type1Jitter = 60, 0 // below every report's base
+	tiny.Type2BodyLen, tiny.Type2Jitter = 90, 3
+	profs = append(profs, tiny)
+
+	for pi, p := range profs {
+		seed := uint64(pi)*977 + 3
+		mintRNG, sizeRNG := wire.NewRNG(seed), wire.NewRNG(seed)
+		mint := NewBuilder(p, "movie<1>", "sess-\"q\"", mintRNG)
+		sized := NewBuilder(p, "movie<1>", "sess-\"q\"", sizeRNG)
+		for k := 0; k < 12; k++ {
+			cp, sel := randomID(), randomID()
+			pos := int64(ids.Uint64() >> ids.Intn(64))
+			if ids.Intn(4) == 0 {
+				pos = -pos
+			}
+			var (
+				body      []byte
+				n         int
+				r, rs     Report
+				err, errs error
+			)
+			switch k % 4 {
+			case 0:
+				body, r, err = mint.Type1(cp, pos)
+				n, rs, errs = sized.Type1Size(cp, pos)
+			case 1:
+				body, r, err = mint.Type2(cp, sel, pos)
+				n, rs, errs = sized.Type2Size(cp, sel, pos)
+			case 2:
+				body, n = mint.RequestBody(), sized.RequestSize()
+			case 3:
+				body, n = mint.TelemetryBody(), sized.TelemetrySize()
+			}
+			if fmt.Sprint(err) != fmt.Sprint(errs) {
+				t.Fatalf("profile %d call %d: minting error %v, size-only error %v", pi, k, err, errs)
+			}
+			if len(body) != n {
+				t.Fatalf("profile %d call %d: minting body %d bytes, size-only %d", pi, k, len(body), n)
+			}
+			if rs.State != "" {
+				t.Fatalf("profile %d call %d: size-only report has a State", pi, k)
+			}
+			r.State = ""
+			if r != rs {
+				t.Fatalf("profile %d call %d: reports differ:\n mint %+v\n size %+v", pi, k, r, rs)
+			}
+		}
+		if a, b := mintRNG.Uint64(), sizeRNG.Uint64(); a != b {
+			t.Fatalf("profile %d: streams diverged: %#x after minting, %#x after sizing", pi, a, b)
+		}
+	}
+
+	// The tiny profile's type-1 target sits below any type-1 base.
+	if _, _, err := NewBuilder(tiny, "m", "s", wire.NewRNG(1)).Type1Size("S2", 1); err == nil {
+		t.Fatal("size-only type-1 below its base did not fail")
 	}
 }

@@ -1,10 +1,18 @@
 // Package statejson synthesizes the interactive state-report messages the
 // viewer's browser sends to the streaming service: a type-1 report when a
 // choice question appears on screen and a type-2 report when the viewer
-// selects the non-default option. The reports are real JSON documents
-// (the simulator round-trips them through encoding/json) padded with an
-// opaque session-state blob so their plaintext size matches the condition
-// profile's calibrated body length — the quantity the side-channel leaks.
+// selects the non-default option. A report is a real JSON document padded
+// with an opaque session-state blob so its plaintext size matches the
+// condition profile's calibrated body length — the quantity the
+// side-channel leaks.
+//
+// The session simulator needs only that length, so it sizes messages and
+// never builds them: each minting form (Type1, Type2, RequestBody,
+// TelemetryBody) has a size-only form (Type1Size, Type2Size, RequestSize,
+// TelemetrySize) that draws the same randomness and returns the length of
+// the body the minting form would build. Real JSON documents come only
+// from the minting forms (label sidecars, the live example, the
+// encoding benchmark) and from the tests' json.Marshal oracle.
 package statejson
 
 import (
@@ -63,15 +71,22 @@ type Report struct {
 }
 
 // Builder mints size-calibrated reports for one session under one
-// condition profile. Serialization is an append-only buffer writer over
-// cached struct plans: the invariant JSON skeleton of each report shape
-// (event name, movie and session IDs, field punctuation) is escaped and
-// measured once at construction, so the per-report hot path appends the
-// variable parts — choice point, selection, position digits, state blob
-// — into a reused buffer without ever calling encoding/json. The bytes
-// produced are exactly what json.Marshal(Report) emits (the property
-// suite pins this), because the trace corpus format documents report
-// bodies as real encoding/json documents.
+// condition profile, or only sizes them. Serialization is an append-only
+// buffer writer over cached struct plans: the invariant JSON skeleton of
+// each report shape (event name, movie and session IDs, field
+// punctuation) is escaped and measured once at construction, so a report
+// appends the variable parts — choice point, selection, position digits,
+// state blob — into a reused buffer without ever calling encoding/json.
+// The bytes produced are exactly what json.Marshal(Report) emits (the
+// property suite pins this), because the trace corpus format documents
+// report bodies as real encoding/json documents.
+//
+// Each message kind has one sizing rule, which its minting form and its
+// size-only form share. The size-only form draws the same size jitter,
+// returns the length the minting form's body would have, and then skips
+// the state blob's draws (one per character) with wire.RNG.Skip, so the
+// two forms leave the RNG in the same place; it builds no bytes. The
+// session simulator, which reads only lengths, calls the size-only forms.
 type Builder struct {
 	profile profiles.Profile
 	movieID string
@@ -137,24 +152,56 @@ func newPlan(event, movieID, sessionID string, selection bool) plan {
 // TLS (JSON body plus the browser's HTTP framing, represented by the
 // calibrated total length).
 func (b *Builder) Type1(cp script.SegmentID, positionMs int64) ([]byte, Report, error) {
+	r, target := b.type1Report(cp, positionMs)
+	body, err := b.encode(&b.type1, &r, target)
+	return body, r, err
+}
+
+// Type1Size is the size-only form of Type1: it returns the length of the
+// body Type1 would build and the same Report with State left empty, and
+// leaves the RNG where Type1 would.
+func (b *Builder) Type1Size(cp script.SegmentID, positionMs int64) (int, Report, error) {
+	r, target := b.type1Report(cp, positionMs)
+	n, err := b.size(&b.type1, &r, target)
+	return n, r, err
+}
+
+// type1Report draws a type-1 report's body length and fills in its
+// content, all but the State blob.
+func (b *Builder) type1Report(cp script.SegmentID, positionMs int64) (Report, int) {
 	target := b.profile.Type1BodyLen + b.jitter(b.profile.Type1Jitter)
-	r := Report{
+	return Report{
 		Kind:        Type1,
 		Event:       "interactive.choicePointReached",
 		MovieID:     b.movieID,
 		SessionID:   b.session,
 		ChoicePoint: string(cp),
 		PositionMs:  positionMs,
-	}
-	body, err := b.encode(&b.type1, &r, target)
-	return body, r, err
+	}, target
 }
 
 // Type2 builds the report sent when the viewer selects the non-default
 // branch sel at choice point cp.
 func (b *Builder) Type2(cp, sel script.SegmentID, positionMs int64) ([]byte, Report, error) {
+	r, target := b.type2Report(cp, sel, positionMs)
+	body, err := b.encode(&b.type2, &r, target)
+	return body, r, err
+}
+
+// Type2Size is the size-only form of Type2: it returns the length of the
+// body Type2 would build and the same Report with State left empty, and
+// leaves the RNG where Type2 would.
+func (b *Builder) Type2Size(cp, sel script.SegmentID, positionMs int64) (int, Report, error) {
+	r, target := b.type2Report(cp, sel, positionMs)
+	n, err := b.size(&b.type2, &r, target)
+	return n, r, err
+}
+
+// type2Report draws a type-2 report's body length and fills in its
+// content, all but the State blob.
+func (b *Builder) type2Report(cp, sel script.SegmentID, positionMs int64) (Report, int) {
 	target := b.profile.Type2BodyLen + b.jitter(b.profile.Type2Jitter)
-	r := Report{
+	return Report{
 		Kind:        Type2,
 		Event:       "interactive.selectionCommitted",
 		MovieID:     b.movieID,
@@ -162,9 +209,7 @@ func (b *Builder) Type2(cp, sel script.SegmentID, positionMs int64) ([]byte, Rep
 		ChoicePoint: string(cp),
 		Selection:   string(sel),
 		PositionMs:  positionMs,
-	}
-	body, err := b.encode(&b.type2, &r, target)
-	return body, r, err
+	}, target
 }
 
 // jitter returns a uniform draw in [-j, +j].
@@ -175,32 +220,44 @@ func (b *Builder) jitter(j int) int {
 	return b.rng.IntRange(-j, j)
 }
 
-// encode renders r through its cached plan, sizing the State blob so the
-// document is exactly target bytes long — the arithmetic replaces the
-// old double json.Marshal round trip, byte for byte. The state token is
-// minted into the document first and r.State aliases a copy of it, so
-// the RNG draw sequence (jitter, then one draw per state character) is
-// identical to the marshal-based encoder's.
-func (b *Builder) encode(p *plan, r *Report, target int) ([]byte, error) {
-	buf := append(b.buf[:0], p.prefix...)
-	buf = appendEscaped(buf, r.ChoicePoint)
-	base := p.fixed - len(p.prefix) + len(buf)
+// need is the sizing rule of both report forms: the number of State
+// characters that pad r's document through plan p to exactly target
+// bytes. That is target less the plan's fixed bytes and the variable
+// parts (escaped choice point and selection, position digits), measured
+// in the reused buffer. A base past the target is an error.
+func (b *Builder) need(p *plan, r *Report, target int) (int, error) {
+	v := appendEscaped(b.buf[:0], r.ChoicePoint)
 	if p.selection {
-		buf = append(buf, selKey...)
-		sel := len(buf)
-		buf = appendEscaped(buf, r.Selection)
-		base += len(buf) - sel
+		v = appendEscaped(v, r.Selection)
 	}
-	buf = append(buf, posKey...)
-	digits := len(buf)
-	buf = strconv.AppendInt(buf, r.PositionMs, 10)
-	base += len(buf) - digits
-	need := target - base
-	if need < 0 {
-		b.buf = buf[:0]
-		return nil, fmt.Errorf("statejson: %s report base %d bytes exceeds target %d",
+	v = strconv.AppendInt(v, r.PositionMs, 10)
+	b.buf = v[:0]
+	base := p.fixed + len(v)
+	if base > target {
+		return 0, fmt.Errorf("statejson: %s report base %d bytes exceeds target %d",
 			r.Kind, base, target)
 	}
+	return target - base, nil
+}
+
+// encode renders r through its cached plan, with a State blob of need's
+// length minted into the document, so the document is exactly target
+// bytes long. r.State aliases a copy of the blob. The RNG draw sequence
+// (jitter, then one draw per state character) is identical to the
+// marshal-based oracle's.
+func (b *Builder) encode(p *plan, r *Report, target int) ([]byte, error) {
+	need, err := b.need(p, r, target)
+	if err != nil {
+		return nil, err
+	}
+	buf := append(b.buf[:0], p.prefix...)
+	buf = appendEscaped(buf, r.ChoicePoint)
+	if p.selection {
+		buf = append(buf, selKey...)
+		buf = appendEscaped(buf, r.Selection)
+	}
+	buf = append(buf, posKey...)
+	buf = strconv.AppendInt(buf, r.PositionMs, 10)
 	buf = append(buf, stateKey...)
 	state := len(buf)
 	buf = b.appendToken(buf, need)
@@ -212,6 +269,17 @@ func (b *Builder) encode(p *plan, r *Report, target int) ([]byte, error) {
 			r.Kind, len(buf), target)
 	}
 	return append([]byte(nil), buf...), nil
+}
+
+// size is encode's size-only twin: the document is target bytes long, and
+// the State characters that pad it are skipped, not drawn.
+func (b *Builder) size(p *plan, r *Report, target int) (int, error) {
+	need, err := b.need(p, r, target)
+	if err != nil {
+		return 0, err
+	}
+	b.rng.Skip(uint64(need))
+	return target, nil
 }
 
 const tokenAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -233,7 +301,7 @@ func (b *Builder) token(n int) string {
 }
 
 // Parse decodes a report body and infers its kind from the event name,
-// used by the simulated server and by tests to verify ground truth.
+// used by the socket server and by tests to verify ground truth.
 func Parse(body []byte) (Report, error) {
 	var r Report
 	if err := json.Unmarshal(body, &r); err != nil {
@@ -250,31 +318,68 @@ func Parse(body []byte) (Report, error) {
 	return r, nil
 }
 
+// Opaque body keys: a request or telemetry body is key, a token blob and
+// docClose.
+const (
+	requestKey   = `{"req":"`
+	telemetryKey = `{"tel":"`
+)
+
 // RequestBody synthesizes an ordinary chunk-request message of the
 // profile's request size class ("others" in Figure 2).
 func (b *Builder) RequestBody() []byte {
-	n := b.profile.RequestLen + b.jitter(b.profile.RequestJitter)
-	if n < 16 {
-		n = 16
-	}
-	return b.opaqueBody(`{"req":"`, n-11)
+	return b.opaqueBody(requestKey, b.requestTokens())
+}
+
+// RequestSize is the size-only form of RequestBody: it returns the length
+// of the body RequestBody would build and leaves the RNG where
+// RequestBody would.
+func (b *Builder) RequestSize() int {
+	return b.opaqueSize(requestKey, b.requestTokens())
+}
+
+// requestTokens draws a request's length, floored at 16 bytes, and
+// returns the length of its token blob.
+func (b *Builder) requestTokens() int {
+	return opaqueTokens(max(b.profile.RequestLen+b.jitter(b.profile.RequestJitter), 16))
 }
 
 // TelemetryBody synthesizes a periodic telemetry upload (large "others").
 func (b *Builder) TelemetryBody() []byte {
-	n := b.profile.TelemetryLen + b.jitter(b.profile.TelemetryJitter)
-	return b.opaqueBody(`{"tel":"`, n-11)
+	return b.opaqueBody(telemetryKey, b.telemetryTokens())
 }
+
+// TelemetrySize is the size-only form of TelemetryBody: it returns the
+// length of the body TelemetryBody would build and leaves the RNG where
+// TelemetryBody would.
+func (b *Builder) TelemetrySize() int {
+	return b.opaqueSize(telemetryKey, b.telemetryTokens())
+}
+
+// telemetryTokens draws a telemetry upload's length and returns the
+// length of its token blob.
+func (b *Builder) telemetryTokens() int {
+	return opaqueTokens(b.profile.TelemetryLen + b.jitter(b.profile.TelemetryJitter))
+}
+
+// opaqueTokens is the token blob of an opaque body drawn at n bytes:
+// n-11 characters, none below 11.
+func opaqueTokens(n int) int { return max(n-11, 0) }
 
 // opaqueBody appends key + tokens chars + `"}` through the reused buffer.
 func (b *Builder) opaqueBody(key string, tokens int) []byte {
 	buf := append(b.buf[:0], key...)
-	if tokens > 0 {
-		buf = b.appendToken(buf, tokens)
-	}
+	buf = b.appendToken(buf, tokens)
 	buf = append(buf, docClose...)
 	b.buf = buf[:0]
 	return append([]byte(nil), buf...)
+}
+
+// opaqueSize is opaqueBody's size-only twin: the same length, with the
+// tokens' draws skipped.
+func (b *Builder) opaqueSize(key string, tokens int) int {
+	b.rng.Skip(uint64(tokens))
+	return len(key) + tokens + len(docClose)
 }
 
 // appendEscaped appends s as the inside of a JSON string literal, byte

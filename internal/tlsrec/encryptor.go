@@ -1,6 +1,7 @@
 package tlsrec
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/wire"
@@ -13,8 +14,10 @@ import (
 // the attack; realistic entropy keeps accidental structure out of tests).
 //
 // An Encryptor belongs to one session and is not safe for concurrent use;
-// it reuses internal scratch space so the per-record simulation hot loop
-// stays allocation-free apart from the record descriptors themselves.
+// it reuses internal scratch space, and its append form
+// (AppendApplicationData) writes the record descriptors into a slice the
+// caller keeps, so a simulator that collects one direction's records in
+// one growing list frames each write without allocating.
 //
 // Passing VersionTLS13 selects the RFC 8446 record layer: every protected
 // record is framed as outer-type application_data with the legacy 0x0303
@@ -36,7 +39,7 @@ type Encryptor struct {
 	rng      *wire.RNG
 	padding  PaddingPolicy
 	padRng   *wire.RNG
-	splitBuf []int // reused across writes by write()
+	splitBuf []int // reused across writes by appendWrite
 }
 
 // NewEncryptor returns an Encryptor for the given suite and splitter.
@@ -69,13 +72,22 @@ func (e *Encryptor) generation() RecordVersion {
 // WriteApplicationData frames one application-layer write of n plaintext
 // bytes into w and returns the resulting record descriptors (with Time
 // set to ts). Only the length of the plaintext matters; bodies are noise.
+// It is AppendApplicationData onto a nil slice.
 func (e *Encryptor) WriteApplicationData(w *wire.Writer, ts time.Time, n int) []Record {
-	return e.write(w, ts, ContentApplicationData, n)
+	return e.AppendApplicationData(nil, w, ts, n)
+}
+
+// AppendApplicationData frames one application-layer write of n plaintext
+// bytes into w, as WriteApplicationData does, and appends the resulting
+// record descriptors to dst, returning the extended slice. The elements
+// already in dst are left as they are.
+func (e *Encryptor) AppendApplicationData(dst []Record, w *wire.Writer, ts time.Time, n int) []Record {
+	return e.appendWrite(dst, w, ts, ContentApplicationData, n)
 }
 
 // WriteHandshake frames a handshake message of n bytes.
 func (e *Encryptor) WriteHandshake(w *wire.Writer, ts time.Time, n int) []Record {
-	return e.write(w, ts, ContentHandshake, n)
+	return e.appendWrite(nil, w, ts, ContentHandshake, n)
 }
 
 // appendBody emits one record of n body bytes directly into w — zero or
@@ -89,7 +101,10 @@ func (e *Encryptor) appendBody(w *wire.Writer, typ ContentType, ver Version, n i
 	}
 }
 
-func (e *Encryptor) write(w *wire.Writer, ts time.Time, typ ContentType, n int) []Record {
+// appendWrite frames one write of n plaintext bytes of type typ into w,
+// split and (under TLS 1.3) padded per record, and appends one descriptor
+// per record to dst.
+func (e *Encryptor) appendWrite(dst []Record, w *wire.Writer, ts time.Time, typ ContentType, n int) []Record {
 	wireTyp, wireVer := typ, e.Version
 	pad13 := false
 	if e.generation() == RecordTLS13 {
@@ -100,7 +115,7 @@ func (e *Encryptor) write(w *wire.Writer, ts time.Time, typ ContentType, n int) 
 		pad13 = true
 	}
 	e.splitBuf = e.Splitter.AppendSplit(e.splitBuf[:0], n)
-	out := make([]Record, 0, len(e.splitBuf))
+	dst = slices.Grow(dst, len(e.splitBuf))
 	for _, pt := range e.splitBuf {
 		if pad13 {
 			pad := e.padding.PadBytes(pt+e.Suite.InnerTypeByte, e.padRng)
@@ -117,12 +132,12 @@ func (e *Encryptor) write(w *wire.Writer, ts time.Time, typ ContentType, n int) 
 		ct := e.Suite.CiphertextLen(pt)
 		off := int64(w.Len())
 		e.appendBody(w, wireTyp, wireVer, ct)
-		out = append(out, Record{
+		dst = append(dst, Record{
 			Type: wireTyp, Version: wireVer, Length: ct,
 			Time: ts, StreamOffset: off,
 		})
 	}
-	return out
+	return dst
 }
 
 // HandshakeTranscript appends a plausible TLS handshake flight to w:
@@ -188,5 +203,5 @@ func (e *Encryptor) handshake13(w *wire.Writer, ts time.Time, helloLen int) []Re
 		Length: 1, Time: ts, StreamOffset: off})
 
 	rest := helloLen - plain + tls13FinishedLen
-	return append(out, e.write(w, ts, ContentHandshake, rest)...)
+	return e.appendWrite(out, w, ts, ContentHandshake, rest)
 }

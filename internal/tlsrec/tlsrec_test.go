@@ -3,6 +3,8 @@ package tlsrec
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -371,6 +373,56 @@ func TestWirePrefixRebuildsZeroBodyStream(t *testing.T) {
 			}
 			if !bytes.Equal(rebuilt, w.Bytes()) {
 				t.Fatalf("records rebuild %d bytes that differ from the %d-byte stream", len(rebuilt), w.Len())
+			}
+		})
+	}
+}
+
+// TestAppendApplicationDataMatchesWrite: the append form frames the same
+// bytes and appends exactly the records WriteApplicationData returns,
+// leaving the list's existing records untouched, whether it appends in
+// place or grows the list, under TLS 1.2 and under TLS 1.3 with random
+// padding.
+func TestAppendApplicationDataMatchesWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		suite CipherSuite
+		ver   Version
+		pad   PaddingPolicy
+	}{
+		{"tls1.2", SuiteAESGCM128TLS12, VersionTLS12, PaddingPolicy{}},
+		{"tls1.3+pad-random-512", SuiteAESGCM128TLS13, VersionTLS13, PadRandomUpTo(512)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newEnc := func() *Encryptor {
+				e := NewEncryptor(tc.suite, DefaultSplitter, tc.ver, wire.NewRNG(3))
+				e.SetPadding(tc.pad, wire.NewRNG(4))
+				return e
+			}
+			we, ae := newEnc(), newEnc()
+			ww, aw := wire.NewWriter(1<<20), wire.NewWriter(1<<20)
+			ts := time.Unix(1700000000, 0)
+			sentinel := Record{Type: ContentAlert, Length: -1, StreamOffset: -1}
+			var want []Record
+			got := make([]Record, 2, 5)
+			got[0], got[1] = sentinel, sentinel
+			for i, n := range []int{1, 700, 16384, 50000, 90, 0, 33000} {
+				at := ts.Add(time.Duration(i) * time.Second)
+				want = append(want, we.WriteApplicationData(ww, at, n)...)
+				before := slices.Clone(got)
+				got = ae.AppendApplicationData(got, aw, at, n)
+				if !reflect.DeepEqual(got[:len(before)], before) {
+					t.Fatalf("write %d changed the list's existing records", i)
+				}
+			}
+			if !reflect.DeepEqual(got[:2], []Record{sentinel, sentinel}) {
+				t.Fatal("the caller's leading records changed")
+			}
+			if !reflect.DeepEqual(got[2:], want) {
+				t.Fatalf("appended records differ from WriteApplicationData's:\n got %+v\nwant %+v", got[2:], want)
+			}
+			if !bytes.Equal(aw.Bytes(), ww.Bytes()) {
+				t.Fatal("the append form framed different bytes")
 			}
 		})
 	}

@@ -41,13 +41,22 @@ func (r *RNG) Stream(label uint64) *RNG {
 	return NewRNG(z ^ (z >> 31))
 }
 
+// gamma is splitmix64's state increment: every draw adds it once.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Skip advances the generator past n draws in O(1), leaving it where n
+// calls of Uint64, Intn or IntRange (one draw each) would.
+func (r *RNG) Skip(n uint64) {
+	r.state += n * gamma
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

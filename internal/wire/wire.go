@@ -255,11 +255,10 @@ func (w *Writer) Fill(n int, rng *RNG) {
 		return
 	}
 	if w.discard {
-		// Advance the generator as the materialized path would, so a lean
-		// run consumes the identical RNG stream.
-		for i := 0; i < (n+7)/8; i++ {
-			rng.Uint64()
-		}
+		// Advance the generator past the draws the materialized path
+		// would take (one per 8 bytes), so a lean run consumes the
+		// identical RNG stream.
+		rng.Skip(uint64((n + 7) / 8))
 		w.virtual += n
 		return
 	}

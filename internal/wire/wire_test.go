@@ -203,6 +203,31 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// FuzzRNGSkip holds Skip(n) followed by one draw to n+1 draws, the n
+// taken as Intn and IntRange calls (one draw each), as the size-only
+// message forms skip their token draws.
+func FuzzRNGSkip(f *testing.F) {
+	for _, n := range []uint32{0, 1, 35, 36, 1 << 20} {
+		f.Add(uint64(42), n)
+	}
+	f.Add(uint64(0), uint32(7))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint32) {
+		n %= 1 << 21
+		drawn, skipped := NewRNG(seed), NewRNG(seed)
+		for i := uint32(0); i < n; i++ {
+			if i%2 == 0 {
+				drawn.Intn(36)
+			} else {
+				drawn.IntRange(-7, 7)
+			}
+		}
+		skipped.Skip(uint64(n))
+		if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+			t.Fatalf("seed %d: Skip(%d) then a draw gave %#x, %d draws then one gave %#x", seed, n, b, n, a)
+		}
+	})
+}
+
 func TestRNGZeroSeedUsable(t *testing.T) {
 	r := NewRNG(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {
