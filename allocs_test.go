@@ -136,3 +136,42 @@ func readFrames(t *testing.T, pcap []byte) []pcapio.Record {
 	}
 	return recs
 }
+
+// TestTrainAttackerAllocation bounds the bytes one TrainAttacker call
+// allocates, trained as the benchmarks above train it (Fig2Ubuntu, one
+// worker, seed 22): at most 0.35 MB for TLS 1.2 (3 sessions) and 8 MB
+// for QUIC (10 sessions). Lean sessions write no bytes, and each builds
+// its server descriptor list in reused scratch and copies it out once;
+// sessions that wrote their client bytes and regrew their server lists
+// from empty cost about 0.68 MB and 22.9 MB.
+func TestTrainAttackerAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		wire     string
+		sessions int
+		maxMB    float64
+	}{
+		{"tls1.2", 3, 0.35},
+		{"quic", 10, 8},
+	} {
+		opts := TrainingOptions{Condition: ConditionUbuntu, Sessions: tc.sessions, Seed: 22,
+			Workers: 1, Wire: mustWire(t, tc.wire)}
+		train := func() {
+			if _, err := TrainAttacker(opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		train() // the title's encoding and the path table are built once
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			train()
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6
+		t.Logf("%s: %.3f MB allocated per TrainAttacker call", tc.wire, mb)
+		if mb > tc.maxMB {
+			t.Errorf("%s: %.3f MB allocated per TrainAttacker call, bound %.2f MB", tc.wire, mb, tc.maxMB)
+		}
+	}
+}

@@ -440,6 +440,19 @@ func BenchmarkPipeline_TrainAttacker(b *testing.B) {
 	}
 }
 
+// BenchmarkPipeline_TrainAttackerQUIC is the QUIC twin: Fig2Ubuntu, ten
+// lean sessions (composite QUIC bands need the coverage) on one worker,
+// seed 22, then burst-band training.
+func BenchmarkPipeline_TrainAttackerQUIC(b *testing.B) {
+	quic := mustWire(b, "quic")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainAttacker(TrainingOptions{Condition: ConditionUbuntu, Sessions: 10, Seed: 22, Workers: 1, Wire: quic}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipeline_SessionSimulation measures end-to-end session
 // simulation cost (the dominant cost of dataset generation).
 func BenchmarkPipeline_SessionSimulation(b *testing.B) {

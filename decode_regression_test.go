@@ -34,7 +34,7 @@ func driftTrainedAttacker(t *testing.T, g *script.Graph, cond profiles.Condition
 		tr, err := session.Run(session.Config{
 			Graph: g, Encoding: enc, Viewer: pop[0], Condition: cond,
 			SessionID: fmt.Sprintf("train-%d", i), Seed: seed + uint64(i)*101,
-			OmitServerPayload: true,
+			Lean: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -113,11 +113,12 @@ func TestAccuracyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSimulateLeanMatchesMaterialized pins the lean-session contract. A
-// TCP session never materializes its server bytes (ServerRecords
-// describes them), so a lean TCP trace equals a full one. A lean QUIC
-// session drops only the server datagram bytes: everything else agrees
-// with the full run, whose datagrams cover its whole server stream.
+// TestSimulateLeanMatchesMaterialized pins the lean-session contract: a
+// lean session writes no bytes, and its trace equals its full twin with
+// the bytes dropped. A TCP session never materializes its server bytes
+// (ServerRecords describes them), so a lean TCP trace lacks only the
+// client bytes; a lean QUIC trace lacks both directions', and the full
+// run's datagrams cover its whole server stream.
 func TestSimulateLeanMatchesMaterialized(t *testing.T) {
 	full, err := Simulate(SessionOptions{Seed: 31})
 	if err != nil {
@@ -127,14 +128,15 @@ func TestSimulateLeanMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(full, lean) {
-		t.Error("lean and materialized TCP traces differ")
-	}
 	if full.ServerToClient.Bytes != nil {
 		t.Errorf("TCP trace materialized %d server bytes", len(full.ServerToClient.Bytes))
 	}
-	if len(full.ServerRecords) == 0 {
-		t.Fatal("no server records collected")
+	if len(full.ServerRecords) == 0 || len(full.ClientToServer.Bytes) == 0 {
+		t.Fatal("full TCP trace has no server records or no client bytes")
+	}
+	full.ClientToServer.Bytes = nil
+	if !reflect.DeepEqual(full, lean) {
+		t.Error("lean TCP trace differs from its full twin without the client bytes")
 	}
 
 	t.Run("quic", func(t *testing.T) {
@@ -147,24 +149,19 @@ func TestSimulateLeanMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(full.ClientToServer.Bytes, lean.ClientToServer.Bytes) {
-			t.Error("client streams differ between lean and materialized runs")
-		}
-		if len(lean.ServerToClient.Bytes) != 0 {
-			t.Errorf("lean run materialized %d server bytes", len(lean.ServerToClient.Bytes))
-		}
-		if !reflect.DeepEqual(full.ServerToClient.Datagrams, lean.ServerToClient.Datagrams) {
-			t.Error("server datagram descriptors differ between lean and materialized runs")
-		}
-		if !reflect.DeepEqual(full.GroundTruthDecisions(), lean.GroundTruthDecisions()) {
-			t.Error("decisions differ between lean and materialized runs")
-		}
 		total := 0
 		for _, d := range full.ServerToClient.Datagrams {
 			total += d.Size
 		}
 		if total == 0 || total != len(full.ServerToClient.Bytes) {
 			t.Errorf("server datagrams cover %d bytes, stream has %d", total, len(full.ServerToClient.Bytes))
+		}
+		if len(full.ClientToServer.Bytes) == 0 {
+			t.Fatal("full QUIC trace has no client bytes")
+		}
+		full.ClientToServer.Bytes, full.ServerToClient.Bytes = nil, nil
+		if !reflect.DeepEqual(full, lean) {
+			t.Error("lean QUIC trace differs from its full twin without the bytes")
 		}
 	})
 }

@@ -310,7 +310,7 @@ func (m *muxer) datagramDirection(d session.DirStream, key layers.FlowKey, eth l
 	for _, dg := range d.Datagrams {
 		end := dg.Offset + int64(dg.Size)
 		if dg.Offset < 0 || end > int64(len(d.Bytes)) {
-			return fmt.Errorf("capture: datagram [%d,%d) outside %d-byte stream (lean trace?)",
+			return fmt.Errorf("capture: datagram [%d,%d) outside %d-byte stream",
 				dg.Offset, end, len(d.Bytes))
 		}
 		if err := m.addUDP(dg.Time, key, eth, d.Bytes[dg.Offset:end]); err != nil {
@@ -394,8 +394,12 @@ func (m *muxer) release() {
 	}
 }
 
-// WritePcap renders tr as a pcap stream into w.
+// WritePcap renders tr as a pcap stream into w. It refuses a trace with
+// no client bytes (see checkClientBytes).
 func WritePcap(w io.Writer, tr *session.Trace, opts Options) error {
+	if err := checkClientBytes(tr); err != nil {
+		return err
+	}
 	opts = opts.withDefaults(tr)
 	m := newMuxer(streamLen(tr.ClientToServer, nil)+streamLen(tr.ServerToClient, tr.ServerRecords),
 		len(tr.ClientToServer.Writes)+len(tr.ServerToClient.Writes)+
@@ -413,8 +417,12 @@ func WritePcap(w io.Writer, tr *session.Trace, opts Options) error {
 // WritePcapMulti renders the interleaved scenario: tr's conversation plus
 // opts.NoiseFlows concurrent bulk-streaming flows spanning the same
 // capture window, all interleaved in time order. Noise flows are seeded
-// off opts.Seed, so equal options reproduce byte-identical captures.
+// off opts.Seed, so equal options reproduce byte-identical captures. Like
+// WritePcap, it refuses a trace with no client bytes.
 func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
+	if err := checkClientBytes(tr); err != nil {
+		return err
+	}
 	opts.Options = opts.Options.withDefaults(tr)
 	start := streamStart(tr.ClientToServer)
 	end := tr.Result.EndedAt
@@ -459,6 +467,17 @@ func WritePcapMulti(w io.Writer, tr *session.Trace, opts MultiOptions) error {
 		}
 	}
 	return m.writeTo(w)
+}
+
+// checkClientBytes refuses a trace whose client direction has no bytes,
+// under either transport: a lean session (session.Config.Lean) writes
+// none and Trace.Release drops them, and a capture cannot be rendered
+// from the descriptors alone.
+func checkClientBytes(tr *session.Trace) error {
+	if len(tr.ClientToServer.Bytes) == 0 {
+		return fmt.Errorf("capture: trace %s has no client bytes (a lean or released trace); render a full trace", tr.SessionID)
+	}
+	return nil
 }
 
 // noiseFlow is one synthesized background conversation. A TCP flow's

@@ -125,21 +125,3 @@ func TestWritePcapMultiQUICNoiseInheritsTransport(t *testing.T) {
 		t.Errorf("distinct conversations = %d, want 3 (session + 2 noise)", len(flows))
 	}
 }
-
-func TestWritePcapQUICLeanTraceErrors(t *testing.T) {
-	g := script.Bandersnatch()
-	enc := media.Encode(g, media.DefaultLadder, 42)
-	pop := viewer.SamplePopulation(1, wire.NewRNG(3))
-	tr, err := session.Run(session.Config{
-		Graph: g, Encoding: enc, Viewer: pop[0],
-		Condition: profiles.Fig2Ubuntu, Seed: 3,
-		Wire: session.Wire{Transport: quicrec.TransportQUIC}, OmitServerPayload: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WritePcap(&buf, tr, Options{Seed: 3}); err == nil {
-		t.Fatal("want error rendering a lean QUIC trace (server payload missing)")
-	}
-}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/layers"
 	"repro/internal/media"
 	"repro/internal/pcapio"
 	"repro/internal/profiles"
+	"repro/internal/quicrec"
 	"repro/internal/script"
 	"repro/internal/session"
 	"repro/internal/tcpreasm"
@@ -85,7 +87,8 @@ func TestPcapRoundTripsClientStream(t *testing.T) {
 	// The server stream is rendered from the trace's records: it must
 	// parse back to exactly them, with every body byte zero apart from
 	// ChangeCipherSpec's message.
-	recs, rest, err := tlsrec.ParseStream(s2c.Bytes(), nil)
+	stream := s2c.Bytes()
+	recs, rest, err := tlsrec.ParseStream(stream, nil)
 	if err != nil || rest != 0 {
 		t.Fatalf("server stream: %v, %d bytes unparsed", err, rest)
 	}
@@ -98,7 +101,8 @@ func TestPcapRoundTripsClientStream(t *testing.T) {
 			t.Fatalf("server record %d: %v %#04x len %d at %d, trace has %v %#04x len %d at %d", i,
 				r.Type, uint16(r.Version), r.Length, r.StreamOffset, w.Type, uint16(w.Version), w.Length, w.StreamOffset)
 		}
-		body := r.Body
+		end := int(r.StreamOffset) + r.WireLen()
+		body := stream[end-r.Length : end]
 		if r.Type == tlsrec.ContentChangeCipherSpec {
 			if !bytes.Equal(body, []byte{1}) {
 				t.Fatalf("server record %d: ChangeCipherSpec body % x", i, body)
@@ -107,6 +111,47 @@ func TestPcapRoundTripsClientStream(t *testing.T) {
 		}
 		if j := slices.IndexFunc(body, func(b byte) bool { return b != 0 }); j >= 0 {
 			t.Fatalf("server record %d: body byte %d is %#02x", i, j, body[j])
+		}
+	}
+}
+
+// TestWritePcapRefusesTraceWithoutBytes: neither render accepts a trace
+// with no client bytes, a lean one under either transport or a released
+// one, and the error names the cause instead of emitting an empty
+// direction.
+func TestWritePcapRefusesTraceWithoutBytes(t *testing.T) {
+	g := script.TinyScript()
+	enc := media.Encode(g, media.DefaultLadder, 42)
+	pop := viewer.SamplePopulation(1, wire.NewRNG(3))
+	run := func(w session.Wire, lean bool) *session.Trace {
+		tr, err := session.Run(session.Config{Graph: g, Encoding: enc, Viewer: pop[0],
+			Condition: profiles.Fig2Ubuntu, Seed: 3, Wire: w, Lean: lean})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	released := run(session.Wire{}, false)
+	released.Release()
+	for name, tr := range map[string]*session.Trace{
+		"lean tls1.2": run(session.Wire{}, true),
+		"lean quic":   run(session.Wire{Transport: quicrec.TransportQUIC}, true),
+		"released":    released,
+	} {
+		// No noise flows: they span the trace's write schedule, which a
+		// released trace has lost, so a render that failed to refuse it
+		// could synthesize noise without bound.
+		var buf bytes.Buffer
+		for render, err := range map[string]error{
+			"WritePcap":      WritePcap(&buf, tr, Options{Seed: 3}),
+			"WritePcapMulti": WritePcapMulti(&buf, tr, MultiOptions{Options: Options{Seed: 3}}),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "no client bytes") {
+				t.Errorf("%s: %s returned %v, want the no-client-bytes error", name, render, err)
+			}
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the refusal", name, buf.Len())
 		}
 	}
 }

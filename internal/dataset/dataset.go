@@ -145,14 +145,13 @@ type Config struct {
 	// every shard, so each point's bytes are identical at any shard
 	// count. The zero value generates the full corpus.
 	Shard Shard
-	// Lean omits a QUIC trace's server datagram bytes
-	// (session.Config.OmitServerPayload): datagram geometry, client bytes
-	// and ground truth stay exact while the large server payloads are
-	// never materialized. A TCP trace never materializes its server bytes
-	// (Trace.ServerRecords describes them), so Lean changes nothing there.
-	// Lean corpora feed size-only consumers — attackers, Table 1, decode
-	// experiments; DatasetWriter refuses to persist them, since a QUIC
-	// capture needs the server datagram bytes.
+	// Lean generates traces that carry descriptors only
+	// (session.Config.Lean): no client bytes and no QUIC server datagram
+	// bytes, while every record and datagram descriptor, write mark and
+	// the ground truth stay bit-identical to a full trace's. Lean corpora
+	// feed size-only consumers — attackers, Table 1, decode experiments;
+	// DatasetWriter refuses to persist them, since a capture is made of
+	// the bytes.
 	Lean bool
 }
 
@@ -218,14 +217,14 @@ func streamPoints[R any](cfg Config, work func(Point) (R, error), emit func(R) e
 		i := own[j]
 		cond := cfg.Conditions[order[i]]
 		tr, err := session.Run(session.Config{
-			Graph:             cfg.Graph,
-			Encoding:          cfg.Encoding,
-			Viewer:            pop[i],
-			Condition:         cond,
-			SessionID:         fmt.Sprintf("iitm-%03d", i+1),
-			Seed:              cfg.Seed*1_000_003 + uint64(i),
-			Wire:              cfg.Wire,
-			OmitServerPayload: cfg.Lean,
+			Graph:     cfg.Graph,
+			Encoding:  cfg.Encoding,
+			Viewer:    pop[i],
+			Condition: cond,
+			SessionID: fmt.Sprintf("iitm-%03d", i+1),
+			Seed:      cfg.Seed*1_000_003 + uint64(i),
+			Wire:      cfg.Wire,
+			Lean:      cfg.Lean,
 		})
 		if err != nil {
 			var zero R

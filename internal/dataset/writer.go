@@ -144,8 +144,8 @@ type DatasetWriter struct {
 // NewDatasetWriter creates dir (if needed) and returns a writer that
 // lays out the corpus format documented in DATASET.md. cfg must be the
 // generation config — the writer normalizes it and stamps the manifest
-// header from it. Lean configs are rejected: a QUIC capture needs the
-// server datagram bytes Lean drops.
+// header from it. Lean configs are rejected: a capture is made of the
+// bytes Lean drops.
 func NewDatasetWriter(dir string, cfg Config) (*DatasetWriter, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Lean {
@@ -225,8 +225,8 @@ func (w *DatasetWriter) encode(p Point) (encodedPoint, error) {
 	}
 	// A server direction is its bytes, or else its records, as capture
 	// renders it: a TCP trace has only records and a QUIC trace only
-	// datagram bytes. Release drops both, and a lean QUIC trace lacks the
-	// bytes.
+	// datagram bytes. Release drops both, and a lean trace has no bytes
+	// in either direction.
 	tr := p.Trace
 	if len(tr.ClientToServer.Bytes) == 0 || (len(tr.ServerToClient.Bytes) == 0 && len(tr.ServerRecords) == 0) {
 		return encodedPoint{}, fmt.Errorf("dataset: point %d trace holds no payload (generated with Config.Lean, or already Released)", p.Index)

@@ -83,11 +83,7 @@ func Accuracy(n, trainPerCond int, seed uint64) (*AccuracyResult, error) {
 		if err != nil {
 			return SessionAccuracy{}, err
 		}
-		obs, err := observationOf(tr)
-		if err != nil {
-			return SessionAccuracy{}, err
-		}
-		inf, err := atk.Infer(obs)
+		inf, err := atk.Infer(observationOf(tr))
 		if err != nil {
 			return SessionAccuracy{}, err
 		}

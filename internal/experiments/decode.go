@@ -54,8 +54,8 @@ func DecodeRobustness(n int, seed uint64) (*DecodeRobustnessResult, error) {
 	if n <= 0 {
 		n = 6
 	}
-	// Lean: the decoder reads client bytes and server record geometry,
-	// never server payloads, so skip materializing them.
+	// Lean: the decoder reads record geometry, never bytes, so no
+	// session writes any.
 	ds, err := dataset.Generate(dataset.Config{N: n, Seed: seed, Lean: true})
 	if err != nil {
 		return nil, err
@@ -91,11 +91,7 @@ func DecodeRobustness(n int, seed uint64) (*DecodeRobustnessResult, error) {
 	sessions, err := parallel.MapN(0, len(ds.Points), func(i int) (DecodeRobustnessSession, error) {
 		tr := ds.Points[i].Trace
 		truth := tr.GroundTruthDecisions()
-		obs, err := observationOf(tr)
-		if err != nil {
-			return DecodeRobustnessSession{}, err
-		}
-		inf, err := atk.Infer(obs)
+		inf, err := atk.Infer(observationOf(tr))
 		if err != nil {
 			return DecodeRobustnessSession{}, err
 		}

@@ -31,23 +31,26 @@ func sharedEncoding(g *script.Graph, seed uint64) *media.Encoding {
 	return media.EncodeCached(g, media.DefaultLadder, seed)
 }
 
-// runOne simulates a single session. Unless opts says otherwise, a QUIC
-// session's server datagram bytes are not materialized: only a pcap
-// render reads them, and the trace's offsets, timings and descriptors
-// are exact either way. A TCP session never materializes its server
-// bytes; capture renders them from the records.
+// runOne simulates a single session. Unless opts says otherwise, the
+// session is lean (session.Config.Lean): it writes no bytes in either
+// direction, and its descriptors are exact either way. Only a capture
+// render reads bytes, so a driver that renders one asks for a full trace.
 func runOne(g *script.Graph, enc *media.Encoding, v viewer.Viewer,
 	cond profiles.Condition, seed uint64, opts func(*session.Config)) (*session.Trace, error) {
 	cfg := session.Config{
 		Graph: g, Encoding: enc, Viewer: v, Condition: cond,
 		SessionID: fmt.Sprintf("exp-%d", seed), Seed: seed,
-		OmitServerPayload: true,
+		Lean: true,
 	}
 	if opts != nil {
 		opts(&cfg)
 	}
 	return session.Run(cfg)
 }
+
+// fullTrace is the runOne option of a driver that renders the trace as a
+// capture, which needs the client bytes a lean session does not write.
+func fullTrace(cfg *session.Config) { cfg.Lean = false }
 
 // profileSessions simulates training sessions under one condition until
 // both report classes are present: at least minN sessions, at most maxN.
@@ -78,18 +81,23 @@ func profileSessions(g *script.Graph, enc *media.Encoding, cond profiles.Conditi
 	return training, nil
 }
 
-// observationOf turns a trace into an attacker observation (equivalent to
-// the pcap path, which the attack tests exercise; the experiment drivers
-// skip pcap serialization for speed). The client stream is parsed as an
-// eavesdropper would see it; the server direction reuses the trace's
-// record ground truth, which is exactly what parsing the rendered server
-// stream recovers.
-func observationOf(tr *session.Trace) (*attack.Observation, error) {
-	cRecs, _, err := tlsrec.ParseStream(tr.ClientToServer.Bytes, tr.ClientToServer.TimeAt)
-	if err != nil {
-		return nil, err
+// observationOf turns a TCP trace into an attacker observation
+// (equivalent to the pcap path, which the attack tests exercise; the
+// experiment drivers skip pcap serialization for speed). Both directions
+// reuse the trace's record ground truth: the client records of its
+// labeled writes, in stream order, and the server records. Each list is
+// exactly what parsing the rendered stream recovers, so a lean trace
+// serves as well as a full one.
+func observationOf(tr *session.Trace) *attack.Observation {
+	n := 0
+	for _, w := range tr.ClientWrites {
+		n += len(w.Records)
 	}
-	return &attack.Observation{ClientRecords: cRecs, ServerRecords: tr.ServerRecords}, nil
+	cRecs := make([]tlsrec.Record, 0, n)
+	for _, w := range tr.ClientWrites {
+		cRecs = append(cRecs, w.Records...)
+	}
+	return &attack.Observation{ClientRecords: cRecs, ServerRecords: tr.ServerRecords}
 }
 
 // --- T1: Table I --------------------------------------------------------------

@@ -74,12 +74,12 @@ func Interleaved(sessions int, noiseCounts []int, seed uint64) (*InterleavedResu
 		return nil, err
 	}
 
-	// Simulate the test sessions once (TLS over TCP: capture renders the
-	// server direction from its records) and attack each under every
-	// noise level, so levels differ only in the interleaved noise.
+	// Simulate the test sessions once, in full since each is rendered,
+	// and attack each under every noise level, so levels differ only in
+	// the interleaved noise.
 	pop := viewer.SamplePopulation(sessions, root.Stream(77))
 	traces, err := parallel.MapN(0, sessions, func(s int) (*session.Trace, error) {
-		return runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59), nil)
+		return runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59), fullTrace)
 	})
 	if err != nil {
 		return nil, err

@@ -237,7 +237,7 @@ func Shaping(sessions int, cells []ShapingCell, seed uint64) (*ShapingResult, er
 		c, s := cells[k/len(pop)], k%len(pop)
 		tr, err := runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59),
 			func(cfg *session.Config) {
-				cfg.OmitServerPayload = false
+				cfg.Lean = false
 				cfg.Wire = c.Wire
 			})
 		if err != nil {

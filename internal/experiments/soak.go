@@ -128,7 +128,7 @@ func Soak(sessions, noiseFlows int, seed uint64) (*SoakResult, error) {
 	}
 	expects := make([]expect, 0, sessions)
 	for s := 0; s < sessions; s++ {
-		tr, err := runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59), nil)
+		tr, err := runOne(g, enc, pop[s], cond, seed+uint64(4000+s*59), fullTrace)
 		if err != nil {
 			return nil, err
 		}

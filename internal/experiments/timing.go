@@ -50,7 +50,7 @@ func Timing(sessions int, seed uint64) (*TimingResult, error) {
 		if err != nil {
 			return timingScore{}, err
 		}
-		return scoreTiming(ta, tr)
+		return scoreTiming(ta, tr), nil
 	})
 	if err != nil {
 		return nil, err
@@ -124,7 +124,7 @@ func PrefetchAblation(sessions int, seed uint64) (*PrefetchAblationResult, error
 			if err != nil {
 				return timingScore{}, err
 			}
-			return scoreTiming(ta, tr)
+			return scoreTiming(ta, tr), nil
 		}
 
 		// Calibrate per player mode on held-out sessions: a parallel batch
@@ -155,7 +155,7 @@ func PrefetchAblation(sessions int, seed uint64) (*PrefetchAblationResult, error
 			if err != nil {
 				return timingScore{}, err
 			}
-			return scoreTiming(ta, tr)
+			return scoreTiming(ta, tr), nil
 		})
 		if err != nil {
 			return 0, err
@@ -212,11 +212,8 @@ type timingScore struct {
 // scoreTiming runs the timing attack on one session's trace: it detects
 // and classifies events from the records alone, then matches each event
 // to the choice whose question it follows.
-func scoreTiming(ta *defense.TimingAttack, tr *session.Trace) (timingScore, error) {
-	obs, err := observationOf(tr)
-	if err != nil {
-		return timingScore{}, err
-	}
+func scoreTiming(ta *defense.TimingAttack, tr *session.Trace) timingScore {
+	obs := observationOf(tr)
 	events := ta.DetectEvents(obs.ClientRecords, obs.ServerRecords)
 	decisions := ta.ClassifyEvents(events)
 	truth := tr.Result.Choices
@@ -239,5 +236,5 @@ func scoreTiming(ta *defense.TimingAttack, tr *session.Trace) (timingScore, erro
 			out.altVols = append(out.altVols, events[j].DownlinkBytes)
 		}
 	}
-	return out, nil
+	return out
 }

@@ -17,7 +17,7 @@ func TestQUICSessionSmoke(t *testing.T) {
 	pop := viewer.SamplePopulation(1, wire.NewRNG(1))
 	tr, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
 		Condition: profiles.Fig2Ubuntu, Seed: 42, Wire: Wire{Transport: quicrec.TransportQUIC},
-		OmitServerPayload: false})
+		Lean: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package session
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/abr"
@@ -79,7 +80,8 @@ type DirStream struct {
 	// Bytes is the TLS record byte stream (TCP) or the concatenated QUIC
 	// packet bytes (QUIC). It is nil for a TCP trace's server direction:
 	// its record bodies are all zero, so Trace.ServerRecords describes it
-	// and capture renders it from them.
+	// and capture renders it from them. It is nil for both directions of
+	// a lean trace (Config.Lean), whose descriptors alone describe them.
 	Bytes []byte
 	// Writes gives (stream offset, time) checkpoints: bytes at or after
 	// Offset were written at Time. Offsets are strictly increasing.
@@ -158,9 +160,9 @@ func (t *Trace) GroundTruthDecisions() []bool {
 
 // Release drops the trace's wire data — both directions' byte streams,
 // write schedules, datagram frames, the labeled client writes and the
-// server records — so the memory (the client stream and a few hundred
-// kilobytes of descriptors for a TCP session, tens of megabytes of
-// server datagrams for a full-fidelity QUIC one) can be reclaimed the
+// server records — so the memory (a few hundred kilobytes of
+// descriptors, plus the client stream of a full trace and tens of
+// megabytes of server datagrams of a full QUIC one) can be reclaimed the
 // moment a consumer has serialized or scored the trace. The
 // player-level ground truth (Result, GroundTruthDecisions) and the
 // identity fields survive, which is exactly what corpus sidecar metadata
@@ -192,14 +194,15 @@ type Config struct {
 	// Start is the virtual session start (default a fixed epoch so runs
 	// are reproducible).
 	Start time.Time
-	// OmitServerPayload skips materializing a QUIC session's server
-	// datagram bytes (tens of megabytes of PRNG-filled media per session);
-	// the trace still carries exact offsets, timings and datagram
-	// descriptors. Profiling and experiment workloads that never serialize
-	// the trace to pcap set this — it removes the dominant memory cost of
-	// a QUIC session. A TCP session never materializes its server bytes
-	// (ServerRecords describes them), so the option changes nothing there.
-	OmitServerPayload bool
+	// Lean writes no bytes in either direction: the client's PRNG-filled
+	// records or datagrams and, over QUIC, the server's tens of megabytes
+	// of datagrams go through discard writers, which skip the draws the
+	// bytes would take. Every descriptor (labeled client writes, server
+	// records, datagram frames, write marks) is bit-identical to the full
+	// run's, and both DirStream.Bytes are nil. Training and experiment
+	// workloads that read lengths and times, never bytes, set this; a
+	// capture cannot be rendered from a lean trace.
+	Lean bool
 	// Wire is the stack both directions speak and the shaping policy in
 	// force (zero: TLS 1.2 over TCP, unshaped). Run rejects a policy that
 	// does not fit the stack.
@@ -228,21 +231,26 @@ func Run(cfg Config) (*Trace, error) {
 	recVer := w.Record.WireVersion()
 	rng := wire.NewRNG(cfg.Seed)
 
-	// Stream buffers. The client direction is small, PRNG-filled and
-	// always pooled; the trace keeps an exact-size copy. The server
-	// direction carries tens of megabytes of media. Its TLS record bodies
-	// are zero, so a TCP trace keeps only ServerRecords and a discard
-	// Writer keeps their offsets exact. QUIC server datagrams are
-	// PRNG-filled: a full-fidelity QUIC session borrows a pooled arena
-	// and keeps a copy, a lean one discards them too.
-	cBuf := wire.GetWriter(1 << 20)
-	defer wire.PutWriter(cBuf)
+	// Stream buffers. A full session writes its small, PRNG-filled client
+	// direction into a pooled buffer and keeps an exact-size copy. The
+	// server direction carries tens of megabytes of media. Its TLS record
+	// bodies are zero, so a TCP trace keeps only ServerRecords and a
+	// discard Writer keeps their offsets exact. QUIC server datagrams are
+	// PRNG-filled: a full QUIC session borrows a pooled arena and keeps a
+	// copy. A lean session discards both directions.
+	cBuf := wire.NewDiscardWriter()
+	if !cfg.Lean {
+		cBuf = wire.GetWriter(1 << 20)
+		defer wire.PutWriter(cBuf)
+	}
 	sBuf := wire.NewDiscardWriter()
-	keepServer := w.Transport == quicrec.TransportQUIC && !cfg.OmitServerPayload
+	keepServer := w.Transport == quicrec.TransportQUIC && !cfg.Lean
 	if keepServer {
 		sBuf = wire.GetWriter(20 << 20)
 		defer wire.PutWriter(sBuf)
 	}
+	srv := getServerScratch()
+	defer putServerScratch(srv)
 
 	env := &simEnv{
 		trace: &Trace{
@@ -269,6 +277,7 @@ func Run(cfg Config) (*Trace, error) {
 		reports: w.Reports,
 		cBuf:    cBuf,
 		sBuf:    sBuf,
+		srv:     srv,
 	}
 	env.sEnc.Server = true
 	if w.Record == tlsrec.RecordTLS13 {
@@ -313,11 +322,72 @@ func Run(cfg Config) (*Trace, error) {
 		return nil, err
 	}
 	env.trace.Result = res
-	env.trace.ClientToServer.Bytes = env.cBuf.CopyBytes()
+	env.trace.ServerRecords = exact(srv.recs)
+	env.trace.ServerToClient.Datagrams = exact(srv.dgs)
+	if !cfg.Lean {
+		env.trace.ClientToServer.Bytes = env.cBuf.CopyBytes()
+	}
 	if keepServer {
 		env.trace.ServerToClient.Bytes = env.sBuf.CopyBytes()
 	}
 	return env.trace, nil
+}
+
+// serverScratch is where a session builds its server descriptor list:
+// recs for a TCP session's ServerRecords, dgs for a QUIC session's server
+// datagrams. Run copies the list into the trace once, at exact size, so
+// the thousands of descriptors a session emits are not regrown from empty
+// one response at a time.
+type serverScratch struct {
+	recs []tlsrec.Record
+	dgs  []quicrec.Datagram
+}
+
+// idleServerScratch keeps scratch lists between sessions, one per CPU (as
+// many as sessions can run at once; see capture's idleMuxers for why not
+// a sync.Pool).
+var idleServerScratch = make(chan *serverScratch, runtime.GOMAXPROCS(0))
+
+// maxIdleDescriptors bounds each list an idle scratch keeps (a Bandersnatch
+// session emits up to about 17k server datagrams over QUIC, or 1.5k
+// server records over TCP).
+const maxIdleDescriptors = 1 << 15
+
+// getServerScratch returns empty scratch lists: idle ones if there are
+// any. Pair with putServerScratch.
+func getServerScratch() *serverScratch {
+	select {
+	case s := <-idleServerScratch:
+		return s
+	default:
+		return new(serverScratch)
+	}
+}
+
+// putServerScratch empties s and keeps it for the next session when a
+// slot is free.
+func putServerScratch(s *serverScratch) {
+	if cap(s.recs) > maxIdleDescriptors {
+		s.recs = nil
+	}
+	if cap(s.dgs) > maxIdleDescriptors {
+		s.dgs = nil
+	}
+	s.recs, s.dgs = s.recs[:0], s.dgs[:0]
+	select {
+	case idleServerScratch <- s:
+	default:
+	}
+}
+
+// exact returns a copy of s at exactly its length, or nil for an empty s.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // simEnv implements player.Env against the CDN/netem/TLS models.
@@ -345,6 +415,7 @@ type simEnv struct {
 
 	cBuf *wire.Writer
 	sBuf *wire.Writer
+	srv  *serverScratch // the server descriptor list being built
 }
 
 // appendClientDGs back-computes stream offsets for datagrams just written
@@ -355,13 +426,13 @@ func (e *simEnv) appendClientDGs(dgs []quicrec.Datagram) []quicrec.Datagram {
 	return dgs
 }
 
-// appendServerDGs is the server-direction counterpart. Descriptors are
-// kept even in lean mode (a discard writer still advances Len), exactly
-// as ServerRecords describes a TCP server direction.
-func (e *simEnv) appendServerDGs(dgs []quicrec.Datagram) []quicrec.Datagram {
+// appendServerDGs is the server-direction counterpart, appending to the
+// scratch list. Descriptors are kept even in lean mode (a discard writer
+// still advances Len), exactly as ServerRecords describes a TCP server
+// direction.
+func (e *simEnv) appendServerDGs(dgs []quicrec.Datagram) {
 	stampOffsets(dgs, int64(e.sBuf.Len()))
-	e.trace.ServerToClient.Datagrams = append(e.trace.ServerToClient.Datagrams, dgs...)
-	return dgs
+	e.srv.dgs = append(e.srv.dgs, dgs...)
 }
 
 // stampOffsets assigns each datagram its stream offset, given the buffer
@@ -409,7 +480,7 @@ func (e *simEnv) handshake(t time.Time, helloLen int) {
 	// flight opens the server direction, so its records start the list.
 	st := t.Add(e.downlink.RTT() / 2)
 	e.trace.ServerToClient.mark(int64(e.sBuf.Len()), st)
-	e.trace.ServerRecords = e.sEnc.HandshakeTranscript(e.sBuf, st, 3700)
+	e.srv.recs = append(e.srv.recs, e.sEnc.HandshakeTranscript(e.sBuf, st, 3700)...)
 }
 
 // quicHandshake exchanges both QUIC handshake flights: the client's
@@ -470,10 +541,9 @@ func (e *simEnv) FetchChunk(now time.Time, c media.Chunk) time.Time {
 	if e.transport == quicrec.TransportQUIC {
 		// The response's datagrams append straight to the server
 		// direction's frame list; dgs is their run at its end.
-		sd := &e.trace.ServerToClient
-		first := len(sd.Datagrams)
-		sd.Datagrams = e.sQ.AppendApplicationData(sd.Datagrams, e.sBuf, respStart, respSize)
-		dgs := sd.Datagrams[first:]
+		first := len(e.srv.dgs)
+		e.srv.dgs = e.sQ.AppendApplicationData(e.srv.dgs, e.sBuf, respStart, respSize)
+		dgs := e.srv.dgs[first:]
 		stampOffsets(dgs, int64(e.sBuf.Len()))
 		done := e.downlink.Transfer(respStart, respSize)
 		// Datagram departures pace the bottleneck link: restamp the
@@ -489,7 +559,7 @@ func (e *simEnv) FetchChunk(now time.Time, c media.Chunk) time.Time {
 		e.est.Observe(respSize, done.Sub(now))
 		return done
 	}
-	e.trace.ServerRecords = e.sEnc.AppendApplicationData(e.trace.ServerRecords, e.sBuf, respStart, respSize)
+	e.srv.recs = e.sEnc.AppendApplicationData(e.srv.recs, e.sBuf, respStart, respSize)
 	done := e.downlink.Transfer(respStart, respSize)
 	e.est.Observe(respSize, done.Sub(now))
 	return done

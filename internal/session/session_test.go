@@ -1,6 +1,7 @@
 package session
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -46,21 +47,67 @@ func TestRunProducesBothStreams(t *testing.T) {
 	}
 }
 
+// TestClientStreamParsesAsTLS is the descriptor oracle. Parsing a full
+// trace's client stream recovers exactly the records of its labeled
+// writes, in order and field by field, and the lean twin records the
+// same descriptors without any bytes. It is what lets lean traces drop
+// the client bytes and lets experiments observe a trace through its
+// flattened ClientWrites records instead of a parse.
 func TestClientStreamParsesAsTLS(t *testing.T) {
-	tr := testTrace(t, 2, profiles.Fig2Ubuntu)
-	recs, rest, err := tlsrec.ParseStream(tr.ClientToServer.Bytes, tr.ClientToServer.TimeAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rest != 0 {
-		t.Errorf("unparsed client bytes: %d", rest)
-	}
-	if len(recs) < 10 {
-		t.Errorf("client records = %d, implausibly few", len(recs))
-	}
-	// First record is a handshake record.
-	if recs[0].Type != tlsrec.ContentHandshake {
-		t.Errorf("first record type = %v", recs[0].Type)
+	g := script.Bandersnatch()
+	enc := media.Encode(g, media.DefaultLadder, 42)
+	for _, label := range []string{
+		"tls1.2", "tls1.3", "tls1.3+pad-to-64", "tls1.3+pad-random-32",
+		"tls1.2+reports-pad-4096", "tls1.2+reports-split-1200", "tls1.3+reports-compress-55",
+	} {
+		w, err := ParseWire(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 8; seed++ {
+			pop := viewer.SamplePopulation(1, wire.NewRNG(seed))
+			run := func(lean bool) *Trace {
+				tr, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
+					Condition: profiles.Fig2Ubuntu, Seed: seed, Wire: w, Lean: lean})
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", label, seed, err)
+				}
+				return tr
+			}
+			full, lean := run(false), run(true)
+			recs, rest, err := tlsrec.ParseStream(full.ClientToServer.Bytes, full.ClientToServer.TimeAt)
+			if err != nil || rest != 0 {
+				t.Fatalf("%s seed %d: client stream: %v, %d bytes unparsed", label, seed, err, rest)
+			}
+			var want []tlsrec.Record
+			for _, cw := range full.ClientWrites {
+				want = append(want, cw.Records...)
+			}
+			if len(recs) != len(want) || len(recs) < 10 {
+				t.Fatalf("%s seed %d: stream parses to %d records, writes hold %d", label, seed, len(recs), len(want))
+			}
+			if recs[0].Type != tlsrec.ContentHandshake {
+				t.Errorf("%s seed %d: first record type = %v", label, seed, recs[0].Type)
+			}
+			for i, r := range recs {
+				d := want[i]
+				if r.Type != d.Type || r.Version != d.Version || r.Length != d.Length ||
+					!r.Time.Equal(d.Time) || r.StreamOffset != d.StreamOffset {
+					t.Fatalf("%s seed %d: record %d parses as %v %#04x len %d at %d (%v), write holds %v %#04x len %d at %d (%v)",
+						label, seed, i, r.Type, uint16(r.Version), r.Length, r.StreamOffset, r.Time,
+						d.Type, uint16(d.Version), d.Length, d.StreamOffset, d.Time)
+				}
+			}
+			if lean.ClientToServer.Bytes != nil || lean.ServerToClient.Bytes != nil {
+				t.Fatalf("%s seed %d: lean trace holds %d client and %d server bytes", label, seed,
+					len(lean.ClientToServer.Bytes), len(lean.ServerToClient.Bytes))
+			}
+			twin := *full
+			twin.ClientToServer.Bytes = nil
+			if !reflect.DeepEqual(&twin, lean) {
+				t.Fatalf("%s seed %d: lean descriptors differ from the full trace's", label, seed)
+			}
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func TestRunRejectsMismatchedWire(t *testing.T) {
 		{Reports: ReportPolicy{Mode: ReportsCompress + 1, Param: 1}},
 	} {
 		_, err := Run(Config{Graph: g, Encoding: enc, Viewer: pop[0],
-			Condition: profiles.Fig2Ubuntu, Seed: 1, Wire: w, OmitServerPayload: true})
+			Condition: profiles.Fig2Ubuntu, Seed: 1, Wire: w, Lean: true})
 		if err == nil {
 			t.Errorf("Run accepted Wire %+v", w)
 		} else if !strings.HasPrefix(err.Error(), "session: ") {

@@ -130,11 +130,9 @@ type Record struct {
 	// Time is the capture timestamp of the TCP segment that carried the
 	// record's first byte.
 	Time time.Time
-	// StreamOffset is the record header's byte offset in the TCP stream.
+	// StreamOffset is the record header's byte offset in the TCP stream;
+	// the body is the Length bytes after the header.
 	StreamOffset int64
-	// Body holds the (opaque) fragment bytes when parsed from a full
-	// stream; nil when only lengths were recovered.
-	Body []byte
 }
 
 // WireLen is the record's total on-wire size including the header.
@@ -202,11 +200,7 @@ func ParseStream(stream []byte, at timeAt) ([]Record, int, error) {
 			// Trailing partial record: normal for live or truncated captures.
 			break
 		}
-		rec := Record{
-			Type: typ, Version: ver, Length: length,
-			StreamOffset: int64(off),
-			Body:         stream[off+headerLen : off+headerLen+length],
-		}
+		rec := Record{Type: typ, Version: ver, Length: length, StreamOffset: int64(off)}
 		if at != nil {
 			rec.Time = at(int64(off))
 		}

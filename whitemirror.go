@@ -152,13 +152,13 @@ type SessionOptions struct {
 	Encoding *media.Encoding
 	// DisablePrefetch turns off default-branch prefetching.
 	DisablePrefetch bool
-	// Lean skips materializing a QUIC session's server datagram bytes —
-	// tens of megabytes of opaque media per session — while keeping the
-	// trace's offsets, timings and datagram descriptors exact. Use it for
-	// workloads that never render the trace to pcap (training, bulk
-	// experiments); CapturePcap requires a non-lean QUIC trace. A TCP
-	// session never materializes its server bytes (Trace.ServerRecords
-	// describes them), so a lean TCP trace equals a full one.
+	// Lean writes no bytes in either direction (session.Config.Lean):
+	// neither the client's records or datagrams nor a QUIC server's tens
+	// of megabytes of datagrams. The trace keeps every descriptor —
+	// labeled writes, server records, datagram frames, offsets and times
+	// — bit-identical to a full run's. Use it for workloads that never
+	// render the trace to pcap (training, bulk experiments); CapturePcap
+	// refuses a lean trace.
 	Lean bool
 	// Wire is the stack the session speaks (default TLS 1.2 over TCP)
 	// and the shaping policy in force.
@@ -187,15 +187,15 @@ func Simulate(opts SessionOptions) (*Trace, error) {
 		enc = media.EncodeCached(g, media.DefaultLadder, opts.Seed^0xabcd)
 	}
 	return session.Run(session.Config{
-		Graph:             g,
-		Encoding:          enc,
-		Viewer:            *v,
-		Condition:         cond,
-		SessionID:         fmt.Sprintf("wm-%d", opts.Seed),
-		Seed:              opts.Seed,
-		DisablePrefetch:   opts.DisablePrefetch,
-		OmitServerPayload: opts.Lean,
-		Wire:              opts.Wire,
+		Graph:           g,
+		Encoding:        enc,
+		Viewer:          *v,
+		Condition:       cond,
+		SessionID:       fmt.Sprintf("wm-%d", opts.Seed),
+		Seed:            opts.Seed,
+		DisablePrefetch: opts.DisablePrefetch,
+		Lean:            opts.Lean,
+		Wire:            opts.Wire,
 	})
 }
 
@@ -287,8 +287,8 @@ func TrainAttacker(opts TrainingOptions) (*Attacker, error) {
 			Condition: cond,
 			Graph:     g,
 			Encoding:  enc,
-			// Profiling only consumes client-side record lengths; skip the
-			// server media payload.
+			// Profiling only consumes descriptors (record lengths and
+			// times); write no bytes.
 			Lean: true,
 			Wire: opts.Wire,
 		})
